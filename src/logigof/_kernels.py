@@ -1,16 +1,37 @@
-"""Vectorized kernels for the O(n^2) test statistics.
+"""Batch kernels for the test statistics.
 
-Two entry styles share the same pairwise-term code:
+One entry point, ``compute_batch(y, specs)``, evaluates every requested
+statistic for each row of a (C, n) residual batch; the single-sample
+functions of ``statistics`` call it with a batch of one.
 
-* ``*_single`` functions evaluate one residual vector, chunking over row
-  blocks so that even very large samples never materialize an n-by-n array.
-* ``*_batch`` functions evaluate a (C, n) stack of residual vectors at once,
-  which is the shape the Monte Carlo engine feeds in.
+Symmetric pair sums.  T, S and R sum a term that is symmetric in (j, k)
+over all n^2 ordered pairs, so each unordered pair is evaluated once.
+Pairing each j with (j + o) mod n for the offsets o = 1 .. (n-1)//2 meets
+every unordered pair exactly once; those offsets carry weight 2.  For even n
+the offset n/2 meets each pair twice and carries weight 1, and so does the
+diagonal, offset 0.  The shifted rows are windows into [y, y], so no pair
+index arrays are built.  T computes d^2 once for all its weight rates.  S
+and R compute sinh and cosh of s = Y_j + Y_k from one expm1 and share them:
+R's sinh(s)/s is S's A_0(s)/2.  Where |s| < 0.1 the closed forms of the
+interval moments cancel, and only those pairs are re-evaluated by series.
 
-Residual vectors are sorted internally, so every statistic is exactly
-invariant under permutations of the input and independent of how the batch
-is partitioned.  All reductions run over contiguous axes in a fixed order,
-which keeps results bit-reproducible regardless of worker count.
+Memory.  Offsets are taken in blocks whose size depends on n only, and rows
+in groups, so that a block holds at most ``_PAIR_BUDGET`` pairs for any
+batch size C (one offset row of n pairs when n exceeds the budget).  The
+pair terms are computed in eight scratch buffers of one block each,
+allocated once per call, so that the heap does not grow and shrink with
+every block.  Besides them the kernel keeps O(C n) arrays.
+
+Overflow.  S and R are +inf on rows with 2 max|Y| > ``_EXP_LIMIT``: their
+exponential terms leave double range, and the statistic then exceeds any
+calibrated threshold.  T and the EDF statistics stay finite on those rows.
+Rows containing NaN give NaN for every statistic.
+
+Determinism.  Rows are sorted first, so every statistic is exactly invariant
+under permutations of a sample.  Each row is reduced over blocks whose
+lengths depend on n only, in a fixed order, so a row's values are
+bit-identical whatever the other rows of the batch, and whatever the number
+of workers.
 """
 
 from __future__ import annotations
@@ -18,190 +39,23 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
-_SQRT_PI = math.sqrt(math.pi)
-# Largest |Y_j + Y_k| the exp/sinh based statistics accept before raising.
+# Largest 2 max|Y| for which S and R are finite; beyond it they are +inf.
 _EXP_LIMIT = 700.0
-# Below this |Y_j + Y_k| the finite-interval pair integrals switch to series
-# evaluation; the direct formulas lose ~4e-16/s^3 to cancellation, so 0.1
-# keeps both branches accurate to better than 1e-12 in the overlap band.
+# Below this |Y_j + Y_k| the interval moments switch to series evaluation;
+# the closed forms lose ~4e-16/s^3 to cancellation, so 0.1 keeps both
+# branches accurate to better than 1e-12 in the overlap band.
 _SERIES_CUT = 0.1
-_SINHC_CUT = 1e-8
+# Most pairs in one block, and the size of each pair scratch buffer.
+_PAIR_BUDGET = 1 << 14
 _EDF_EPS = 1e-15
+EDF_IDS = ("KS", "CM", "AD", "WA")
 
 
 class NumericOverflowError(ArithmeticError):
     """A statistic's exponential terms exceed double-precision range."""
-
-
-# ---------------------------------------------------------------------------
-# pairwise terms
-
-
-def _t_pair(d, mm, dmd, a: float):
-    """Gaussian-weight pair term for the characterisation statistic.
-
-    d is Y_j - Y_k, mm is m_j*m_k and dmd is d*(m_j - m_k) with
-    m = tanh(Y/2); each pairwise integral of the weighted integrand has the
-    closed value  sqrt(pi/a)*exp(-d^2/4a)*[(2a - d^2)/4a^2 + mm - dmd/2a].
-    """
-    dd = d * d
-    return np.exp(dd / (-4.0 * a)) * (
-        (2.0 * a - dd) / (4.0 * a * a) + mm - dmd / (2.0 * a)
-    )
-
-
-def _exp_moments(s):
-    """A_r(s) = integral of t^r * exp(t*s) over t in (-1, 1) for r = 0, 1, 2.
-
-    Uses the sinh/cosh closed forms away from 0 and their power series for
-    |s| < 0.1 where the closed forms cancel catastrophically.
-    """
-    s2 = s * s
-    a0 = 2.0 * (1.0 + s2 * (1.0 / 6.0 + s2 * (1.0 / 120.0 + s2 * (1.0 / 5040.0 + s2 / 362880.0))))
-    a1 = 2.0 * s * (1.0 / 3.0 + s2 * (1.0 / 30.0 + s2 * (1.0 / 840.0 + s2 / 45360.0)))
-    a2 = 2.0 * (1.0 / 3.0 + s2 * (1.0 / 10.0 + s2 * (1.0 / 168.0 + s2 / 6480.0)))
-    big = np.abs(s) >= _SERIES_CUT
-    if np.any(big):
-        sb = s[big]
-        sh, ch = np.sinh(sb), np.cosh(sb)
-        a0[big] = 2.0 * sh / sb
-        a1[big] = 2.0 * ch / sb - 2.0 * sh / (sb * sb)
-        a2[big] = 2.0 * sh / sb - 4.0 * ch / (sb * sb) + 4.0 * sh / (sb * sb * sb)
-    return a0, a1, a2
-
-
-def _s_pair(s, mj, mk):
-    """Pair term of the finite-interval (moment generating) statistic:
-    integral over t in (-1,1) of (t - m_j)(t - m_k) exp(t*(Y_j + Y_k))."""
-    a0, a1, a2 = _exp_moments(s)
-    return a2 - (mj + mk) * a1 + (mj * mk) * a0
-
-
-def _sinhc(s):
-    """sinh(s)/s with the removable singularity filled by its limit 1."""
-    out = np.ones_like(s)
-    big = np.abs(s) >= _SINHC_CUT
-    if np.any(big):
-        sb = s[big]
-        out[big] = np.sinh(sb) / sb
-    return out
-
-
-def _r_pair(s, v: int):
-    """Pair term of the characteristic-function statistic for order v."""
-    c = 4.0 * v * v * math.pi**2
-    return _sinhc(s) / (c + s * s)
-
-
-def _r_elementwise(y, v: int):
-    """S(v, x) summand of the characteristic-function statistic, elementwise."""
-    ch, sh = np.cosh(y), np.sinh(y)
-    y2 = y * y
-    total = np.zeros_like(y)
-    for k in range(1, v + 1):
-        q = y2 + (2 * k - 1) ** 2 * math.pi**2
-        total += (2 * k - 1) * (q * ch - 2.0 * y * sh) / (q * q)
-    return total
-
-
-def _r_constant(v: int) -> float:
-    tail = sum((v - k) / k**2 for k in range(1, v))
-    return 2.0 * v * math.pi**2 / 3.0 + 2.0 * tail
-
-
-def _check_exp_range(y: np.ndarray):
-    m = np.nanmax(np.abs(y)) if y.size else 0.0
-    if 2.0 * m > _EXP_LIMIT:
-        raise NumericOverflowError(
-            f"residual magnitude {m:.3g} exceeds the exp-safe range of the statistic"
-        )
-
-
-# ---------------------------------------------------------------------------
-# single-sample evaluation (row-blocked; safe for very large n)
-
-
-def _block_size(n: int) -> int:
-    return max(1, min(n, int(4_000_000 // max(n, 1)) or 1))
-
-
-def t_single(y: np.ndarray, a_values) -> np.ndarray:
-    """T statistic of one residual vector for each weight rate in a_values."""
-    y = np.sort(np.asarray(y, dtype=float))
-    n = y.size
-    m = np.tanh(y / 2.0)
-    totals = np.zeros(len(a_values))
-    step = _block_size(n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        d = y[lo:hi, None] - y[None, :]
-        mm = m[lo:hi, None] * m[None, :]
-        dmd = d * (m[lo:hi, None] - m[None, :])
-        for i, a in enumerate(a_values):
-            totals[i] += float(np.sum(_t_pair(d, mm, dmd, a)))
-    return totals * np.sqrt(math.pi / np.asarray(a_values, dtype=float)) / n
-
-
-def s_single(y: np.ndarray) -> float:
-    """Finite-interval statistic of one residual vector."""
-    y = np.sort(np.asarray(y, dtype=float))
-    _check_exp_range(y)
-    n = y.size
-    m = np.tanh(y / 2.0)
-    total = 0.0
-    step = _block_size(n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        s = y[lo:hi, None] + y[None, :]
-        total += float(np.sum(_s_pair(s, m[lo:hi, None], m[None, :])))
-    return total / n
-
-
-def r_single(y: np.ndarray, v_values) -> np.ndarray:
-    """Characteristic-function statistic of one residual vector per order v."""
-    y = np.sort(np.asarray(y, dtype=float))
-    _check_exp_range(y)
-    n = y.size
-    out = np.zeros(len(v_values))
-    step = _block_size(n)
-    pair_totals = np.zeros(len(v_values))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        s = y[lo:hi, None] + y[None, :]
-        for i, v in enumerate(v_values):
-            pair_totals[i] += float(np.sum(_r_pair(s, v)))
-    for i, v in enumerate(v_values):
-        elem = float(np.sum(_r_elementwise(y, v)))
-        out[i] = (4.0 * v * v * math.pi**2 / n) * pair_totals[i] \
-            - 4.0 * math.pi**2 * elem + n * _r_constant(v)
-    return out
-
-
-def edf_single(y: np.ndarray):
-    """EDF statistics (KS, CM, AD, WA) of one residual vector.
-
-    Returns (values dict, clamp count); probabilities at 0 or 1 to machine
-    precision are clamped into [eps, 1-eps] and counted.
-    """
-    y = np.sort(np.asarray(y, dtype=float))
-    n = y.size
-    u = expit(y)
-    clamped = int(np.sum((u < _EDF_EPS) | (u > 1.0 - _EDF_EPS)))
-    u = np.clip(u, _EDF_EPS, 1.0 - _EDF_EPS)
-    j = np.arange(1, n + 1, dtype=float)
-    d_plus = np.max(j / n - u)
-    d_minus = np.max(u - (j - 1.0) / n)
-    ks = max(d_plus, d_minus)
-    cm = 1.0 / (12.0 * n) + float(np.sum((u - (2.0 * j - 1.0) / (2.0 * n)) ** 2))
-    ad = -n - float(np.mean((2.0 * j - 1.0) * (np.log(u) + np.log(1.0 - u[::-1]))))
-    wa = cm - n * (float(np.mean(u)) - 0.5) ** 2
-    return {"KS": float(ks), "CM": cm, "AD": ad, "WA": wa}, clamped
-
-
-# ---------------------------------------------------------------------------
-# batched evaluation for the Monte Carlo engine
 
 
 def moment_residuals_batch(x: np.ndarray) -> np.ndarray:
@@ -215,72 +69,212 @@ def moment_residuals_batch(x: np.ndarray) -> np.ndarray:
     return y
 
 
+# ---------------------------------------------------------------------------
+# pair terms
+
+
+def _t_sums(yj, mj, yk, mk, rates, scratch) -> list:
+    """Per (row, offset) sums over j of the T pair term of each rate a:
+    exp(-d^2/4a) [(2a - d^2)/4a^2 + m_j m_k - d (m_j - m_k)/2a], with
+    d = Y_j - Y_k and m = tanh(Y/2).
+
+    yj, mj have shape (R, 1, n), yk, mk and each scratch buffer (R, B, n).
+    """
+    mm, d, dd, g, inner, e = scratch[:6]
+    np.multiply(mj, mk, out=mm)
+    np.subtract(yj, yk, out=d)
+    np.multiply(d, d, out=dd)
+    np.subtract(mj, mk, out=g)
+    g *= d
+    np.subtract(1.0, g, out=g)                    # 1 - d (m_j - m_k)
+    sums = []
+    for a in rates:
+        np.multiply(dd, 0.5 / a, out=inner)
+        np.subtract(g, inner, out=inner)
+        inner *= 0.5 / a
+        inner += mm
+        np.multiply(dd, -0.25 / a, out=e)
+        np.exp(e, out=e)
+        e *= inner
+        sums.append(e.sum(axis=2))
+    return sums
+
+
+def _sr_sums(yj, mj, yk, mk, orders, need_s, scratch) -> list:
+    """Per (row, offset) sums over j of the S pair term (when ``need_s``)
+    and of the R pair term of each order v.
+
+    With s = Y_j + Y_k and A_r(s) the integral of t^r exp(t s) over
+    t in (-1, 1), the S term is A_2(s) - (m_j + m_k) A_1(s) + m_j m_k A_0(s)
+    and the R term is (A_0(s)/2) / (4 v^2 pi^2 + s^2).  sinh and cosh of |s|
+    come from one expm1, which keeps sinh accurate as s nears 0; pairs with
+    |s| < 0.1, where the closed forms cancel, are overwritten by the power
+    series.  Shapes as in ``_t_sums``.
+    """
+    s, abs_s, em, e, inv_e, a0, a1, a2 = scratch[:8]
+    np.add(yj, yk, out=s)
+    np.abs(s, out=abs_s)
+    np.expm1(abs_s, out=em)
+    np.add(em, 1.0, out=e)
+    np.divide(1.0, e, out=inv_e)
+    np.multiply(em, inv_e, out=a0)
+    a0 += em
+    a0 /= abs_s                                   # 2 sinh(s) / s
+    moments = [a0]
+    if need_s:
+        inv_s = np.divide(1.0, s, out=em)
+        np.add(e, inv_e, out=a1)
+        a1 -= a0
+        a1 *= inv_s                               # (2 cosh(s) - A_0) / s
+        np.multiply(a1, inv_s, out=a2)
+        a2 *= -2.0
+        a2 += a0                                  # A_0 - 2 A_1 / s
+        moments += [a1, a2]
+    small = np.flatnonzero(abs_s < _SERIES_CUT)
+    if small.size:
+        ss = np.take(s, small)
+        s2 = ss * ss
+        series = (
+            2.0 * (1.0 + s2 * (1.0 / 6.0 + s2 * (
+                1.0 / 120.0 + s2 * (1.0 / 5040.0 + s2 / 362880.0)))),
+            2.0 * ss * (1.0 / 3.0 + s2 * (1.0 / 30.0 + s2 * (
+                1.0 / 840.0 + s2 / 45360.0))),
+            2.0 * (1.0 / 3.0 + s2 * (1.0 / 10.0 + s2 * (
+                1.0 / 168.0 + s2 / 6480.0))),
+        )
+        for moment, value in zip(moments, series):
+            np.put(moment, small, value)
+    sums = []
+    if need_s:
+        pair = np.add(mj, mk, out=inv_e)
+        pair *= a1
+        np.subtract(a2, pair, out=pair)
+        mm_a0 = np.multiply(mj, mk, out=e)
+        mm_a0 *= a0
+        pair += mm_a0
+        sums.append(pair.sum(axis=2))
+    ss = np.multiply(s, s, out=abs_s)
+    for v in orders:
+        den = np.add(ss, 4.0 * v * v * math.pi**2, out=s)
+        np.divide(a0, den, out=den)
+        sums.append(0.5 * den.sum(axis=2))
+    return sums
+
+
+def _pair_sums(y, m, rates, orders, need_s) -> list:
+    """Sums over all ordered pairs of each T, S and R pair term, per row.
+
+    Offset o pairs j with (j + o) mod n; see the module docstring for the
+    weights.  Returns (C,) arrays: one per T rate, then S when ``need_s``,
+    then one per R order.  Every block works in the same preallocated
+    scratch buffers, so the heap does not grow and shrink once per block.
+    """
+    c, n = y.shape
+    offsets = n // 2 + 1
+    weights = np.full(offsets, 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0:
+        weights[-1] = 1.0
+    per_block = max(1, min(offsets, _PAIR_BUDGET // n))
+    rows = max(1, _PAIR_BUDGET // (per_block * n))
+    y_win = sliding_window_view(np.concatenate([y, y], axis=1), n, axis=1)
+    m_win = sliding_window_view(np.concatenate([m, m], axis=1), n, axis=1)
+    scratch = np.empty((8, min(rows, c) * per_block * n))
+    totals = np.zeros((len(rates) + need_s + len(orders), c))
+    for r0 in range(0, c, rows):
+        r1 = min(r0 + rows, c)
+        yj, mj = y[r0:r1, None, :], m[r0:r1, None, :]
+        for lo in range(0, offsets, per_block):
+            hi = min(lo + per_block, offsets)
+            yk, mk = y_win[r0:r1, lo:hi], m_win[r0:r1, lo:hi]
+            block = scratch[:, :yk.size].reshape(8, *yk.shape)
+            sums = []
+            if rates:
+                sums += _t_sums(yj, mj, yk, mk, rates, block)
+            if need_s or orders:
+                sums += _sr_sums(yj, mj, yk, mk, orders, need_s, block)
+            for total, part in zip(totals, sums):
+                total[r0:r1] += (part * weights[lo:hi]).sum(axis=1)
+    return list(totals)
+
+
+def _r_elementwise(y, v: int):
+    """Row sums of the single-observation part of R of order v."""
+    ch, sh = np.cosh(y), np.sinh(y)
+    y2 = y * y
+    total = np.zeros(y.shape[0])
+    for k in range(1, v + 1):
+        q = y2 + (2 * k - 1) ** 2 * math.pi**2
+        total += np.sum((2 * k - 1) * (q * ch - 2.0 * y * sh) / (q * q), axis=1)
+    return total
+
+
+def _r_constant(v: int) -> float:
+    tail = sum((v - k) / k**2 for k in range(1, v))
+    return 2.0 * v * math.pi**2 / 3.0 + 2.0 * tail
+
+
+def edf_probabilities(y: np.ndarray):
+    """Logistic CDF of each residual clamped into [eps, 1 - eps], and the
+    number of values clamped per row."""
+    u = expit(y)
+    clamped = np.sum((u < _EDF_EPS) | (u > 1.0 - _EDF_EPS), axis=-1)
+    return np.clip(u, _EDF_EPS, 1.0 - _EDF_EPS), clamped
+
+
+def _edf_values(y) -> dict:
+    n = y.shape[1]
+    u, _ = edf_probabilities(y)
+    j = np.arange(1, n + 1, dtype=float)
+    d_plus = np.max(j / n - u, axis=1)
+    d_minus = np.max(u - (j - 1.0) / n, axis=1)
+    cm = 1.0 / (12.0 * n) + np.sum((u - (2.0 * j - 1.0) / (2.0 * n)) ** 2, axis=1)
+    return {
+        "KS": np.maximum(d_plus, d_minus),
+        "CM": cm,
+        "AD": -n - np.mean((2.0 * j - 1.0) * (np.log(u) + np.log(1.0 - u[:, ::-1])), axis=1),
+        "WA": cm - n * (np.mean(u, axis=1) - 0.5) ** 2,
+    }
+
+
+# ---------------------------------------------------------------------------
+# the batch kernel
+
+
 def compute_batch(y: np.ndarray, specs) -> np.ndarray:
     """Evaluate statistics for every row of a (C, n) residual batch.
 
     ``specs`` is a sequence of (stat_id, tuning) pairs, e.g. ("T", 3.0),
     ("R", 1), ("KS", None).  Returns an array of shape (len(specs), C).
-    Rows containing NaN produce NaN for every statistic.
+    Rows containing NaN produce NaN for every statistic; S and R are +inf
+    on rows past the exp range.
     """
     y = np.sort(np.asarray(y, dtype=float), axis=1)
     c, n = y.shape
     out = np.full((len(specs), c), np.nan)
+    t_idx = [i for i, (sid, _) in enumerate(specs) if sid == "T"]
+    s_idx = [i for i, (sid, _) in enumerate(specs) if sid == "S"]
+    r_idx = [i for i, (sid, _) in enumerate(specs) if sid == "R"]
+    rates = [float(specs[i][1]) for i in t_idx]
+    orders = [int(specs[i][1]) for i in r_idx]
 
-    ids = [sid for sid, _ in specs]
-    need_pair_t = "T" in ids
-    need_pair_s = "S" in ids or "R" in ids
+    if t_idx or s_idx or r_idx:
+        m = np.tanh(y / 2.0)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            sums = iter(_pair_sums(y, m, rates, orders, bool(s_idx)))
+            for i, a in zip(t_idx, rates):
+                out[i] = math.sqrt(math.pi / a) / n * next(sums)
+            if s_idx:
+                out[s_idx] = next(sums) / n
+            for i, v in zip(r_idx, orders):
+                out[i] = (4.0 * v * v * math.pi**2 / n) * next(sums) \
+                    - 4.0 * math.pi**2 * _r_elementwise(y, v) + n * _r_constant(v)
+        overflow = 2.0 * np.max(np.abs(y), axis=1, initial=0.0) > _EXP_LIMIT
+        out[np.ix_(s_idx + r_idx, overflow)] = np.inf
 
-    m = np.tanh(y / 2.0) if ("T" in ids or "S" in ids) else None
-
-    if need_pair_t:
-        d = y[:, :, None] - y[:, None, :]
-        mm = m[:, :, None] * m[:, None, :]
-        dmd = d * (m[:, :, None] - m[:, None, :])
-        for i, (sid, tuning) in enumerate(specs):
-            if sid == "T":
-                a = float(tuning)
-                out[i] = math.sqrt(math.pi / a) / n * np.sum(_t_pair(d, mm, dmd, a), axis=(1, 2))
-        del d, mm, dmd
-
-    if need_pair_s:
-        if not np.all(np.isnan(y)):
-            finite_max = np.nanmax(np.abs(y))
-            if 2.0 * finite_max > _EXP_LIMIT:
-                raise NumericOverflowError(
-                    f"residual magnitude {finite_max:.3g} exceeds the exp-safe range"
-                )
-        s = y[:, :, None] + y[:, None, :]
-        if "S" in ids:
-            pair = _s_pair(s, m[:, :, None], m[:, None, :])
-            vals = np.sum(pair, axis=(1, 2)) / n
-            del pair
-            for i, (sid, _) in enumerate(specs):
-                if sid == "S":
-                    out[i] = vals
-        for i, (sid, tuning) in enumerate(specs):
-            if sid == "R":
-                v = int(tuning)
-                pair_sum = np.sum(_r_pair(s, v), axis=(1, 2))
-                elem_sum = np.sum(_r_elementwise(y, v), axis=1)
-                out[i] = (4.0 * v * v * math.pi**2 / n) * pair_sum \
-                    - 4.0 * math.pi**2 * elem_sum + n * _r_constant(v)
-        del s
-
-    edf_ids = [sid for sid in ids if sid in ("KS", "CM", "AD", "WA")]
-    if edf_ids:
-        u = np.clip(expit(y), _EDF_EPS, 1.0 - _EDF_EPS)
-        j = np.arange(1, n + 1, dtype=float)
-        d_plus = np.max(j / n - u, axis=1)
-        d_minus = np.max(u - (j - 1.0) / n, axis=1)
-        cm = 1.0 / (12.0 * n) + np.sum((u - (2.0 * j - 1.0) / (2.0 * n)) ** 2, axis=1)
-        values = {
-            "KS": np.maximum(d_plus, d_minus),
-            "CM": cm,
-            "AD": -n - np.mean((2.0 * j - 1.0) * (np.log(u) + np.log(1.0 - u[:, ::-1])), axis=1),
-            "WA": cm - n * (np.mean(u, axis=1) - 0.5) ** 2,
-        }
-        for i, (sid, _) in enumerate(specs):
-            if sid in values:
-                out[i] = values[sid]
-
+    edf_idx = [i for i, (sid, _) in enumerate(specs) if sid in EDF_IDS]
+    if edf_idx:
+        values = _edf_values(y)
+        for i in edf_idx:
+            out[i] = values[specs[i][0]]
     return out

@@ -128,7 +128,10 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
-    return [int(v) for v in _parse_float_list(text, flag)]
+    items = _parse_float_list(text, flag)
+    if not all(v.is_integer() for v in items):
+        raise InputError(f"{flag}: expected comma-separated integers, got {text!r}")
+    return [int(v) for v in items]
 
 
 def _stat_specs_from_flags(stat_text: str, a_text: str, v_text: str) -> list[StatSpec]:

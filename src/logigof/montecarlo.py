@@ -17,6 +17,7 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -287,10 +288,13 @@ class StatSpec:
         if sid not in STAT_IDS:
             raise DomainError(f"unknown statistic {self.stat_id!r}; valid: {', '.join(STAT_IDS)}")
         if sid in _TUNED:
-            tuning = self.tuning if self.tuning is not None else _TUNED[sid]
-            tuning = int(tuning) if sid == "R" else float(tuning)
-            if tuning <= 0:
-                raise DomainError(f"tuning for {sid} must be positive")
+            tuning = float(self.tuning if self.tuning is not None else _TUNED[sid])
+            if not (math.isfinite(tuning) and tuning > 0):
+                raise DomainError(f"tuning for {sid} must be positive and finite")
+            if sid == "R":
+                if not tuning.is_integer():
+                    raise DomainError(f"order of R must be an integer, got {tuning:g}")
+                tuning = int(tuning)
             object.__setattr__(self, "tuning", tuning)
         elif self.tuning is not None:
             raise DomainError(f"statistic {sid} takes no tuning parameter")
@@ -347,6 +351,10 @@ class McConfig:
             raise DomainError("replication count must be at least 1")
         if not (0 <= self.seed < 2**64):
             raise DomainError("seed must be a 64-bit unsigned integer")
+        if self.workers is not None and not (
+                isinstance(self.workers, int) and self.workers >= 0):
+            raise DomainError(
+                f"worker count must be a non-negative integer, got {self.workers!r}")
 
     def resolved_workers(self) -> int:
         return self.workers if self.workers else default_workers()
@@ -414,27 +422,7 @@ def _run_chunk(task: _ChunkTask) -> tuple[int, np.ndarray, int]:
         stream = RngStream(task.seed, task.rep_lo + i)
         x[i] = task.alternative.sample(task.n, stream)
     y, failures = _residuals_for_chunk(x, task.method)
-
-    # Rows whose residual range would overflow the exp-based statistics get
-    # +inf there (the statistic provably exceeds any calibrated threshold);
-    # remaining statistics are still evaluated for those rows.
-    with np.errstate(invalid="ignore"):
-        row_span = 2.0 * np.nanmax(np.abs(y), axis=1, initial=0.0)
-    unsafe = row_span > 690.0
-    values = np.empty((len(task.specs), count))
-    if np.any(unsafe):
-        safe = ~unsafe
-        values[:, safe] = _kernels.compute_batch(y[safe], task.specs)
-        sub = _kernels.compute_batch(
-            np.where(np.isnan(y[unsafe]), np.nan, np.clip(y[unsafe], -300.0, 300.0)),
-            task.specs)
-        for s_idx, (sid, _) in enumerate(task.specs):
-            if sid in ("S", "R"):
-                sub[s_idx] = np.inf
-        values[:, unsafe] = sub
-    else:
-        values[:] = _kernels.compute_batch(y, task.specs)
-    return task.rep_lo, values, failures
+    return task.rep_lo, _kernels.compute_batch(y, task.specs), failures
 
 
 def simulate_statistics(specs: Sequence[StatSpec], n: int, cfg: McConfig,
@@ -581,11 +569,8 @@ def pvalue_simulated(stat_id: str, tuning: Optional[float], observed: float,
     """Add-one Monte Carlo p-value: (1 + #{simulated >= observed})/(reps + 1)."""
     if not math.isfinite(observed):
         raise DomainError("observed statistic value must be finite")
-    spec = StatSpec(stat_id, tuning)
-    values, _ = simulate_statistics([spec], n, cfg)
-    vals = values[0]
-    valid = vals[~np.isnan(vals)]
-    return (1.0 + float(np.sum(valid >= observed))) / (valid.size + 1.0)
+    outcome = SimpleNamespace(name=stat_id, tuning=tuning, value=observed)
+    return pvalues_simulated([outcome], n, cfg)[0]
 
 
 def pvalues_simulated(outcomes, n: int, cfg: McConfig) -> list[float]:

@@ -105,8 +105,20 @@ def t_stat_closed(res: ScaledResiduals, w: WeightSpec = WeightSpec()) -> TestOut
     + m_j m_k - (Y_j-Y_k)(m_j-m_k)/2a] with m = tanh(Y/2); the sum is
     divided by n.  Agrees with ``t_stat_quadrature`` to quadrature accuracy.
     """
-    value = float(_kernels.t_single(res.values, (w.a,))[0])
+    value = float(_evaluate(res, [("T", w.a)])[0])
     return TestOutcome(name="T", tuning=w.a, value=value, n=res.n)
+
+
+def _evaluate(res: ScaledResiduals, specs) -> np.ndarray:
+    """Values of ``specs`` for one residual vector: the batch kernel on a
+    batch of one.  Raises NumericOverflowError where S or R leave the exp
+    range, which the kernel marks with +inf."""
+    values = _kernels.compute_batch(res.values[None, :], specs)[:, 0]
+    if np.isinf(values).any():
+        raise NumericOverflowError(
+            f"residual magnitude {np.max(np.abs(res.values)):.3g} exceeds the "
+            "exp-safe range of the statistic")
+    return values
 
 
 def _t_transform_sq(y: np.ndarray):
@@ -305,8 +317,8 @@ def s_stat(res: ScaledResiduals) -> TestOutcome:
     squared empirical transform; near-cancelling pairs (|Y_j + Y_k| < 0.1)
     are evaluated by series so the result is accurate to ~1e-12 throughout.
     """
-    return TestOutcome(name="S", tuning=None,
-                       value=float(_kernels.s_single(res.values)), n=res.n)
+    value = float(_evaluate(res, [("S", None)])[0])
+    return TestOutcome(name="S", tuning=None, value=value, n=res.n)
 
 
 def s_stat_quadrature(res: ScaledResiduals) -> TestOutcome:
@@ -325,7 +337,7 @@ def r_stat(res: ScaledResiduals, v: int = 1) -> TestOutcome:
     """Characteristic-function based competitor statistic of order v."""
     if v < 1 or int(v) != v:
         raise DomainError(f"order must be a positive integer, got {v}")
-    value = float(_kernels.r_single(res.values, (int(v),))[0])
+    value = float(_evaluate(res, [("R", int(v))])[0])
     return TestOutcome(name="R", tuning=int(v), value=value, n=res.n)
 
 
@@ -336,9 +348,10 @@ def edf_stats(res: ScaledResiduals) -> dict[str, TestOutcome]:
     0 or 1 to machine precision are clamped to [1e-15, 1 - 1e-15] and a
     warning flags how many were clamped.
     """
-    values, clamped = _kernels.edf_single(res.values)
+    values = _evaluate(res, [(name, None) for name in _kernels.EDF_IDS])
+    _, clamped = _kernels.edf_probabilities(res.values)
     if clamped:
         warnings.warn(f"{clamped} probability value(s) clamped away from 0/1",
                       RuntimeWarning, stacklevel=2)
-    return {name: TestOutcome(name=name, tuning=None, value=val, n=res.n)
-            for name, val in values.items()}
+    return {name: TestOutcome(name=name, tuning=None, value=float(val), n=res.n)
+            for name, val in zip(_kernels.EDF_IDS, values)}

@@ -204,6 +204,13 @@ def test_calibrate_bad_alpha(capsys):
     capsys.readouterr()
 
 
+def test_calibrate_rejects_fractional_sample_size(capsys):
+    assert main(["calibrate", "--stat", "KS", "--n", "20.5", "--reps", "50",
+                 "--workers", "1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--n" in err and "integers" in err
+
+
 # ---------------------------------------------------------------------------
 # power
 

@@ -139,6 +139,14 @@ def test_stat_spec_validation():
         StatSpec("KS", 2.0)
 
 
+def test_stat_spec_rejects_fractional_orders():
+    with pytest.raises(DomainError, match="integer"):
+        StatSpec("R", 1.5)
+    with pytest.raises(DomainError, match="integer"):
+        StatSpec.parse("R:2.7")
+    assert StatSpec("R", 2.0) == StatSpec.parse("R:2") == StatSpec("R", 2)
+
+
 # ---------------------------------------------------------------------------
 # engine behaviour
 
@@ -196,6 +204,14 @@ def test_mc_config_validation():
         McConfig(reps=0, seed=1)
     with pytest.raises(DomainError):
         McConfig(reps=10, seed=-1)
+
+
+def test_mc_config_rejects_negative_or_fractional_workers():
+    with pytest.raises(DomainError, match="worker"):
+        McConfig(reps=10, seed=1, workers=-3)
+    with pytest.raises(DomainError, match="worker"):
+        McConfig(reps=10, seed=1, workers=1.5)
+    assert McConfig(reps=10, seed=1, workers=2).resolved_workers() == 2
 
 
 def test_power_study_null_alternative_near_level():

@@ -10,8 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from logigof.estimation import Method, ScaledResiduals, fit_moments, scaled_residuals
 from logigof.logistic_core import RngStream, sample
-from logigof.statistics import (DomainError, WeightSpec, covariance_kernel,
-                                delta_alternative, edf_stats,
+from logigof.statistics import (DomainError, NumericOverflowError, WeightSpec,
+                                covariance_kernel, delta_alternative, edf_stats,
                                 gauss_weighted_integral, h_func, kappa,
                                 moment_identities, r_stat, s_stat,
                                 s_stat_quadrature, t_stat_closed,
@@ -293,6 +293,15 @@ def test_r_stat_matches_high_precision_reference():
     for v in (1, 2, 3):
         assert r_stat(res, v).value == pytest.approx(reference(values, v),
                                                      rel=1e-11)
+
+
+def test_s_and_r_raise_past_the_exp_range():
+    res = _raw(np.array([0.3, -0.2, 351.0]))
+    with pytest.raises(NumericOverflowError):
+        s_stat(res)
+    with pytest.raises(NumericOverflowError):
+        r_stat(res, 1)
+    assert np.isfinite(t_stat_closed(res).value)
 
 
 def test_r_stat_handles_exactly_cancelling_pair():
