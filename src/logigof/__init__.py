@@ -21,7 +21,7 @@ from .estimation import (ConvergenceError, DegenerateSampleError, FitResult,
 from .logistic_core import (STANDARD, DomainError, LogisticParams, RngStream,
                             cdf, pdf, quantile, sample)
 from .montecarlo import (AlternativeSpec, CriticalValueTable, McConfig,
-                         McError, McRow, StatSpec, calibrate, critical_values,
+                         McError, McRow, StatSpec, calibrate,
                          local_power_curve, power_study, pvalue_simulated,
                          pvalues_simulated)
 from .statistics import (NumericOverflowError, QuadratureError, TestOutcome,
@@ -48,6 +48,6 @@ __all__ = [
     "covariance_kernel", "delta_alternative",
     # monte carlo
     "AlternativeSpec", "StatSpec", "McConfig", "McRow", "McError",
-    "CriticalValueTable", "calibrate", "critical_values", "power_study",
+    "CriticalValueTable", "calibrate", "power_study",
     "local_power_curve", "pvalue_simulated", "pvalues_simulated",
 ]

@@ -1,8 +1,11 @@
-"""Batch kernels for the test statistics.
+"""Batch kernels for the test statistics, and the registry of statistics.
 
-One entry point, ``compute_batch(y, specs)``, evaluates every requested
-statistic for each row of a (C, n) residual batch; the single-sample
-functions of ``statistics`` call it with a batch of one.
+``STATS`` is the one place that names the statistics: each id maps to its
+kernel family and to the default and type of its tuning parameter, and
+``check_spec`` validates a (stat_id, tuning) pair against it.  One entry
+point, ``compute_batch(y, specs)``, evaluates every requested statistic for
+each row of a (C, n) residual batch; the single-sample functions of
+``statistics`` call it with a batch of one.
 
 Symmetric pair sums.  T, S and R sum a term that is symmetric in (j, k)
 over all n^2 ordered pairs, so each unordered pair is evaluated once.
@@ -37,10 +40,13 @@ of workers.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
+
+from .logistic_core import DomainError
 
 # Largest 2 max|Y| for which S and R are finite; beyond it they are +inf.
 _EXP_LIMIT = 700.0
@@ -51,11 +57,49 @@ _SERIES_CUT = 0.1
 # Most pairs in one block, and the size of each pair scratch buffer.
 _PAIR_BUDGET = 1 << 14
 _EDF_EPS = 1e-15
-EDF_IDS = ("KS", "CM", "AD", "WA")
 
 
 class NumericOverflowError(ArithmeticError):
     """A statistic's exponential terms exceed double-precision range."""
+
+
+class Stat(NamedTuple):
+    """Registry entry: the kernel family that evaluates a statistic, and the
+    default and type of its tuning parameter (None when it takes none)."""
+
+    family: str                       # "T", "SR" or "EDF"
+    default: Optional[float] = None
+    tuning: Optional[type] = None     # float (T's weight rate) or int (R's order)
+
+
+STATS = {
+    "T": Stat("T", 3.0, float),
+    "S": Stat("SR"),
+    "R": Stat("SR", 1, int),
+    "KS": Stat("EDF"),
+    "CM": Stat("EDF"),
+    "AD": Stat("EDF"),
+    "WA": Stat("EDF"),
+}
+EDF_IDS = tuple(sid for sid, stat in STATS.items() if stat.family == "EDF")
+
+
+def check_spec(stat_id: str, tuning=None) -> tuple:
+    """(stat_id, tuning) with the tuning defaulted and cast as the registry
+    says; DomainError for an unknown id or a tuning the statistic cannot take."""
+    stat = STATS.get(stat_id)
+    if stat is None:
+        raise DomainError(f"unknown statistic {stat_id!r}; valid: {', '.join(STATS)}")
+    if stat.tuning is None:
+        if tuning is not None:
+            raise DomainError(f"statistic {stat_id} takes no tuning parameter")
+        return stat_id, None
+    value = float(stat.default if tuning is None else tuning)
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"tuning for {stat_id} must be positive and finite")
+    if stat.tuning is int and not value.is_integer():
+        raise DomainError(f"tuning for {stat_id} must be an integer, got {value:g}")
+    return stat_id, stat.tuning(value)
 
 
 def moment_residuals_batch(x: np.ndarray) -> np.ndarray:
@@ -223,6 +267,7 @@ def edf_probabilities(y: np.ndarray):
 
 
 def _edf_values(y) -> dict:
+    """KS, CM, AD and WA of every row, keyed by (stat_id, None)."""
     n = y.shape[1]
     u, _ = edf_probabilities(y)
     j = np.arange(1, n + 1, dtype=float)
@@ -230,10 +275,11 @@ def _edf_values(y) -> dict:
     d_minus = np.max(u - (j - 1.0) / n, axis=1)
     cm = 1.0 / (12.0 * n) + np.sum((u - (2.0 * j - 1.0) / (2.0 * n)) ** 2, axis=1)
     return {
-        "KS": np.maximum(d_plus, d_minus),
-        "CM": cm,
-        "AD": -n - np.mean((2.0 * j - 1.0) * (np.log(u) + np.log(1.0 - u[:, ::-1])), axis=1),
-        "WA": cm - n * (np.mean(u, axis=1) - 0.5) ** 2,
+        ("KS", None): np.maximum(d_plus, d_minus),
+        ("CM", None): cm,
+        ("AD", None):
+            -n - np.mean((2.0 * j - 1.0) * (np.log(u) + np.log(1.0 - u[:, ::-1])), axis=1),
+        ("WA", None): cm - n * (np.mean(u, axis=1) - 0.5) ** 2,
     }
 
 
@@ -245,36 +291,30 @@ def compute_batch(y: np.ndarray, specs) -> np.ndarray:
     """Evaluate statistics for every row of a (C, n) residual batch.
 
     ``specs`` is a sequence of (stat_id, tuning) pairs, e.g. ("T", 3.0),
-    ("R", 1), ("KS", None).  Returns an array of shape (len(specs), C).
-    Rows containing NaN produce NaN for every statistic; S and R are +inf
-    on rows past the exp range.
+    ("R", 1), ("KS", None), each checked by ``check_spec``.  Returns an
+    array of shape (len(specs), C).  Rows containing NaN produce NaN for
+    every statistic; S and R are +inf on rows past the exp range.
     """
+    specs = [check_spec(sid, tuning) for sid, tuning in specs]
     y = np.sort(np.asarray(y, dtype=float), axis=1)
     c, n = y.shape
-    out = np.full((len(specs), c), np.nan)
-    t_idx = [i for i, (sid, _) in enumerate(specs) if sid == "T"]
-    s_idx = [i for i, (sid, _) in enumerate(specs) if sid == "S"]
-    r_idx = [i for i, (sid, _) in enumerate(specs) if sid == "R"]
-    rates = [float(specs[i][1]) for i in t_idx]
-    orders = [int(specs[i][1]) for i in r_idx]
-
-    if t_idx or s_idx or r_idx:
-        m = np.tanh(y / 2.0)
+    rates = [a for sid, a in specs if sid == "T"]
+    orders = [v for sid, v in specs if sid == "R"]
+    need_s = ("S", None) in specs
+    values = {}
+    if rates or orders or need_s:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            sums = iter(_pair_sums(y, m, rates, orders, bool(s_idx)))
-            for i, a in zip(t_idx, rates):
-                out[i] = math.sqrt(math.pi / a) / n * next(sums)
-            if s_idx:
-                out[s_idx] = next(sums) / n
-            for i, v in zip(r_idx, orders):
-                out[i] = (4.0 * v * v * math.pi**2 / n) * next(sums) \
+            sums = iter(_pair_sums(y, np.tanh(y / 2.0), rates, orders, need_s))
+            values = {("T", a): math.sqrt(math.pi / a) / n * next(sums) for a in rates}
+            if need_s:
+                values["S", None] = next(sums) / n
+            for v in orders:
+                values["R", v] = (4.0 * v * v * math.pi**2 / n) * next(sums) \
                     - 4.0 * math.pi**2 * _r_elementwise(y, v) + n * _r_constant(v)
         overflow = 2.0 * np.max(np.abs(y), axis=1, initial=0.0) > _EXP_LIMIT
-        out[np.ix_(s_idx + r_idx, overflow)] = np.inf
-
-    edf_idx = [i for i, (sid, _) in enumerate(specs) if sid in EDF_IDS]
-    if edf_idx:
-        values = _edf_values(y)
-        for i in edf_idx:
-            out[i] = values[specs[i][0]]
-    return out
+        for (sid, _), value in values.items():
+            if STATS[sid].family == "SR":
+                value[overflow] = np.inf
+    if any(STATS[sid].family == "EDF" for sid, _ in specs):
+        values.update(_edf_values(y))
+    return np.array([values[key] for key in specs]).reshape(len(specs), c)

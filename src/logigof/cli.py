@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import montecarlo, statistics
-from ._kernels import NumericOverflowError
+from ._kernels import STATS, NumericOverflowError
 from .estimation import (ConvergenceError, DegenerateSampleError, Method,
                          SampleSizeError, fit, scaled_residuals)
 from .logistic_core import DomainError
@@ -134,33 +134,29 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return [int(v) for v in items]
 
 
-def _stat_specs_from_flags(stat_text: str, a_text: str, v_text: str) -> list[StatSpec]:
+# The flag that sets the tuning of each tuned statistic, and what it tunes.
+_TUNING_FLAGS = {"T": ("--a", "weight decay"), "R": ("--v", "frequency cutoff")}
+
+
+def _stat_specs_from_flags(args) -> list[StatSpec]:
+    """One spec per ``--stat`` item; a tuned statistic without ':' expands
+    over every value of its tuning flag."""
     specs: list[StatSpec] = []
-    for part in stat_text.split(","):
+    for part in args.stat.split(","):
         part = part.strip()
         if not part:
             continue
         if ":" in part:
             specs.append(StatSpec.parse(part))
-        elif part.upper() == "T":
-            specs.extend(StatSpec("T", a) for a in _parse_float_list(a_text, "--a"))
-        elif part.upper() == "R":
-            specs.extend(StatSpec("R", v) for v in _parse_int_list(v_text, "--v"))
+        elif part.upper() in _TUNING_FLAGS:
+            flag = _TUNING_FLAGS[part.upper()][0]
+            tunings = _parse_float_list(getattr(args, flag[2:]), flag)
+            specs.extend(StatSpec(part, t) for t in tunings)
         else:
             specs.append(StatSpec(part))
     if not specs:
         raise InputError("--stat: no statistics given")
     return specs
-
-
-def _compute_outcome(spec: StatSpec, res) -> statistics.TestOutcome:
-    if spec.stat_id == "T":
-        return statistics.t_stat_closed(res, statistics.WeightSpec(spec.tuning))
-    if spec.stat_id == "S":
-        return statistics.s_stat(res)
-    if spec.stat_id == "R":
-        return statistics.r_stat(res, int(spec.tuning))
-    return statistics.edf_stats(res)[spec.stat_id]
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -200,18 +196,18 @@ def cmd_test(args) -> int:
         for q, y in zip(theo, ordered):
             print(f"{_fmt(q)},{_fmt(y)}")
         return EXIT_OK
-    spec = StatSpec.parse(args.stat) if ":" in args.stat else StatSpec(
-        args.stat,
-        args.a if args.stat.upper() == "T" else (args.v if args.stat.upper() == "R" else None))
-    outcome = _compute_outcome(spec, res)
+    specs = _stat_specs_from_flags(args)
+    if len(specs) != 1:
+        raise InputError(f"--stat: expected one statistic, got {args.stat!r}")
+    spec = specs[0]
+    value = float(statistics._evaluate(res, [spec.key()])[0])
     cfg = McConfig(reps=args.reps, seed=args.seed, workers=args.workers, method=method)
-    pvalue = montecarlo.pvalue_simulated(spec.stat_id, spec.tuning, outcome.value,
-                                         data.n, cfg)
+    pvalue = montecarlo.pvalue_simulated(spec.stat_id, spec.tuning, value, data.n, cfg)
     print(f"statistic = {spec.stat_id}")
     print(f"tuning = {'' if spec.tuning is None else _fmt(spec.tuning)}")
     print(f"n = {data.n}")
     print(f"method = {method.value}")
-    print(f"value = {_fmt(outcome.value)}")
+    print(f"value = {_fmt(value)}")
     print(f"p_value = {_fmt(pvalue)}")
     print(f"reps = {args.reps}")
     print(f"seed = {args.seed}")
@@ -219,7 +215,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    specs = _stat_specs_from_flags(args.stat, args.a, args.v)
+    specs = _stat_specs_from_flags(args)
     n_list = _parse_int_list(args.n, "--n")
     alphas = _parse_float_list(args.alpha_list, "--alpha-list")
     cfg = McConfig(reps=args.reps, seed=args.seed, workers=args.workers,
@@ -235,7 +231,6 @@ def cmd_calibrate(args) -> int:
 _CONFIG_KEYS = {"mode", "n", "reps", "calibration-reps", "seed", "alpha",
                 "method", "statistic", "alternative", "contaminant", "p",
                 "out", "workers"}
-_REPEATABLE = {"statistic", "alternative"}
 
 
 @dataclass(frozen=True)
@@ -391,6 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Goodness-of-fit tests for the logistic distribution.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_stat_flags(p, stat_help):
+        p.add_argument("--stat", default="T", help=stat_help)
+        for sid, (flag, what) in _TUNING_FLAGS.items():
+            default = f"{STATS[sid].default:g}"
+            p.add_argument(flag, default=default,
+                           help=f"{what} for {sid}, or a comma list (default {default})")
+
     def add_common_fit_flags(p):
         p.add_argument("input", help="data file, one number per line "
                                       "(or 'bundled:' for the packaged example)")
@@ -407,12 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="goodness-of-fit test with simulated p-value")
     add_common_fit_flags(p_test)
-    p_test.add_argument("--stat", default="T",
-                        help="statistic: T, S, R, KS, CM, AD or WA (also 'T:4' form)")
-    p_test.add_argument("--a", type=float, default=3.0,
-                        help="weight decay for T (default 3)")
-    p_test.add_argument("--v", type=int, default=1,
-                        help="frequency cutoff for R (default 1)")
+    add_stat_flags(p_test, f"one statistic of {', '.join(STATS)} (also 'T:4' form)")
     p_test.add_argument("--reps", type=int, default=10000,
                         help="null replications for the p-value (default 10000)")
     p_test.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
@@ -424,10 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.set_defaults(func=cmd_test)
 
     p_cal = sub.add_parser("calibrate", help="tabulate Monte Carlo critical values")
-    p_cal.add_argument("--stat", default="T",
-                       help="comma list of statistics (T expands over --a, R over --v)")
-    p_cal.add_argument("--a", default="3", help="comma list of weight decays for T")
-    p_cal.add_argument("--v", default="1", help="comma list of frequency cutoffs for R")
+    expands = ", ".join(f"{sid} over {flag}" for sid, (flag, _) in _TUNING_FLAGS.items())
+    add_stat_flags(p_cal, f"comma list of {', '.join(STATS)} ({expands})")
     p_cal.add_argument("--n", required=True, help="comma list of sample sizes")
     p_cal.add_argument("--alpha-list", default="0.01,0.05,0.1",
                        help="comma list of significance levels")
@@ -451,10 +446,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
+    except (InputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DegenerateSampleError, SampleSizeError) as exc:

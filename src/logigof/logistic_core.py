@@ -112,8 +112,13 @@ def _uniform_open(gen: np.random.Generator, n: int) -> np.ndarray:
 def sample_from_generator(gen: np.random.Generator, n: int,
                           p: LogisticParams = STANDARD) -> np.ndarray:
     """Draw n logistic variates from an already-open generator by inversion."""
+    return draw_logistic(gen, n, p.mu, p.sigma)
+
+
+def draw_logistic(gen: np.random.Generator, n: int, mu: float, sigma: float) -> np.ndarray:
+    """``sample_from_generator`` with the parameters given as numbers."""
     u = _uniform_open(gen, n)
-    return p.mu + p.sigma * (np.log(u) - np.log1p(-u))
+    return mu + sigma * (np.log(u) - np.log1p(-u))
 
 
 def sample(n: int, p: LogisticParams = STANDARD, *,

@@ -16,16 +16,16 @@ import math
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.stats
 
 from . import _kernels
 from .estimation import ConvergenceError, Method, fit_mle
-from .logistic_core import (DomainError, LogisticParams, RngStream,
+from .logistic_core import (DomainError, RngStream, draw_logistic,
                             sample_from_generator)
 
 WORKERS_ENV_VAR = "LOGIGOF_WORKERS"
@@ -41,12 +41,61 @@ class McError(RuntimeError):
 # alternatives
 
 
+def _positive(*params) -> bool:
+    return all(v > 0 for v in params)
+
+
+class _Kind(NamedTuple):
+    """One alternative family: its short names, its parameter count, the
+    parameters its bare name means (None when all are required), the range
+    rule in words and ``check`` testing it, the exact Generator call that
+    draws it and its scipy frozen law."""
+
+    aliases: str
+    arity: int
+    defaults: Optional[tuple]
+    rule: str
+    draw: Callable[..., np.ndarray]
+    law: Callable[..., object]
+    check: Callable[..., bool] = _positive
+
+
+_KINDS = {
+    "logistic": _Kind("l", 2, (0.0, 1.0), "finite mu and sigma > 0", draw_logistic,
+                      lambda mu, sigma: scipy.stats.logistic(loc=mu, scale=sigma),
+                      lambda mu, sigma: sigma > 0),
+    "normal": _Kind("n gaussian", 0, (), "no parameters",
+                    lambda gen, n: gen.standard_normal(n), scipy.stats.norm),
+    "t": _Kind("student studentt", 1, None, "finite df > 0",
+               lambda gen, n, df: gen.standard_t(df, n), scipy.stats.t),
+    "cauchy": _Kind("c", 0, (), "no parameters",
+                    lambda gen, n: gen.standard_cauchy(n), scipy.stats.cauchy),
+    "laplace": _Kind("lp", 0, (), "no parameters",
+                     lambda gen, n: gen.laplace(0.0, 1.0, n), scipy.stats.laplace),
+    "lognormal": _Kind("ln", 1, None, "finite log-scale s > 0",
+                       lambda gen, n, s: gen.lognormal(0.0, s, n), scipy.stats.lognorm),
+    "gamma": _Kind("", 1, None, "finite shape k > 0",
+                   lambda gen, n, k: gen.gamma(k, 1.0, n), scipy.stats.gamma),
+    "uniform": _Kind("u", 2, (-SQRT3, SQRT3), "finite lo < hi",
+                     lambda gen, n, lo, hi: gen.uniform(lo, hi, n),
+                     lambda lo, hi: scipy.stats.uniform(lo, hi - lo),
+                     lambda lo, hi: lo < hi),
+    "beta": _Kind("b", 2, None, "finite shapes a, b > 0",
+                  lambda gen, n, a, b: gen.beta(a, b, n), scipy.stats.beta),
+    "chisquare": _Kind("chisq chi2", 1, None, "finite df > 0",
+                       lambda gen, n, df: gen.chisquare(df, n), scipy.stats.chi2),
+}
+_NAMES = {alias: kind for kind, spec in _KINDS.items() for alias in (kind, *spec.aliases.split())}
+
+
 @dataclass(frozen=True)
 class AlternativeSpec:
     """A sampleable alternative distribution, possibly a two-part mixture.
 
-    Mixtures draw each observation from the standard logistic base with
-    probability 1 - p and from the contaminant with probability p.
+    A kind takes either no parameters, meaning its defaults, or all of them,
+    and every parameter must be finite.  Mixtures draw each observation from
+    the standard logistic base with probability 1 - p and from the
+    contaminant with probability p.
     """
 
     kind: str
@@ -54,14 +103,28 @@ class AlternativeSpec:
     p: Optional[float] = None
     contaminant: Optional["AlternativeSpec"] = None
 
+    def __post_init__(self):
+        if self.kind == "mixture":
+            if not 0.0 <= self.p <= 1.0:
+                raise DomainError("mixing proportion must lie in [0, 1]")
+            if self.contaminant.kind == "mixture":
+                raise DomainError("nested mixtures are not supported")
+            object.__setattr__(self, "p", float(self.p))
+            return
+        kind = _KINDS.get(self.kind)
+        if kind is None:
+            raise DomainError(f"unknown alternative kind: {self.kind!r}")
+        params = tuple(float(v) for v in self.params) or kind.defaults
+        if (params is None or len(params) != kind.arity
+                or not all(math.isfinite(v) for v in params) or not kind.check(*params)):
+            raise DomainError(f"bad parameters {tuple(self.params)} for {self.kind}: it takes "
+                              f"{kind.rule}{' or none' if kind.defaults else ''}")
+        object.__setattr__(self, "params", params)
+
     # -- constructors ------------------------------------------------------
     @classmethod
     def logistic(cls, mu: float = 0.0, sigma: float = 1.0):
-        if sigma <= 0:
-            raise DomainError("scale must be positive")
-        if (mu, sigma) == (0.0, 1.0):
-            return cls("logistic")
-        return cls("logistic", (float(mu), float(sigma)))
+        return cls("logistic", (mu, sigma))
 
     @classmethod
     def normal(cls):
@@ -69,9 +132,7 @@ class AlternativeSpec:
 
     @classmethod
     def student_t(cls, df: float):
-        if df <= 0:
-            raise DomainError("degrees of freedom must be positive")
-        return cls("t", (float(df),))
+        return cls("t", (df,))
 
     @classmethod
     def cauchy(cls):
@@ -83,121 +144,56 @@ class AlternativeSpec:
 
     @classmethod
     def lognormal(cls, s: float):
-        if s <= 0:
-            raise DomainError("log-scale must be positive")
-        return cls("lognormal", (float(s),))
+        return cls("lognormal", (s,))
 
     @classmethod
     def gamma(cls, k: float):
-        if k <= 0:
-            raise DomainError("shape must be positive")
-        return cls("gamma", (float(k),))
+        return cls("gamma", (k,))
 
     @classmethod
     def uniform(cls, lo: float = -SQRT3, hi: float = SQRT3):
-        if not lo < hi:
-            raise DomainError("uniform bounds must satisfy lo < hi")
-        return cls("uniform", (float(lo), float(hi)))
+        return cls("uniform", (lo, hi))
 
     @classmethod
     def beta(cls, alpha: float, beta_: float):
-        if alpha <= 0 or beta_ <= 0:
-            raise DomainError("beta shapes must be positive")
-        return cls("beta", (float(alpha), float(beta_)))
+        return cls("beta", (alpha, beta_))
 
     @classmethod
     def chisquare(cls, df: float):
-        if df <= 0:
-            raise DomainError("degrees of freedom must be positive")
-        return cls("chisquare", (float(df),))
+        return cls("chisquare", (df,))
 
     @classmethod
     def mixture(cls, p: float, contaminant: "AlternativeSpec"):
-        if not 0.0 <= p <= 1.0:
-            raise DomainError("mixing proportion must lie in [0, 1]")
-        if contaminant.kind == "mixture":
-            raise DomainError("nested mixtures are not supported")
-        return cls("mixture", (), p=float(p), contaminant=contaminant)
+        return cls("mixture", p=p, contaminant=contaminant)
 
     # -- sampling ----------------------------------------------------------
     def sample(self, n: int, stream: RngStream) -> np.ndarray:
         """n iid draws, deterministic given the stream."""
         if n < 1:
             raise DomainError("sample size must be at least 1")
-        return self._draw(stream.generator(), n)
-
-    def _draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        kind, params = self.kind, self.params
-        if kind == "logistic":
-            if params:
-                return sample_from_generator(gen, n, LogisticParams(*params))
+        gen = stream.generator()
+        if self.kind != "mixture":
+            return _KINDS[self.kind].draw(gen, n, *self.params)
+        c = self.contaminant
+        if self.p == 0.0:
             return sample_from_generator(gen, n)
-        if kind == "normal":
-            return gen.standard_normal(n)
-        if kind == "t":
-            return gen.standard_t(params[0], n)
-        if kind == "cauchy":
-            return gen.standard_cauchy(n)
-        if kind == "laplace":
-            return gen.laplace(0.0, 1.0, n)
-        if kind == "lognormal":
-            return gen.lognormal(0.0, params[0], n)
-        if kind == "gamma":
-            return gen.gamma(params[0], 1.0, n)
-        if kind == "uniform":
-            return gen.uniform(params[0], params[1], n)
-        if kind == "beta":
-            return gen.beta(params[0], params[1], n)
-        if kind == "chisquare":
-            return gen.chisquare(params[0], n)
-        if kind == "mixture":
-            if self.p == 0.0:
-                return sample_from_generator(gen, n)
-            if self.p == 1.0:
-                return self.contaminant._draw(gen, n)
-            pick = gen.random(n)
-            base = sample_from_generator(gen, n)
-            contaminated = self.contaminant._draw(gen, n)
-            return np.where(pick < self.p, contaminated, base)
-        raise DomainError(f"unknown alternative kind: {kind!r}")
+        if self.p == 1.0:
+            return _KINDS[c.kind].draw(gen, n, *c.params)
+        pick = gen.random(n)
+        base = sample_from_generator(gen, n)
+        return np.where(pick < self.p, _KINDS[c.kind].draw(gen, n, *c.params), base)
 
     # -- density and moments (for the population discrepancy) ---------------
-    def _frozen(self):
-        kind, params = self.kind, self.params
-        if kind == "logistic":
-            if params:
-                return scipy.stats.logistic(loc=params[0], scale=params[1])
-            return scipy.stats.logistic()
-        if kind == "normal":
-            return scipy.stats.norm()
-        if kind == "t":
-            return scipy.stats.t(params[0])
-        if kind == "cauchy":
-            return scipy.stats.cauchy()
-        if kind == "laplace":
-            return scipy.stats.laplace()
-        if kind == "lognormal":
-            return scipy.stats.lognorm(params[0])
-        if kind == "gamma":
-            return scipy.stats.gamma(params[0])
-        if kind == "uniform":
-            return scipy.stats.uniform(params[0], params[1] - params[0])
-        if kind == "beta":
-            return scipy.stats.beta(params[0], params[1])
-        if kind == "chisquare":
-            return scipy.stats.chi2(params[0])
-        raise DomainError(f"no closed density for kind {self.kind!r}")
-
     def pdf(self, x):
         if self.kind == "mixture":
             base = scipy.stats.logistic().pdf(x)
             return (1.0 - self.p) * base + self.p * self.contaminant.pdf(x)
-        return self._frozen().pdf(x)
+        return _KINDS[self.kind].law(*self.params).pdf(x)
 
     def mean(self) -> float:
         if self.kind == "mixture":
             return self.p * self.contaminant.mean()
-        return float(self._frozen().mean())
+        return float(_KINDS[self.kind].law(*self.params).mean())
 
     def std(self) -> float:
         if self.kind == "mixture":
@@ -205,32 +201,17 @@ class AlternativeSpec:
             second = (1.0 - self.p) * (math.pi**2 / 3.0) \
                 + self.p * (self.contaminant.std() ** 2 + m_c**2)
             return math.sqrt(second - self.mean() ** 2)
-        return float(self._frozen().std())
+        return float(_KINDS[self.kind].law(*self.params).std())
 
     # -- text form ---------------------------------------------------------
     def label(self) -> str:
+        """The kind, with its parameters unless they are the defaults;
+        ``parse`` reads it back to an equal spec."""
         if self.kind == "mixture":
             return f"mixture({self.p:g},{self.contaminant.label()})"
-        if self.kind == "uniform" and self.params == (-SQRT3, SQRT3):
-            return "uniform"
-        if self.params:
-            inner = ",".join(f"{v:g}" for v in self.params)
-            return f"{self.kind}({inner})"
-        return self.kind
-
-    _ALIASES = {
-        "logistic": "logistic", "l": "logistic",
-        "normal": "normal", "n": "normal", "gaussian": "normal",
-        "t": "t", "student": "t", "studentt": "t",
-        "cauchy": "cauchy", "c": "cauchy",
-        "laplace": "laplace", "lp": "laplace",
-        "lognormal": "lognormal", "ln": "lognormal",
-        "gamma": "gamma",
-        "uniform": "uniform", "u": "uniform",
-        "beta": "beta", "b": "beta",
-        "chisquare": "chisquare", "chisq": "chisquare", "chi2": "chisquare",
-        "mixture": "mixture",
-    }
+        if self.params == _KINDS[self.kind].defaults:
+            return self.kind
+        return f"{self.kind}({','.join(f'{v:g}' for v in self.params)})"
 
     @classmethod
     def parse(cls, text: str) -> "AlternativeSpec":
@@ -239,65 +220,34 @@ class AlternativeSpec:
         m = re.fullmatch(r"([A-Za-z0-9_]+)\s*(?:\((.*)\))?", s)
         if not m:
             raise DomainError(f"cannot parse alternative: {text!r}")
-        name = cls._ALIASES.get(m.group(1).lower())
-        if name is None:
-            raise DomainError(f"unknown alternative name: {m.group(1)!r}")
+        name = m.group(1).lower()
         raw_args = (m.group(2) or "").strip()
         if name == "mixture":
             if "," not in raw_args:
                 raise DomainError("mixture needs a proportion and a contaminant")
             p_text, rest = raw_args.split(",", 1)
             return cls.mixture(float(p_text), cls.parse(rest))
-        args = [float(v) for v in raw_args.split(",") if v.strip()] if raw_args else []
-        builders = {
-            "logistic": lambda: cls.logistic(*args),
-            "normal": lambda: cls.normal(),
-            "t": lambda: cls.student_t(*args),
-            "cauchy": lambda: cls.cauchy(),
-            "laplace": lambda: cls.laplace(),
-            "lognormal": lambda: cls.lognormal(*args),
-            "gamma": lambda: cls.gamma(*args),
-            "uniform": lambda: cls.uniform(*args) if args else cls.uniform(),
-            "beta": lambda: cls.beta(*args),
-            "chisquare": lambda: cls.chisquare(*args),
-        }
-        try:
-            return builders[name]()
-        except TypeError as exc:
-            raise DomainError(f"bad parameters for {name}: {raw_args!r}") from exc
+        if name not in _NAMES:
+            raise DomainError(f"unknown alternative name: {m.group(1)!r}")
+        return cls(_NAMES[name], tuple(float(v) for v in raw_args.split(",") if v.strip()))
 
 
 # ---------------------------------------------------------------------------
 # statistic identifiers
 
 
-STAT_IDS = ("T", "S", "R", "KS", "CM", "AD", "WA")
-_TUNED = {"T": 3.0, "R": 1}
-
-
 @dataclass(frozen=True)
 class StatSpec:
-    """A statistic identifier plus its tuning parameter where one applies."""
+    """A statistic identifier plus its tuning parameter where one applies;
+    ``_kernels.STATS`` names the statistics and their tuning defaults."""
 
     stat_id: str
     tuning: Optional[float] = None
 
     def __post_init__(self):
-        sid = self.stat_id.upper()
+        sid, tuning = _kernels.check_spec(self.stat_id.upper(), self.tuning)
         object.__setattr__(self, "stat_id", sid)
-        if sid not in STAT_IDS:
-            raise DomainError(f"unknown statistic {self.stat_id!r}; valid: {', '.join(STAT_IDS)}")
-        if sid in _TUNED:
-            tuning = float(self.tuning if self.tuning is not None else _TUNED[sid])
-            if not (math.isfinite(tuning) and tuning > 0):
-                raise DomainError(f"tuning for {sid} must be positive and finite")
-            if sid == "R":
-                if not tuning.is_integer():
-                    raise DomainError(f"order of R must be an integer, got {tuning:g}")
-                tuning = int(tuning)
-            object.__setattr__(self, "tuning", tuning)
-        elif self.tuning is not None:
-            raise DomainError(f"statistic {sid} takes no tuning parameter")
+        object.__setattr__(self, "tuning", tuning)
 
     @classmethod
     def parse(cls, text: str) -> "StatSpec":
@@ -328,13 +278,11 @@ class StatSpec:
 
 def default_workers() -> int:
     env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DomainError(
-                f"{WORKERS_ENV_VAR} must be a positive integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if env.strip().isdecimal() and int(env) >= 1:
+        return int(env)
+    raise DomainError(f"{WORKERS_ENV_VAR} must be a positive integer, got {env!r}")
 
 
 @dataclass(frozen=True)
@@ -510,12 +458,6 @@ def calibrate(specs: Sequence[StatSpec], n: int, alphas: Sequence[float],
     return CriticalValueTable(n=n, method=cfg.method, entries=entries, rows=tuple(rows))
 
 
-def critical_values(stat_id: str, tuning: Optional[float], n: int,
-                    alphas: Sequence[float], cfg: McConfig) -> CriticalValueTable:
-    """Single-statistic calibration (see ``calibrate`` for the batched form)."""
-    return calibrate([StatSpec(stat_id, tuning)], n, alphas, cfg)
-
-
 # ---------------------------------------------------------------------------
 # power studies
 
@@ -554,9 +496,8 @@ def local_power_curve(contaminant: AlternativeSpec, p_grid: Sequence[float],
     rows = []
     for p in p_grid:
         alt = AlternativeSpec.mixture(p, contaminant)
-        for row in power_study(specs, [alt], n, cfg, critical_table, alpha=alpha):
-            rows.append(McRow(row.statistic, row.tuning, row.n, float(p),
-                              row.value, row.mc_std_error, row.excluded_reps))
+        rows += [replace(row, key=float(p))
+                 for row in power_study(specs, [alt], n, cfg, critical_table, alpha=alpha)]
     return rows
 
 
@@ -601,37 +542,30 @@ def _format_value(v) -> str:
     return str(v)
 
 
+def _cells(r: McRow) -> list[str]:
+    return [r.statistic, _format_value(r.tuning), str(r.n), _format_value(r.key),
+            _format_value(r.value), _format_value(r.mc_std_error), str(r.excluded_reps)]
+
+
 def rows_to_csv(rows: Sequence[McRow], key_name: str = "key") -> str:
     """Render result rows as CSV with a header; floats carry 6 significant
     digits and fields containing commas (mixture labels) are quoted."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow([c if c != "key" else key_name for c in CSV_COLUMNS])
-    for r in rows:
-        writer.writerow([
-            r.statistic,
-            _format_value(r.tuning),
-            str(r.n),
-            _format_value(r.key),
-            _format_value(r.value),
-            _format_value(r.mc_std_error),
-            str(r.excluded_reps),
-        ])
+    writer.writerows(_cells(r) for r in rows)
     return buffer.getvalue()
 
 
 def rows_to_text(rows: Sequence[McRow], key_name: str = "key",
                  round_percent: bool = False) -> str:
     """Aligned plain-text table; optionally rounds values to whole percents."""
-    header = ["statistic", "tuning", "n", key_name, "value", "se", "excluded"]
-    table = [header]
+    table = [["statistic", "tuning", "n", key_name, "value", "se", "excluded"]]
     for r in rows:
-        value = str(int(round(r.value))) if round_percent else _format_value(r.value)
-        table.append([
-            r.statistic, _format_value(r.tuning), str(r.n), _format_value(r.key),
-            value, _format_value(r.mc_std_error), str(r.excluded_reps),
-        ])
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
+        table.append(_cells(r))
+        if round_percent:
+            table[-1][4] = str(int(round(r.value)))
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
              for row in table]
     return "\n".join(lines) + "\n"

@@ -110,14 +110,20 @@ def t_stat_closed(res: ScaledResiduals, w: WeightSpec = WeightSpec()) -> TestOut
 
 
 def _evaluate(res: ScaledResiduals, specs) -> np.ndarray:
-    """Values of ``specs`` for one residual vector: the batch kernel on a
-    batch of one.  Raises NumericOverflowError where S or R leave the exp
-    range, which the kernel marks with +inf."""
+    """Values of ``specs``, (stat_id, tuning) pairs, for one residual vector:
+    the batch kernel on a batch of one.  Raises NumericOverflowError where S
+    or R leave the exp range, which the kernel marks with +inf, and warns
+    with the count of EDF probabilities clamped away from 0 and 1."""
     values = _kernels.compute_batch(res.values[None, :], specs)[:, 0]
     if np.isinf(values).any():
         raise NumericOverflowError(
             f"residual magnitude {np.max(np.abs(res.values)):.3g} exceeds the "
             "exp-safe range of the statistic")
+    if any(sid in _kernels.EDF_IDS for sid, _ in specs):
+        _, clamped = _kernels.edf_probabilities(res.values)
+        if clamped:
+            warnings.warn(f"{clamped} probability value(s) clamped away from 0/1",
+                          RuntimeWarning, stacklevel=3)
     return values
 
 
@@ -334,10 +340,9 @@ def s_stat_quadrature(res: ScaledResiduals) -> TestOutcome:
 
 
 def r_stat(res: ScaledResiduals, v: int = 1) -> TestOutcome:
-    """Characteristic-function based competitor statistic of order v."""
-    if v < 1 or int(v) != v:
-        raise DomainError(f"order must be a positive integer, got {v}")
-    value = float(_evaluate(res, [("R", int(v))])[0])
+    """Characteristic-function based competitor statistic of order v (a
+    positive integer; the kernel's spec check rejects anything else)."""
+    value = float(_evaluate(res, [("R", v)])[0])
     return TestOutcome(name="R", tuning=int(v), value=value, n=res.n)
 
 
@@ -349,9 +354,5 @@ def edf_stats(res: ScaledResiduals) -> dict[str, TestOutcome]:
     warning flags how many were clamped.
     """
     values = _evaluate(res, [(name, None) for name in _kernels.EDF_IDS])
-    _, clamped = _kernels.edf_probabilities(res.values)
-    if clamped:
-        warnings.warn(f"{clamped} probability value(s) clamped away from 0/1",
-                      RuntimeWarning, stacklevel=2)
     return {name: TestOutcome(name=name, tuning=None, value=float(val), n=res.n)
             for name, val in zip(_kernels.EDF_IDS, values)}

@@ -140,6 +140,15 @@ def test_workers_env_var_garbage_is_usage_error(tmp_path, capsys, monkeypatch):
     assert "LOGIGOF_WORKERS" in err and "lots" in err
 
 
+@pytest.mark.parametrize("value", ["-3", "0"])
+def test_workers_env_var_non_positive_is_usage_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("LOGIGOF_WORKERS", value)
+    path = write(tmp_path, "d.txt", "\n".join(str(v) for v in range(1, 12)))
+    assert main(["test", path, "--stat", "KS", "--reps", "10"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "LOGIGOF_WORKERS must be a positive integer" in err and repr(value) in err
+
+
 def test_test_same_seed_identical_output(tmp_path, capsys):
     path = write(tmp_path, "d.txt", "\n".join(str(v) for v in range(1, 25)))
     args = ["test", path, "--stat", "T", "--a", "3", "--reps", "300",
@@ -287,6 +296,11 @@ def test_power_config_diagnostics(tmp_path, capsys):
     with pytest.raises(InputError, match="alternative"):
         parse_power_config(no_alt)
     assert main(["power", "--config", bad_key]) == EXIT_USAGE
+    bad_alt = write(tmp_path, "f.cfg", "n = 10\nreps = 50\nstatistic = KS\n"
+                                       "alternative = normal(5)\n")
+    with pytest.raises(InputError, match="normal"):
+        parse_power_config(bad_alt)
+    assert main(["power", "--config", bad_alt]) == EXIT_USAGE
     capsys.readouterr()
 
 

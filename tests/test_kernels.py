@@ -14,8 +14,9 @@ import pytest
 from scipy.special import expit
 
 from logigof import montecarlo
-from logigof._kernels import compute_batch
+from logigof._kernels import STATS, compute_batch
 from logigof.estimation import Method
+from logigof.logistic_core import DomainError
 
 SPECS = (("T", 3.0), ("T", 4.0), ("T", 5.0), ("S", None), ("R", 1), ("R", 2),
          ("R", 3), ("KS", None), ("CM", None), ("AD", None), ("WA", None))
@@ -183,6 +184,29 @@ def test_rows_past_the_exp_range_give_inf_for_s_and_r():
     np.testing.assert_allclose(got[:, :3], reference(y[:3]), rtol=RTOL, atol=0)
     for i in range(y.shape[0]):
         np.testing.assert_array_equal(got[:, i], compute_batch(y[i:i + 1], SPECS)[:, 0])
+
+
+# ---------------------------------------------------------------------------
+# the statistic registry
+
+
+@pytest.mark.parametrize("stat_id", STATS)
+def test_every_registered_statistic_round_trips_and_evaluates(stat_id):
+    spec = montecarlo.StatSpec(stat_id)
+    assert spec.tuning == STATS[stat_id].default
+    assert montecarlo.StatSpec.parse(spec.label()) == spec
+    values = compute_batch(_logistic_rows(5, 30, seed=17), [spec.key()])
+    assert values.shape == (1, 5)
+    assert np.isfinite(values).all()
+
+
+@pytest.mark.parametrize("specs", [
+    [("XX", None)], [("t", 3.0)], [("T", 3.0), ("ks", None)],
+    [("R", 1.5)], [("T", 0.0)], [("KS", 2.0)],
+])
+def test_unknown_ids_and_bad_tunings_raise(specs):
+    with pytest.raises(DomainError):
+        compute_batch(_logistic_rows(2, 10, seed=3), specs)
 
 
 # ---------------------------------------------------------------------------

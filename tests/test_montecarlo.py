@@ -6,7 +6,7 @@ import pytest
 from logigof.estimation import Method
 from logigof.logistic_core import DomainError, RngStream, sample_from_generator
 from logigof.montecarlo import (AlternativeSpec, McConfig, McError, StatSpec,
-                                calibrate, critical_values, local_power_curve,
+                                calibrate, local_power_curve,
                                 power_study, pvalue_simulated, rows_to_csv,
                                 rows_to_text, simulate_statistics)
 
@@ -45,6 +45,39 @@ def test_alternative_parse_aliases_and_errors():
     with pytest.raises(DomainError):
         AlternativeSpec.mixture(
             0.5, AlternativeSpec.mixture(0.5, AlternativeSpec.cauchy()))
+    # A kind takes no parameters (its defaults) or all of them, all finite.
+    for bad in ("normal(5)", "cauchy(2,3)", "laplace(9)", "mixture(0.5,normal(3))",
+                "t(nan)", "gamma(inf)", "lognormal(nan)", "beta(nan,2)",
+                "chisquare(inf)", "logistic(0,nan)", "uniform(1)"):
+        with pytest.raises(DomainError):
+            AlternativeSpec.parse(bad)
+
+
+# The first three draws of one alternative per kind at RngStream(20260815, 0),
+# recorded before the alternatives were described by one table.
+FIRST_DRAWS = {
+    "logistic": [-0.0856681010297522, -2.2889616923026224, -1.638654658360554],
+    "logistic(0.5,2)": [0.3286637979404956, -4.077923384605245, -2.777309316721108],
+    "normal": [-0.8042761698852922, -0.8395378920963805, -0.5910747545504402],
+    "t(3)": [-1.4299690227144095, -0.31840284310695544, -0.6792481840359835],
+    "cauchy": [0.9579986531363849, 1.7155790029258637, -0.20669276174253892],
+    "laplace": [-0.04375114806637907, -1.6923708803732624, -1.123018471822695],
+    "lognormal(1)": [0.44741165941418265, 0.4319100663756674, 0.5537318389991287],
+    "gamma(2)": [0.8290451975340771, 1.014124566944001, 2.3555361947084625],
+    "uniform": [-0.07414541108831085, -1.4132104462007706, -1.1686208924594372],
+    "beta(2,3)": [0.31376323235587034, 0.5974448060627842, 0.47742289998014864],
+    "chisquare(2)": [1.3043048363719614, 0.2550019552331843, 0.8151767949262108],
+    "mixture(0.3,cauchy)": [-0.876028166841306, 0.2829741733131006, 0.7691862451332059],
+}
+
+
+@pytest.mark.parametrize("label", FIRST_DRAWS)
+def test_every_alternative_kind_round_trips_and_keeps_its_stream(label):
+    spec = AlternativeSpec.parse(label)
+    assert spec.label() == label
+    assert AlternativeSpec.parse(spec.label()) == spec
+    np.testing.assert_array_equal(spec.sample(3, RngStream(20260815, 0)),
+                                  FIRST_DRAWS[label])
 
 
 def test_default_uniform_is_variance_one():
@@ -183,12 +216,6 @@ def test_calibrate_quantiles_and_rows():
     assert len(table.rows) == 8
     assert {row.statistic for row in table.rows} == {"T", "KS"}
     assert all(row.mc_std_error > 0 for row in table.rows)
-
-
-def test_critical_values_single_wrapper():
-    cfg = McConfig(reps=1000, seed=6, workers=1)
-    table = critical_values("T", 3.0, 20, [0.05], cfg)
-    assert table.get(StatSpec("T", 3), 0.05) > 0
 
 
 def test_calibrate_rejects_bad_alpha():
