@@ -7,23 +7,61 @@ point, ``compute_batch(y, specs)``, evaluates every requested statistic for
 each row of a (C, n) residual batch; the single-sample functions of
 ``statistics`` call it with a batch of one.
 
-Symmetric pair sums.  T, S and R sum a term that is symmetric in (j, k)
-over all n^2 ordered pairs, so each unordered pair is evaluated once.
-Pairing each j with (j + o) mod n for the offsets o = 1 .. (n-1)//2 meets
-every unordered pair exactly once; those offsets carry weight 2.  For even n
-the offset n/2 meets each pair twice and carries weight 1, and so does the
-diagonal, offset 0.  The shifted rows are windows into [y, y], so no pair
-index arrays are built.  T computes d^2 once for all its weight rates.  S
-and R compute sinh and cosh of s = Y_j + Y_k from one expm1 and share them:
-R's sinh(s)/s is S's A_0(s)/2.  Where |s| < 0.1 the closed forms of the
-interval moments cancel, and only those pairs are re-evaluated by series.
+Pair path.  Below ``_SPECTRAL_MIN_N`` T, S and R sum a term that is
+symmetric in (j, k) over all n^2 ordered pairs; each unordered pair is
+evaluated once.  Pairing each j with (j + o) mod n for the offsets
+o = 1 .. (n-1)//2 meets every unordered pair exactly once; those offsets
+carry weight 2.  For even n the offset n/2 meets each pair twice and
+carries weight 1, and so does the diagonal, offset 0.  The shifted rows are
+windows into [y, y], so no pair index arrays are built.  T computes d^2
+once for all its weight rates.  S and R compute sinh and cosh of
+s = Y_j + Y_k from one expm1 and share them: R's sinh(s)/s is S's A_0(s)/2.
+Where |s| < 0.1 the closed forms of the interval moments cancel, and only
+those pairs are re-evaluated by series.
+
+Spectral path.  The pair sums are O(n^2); for n >= ``_SPECTRAL_MIN_N`` the
+kernel evaluates T, S and R instead from the integrals that define them,
+with K nodes per row at O(n K) cost.  With m = tanh(Y/2):
+
+- T = (1/n) int |G(t)|^2 exp(-a t^2) dt over the real line, with
+  G(t) = sum_j (it - m_j) exp(itY_j).  The integrand is even and entire, so
+  the trapezoid rule on t = 0, h, 2h, ... converges geometrically.  |G|^2
+  holds frequencies up to span = max Y - min Y, so the step
+  h = 2 pi / (span + sqrt(156 a_max)) aliases only what the weight has
+  damped by e^-39, and nodes stop at t_max = sqrt(39 / a_min), where every
+  weight is below e^-39.  All T rates of a call share the nodes and one set
+  of cos and sin values.
+- S = (1/n) int_{-1}^{1} (sum_j (t - m_j) exp(tY_j))^2 dt, by
+  Gauss-Legendre.  The integrand is a square, so S has none of the pair
+  form's cancellation at large |Y_j + Y_k|.
+- R: its pair sum of (A_0(s)/2) / (4 v^2 pi^2 + s^2), s = Y_j + Y_k, equals
+  int_{-1}^{1} sin^2(pi v t) / (4 pi^2 v^2) (sum_j exp(tY_j))^2 dt, because
+  int_{-1}^{1} cos(2 pi v t) exp(ts) dt = A_0(s) s^2 / (s^2 + 4 pi^2 v^2).
+  S and every order share the values exp(t_k Y_j).  R's single-observation
+  and constant terms are the same as on the pair path.
+
+The Gauss-Legendre count is ceil(0.7 c + 4 c^(1/3) + 4) with
+c = 2 max|Y| + 2 pi max(v), which bounds the rule's error on exp(c t) to
+1e-17 of its integral; tables are built on first use and cached.  Node
+counts depend only on the row and on the tunings of the call.  A row takes
+the spectral path only while its nodes cost less than its pairs: at most
+n/4 trapezoid nodes (each costs a cos and a sin per observation) and at
+most 2n Gauss-Legendre nodes (one exp); wider rows and rows with NaN take
+the pair path.  The crossover
+``_SPECTRAL_MIN_N`` = 64 is measured: for all seven T, S and R
+specifications on batches of logistic and Cauchy moment residuals the
+spectral path is 1.5 to 2 times faster from n = 64, and at n = 50 the
+null calibration measured no gain, so n = 20 and n = 50 stay on the pair
+path.
 
 Memory.  Offsets are taken in blocks whose size depends on n only, and rows
 in groups, so that a block holds at most ``_PAIR_BUDGET`` pairs for any
 batch size C (one offset row of n pairs when n exceeds the budget).  The
 pair terms are computed in eight scratch buffers of one block each,
 allocated once per call, so that the heap does not grow and shrink with
-every block.  Besides them the kernel keeps O(C n) arrays.
+every block.  The spectral path takes nodes and rows in blocks of the same
+budget, in three scratch buffers.  Besides them the kernel keeps O(C n)
+arrays.
 
 Overflow.  S and R are +inf on rows with 2 max|Y| > ``_EXP_LIMIT``: their
 exponential terms leave double range, and the statistic then exceeds any
@@ -34,11 +72,14 @@ Determinism.  Rows are sorted first, so every statistic is exactly invariant
 under permutations of a sample.  Each row is reduced over blocks whose
 lengths depend on n only, in a fixed order, so a row's values are
 bit-identical whatever the other rows of the batch, and whatever the number
-of workers.
+of workers.  On the spectral path each node's sum runs over the n values
+of one row, and the node sums are added strictly in order, so the zero
+terms that pad a row to the batch's largest node count change nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Optional
 
@@ -57,6 +98,10 @@ _SERIES_CUT = 0.1
 # Most pairs in one block, and the size of each pair scratch buffer.
 _PAIR_BUDGET = 1 << 14
 _EDF_EPS = 1e-15
+# Smallest n evaluated by the spectral path (see the module docstring).
+_SPECTRAL_MIN_N = 64
+# The spectral rules leave out what is damped by exp(-_DECAY) ~ 1e-17.
+_DECAY = 39.0
 
 
 class NumericOverflowError(ArithmeticError):
@@ -242,6 +287,165 @@ def _pair_sums(y, m, rates, orders, need_s) -> list:
     return list(totals)
 
 
+# ---------------------------------------------------------------------------
+# the spectral path
+
+
+def _t_step(y, rates):
+    """Trapezoid step of T on each sorted row: the integrand's frequencies
+    lie within the row's span, so this step aliases only content that the
+    widest weight exp(-a t^2) has damped by exp(-_DECAY)."""
+    span = y[:, -1] - y[:, 0]
+    return 2.0 * math.pi / (span + math.sqrt(4.0 * _DECAY * max(rates)))
+
+
+def _t_counts(y, rates):
+    """Trapezoid node count t = 0, h, 2h, ... of T on each row: nodes up to
+    t_max = sqrt(_DECAY / a_min), past which every weight is below
+    exp(-_DECAY).  NaN for rows containing NaN."""
+    return np.ceil(math.sqrt(_DECAY / min(rates)) / _t_step(y, rates)) + 1.0
+
+
+def _sr_counts(y, orders):
+    """Gauss-Legendre node count of S and R on each row.  The integrands are
+    sums of exp(s t) with |s| <= c = 2 max|Y| (below the exp limit), times
+    sin^2(pi v t) for R; ceil(0.7 c' + 4 c'^(1/3) + 4) nodes with
+    c' = c + 2 pi max(v) bound the Gauss-Legendre error of exp(c' t) to
+    1e-17 of its integral."""
+    c = 2.0 * np.minimum(np.max(np.abs(y), axis=1), 0.5 * _EXP_LIMIT) \
+        + 2.0 * math.pi * max(orders, default=0)
+    return np.ceil(0.7 * c + 4.0 * np.cbrt(c) + 4.0)
+
+
+@functools.lru_cache(maxsize=256)
+def _legendre(count: int):
+    """Gauss-Legendre nodes (ascending) and weights of order ``count``, built
+    on first use and cached (residual rows with R orders up to 3 need fewer
+    than 560 nodes); callers only read them.  Newton's method on the Legendre
+    recurrence from the guesses cos(pi (k - 1/4) / (count + 1/2)) needs no
+    eigensolver, so no LAPACK buffers, and keeps the weights next to +-1
+    accurate, where numpy's leggauss loses ~1e-9 at count = 543."""
+    x = np.cos(math.pi * (np.arange(count, 0, -1) - 0.25) / (count + 0.5))
+    for _ in range(100):
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, count + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = count * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+
+
+def _node_sums(y, m, t, funcs) -> np.ndarray:
+    """Sums over j of f(t_k Y_j) and of m_j f(t_k Y_j) for each f in
+    ``funcs``, for every row and node of the (C, K) node table t: an array
+    of shape (2 len(funcs), C, K).  Nodes and rows are taken in blocks of at
+    most ``_PAIR_BUDGET`` elements (one node of n when n exceeds it), in
+    three scratch buffers allocated once per call."""
+    c, n = y.shape
+    nodes = t.shape[1]
+    per_block = max(1, min(nodes, _PAIR_BUDGET // n))
+    rows = max(1, _PAIR_BUDGET // (per_block * n))
+    scratch = np.empty((3, min(rows, c) * per_block * n))
+    out = np.empty((2 * len(funcs), c, nodes))
+    for r0 in range(0, c, rows):
+        r1 = min(r0 + rows, c)
+        yr, mr = y[r0:r1, None, :], m[r0:r1, None, :]
+        for lo in range(0, nodes, per_block):
+            hi = min(lo + per_block, nodes)
+            shape = (r1 - r0, hi - lo, n)
+            phase, value, weighted = scratch[:, :math.prod(shape)].reshape(3, *shape)
+            np.multiply(t[r0:r1, lo:hi, None], yr, out=phase)
+            for i, f in enumerate(funcs):
+                f(phase, out=value)
+                out[2 * i, r0:r1, lo:hi] = value.sum(axis=2)
+                np.multiply(value, mr, out=weighted)
+                out[2 * i + 1, r0:r1, lo:hi] = weighted.sum(axis=2)
+    return out
+
+
+def _node_total(terms):
+    """Sum over the node axis of a (C, K) array, strictly left to right.
+    Rows with fewer nodes than K are padded with zero terms; a pairwise
+    np.sum would group a row's terms by K, a running sum does not."""
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+def _t_spectral(y, m, rates, counts) -> list:
+    """T pair sums of each rate from n int |g(t)|^2 exp(-a t^2) dt, where
+    n g(t) = G(t) = sum_j (it - m_j) exp(itY_j): the integrand is even, so
+    the trapezoid rule on t = 0, h, 2h, ... weights t = 0 by h and every
+    other node by 2h.  All rates share the cos and sin values."""
+    h = _t_step(y, rates)
+    k = np.arange(counts.max())
+    t = h[:, None] * k
+    weight = np.where(k < counts[:, None], 2.0 * h[:, None], 0.0)
+    weight[:, 0] = h
+    cos, m_cos, sin, m_sin = _node_sums(y, m, t, (np.cos, np.sin))
+    re = t * sin + m_cos
+    im = t * cos - m_sin
+    g2 = weight * (re * re + im * im)
+    return [math.sqrt(a / math.pi) * _node_total(g2 * np.exp(-a * t * t)) for a in rates]
+
+
+def _sr_spectral(y, m, orders, need_s, counts) -> list:
+    """S and R pair sums from integrals over t in (-1, 1) by Gauss-Legendre:
+    S from (sum_j (t - m_j) exp(tY_j))^2 and R of order v from
+    sin^2(pi v t) / (4 pi^2 v^2) (sum_j exp(tY_j))^2, which equals R's pair
+    sum of (A_0(s)/2) / (4 v^2 pi^2 + s^2).  S and every order share one
+    exp(t_k Y_j) per node and row."""
+    c = len(y)
+    t = np.zeros((c, counts.max()))
+    weight = np.zeros_like(t)
+    for count in np.unique(counts):
+        rows = counts == count
+        t[rows, :count], weight[rows, :count] = _legendre(int(count))
+    e, m_e = _node_sums(y, m, t, (np.exp,))
+    sums = []
+    if need_s:
+        f = t * e - m_e
+        sums.append(_node_total(weight * f * f))
+    e2 = weight * e * e
+    for v in orders:
+        sums.append(_node_total(np.sin(math.pi * v * t) ** 2 * e2) / (4.0 * v * v * math.pi**2))
+    return sums
+
+
+def _routed(y, m, fast, spectral, rates=(), orders=(), need_s=False) -> list:
+    """Pair sums of every row: ``spectral(fast)`` for the rows selected by
+    the mask ``fast``, the pair path for the others."""
+    out = np.empty((len(rates) + need_s + len(orders), len(y)))
+    if fast.any():
+        out[:, fast] = spectral(fast)
+    if not fast.all():
+        slow = ~fast
+        out[:, slow] = _pair_sums(y[slow], m[slow], rates, orders, need_s)
+    return list(out)
+
+
+def _tsr_sums(y, m, rates, orders, need_s) -> list:
+    """The pair sums of ``_pair_sums``, by the spectral path for n at least
+    ``_SPECTRAL_MIN_N`` on the rows whose node count costs less than their
+    pairs: at most n/4 nodes for T, at most 2n for S and R.  Rows with NaN
+    have no node count and take the pair path."""
+    n = y.shape[1]
+    if n < _SPECTRAL_MIN_N:
+        return _pair_sums(y, m, rates, orders, need_s)
+    sums = []
+    if rates:
+        counts = _t_counts(y, rates)
+        sums += _routed(y, m, counts <= n // 4, lambda rows: _t_spectral(
+            y[rows], m[rows], rates, counts[rows].astype(int)), rates=rates)
+    if need_s or orders:
+        counts = _sr_counts(y, orders)
+        sums += _routed(y, m, counts <= 2 * n, lambda rows: _sr_spectral(
+            y[rows], m[rows], orders, need_s, counts[rows].astype(int)),
+            orders=orders, need_s=need_s)
+    return sums
+
+
 def _r_elementwise(y, v: int):
     """Row sums of the single-observation part of R of order v."""
     ch, sh = np.cosh(y), np.sinh(y)
@@ -304,7 +508,7 @@ def compute_batch(y: np.ndarray, specs) -> np.ndarray:
     values = {}
     if rates or orders or need_s:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            sums = iter(_pair_sums(y, np.tanh(y / 2.0), rates, orders, need_s))
+            sums = iter(_tsr_sums(y, np.tanh(y / 2.0), rates, orders, need_s))
             values = {("T", a): math.sqrt(math.pi / a) / n * next(sums) for a in rates}
             if need_s:
                 values["S", None] = next(sums) / n

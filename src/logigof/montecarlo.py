@@ -123,8 +123,8 @@ class AlternativeSpec:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def logistic(cls, mu: float = 0.0, sigma: float = 1.0):
-        return cls("logistic", (mu, sigma))
+    def logistic(cls, *params: float):
+        return cls("logistic", params)
 
     @classmethod
     def normal(cls):
@@ -151,8 +151,8 @@ class AlternativeSpec:
         return cls("gamma", (k,))
 
     @classmethod
-    def uniform(cls, lo: float = -SQRT3, hi: float = SQRT3):
-        return cls("uniform", (lo, hi))
+    def uniform(cls, *params: float):
+        return cls("uniform", params)
 
     @classmethod
     def beta(cls, alpha: float, beta_: float):
@@ -279,6 +279,8 @@ class StatSpec:
 def default_workers() -> int:
     env = os.environ.get(WORKERS_ENV_VAR)
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if env.strip().isdecimal() and int(env) >= 1:
         return int(env)

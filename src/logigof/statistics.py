@@ -4,10 +4,14 @@ the limiting covariance kernel K(s, t), and the consistency discrepancy Delta.
 
 The primary statistic integrates, against a Gaussian weight exp(-a t^2), the
 squared modulus of an empirical transform that vanishes exactly at the
-logistic law.  It is provided in two algebraically identical forms: an O(n^2)
-closed form (pairwise Gaussian integrals evaluated analytically) and an
-adaptive Gauss-Hermite quadrature of the defining integral, which serves as
-the independent oracle for the closed form.
+logistic law.  ``t_stat_closed``, ``s_stat`` and ``r_stat`` evaluate the
+batch kernel on one sample: below ``_kernels._SPECTRAL_MIN_N`` observations
+it sums the pairwise closed forms (Gaussian and interval integrals evaluated
+analytically), from there on it integrates on fixed nodes (trapezoid for T,
+Gauss-Legendre for S and R), with the pairwise forms as its oracle in the
+tests.  ``t_stat_quadrature`` (adaptive Gauss-Hermite) and
+``s_stat_quadrature`` (adaptive quadrature) evaluate the defining integrals
+independently of the kernel and serve as oracles for both paths.
 """
 
 from __future__ import annotations
@@ -67,29 +71,43 @@ class TestOutcome:
 # adaptive Gauss-Hermite machinery
 
 
+# Node counts tried in turn: doubling up to 240, then steps of 60.  numpy's
+# hermgauss loses its weights to overflow from about 380 nodes, so the
+# refinement stops at the first count whose nodes or weights are not finite.
+_HERMITE_NODE_COUNTS = (15, 30, 60, 120, 240, 300, 360, 420, 480)
+
+
 @functools.lru_cache(maxsize=16)
 def _hermgauss(k: int):
-    return np.polynomial.hermite.hermgauss(k)
+    """Gauss-Hermite nodes and weights of order k, or None where numpy's
+    recurrence overflows and they are not all finite."""
+    with np.errstate(all="ignore"):
+        nodes, weights = np.polynomial.hermite.hermgauss(k)
+    if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
+        return None
+    return nodes, weights
 
 
 def gauss_weighted_integral(fun, a: float, rtol: float = 1e-10,
                             atol: float = 1e-13) -> float:
-    """integral of fun(t) * exp(-a t^2) dt by Gauss-Hermite with node doubling.
+    """integral of fun(t) * exp(-a t^2) dt by Gauss-Hermite with node refinement.
 
-    ``fun`` must be vectorized over t.  Node counts 15, 30, 60, ... are tried
-    until two successive values agree to ``rtol`` (or ``atol`` near zero).
+    ``fun`` must be vectorized over t.  Node counts 15, 30, 60, 120, 240,
+    300, ... are tried until two successive values agree to ``rtol`` (or
+    ``atol`` near zero); counts whose weights are not finite end the search.
     """
     sqrt_a = math.sqrt(a)
     previous = None
-    k = 15
-    while k <= 1920:
-        nodes, weights = _hermgauss(k)
+    for k in _HERMITE_NODE_COUNTS:
+        rule = _hermgauss(k)
+        if rule is None:
+            break
+        nodes, weights = rule
         value = float(np.dot(weights, fun(nodes / sqrt_a))) / sqrt_a
         if previous is not None:
             if abs(value - previous) <= max(rtol * abs(value), atol):
                 return value
         previous = value
-        k *= 2
     raise QuadratureError("Gauss-Hermite refinement did not stabilize")
 
 
@@ -98,12 +116,15 @@ def gauss_weighted_integral(fun, a: float, rtol: float = 1e-10,
 
 
 def t_stat_closed(res: ScaledResiduals, w: WeightSpec = WeightSpec()) -> TestOutcome:
-    """Closed-form evaluation of the characterisation statistic T_{n,a}.
+    """The characterisation statistic T_{n,a}, by the batch kernel.
 
-    Each (j, k) pair contributes the analytically evaluated Gaussian-weight
-    integral sqrt(pi/a) * exp(-(Y_j-Y_k)^2/4a) * [(2a - (Y_j-Y_k)^2)/4a^2
-    + m_j m_k - (Y_j-Y_k)(m_j-m_k)/2a] with m = tanh(Y/2); the sum is
-    divided by n.  Agrees with ``t_stat_quadrature`` to quadrature accuracy.
+    Below the kernel's spectral crossover each (j, k) pair contributes the
+    analytically evaluated Gaussian-weight integral sqrt(pi/a) *
+    exp(-(Y_j-Y_k)^2/4a) * [(2a - (Y_j-Y_k)^2)/4a^2 + m_j m_k -
+    (Y_j-Y_k)(m_j-m_k)/2a] with m = tanh(Y/2), and the sum is divided by n;
+    from the crossover on, the defining integral is taken by the trapezoid
+    rule on fixed nodes.  Agrees with ``t_stat_quadrature`` to quadrature
+    accuracy.
     """
     value = float(_evaluate(res, [("T", w.a)])[0])
     return TestOutcome(name="T", tuning=w.a, value=value, n=res.n)
@@ -317,11 +338,13 @@ def _effective_support(density, tail: float = 1e-16) -> tuple:
 
 
 def s_stat(res: ScaledResiduals) -> TestOutcome:
-    """Finite-interval (moment generating function based) statistic.
+    """Finite-interval (moment generating function based) statistic: n times
+    the integral over t in (-1, 1) of the squared empirical transform.
 
-    Pairwise closed form of n times the integral over t in (-1, 1) of the
-    squared empirical transform; near-cancelling pairs (|Y_j + Y_k| < 0.1)
-    are evaluated by series so the result is accurate to ~1e-12 throughout.
+    Below the kernel's spectral crossover it is the pairwise closed form,
+    with near-cancelling pairs (|Y_j + Y_k| < 0.1) evaluated by series; from
+    the crossover on, the integral is taken by Gauss-Legendre, whose
+    integrand is a square and does not cancel.
     """
     value = float(_evaluate(res, [("S", None)])[0])
     return TestOutcome(name="S", tuning=None, value=value, n=res.n)

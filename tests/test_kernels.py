@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from logigof import montecarlo
-from logigof._kernels import STATS, compute_batch
+from logigof import _kernels, montecarlo
+from logigof._kernels import _SPECTRAL_MIN_N, STATS, compute_batch
 from logigof.estimation import Method
 from logigof.logistic_core import DomainError
 
@@ -241,3 +241,121 @@ def test_large_sample_matches_quadrature_oracles():
     assert t_stat_closed(res, w).value == pytest.approx(
         t_stat_quadrature(res, w).value, rel=1e-8)
     assert s_stat(res).value == pytest.approx(s_stat_quadrature(res).value, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the spectral path against the pair path
+
+
+TSR = SPECS[:7]
+
+
+def _pair_path(y, specs=SPECS):
+    """compute_batch with every row on the pair path."""
+    crossover = _kernels._SPECTRAL_MIN_N
+    _kernels._SPECTRAL_MIN_N = math.inf
+    try:
+        return compute_batch(y, specs)
+    finally:
+        _kernels._SPECTRAL_MIN_N = crossover
+
+
+def _residual_rows(kind, rows, n, seed):
+    rng = np.random.default_rng([seed, n])
+    x = {"logistic": rng.logistic, "laplace": rng.laplace,
+         "t3": lambda size: rng.standard_t(3, size),
+         "cauchy": rng.standard_cauchy}[kind](size=(rows, n))
+    return _kernels.moment_residuals_batch(x)
+
+
+def _spectral_rows(y):
+    """Which rows of y the spectral path evaluates for T and for S and R."""
+    y = np.sort(y, axis=1)
+    n = y.shape[1]
+    rates = [a for sid, a in TSR if sid == "T"]
+    orders = [v for sid, v in TSR if sid == "R"]
+    return (_kernels._t_counts(y, rates) <= n // 4,
+            _kernels._sr_counts(y, orders) <= 2 * n)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "laplace", "t3", "cauchy"])
+@pytest.mark.parametrize("n", [_SPECTRAL_MIN_N - 1, _SPECTRAL_MIN_N, 2048])
+def test_spectral_path_matches_pair_path(kind, n):
+    y = _residual_rows(kind, 4 if n < 2048 else 2, n, seed=61)
+    got = compute_batch(y, SPECS)
+    np.testing.assert_allclose(got, _pair_path(y), rtol=RTOL, atol=0)
+    if n < 2048:
+        np.testing.assert_allclose(got, reference(y), rtol=RTOL, atol=0)
+    t_rows, sr_rows = _spectral_rows(y)
+    if n >= _SPECTRAL_MIN_N:
+        assert sr_rows.all()
+    if n == 2048:
+        assert t_rows.all()
+
+
+def test_spectral_path_on_a_row_at_the_edge_of_the_exp_range():
+    # 2 max|Y| = 698.  The pair form of S cancels by a factor ~s^2 here
+    # (rel ~2e-11), so S is held to its quadrature oracle instead.
+    from logigof.estimation import ScaledResiduals, fit_moments
+    from logigof.statistics import s_stat_quadrature
+
+    y = _logistic_rows(1, 2048, seed=62)
+    y[0, 7] = 349.0
+    assert all(rows.all() for rows in _spectral_rows(y))
+    got = compute_batch(y, TSR)
+    want = _pair_path(y, TSR)
+    keep = [i for i, (sid, _) in enumerate(TSR) if sid != "S"]
+    np.testing.assert_allclose(got[keep], want[keep], rtol=RTOL, atol=0)
+    res = ScaledResiduals(values=y[0], fit=fit_moments(np.array([-1.0, 1.0])))
+    assert got[TSR.index(("S", None)), 0] == pytest.approx(
+        s_stat_quadrature(res).value, rel=RTOL)
+
+
+def test_spectral_path_nan_and_exp_range_rows():
+    n = max(_SPECTRAL_MIN_N, 128)
+    y = _logistic_rows(5, n, seed=63)
+    y[0, 2] = 351.0                                  # 2 max|Y| = 702
+    y[2, 5] = -1e6                                   # T needs the pair path
+    y[4, 9] = np.nan
+    got = compute_batch(y, SPECS)
+    sr = [i for i, (sid, _) in enumerate(SPECS) if sid in ("S", "R")]
+    assert np.isposinf(got[sr][:, [0, 2]]).all()
+    assert np.isfinite(np.delete(got[:, :4], sr, axis=0)).all()
+    assert np.isnan(got[:, 4]).all()
+    np.testing.assert_allclose(got[:, :4], _pair_path(y[:4]), rtol=RTOL, atol=0)
+
+
+def test_spectral_rows_are_independent_of_the_batch_and_of_order():
+    n = 160
+    y = np.concatenate([_residual_rows("logistic", 3, n, seed=64),
+                        _residual_rows("cauchy", 3, n, seed=65),
+                        np.full((1, n), np.nan),
+                        _residual_rows("t3", 2, n, seed=66) * 4.0])
+    t_rows, sr_rows = _spectral_rows(y)
+    assert t_rows.any() and not t_rows.all() and sr_rows.any()
+    whole = compute_batch(y, SPECS)
+    for i in range(y.shape[0]):
+        np.testing.assert_array_equal(whole[:, i], compute_batch(y[i:i + 1], SPECS)[:, 0])
+    np.testing.assert_array_equal(compute_batch(y[::-1], SPECS), whole[:, ::-1])
+    shuffled = np.random.default_rng(67).permuted(y, axis=1)
+    np.testing.assert_array_equal(compute_batch(shuffled, SPECS), whole)
+
+
+@pytest.mark.parametrize("count", [4, 9, 40, 150, 543])
+def test_gauss_legendre_rule(count):
+    nodes, weights = _kernels._legendre(count)
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(count)
+    np.testing.assert_allclose(nodes, want_nodes, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(weights, want_weights, rtol=1e-8)
+    for degree in range(0, min(2 * count, 80), 2):    # exact to degree 2 count - 1
+        assert np.dot(weights, nodes**degree) == pytest.approx(2.0 / (degree + 1), rel=1e-13)
+    assert np.dot(weights, nodes**3) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_spectral_s_on_a_t3_sample_matches_quadrature():
+    from logigof.estimation import scaled_residuals
+    from logigof.logistic_core import RngStream
+    from logigof.statistics import s_stat, s_stat_quadrature
+
+    res = scaled_residuals(montecarlo.AlternativeSpec.student_t(3).sample(2048, RngStream(2048)))
+    assert s_stat(res).value == pytest.approx(s_stat_quadrature(res).value, rel=1e-13)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from logigof import montecarlo
 from logigof.estimation import Method
 from logigof.logistic_core import DomainError, RngStream, sample_from_generator
 from logigof.montecarlo import (AlternativeSpec, McConfig, McError, StatSpec,
@@ -51,6 +52,15 @@ def test_alternative_parse_aliases_and_errors():
                 "chisquare(inf)", "logistic(0,nan)", "uniform(1)"):
         with pytest.raises(DomainError):
             AlternativeSpec.parse(bad)
+    # The Python constructors follow the same rule as the text form.
+    assert AlternativeSpec.uniform() == AlternativeSpec.parse("uniform")
+    assert AlternativeSpec.logistic() == AlternativeSpec.parse("logistic")
+    assert AlternativeSpec.logistic(2.0, 1.0) == AlternativeSpec.parse("logistic(2,1)")
+    for make, params in ((AlternativeSpec.uniform, (1.0,)),
+                         (AlternativeSpec.logistic, (2.0,)),
+                         (AlternativeSpec.uniform, (-1.0, 0.0, 1.0))):
+        with pytest.raises(DomainError):
+            make(*params)
 
 
 # The first three draws of one alternative per kind at RngStream(20260815, 0),
@@ -348,3 +358,13 @@ def test_rows_to_text_rounding():
     cells = lines[1].split()
     value_cell = cells[cells.index("cauchy") + 1]
     assert value_cell.isdigit()
+
+
+def test_default_workers_count_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv(montecarlo.WORKERS_ENV_VAR, raising=False)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
+    assert montecarlo.default_workers() == 3
+    monkeypatch.delattr(montecarlo.os, "sched_getaffinity")
+    assert montecarlo.default_workers() == 64

@@ -118,6 +118,23 @@ def test_gauss_weighted_integral_on_known_integrals():
         assert v2 == pytest.approx(math.sqrt(math.pi / a) / (2 * a), rel=1e-11)
 
 
+@pytest.mark.filterwarnings("error")
+def test_t_quadrature_converges_on_wide_t3_samples():
+    # Residual spans of these t(3) samples reach ~58, where the oracle needs
+    # more than 240 Gauss-Hermite nodes; refinement must stay on node counts
+    # whose weights are finite, with no numpy warning on the way.
+    from logigof.montecarlo import AlternativeSpec
+
+    alt = AlternativeSpec.student_t(3)
+    spans = []
+    for r in range(20):
+        res = scaled_residuals(alt.sample(2000, RngStream(11, r)))
+        spans.append(np.ptp(res.values))
+        assert t_stat_quadrature(res).value == pytest.approx(
+            t_stat_closed(res).value, rel=1e-12)
+    assert max(spans) > 55.0
+
+
 # ---------------------------------------------------------------------------
 # process kernel and asymptotic covariance
 
