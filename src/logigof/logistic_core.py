@@ -4,6 +4,15 @@ Monte Carlo layer.
 
 All functions accept scalars or array-likes and are overflow-safe: large
 standardized arguments underflow to zero rather than producing NaN or inf.
+
+Logistic draws are made without a numpy ``Generator``.  ``fill_logistic``
+runs Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1,
+2, 3", SC'11) in numpy, vectorised over (substream, counter block), so one
+call draws the rows of many substreams at once.  For key [seed, r] it gives
+exactly the words of ``np.random.Philox(key=[seed, r]).random_raw()``, and
+it maps them to uniforms and to logistic variates by the same operations,
+in the same order, as ``draw_logistic`` on that Philox's ``Generator``.
+Each row therefore equals, bit for bit, the per-substream stream.
 """
 
 from __future__ import annotations
@@ -44,21 +53,36 @@ class RngStream:
     so draws are reproducible across platforms and independent of how many
     worker processes consume sibling substreams.  Substream ``r`` of a Monte
     Carlo run handles replication ``r``; the stream value itself is immutable
-    and cheap to ship to worker processes.
+    and cheap to ship to worker processes.  Seed and substream are integers
+    in [0, 2^64); fractional values are rejected, never truncated.
+
+    A Monte Carlo chunk draws the substreams ``r0 .. r0 + k - 1`` in one call
+    (``AlternativeSpec.sample(n, RngStream(seed, r0), reps=k)``).  What a
+    substream yields is fixed by its key alone: Philox's output is a pure
+    function of key and counter, and every substream starts at counter 0.
+    So row i of a block equals a separate draw from ``RngStream(seed, r0 + i)``.
     """
 
     seed: int
     substream: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.seed < 2**64):
-            raise DomainError("seed must be a 64-bit unsigned integer")
-        if not (0 <= self.substream < 2**64):
-            raise DomainError("substream index must be a 64-bit unsigned integer")
+        object.__setattr__(self, "seed", uint64_index(self.seed, "seed"))
+        object.__setattr__(self, "substream", uint64_index(self.substream, "substream index"))
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.substream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+
+
+def uint64_index(value, name: str) -> int:
+    """``value`` as a Python int in [0, 2^64); DomainError for anything else,
+    fractional numbers and bools included."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= value < 2**64:
+        raise DomainError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
+    return int(value)
 
 
 def _as_finite_array(x, name: str = "x") -> np.ndarray:
@@ -109,6 +133,75 @@ def _uniform_open(gen: np.random.Generator, n: int) -> np.ndarray:
     return (gen.integers(0, 2**53, size=n).astype(np.float64) + 0.5) * 2.0**-53
 
 
+# Philox4x64-10: the round multipliers and the Weyl increments of the key.
+_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
+_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products m * x, the high one
+    built from 32-bit halves so that no partial product overflows."""
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    lo_lo, hi_lo, lo_hi = m_lo * x_lo, m_hi * x_lo, m_lo * x_hi
+    carry = ((lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)) >> _SHIFT32
+    return m_hi * x_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + carry, m * x
+
+
+def philox_words(seed: int, first: int, rows: int, n: int) -> np.ndarray:
+    """(rows, n) uint64 array whose row i holds the first n words of
+    ``np.random.Philox(key=[seed, first + i]).random_raw()``.
+
+    numpy increments the counter before it encrypts a block, so the stream's
+    blocks are counters 1, 2, ...; each gives four words in order.  The
+    caller keeps ``first + rows`` at most 2^64.  Every constant that meets
+    an array is a uint64 scalar, so no operand is ever promoted to float64.
+    """
+    blocks = -(-n // 4)
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (rows, blocks))
+    c1 = c2 = c3 = np.zeros((rows, blocks), dtype=np.uint64)
+    # The first key word is the same for every row; it is bumped as a Python
+    # int, because adding np.uint64 scalars warns when the sum wraps.
+    k0 = seed
+    k1 = np.uint64(first) + np.arange(rows, dtype=np.uint64)[:, None]
+    for i in range(10):
+        if i:
+            k0 = (k0 + _PHILOX_W0) % 2**64
+            k1 = k1 + _PHILOX_W1
+        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3), axis=-1).reshape(rows, 4 * blocks)[:, :n]
+
+
+def fill_logistic(out: np.ndarray, stream: RngStream, mu: float = 0.0,
+                  sigma: float = 1.0) -> np.ndarray:
+    """Fill row i of the (k, n) array ``out`` with the n draws of L(mu, sigma)
+    that ``draw_logistic`` makes on the Generator of substream
+    ``stream.substream + i``, and return ``out``.
+
+    The uniforms are ``integers(0, 2**53)``, which for this bound is the raw
+    word shifted right by 11 bits, centred in their bins as in
+    ``_uniform_open``.  Temporaries are a few arrays the size of ``out``;
+    callers bound them by passing row blocks.
+    """
+    rows, n = out.shape
+    u = (philox_words(stream.seed, stream.substream, rows, n) >> _SHIFT11).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    np.log(u, out=out)
+    np.negative(u, out=u)
+    out -= np.log1p(u, out=u)
+    out *= sigma
+    out += mu
+    return out
+
+
 def sample_from_generator(gen: np.random.Generator, n: int,
                           p: LogisticParams = STANDARD) -> np.ndarray:
     """Draw n logistic variates from an already-open generator by inversion."""
@@ -130,7 +223,7 @@ def sample(n: int, p: LogisticParams = STANDARD, *,
     """
     if n < 1:
         raise DomainError("sample size must be at least 1")
-    return sample_from_generator(stream.generator(), n, p)
+    return fill_logistic(np.empty((1, n)), stream, p.mu, p.sigma)[0]
 
 
 def score(x, p: LogisticParams = STANDARD):

@@ -6,6 +6,14 @@ substream (s, r), so results are bit-identical no matter how many worker
 processes participate.  Replications are evaluated in fixed-size chunks of
 vectorized work; chunk boundaries depend only on the sample size, never on
 the worker count, and chunk results are concatenated in order.
+
+A chunk draws all its samples in one ``AlternativeSpec.sample(..., reps=k)``
+call.  Logistic samples come from ``logistic_core.fill_logistic``, which
+computes the Philox words of all substreams at once.  Every other kind keeps
+numpy's own transforms: one Philox and one Generator serve the whole chunk,
+and before each replication the Philox is re-keyed to [s, r] with its
+counter and buffers reset, the state a fresh ``Philox(key=[s, r])`` has.
+Either way replication r sees exactly the stream of substream (s, r).
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import scipy.stats
 from . import _kernels
 from .estimation import ConvergenceError, Method, fit_mle
 from .logistic_core import (DomainError, RngStream, draw_logistic,
-                            sample_from_generator)
+                            fill_logistic, uint64_index)
 
 WORKERS_ENV_VAR = "LOGIGOF_WORKERS"
 
@@ -105,8 +113,12 @@ class AlternativeSpec:
 
     def __post_init__(self):
         if self.kind == "mixture":
-            if not 0.0 <= self.p <= 1.0:
-                raise DomainError("mixing proportion must lie in [0, 1]")
+            if not (isinstance(self.p, (int, float, np.integer, np.floating))
+                    and 0.0 <= self.p <= 1.0):
+                raise DomainError(f"mixing proportion must lie in [0, 1], got {self.p!r}")
+            if not isinstance(self.contaminant, AlternativeSpec):
+                raise DomainError(f"a mixture needs an AlternativeSpec contaminant, "
+                                  f"got {self.contaminant!r}")
             if self.contaminant.kind == "mixture":
                 raise DomainError("nested mixtures are not supported")
             object.__setattr__(self, "p", float(self.p))
@@ -167,21 +179,50 @@ class AlternativeSpec:
         return cls("mixture", p=p, contaminant=contaminant)
 
     # -- sampling ----------------------------------------------------------
-    def sample(self, n: int, stream: RngStream) -> np.ndarray:
-        """n iid draws, deterministic given the stream."""
+    def sample(self, n: int, stream: RngStream, reps: Optional[int] = None) -> np.ndarray:
+        """n iid draws, deterministic given the stream.
+
+        With ``reps=k`` the result is a (k, n) block whose row i is exactly
+        ``sample(n, RngStream(stream.seed, stream.substream + i))``.  Pure
+        logistic draws (mixtures with p = 0 included) are computed for all
+        rows at once by ``fill_logistic``, in row blocks of at most
+        ``_kernels._PAIR_BUDGET`` Philox words.  Other kinds reuse one
+        Generator, re-keyed before each row to the fresh state of that
+        row's substream, and draw with numpy's own transforms.
+        """
         if n < 1:
             raise DomainError("sample size must be at least 1")
-        gen = stream.generator()
+        k = 1 if reps is None else uint64_index(reps, "replication count")
+        if k < 1:
+            raise DomainError("replication count must be at least 1")
+        if stream.substream + k > 2**64:
+            raise DomainError(f"{k} replications from substream {stream.substream} "
+                              f"pass the last substream index, 2^64 - 1")
+        spec = self
+        if self.kind == "mixture" and self.p in (0.0, 1.0):
+            spec = self.contaminant if self.p else AlternativeSpec.logistic()
+        x = np.empty((k, n))
+        if spec.kind == "logistic":
+            step = max(1, _kernels._PAIR_BUDGET // (-(-n // 4) * 4))
+            for lo in range(0, k, step):
+                fill_logistic(x[lo:lo + step], RngStream(stream.seed, stream.substream + lo),
+                              *spec.params)
+        else:
+            gen = stream.generator()
+            fresh = gen.bit_generator.state
+            for i in range(k):
+                if i:
+                    fresh["state"]["key"][1] = stream.substream + i
+                    gen.bit_generator.state = fresh
+                x[i] = spec._draw(gen, n)
+        return x if reps is not None else x[0]
+
+    def _draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
         if self.kind != "mixture":
             return _KINDS[self.kind].draw(gen, n, *self.params)
-        c = self.contaminant
-        if self.p == 0.0:
-            return sample_from_generator(gen, n)
-        if self.p == 1.0:
-            return _KINDS[c.kind].draw(gen, n, *c.params)
         pick = gen.random(n)
-        base = sample_from_generator(gen, n)
-        return np.where(pick < self.p, _KINDS[c.kind].draw(gen, n, *c.params), base)
+        base = draw_logistic(gen, n, 0.0, 1.0)
+        return np.where(pick < self.p, self.contaminant._draw(gen, n), base)
 
     # -- density and moments (for the population discrepancy) ---------------
     def pdf(self, x):
@@ -297,10 +338,10 @@ class McConfig:
     method: Method = Method.MOMENTS
 
     def __post_init__(self):
+        object.__setattr__(self, "reps", uint64_index(self.reps, "replication count"))
         if self.reps < 1:
             raise DomainError("replication count must be at least 1")
-        if not (0 <= self.seed < 2**64):
-            raise DomainError("seed must be a 64-bit unsigned integer")
+        object.__setattr__(self, "seed", uint64_index(self.seed, "seed"))
         if self.workers is not None and not (
                 isinstance(self.workers, int) and self.workers >= 0):
             raise DomainError(
@@ -366,11 +407,8 @@ def _residuals_for_chunk(x: np.ndarray, method: Method) -> tuple[np.ndarray, int
 
 
 def _run_chunk(task: _ChunkTask) -> tuple[int, np.ndarray, int]:
-    count = task.rep_hi - task.rep_lo
-    x = np.empty((count, task.n))
-    for i in range(count):
-        stream = RngStream(task.seed, task.rep_lo + i)
-        x[i] = task.alternative.sample(task.n, stream)
+    x = task.alternative.sample(task.n, RngStream(task.seed, task.rep_lo),
+                                reps=task.rep_hi - task.rep_lo)
     y, failures = _residuals_for_chunk(x, task.method)
     return task.rep_lo, _kernels.compute_batch(y, task.specs), failures
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logigof.logistic_core import (STANDARD, DomainError, LogisticParams,
-                                   RngStream, cdf, fisher_info, pdf, quantile,
+                                   RngStream, cdf, draw_logistic, fill_logistic,
+                                   fisher_info, pdf, philox_words, quantile,
                                    sample, score)
+from logigof.montecarlo import AlternativeSpec
 
 params_strategy = st.builds(
     LogisticParams,
@@ -92,6 +95,60 @@ def test_rng_stream_validation():
         RngStream(2**64)
     with pytest.raises(DomainError):
         RngStream(0, -5)
+
+
+def test_rng_stream_rejects_fractional_values():
+    # A fractional seed or substream used to be truncated, so RngStream(1.7,
+    # 2.9) drew exactly what RngStream(1, 2) draws.
+    for seed, substream in ((1.7, 2), (1, 2.9), (1.0, 2), (np.float64(3), 0),
+                            ("1", 0), (True, 0), (None, 0)):
+        with pytest.raises(DomainError, match="integer"):
+            RngStream(seed, substream)
+    stream = RngStream(np.uint64(2**64 - 1), np.int32(7))
+    assert stream == RngStream(2**64 - 1, 7)
+    assert type(stream.seed) is int and type(stream.substream) is int
+
+
+NEAR_TOP = 2**64 - 8
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("first", [0, NEAR_TOP])
+def test_philox_words_equal_numpy_philox(seed, first):
+    # Row i is the raw stream of numpy's Philox keyed [seed, first + i], up to
+    # the last substream index 2^64 - 1; n covers partial last counter blocks.
+    for n in (1, 2, 3, 4, 5, 20, 50):
+        words = philox_words(seed, first, 8, n)
+        assert words.shape == (8, n) and words.dtype == np.uint64
+        for i in range(8):
+            key = np.array([seed, first + i], dtype=np.uint64)
+            np.testing.assert_array_equal(words[i], np.random.Philox(key=key).random_raw(n))
+
+
+@pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (0.5, 2.0)])
+def test_fill_logistic_equals_one_generator_per_substream(mu, sigma):
+    for seed, first in ((20260815, 0), (7, NEAR_TOP)):
+        for n in (1, 3, 21, 50):
+            got = fill_logistic(np.empty((8, n)), RngStream(seed, first), mu, sigma)
+            for i in range(8):
+                gen = np.random.Generator(np.random.Philox(
+                    key=np.array([seed, first + i], dtype=np.uint64)))
+                np.testing.assert_array_equal(got[i], draw_logistic(gen, n, mu, sigma))
+
+
+def test_block_sampling_memory_is_bounded():
+    # The draws go into the block itself, in row blocks of at most
+    # _kernels._PAIR_BUDGET Philox words.  Measured peak: 1.81 x.nbytes.
+    spec = AlternativeSpec.logistic()
+    spec.sample(20, RngStream(1), reps=16)
+    tracemalloc.start()
+    try:
+        x = spec.sample(20, RngStream(1), reps=4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (4096, 20)
+    assert peak < 2.5 * x.nbytes
 
 
 def test_sample_deterministic_and_streams_independent():

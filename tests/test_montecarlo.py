@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -61,6 +62,12 @@ def test_alternative_parse_aliases_and_errors():
                          (AlternativeSpec.uniform, (-1.0, 0.0, 1.0))):
         with pytest.raises(DomainError):
             make(*params)
+    # A mixture needs a proportion in [0, 1] and an AlternativeSpec contaminant.
+    cauchy = AlternativeSpec.cauchy()
+    for fields in ({}, {"p": 0.5}, {"p": None, "contaminant": cauchy},
+                   {"p": "0.5", "contaminant": cauchy}, {"p": 0.5, "contaminant": "cauchy"}):
+        with pytest.raises(DomainError):
+            AlternativeSpec("mixture", **fields)
 
 
 # The first three draws of one alternative per kind at RngStream(20260815, 0),
@@ -88,6 +95,52 @@ def test_every_alternative_kind_round_trips_and_keeps_its_stream(label):
     assert AlternativeSpec.parse(spec.label()) == spec
     np.testing.assert_array_equal(spec.sample(3, RngStream(20260815, 0)),
                                   FIRST_DRAWS[label])
+
+
+def per_replication_sample(spec, n, stream):
+    """One fresh Generator(Philox(key=[seed, r])) per replication, the way
+    every sample was drawn before chunks were drawn as blocks: the oracle of
+    the block path."""
+    gen = np.random.Generator(np.random.Philox(
+        key=np.array([stream.seed, stream.substream], dtype=np.uint64)))
+    kinds = montecarlo._KINDS
+    if spec.kind != "mixture":
+        return kinds[spec.kind].draw(gen, n, *spec.params)
+    c = spec.contaminant
+    if spec.p == 0.0:
+        return sample_from_generator(gen, n)
+    if spec.p == 1.0:
+        return kinds[c.kind].draw(gen, n, *c.params)
+    pick = gen.random(n)
+    base = sample_from_generator(gen, n)
+    return np.where(pick < spec.p, kinds[c.kind].draw(gen, n, *c.params), base)
+
+
+@pytest.mark.parametrize("label", [*FIRST_DRAWS, "mixture(0,cauchy)", "mixture(1,cauchy)"])
+def test_block_sample_equals_single_replication_draws(label):
+    # k = 900 at n = 20 and 400 at n = 50 span two row blocks of the
+    # logistic sampler.
+    spec = AlternativeSpec.parse(label)
+    for n, k in ((1, 40), (3, 40), (20, 900), (50, 400)):
+        block = spec.sample(n, RngStream(20260815, 4096), reps=k)
+        assert block.shape == (k, n)
+        streams = [RngStream(20260815, 4096 + i) for i in range(k)]
+        np.testing.assert_array_equal(block, [spec.sample(n, s) for s in streams])
+        np.testing.assert_array_equal(block, [per_replication_sample(spec, n, s)
+                                              for s in streams])
+
+
+def test_block_sample_rejects_bad_replication_counts():
+    for spec in (AlternativeSpec.logistic(), AlternativeSpec.student_t(2)):
+        for reps in (0, -1, 2.5, 3.0, "3"):
+            with pytest.raises(DomainError, match="replication count"):
+                spec.sample(5, RngStream(1), reps=reps)
+        last = RngStream(5, 2**64 - 3)
+        np.testing.assert_array_equal(
+            spec.sample(4, last, reps=3)[2],
+            per_replication_sample(spec, 4, RngStream(5, 2**64 - 1)))
+        with pytest.raises(DomainError, match="substream"):
+            spec.sample(4, last, reps=4)
 
 
 def test_default_uniform_is_variance_one():
@@ -213,6 +266,27 @@ def test_simulation_rep_count_extension_is_prefix_stable():
     np.testing.assert_array_equal(short[0], longer[0, :500])
 
 
+# SHA-256 of the simulate_statistics values (all eleven statistics, n = 20,
+# seed 20260815, 4100 replications: a full chunk and a partial one) as the
+# engine gave them when each replication built its own Generator, recorded
+# with numpy 2.4.6 on x86-64.
+ENGINE_VALUE_SHA256 = {
+    "logistic": "556b86819ad28efb43be50a6ad325a730104e85a1d44cc87bfd25dfc5470688c",
+    "t(2)": "2b2eb8dac407d9412a4f6852a301a4bcb1a070f5474985ffd64c40bacca07f4d",
+    "mixture(0.3,cauchy)": "53e58765e8c35ffdb891c7055da5a046ab5493f432a2e1a2950c35e2f94a2865",
+}
+
+
+@pytest.mark.parametrize("label", ENGINE_VALUE_SHA256)
+def test_simulated_values_are_pinned(label):
+    values, failures = simulate_statistics(
+        ALL_SPECS, 20, McConfig(reps=4100, seed=20260815, workers=1),
+        alternative=AlternativeSpec.parse(label))
+    assert failures == 0
+    digest = hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+    assert digest == ENGINE_VALUE_SHA256[label]
+
+
 def test_calibrate_quantiles_and_rows():
     cfg = McConfig(reps=4000, seed=5, workers=1)
     table = calibrate([StatSpec("T", 3), StatSpec("KS")], 20,
@@ -241,6 +315,16 @@ def test_mc_config_validation():
         McConfig(reps=0, seed=1)
     with pytest.raises(DomainError):
         McConfig(reps=10, seed=-1)
+
+
+def test_mc_config_rejects_fractional_seed_and_reps():
+    # Both used to be accepted; a fractional reps then failed in range().
+    for fields in ({"reps": 10, "seed": 1.5}, {"reps": 2.5, "seed": 1},
+                   {"reps": 10.0, "seed": 1}, {"reps": 10, "seed": "1"}):
+        with pytest.raises(DomainError, match="integer"):
+            McConfig(**fields)
+    cfg = McConfig(reps=np.int64(10), seed=np.uint64(3))
+    assert cfg == McConfig(reps=10, seed=3) and type(cfg.seed) is int
 
 
 def test_mc_config_rejects_negative_or_fractional_workers():
