@@ -85,9 +85,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import expit
 
-from .logistic_core import DomainError
+from .logistic_core import DomainError, expit
 
 # Largest 2 max|Y| for which S and R are finite; beyond it they are +inf.
 _EXP_LIMIT = 700.0

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .logistic_core import DomainError
 
@@ -119,13 +118,15 @@ def _likelihood_equations(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
 
     With z_j = (x_j - mu)/sigma these are sum(1/(1+exp(z_j))) - n/2 = 0 and
     sum(z_j * tanh(z_j/2)) - n = 0, i.e. the stationarity of the
-    log-likelihood in mu and sigma.
+    log-likelihood in mu and sigma.  The first is evaluated in the equal form
+    -sum(tanh(z_j/2))/2, since 1/(1+exp(z)) = (1 - tanh(z/2))/2; it has no
+    cancellation against n/2.
     """
     z = (x - mu) / sigma
-    n = x.size
+    t = np.tanh(z / 2.0)
     return np.array([
-        float(np.sum(expit(-z))) - n / 2.0,
-        float(np.sum(z * np.tanh(z / 2.0))) - n,
+        -0.5 * float(np.sum(t)),
+        float(np.sum(z * t)) - x.size,
     ])
 
 
@@ -166,8 +167,8 @@ def _newton_mle(x: np.ndarray, mu: float, sigma: float,
         z = (x - mu) / sigma
         t = np.tanh(z / 2.0)
         c = 1.0 - t * t  # sech^2(z/2)
-        # Jacobian of (sum expit(-z) - n/2, sum z*tanh(z/2) - n) in (mu, sigma).
-        # d expit(-z)/d z = -expit(z)expit(-z) = -c/4.
+        # Jacobian of (-sum tanh(z/2)/2, sum z*tanh(z/2) - n) in (mu, sigma);
+        # d tanh(z/2)/dz = c/2 and dz/dmu = -1/sigma.
         j11 = np.sum(c) / (4.0 * sigma)
         j12 = np.sum(z * c) / (4.0 * sigma)
         j21 = -np.sum(t + z * c / 2.0) / sigma

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 
 class DomainError(ValueError):
@@ -90,6 +89,26 @@ def _as_finite_array(x, name: str = "x") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite")
     return arr
+
+
+def expit(x):
+    """Logistic sigmoid 1 / (1 + exp(-x)), bit for bit what
+    ``scipy.special.expit`` returns for x >= -709.
+
+    Both evaluate this form with the C library's exp.  numpy's float64 exp
+    is its own SIMD kernel, which differs from the C library's in the last
+    bit for about 2% of arguments, so exp is taken as the real part of
+    numpy's complex exp: that calls the C library's cexp, whose real part
+    at a zero imaginary part is exp(x) exactly up to an argument of 709.
+    Beyond it cexp rescales, and the results, all below 1.3e-308, may
+    differ from scipy's in the last bit.  Below x = -709.78 exp(-x)
+    overflows and the result is 0, as in scipy; from x = 37 on the result
+    is 1, where the true value rounds to it.  NaN stays NaN, and a scalar
+    argument gives a numpy scalar.
+    """
+    with np.errstate(over="ignore"):
+        e = np.exp(np.negative(x, dtype=complex)).real
+    return 1.0 / (1.0 + e)
 
 
 def _maybe_scalar(result: np.ndarray, like) -> float | np.ndarray:

@@ -14,11 +14,17 @@ numpy's own transforms: one Philox and one Generator serve the whole chunk,
 and before each replication the Philox is re-keyed to [s, r] with its
 counter and buffers reset, the state a fresh ``Philox(key=[s, r])`` has.
 Either way replication r sees exactly the stream of substream (s, r).
+
+Only ``AlternativeSpec.pdf``, ``mean`` and ``std`` use scipy: they resolve
+the kind's ``scipy.stats`` law, importing scipy.stats on first call.  They
+serve ``statistics.delta_alternative``; sampling, calibration, power studies
+and p-values never import scipy.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import os
@@ -29,12 +35,12 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.stats
 
 from . import _kernels
 from .estimation import ConvergenceError, Method, fit_mle
 from .logistic_core import (DomainError, RngStream, draw_logistic,
                             fill_logistic, uint64_index)
+from .logistic_core import pdf as logistic_pdf
 
 WORKERS_ENV_VAR = "LOGIGOF_WORKERS"
 
@@ -57,7 +63,10 @@ class _Kind(NamedTuple):
     """One alternative family: its short names, its parameter count, the
     parameters its bare name means (None when all are required), the range
     rule in words and ``check`` testing it, the exact Generator call that
-    draws it and its scipy frozen law."""
+    draws it, and its law: a function of the ``scipy.stats`` module and the
+    parameters that returns the frozen scipy distribution.  Only
+    ``_frozen_law`` calls ``law``, for ``AlternativeSpec.pdf``, ``mean`` and
+    ``std``, and it imports scipy.stats on first use."""
 
     aliases: str
     arity: int
@@ -70,30 +79,41 @@ class _Kind(NamedTuple):
 
 _KINDS = {
     "logistic": _Kind("l", 2, (0.0, 1.0), "finite mu and sigma > 0", draw_logistic,
-                      lambda mu, sigma: scipy.stats.logistic(loc=mu, scale=sigma),
+                      lambda st, mu, sigma: st.logistic(loc=mu, scale=sigma),
                       lambda mu, sigma: sigma > 0),
     "normal": _Kind("n gaussian", 0, (), "no parameters",
-                    lambda gen, n: gen.standard_normal(n), scipy.stats.norm),
+                    lambda gen, n: gen.standard_normal(n), lambda st: st.norm()),
     "t": _Kind("student studentt", 1, None, "finite df > 0",
-               lambda gen, n, df: gen.standard_t(df, n), scipy.stats.t),
+               lambda gen, n, df: gen.standard_t(df, n), lambda st, df: st.t(df)),
     "cauchy": _Kind("c", 0, (), "no parameters",
-                    lambda gen, n: gen.standard_cauchy(n), scipy.stats.cauchy),
+                    lambda gen, n: gen.standard_cauchy(n), lambda st: st.cauchy()),
     "laplace": _Kind("lp", 0, (), "no parameters",
-                     lambda gen, n: gen.laplace(0.0, 1.0, n), scipy.stats.laplace),
+                     lambda gen, n: gen.laplace(0.0, 1.0, n), lambda st: st.laplace()),
     "lognormal": _Kind("ln", 1, None, "finite log-scale s > 0",
-                       lambda gen, n, s: gen.lognormal(0.0, s, n), scipy.stats.lognorm),
+                       lambda gen, n, s: gen.lognormal(0.0, s, n),
+                       lambda st, s: st.lognorm(s)),
     "gamma": _Kind("", 1, None, "finite shape k > 0",
-                   lambda gen, n, k: gen.gamma(k, 1.0, n), scipy.stats.gamma),
+                   lambda gen, n, k: gen.gamma(k, 1.0, n), lambda st, k: st.gamma(k)),
     "uniform": _Kind("u", 2, (-SQRT3, SQRT3), "finite lo < hi",
                      lambda gen, n, lo, hi: gen.uniform(lo, hi, n),
-                     lambda lo, hi: scipy.stats.uniform(lo, hi - lo),
+                     lambda st, lo, hi: st.uniform(lo, hi - lo),
                      lambda lo, hi: lo < hi),
     "beta": _Kind("b", 2, None, "finite shapes a, b > 0",
-                  lambda gen, n, a, b: gen.beta(a, b, n), scipy.stats.beta),
+                  lambda gen, n, a, b: gen.beta(a, b, n), lambda st, a, b: st.beta(a, b)),
     "chisquare": _Kind("chisq chi2", 1, None, "finite df > 0",
-                       lambda gen, n, df: gen.chisquare(df, n), scipy.stats.chi2),
+                       lambda gen, n, df: gen.chisquare(df, n), lambda st, df: st.chi2(df)),
 }
 _NAMES = {alias: kind for kind, spec in _KINDS.items() for alias in (kind, *spec.aliases.split())}
+
+
+@functools.lru_cache(maxsize=64)
+def _frozen_law(kind: str, params: tuple):
+    """The frozen ``scipy.stats`` law of ``kind`` at ``params``, built once:
+    freezing one costs ~1 ms, and ``delta_alternative`` evaluates the
+    density thousands of times.  Imports scipy.stats on the first call."""
+    import scipy.stats
+
+    return _KINDS[kind].law(scipy.stats, *params)
 
 
 @dataclass(frozen=True)
@@ -227,14 +247,13 @@ class AlternativeSpec:
     # -- density and moments (for the population discrepancy) ---------------
     def pdf(self, x):
         if self.kind == "mixture":
-            base = scipy.stats.logistic().pdf(x)
-            return (1.0 - self.p) * base + self.p * self.contaminant.pdf(x)
-        return _KINDS[self.kind].law(*self.params).pdf(x)
+            return (1.0 - self.p) * logistic_pdf(x) + self.p * self.contaminant.pdf(x)
+        return _frozen_law(self.kind, self.params).pdf(x)
 
     def mean(self) -> float:
         if self.kind == "mixture":
             return self.p * self.contaminant.mean()
-        return float(_KINDS[self.kind].law(*self.params).mean())
+        return float(_frozen_law(self.kind, self.params).mean())
 
     def std(self) -> float:
         if self.kind == "mixture":
@@ -242,7 +261,7 @@ class AlternativeSpec:
             second = (1.0 - self.p) * (math.pi**2 / 3.0) \
                 + self.p * (self.contaminant.std() ** 2 + m_c**2)
             return math.sqrt(second - self.mean() ** 2)
-        return float(_KINDS[self.kind].law(*self.params).std())
+        return float(_frozen_law(self.kind, self.params).std())
 
     # -- text form ---------------------------------------------------------
     def label(self) -> str:

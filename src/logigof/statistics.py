@@ -12,6 +12,11 @@ Gauss-Legendre for S and R), with the pairwise forms as its oracle in the
 tests.  ``t_stat_quadrature`` (adaptive Gauss-Hermite) and
 ``s_stat_quadrature`` (adaptive quadrature) evaluate the defining integrals
 independently of the kernel and serve as oracles for both paths.
+
+Only the adaptive-quadrature oracles use scipy: ``s_stat_quadrature``,
+``moment_identities``, ``covariance_kernel`` and ``delta_alternative``
+import ``scipy.integrate`` when first called, so importing this module, or
+computing any statistic, loads no scipy.
 """
 
 from __future__ import annotations
@@ -23,13 +28,11 @@ from dataclasses import dataclass
 from typing import Optional, Protocol
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
-from scipy.special import expit
 
 from . import _kernels
 from ._kernels import NumericOverflowError
 from .estimation import Method, ScaledResiduals, psi1, psi2
-from .logistic_core import DomainError, pdf
+from .logistic_core import DomainError, expit, pdf
 
 __all__ = [
     "WeightSpec", "TestOutcome", "QuadratureError", "NumericOverflowError",
@@ -209,6 +212,8 @@ def h_func(t, x):
 
 def _expect(fun, epsabs: float = 1e-11) -> float:
     """E[fun(X)] for X standard logistic, by adaptive quadrature split at 0."""
+    from scipy.integrate import quad
+
     def integrand(x):
         return fun(x) * pdf(x)
 
@@ -289,6 +294,8 @@ def delta_alternative(alt: AlternativeDensity, w: WeightSpec = WeightSpec()) -> 
     zero exactly when the standardized law is standard logistic.  The scaled
     statistic value/n converges to Delta as the sample grows.
     """
+    from scipy.integrate import quad_vec
+
     mean = float(alt.mean())
     std = float(alt.std())
     if not (math.isfinite(mean) and math.isfinite(std) and std > 0):
@@ -352,6 +359,8 @@ def s_stat(res: ScaledResiduals) -> TestOutcome:
 
 def s_stat_quadrature(res: ScaledResiduals) -> TestOutcome:
     """Direct 1-D quadrature of the finite-interval statistic (oracle)."""
+    from scipy.integrate import quad
+
     y = np.asarray(res.values, dtype=float)
     m = np.tanh(y / 2.0)
 

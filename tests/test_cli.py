@@ -1,13 +1,18 @@
+import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import logigof
+from logigof import statistics
 from logigof.cli import (EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, Dataset,
                          InputError, bundled_data_path, load_dataset, main,
                          parse_power_config)
+from logigof.montecarlo import AlternativeSpec
 
 
 def write(tmp_path, name, text):
@@ -333,3 +338,58 @@ def test_console_script_entrypoint_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "fit" in proc.stdout and "power" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# import hygiene: scipy is loaded only by the oracles that need it
+
+
+def run_fresh(code):
+    """stdout of ``code`` run by a new interpreter that imports this copy of
+    logigof."""
+    src = os.path.dirname(os.path.dirname(logigof.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_paths_import_no_scipy(tmp_path):
+    cfg = write(tmp_path, "smoke.cfg", SMOKE_CFG)
+    code = f"""
+import contextlib, io, json, sys
+import logigof
+import logigof.cli as c
+scipy_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+c.build_parser()
+seen = {{"import": scipy_modules()}}
+runs = {{
+    "fit": ["fit", "bundled:", "--log"],
+    "test": ["test", "bundled:", "--log", "--reps", "50", "--workers", "1"],
+    "calibrate": ["calibrate", "--stat", "T,S,R,KS,AD", "--n", "12", "--reps", "40",
+                  "--workers", "1"],
+    "power": ["power", "--config", {cfg!r}, "--workers", "1"],
+}}
+for name, args in runs.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert c.main(args) == 0, name
+    seen[name] = scipy_modules()
+print(json.dumps(seen))
+"""
+    seen = json.loads(run_fresh(code).strip().splitlines()[-1])
+    assert seen == {name: [] for name in ("import", "fit", "test", "calibrate", "power")}
+
+
+def test_lazy_scipy_oracles_work_on_first_call():
+    code = """
+from logigof import statistics
+from logigof.montecarlo import AlternativeSpec
+t5 = AlternativeSpec.parse("t(5)")
+print(repr(statistics.covariance_kernel(0.5, 1.0)))
+print(repr(float(t5.pdf(0.5))), repr(t5.mean()), repr(t5.std()))
+"""
+    kernel, law = run_fresh(code).strip().splitlines()
+    assert float(kernel) == statistics.covariance_kernel(0.5, 1.0)
+    t5 = AlternativeSpec.parse("t(5)")
+    assert [float(v) for v in law.split()] == [t5.pdf(0.5), t5.mean(), t5.std()]

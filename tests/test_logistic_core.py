@@ -4,15 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logigof.logistic_core import (STANDARD, DomainError, LogisticParams,
-                                   RngStream, cdf, draw_logistic, fill_logistic,
-                                   fisher_info, pdf, philox_words, quantile,
-                                   sample, score)
+                                   RngStream, cdf, draw_logistic, expit,
+                                   fill_logistic, fisher_info, pdf,
+                                   philox_words, quantile, sample, score)
 from logigof.montecarlo import AlternativeSpec
+from logigof.statistics import h_func, kappa
 
 params_strategy = st.builds(
     LogisticParams,
@@ -45,6 +47,45 @@ def test_cdf_matches_reference_implementation():
     x = np.linspace(-20, 20, 101)
     expected = scipy.stats.logistic.cdf(x, loc=p.mu, scale=p.sigma)
     np.testing.assert_allclose(cdf(x, p), expected, rtol=1e-12)
+
+
+EXPIT_EDGES = [0.0, 1e-300, 36.0, 709.0, 709.78, 709.79, 745.0, 800.0, math.inf]
+
+
+def test_expit_equals_scipy_bit_for_bit():
+    edges = np.array(EXPIT_EDGES + [-v for v in EXPIT_EDGES] + [math.nan])
+    x = np.concatenate([edges, np.linspace(-750.0, 750.0, 30_001),
+                        np.random.default_rng(5).logistic(size=100_000),
+                        np.random.default_rng(6).standard_cauchy(size=100_000)])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = expit(x)
+    ref = scipy.special.expit(x)
+    # From x = -709 down, the C library's cexp scales its argument, and the
+    # last bit of these subnormal-range values may differ.
+    head = ~(x < -709.0)
+    np.testing.assert_array_equal(got[head], ref[head])
+    np.testing.assert_array_max_ulp(got[~head], ref[~head], maxulp=1)
+    assert np.array_equal(np.isnan(got), np.isnan(x))
+    assert expit(0.0) == expit(-0.0) == 0.5
+    assert expit(-math.inf) == 0.0 and expit(math.inf) == 1.0
+    # On finite arguments 0 and 1 come only from rounding and, below
+    # x = -709.78, from the overflow of exp(-x), as in scipy: the value
+    # stays strictly inside (0, 1) from there to where 1 - expit(x) drops
+    # below half an ulp of 1.
+    inside = np.isfinite(x) & (x >= -709.78) & (x <= 36.0)
+    assert np.all((got[inside] > 0.0) & (got[inside] < 1.0))
+    assert np.all((got >= 0.0) & (got <= 1.0) | np.isnan(x))
+
+
+def test_expit_scalar_arguments_stay_scalar():
+    for value in (0.3, -2, np.float64(4.0), np.array(-1.5)):
+        out = expit(value)
+        assert np.ndim(out) == 0
+        assert out == scipy.special.expit(value)
+    for fun in (pdf, cdf):
+        assert isinstance(fun(0.3), float)
+    for fun in (kappa, h_func):
+        assert isinstance(fun(0.5, 0.3), float)
 
 
 def test_pdf_integrates_to_one():
