@@ -7,21 +7,22 @@ point, ``compute_batch(y, specs)``, evaluates every requested statistic for
 each row of a (C, n) residual batch; the single-sample functions of
 ``statistics`` call it with a batch of one.
 
-Pair path.  Below ``_SPECTRAL_MIN_N`` T, S and R sum a term that is
-symmetric in (j, k) over all n^2 ordered pairs; each unordered pair is
-evaluated once.  Pairing each j with (j + o) mod n for the offsets
-o = 1 .. (n-1)//2 meets every unordered pair exactly once; those offsets
-carry weight 2.  For even n the offset n/2 meets each pair twice and
-carries weight 1, and so does the diagonal, offset 0.  The shifted rows are
-windows into [y, y], so no pair index arrays are built.  T computes d^2
-once for all its weight rates.  S and R compute sinh and cosh of
-s = Y_j + Y_k from one expm1 and share them: R's sinh(s)/s is S's A_0(s)/2.
-Where |s| < 0.1 the closed forms of the interval moments cancel, and only
-those pairs are re-evaluated by series.
+Pair path.  Below its family's crossover (``_T_MIN_N`` for T,
+``_SR_MIN_N`` for S and R) a statistic sums a term that is symmetric in
+(j, k) over all n^2 ordered pairs; each unordered pair is evaluated once.
+Pairing each j with (j + o) mod n for the offsets o = 1 .. (n-1)//2 meets
+every unordered pair exactly once; those offsets carry weight 2.  For even
+n the offset n/2 meets each pair twice and carries weight 1, and so does
+the diagonal, offset 0.  The shifted rows are windows into [y, y], so no
+pair index arrays are built.  T computes d^2 once for all its weight rates.
+S and R compute sinh and cosh of s = Y_j + Y_k from one expm1 and share
+them: R's sinh(s)/s is S's A_0(s)/2.  Where |s| < 0.1 the closed forms of
+the interval moments cancel, and only those pairs are re-evaluated by
+series.  The pair path is the oracle of the spectral path in the tests.
 
-Spectral path.  The pair sums are O(n^2); for n >= ``_SPECTRAL_MIN_N`` the
-kernel evaluates T, S and R instead from the integrals that define them,
-with K nodes per row at O(n K) cost.  With m = tanh(Y/2):
+Spectral path.  The pair sums are O(n^2); from its crossover on, a family
+evaluates its statistics instead from the integrals that define them, with
+K nodes per row at O(n K) cost.  With m = tanh(Y/2):
 
 - T = (1/n) int |G(t)|^2 exp(-a t^2) dt over the real line, with
   G(t) = sum_j (it - m_j) exp(itY_j).  The integrand is even and entire, so
@@ -29,52 +30,79 @@ with K nodes per row at O(n K) cost.  With m = tanh(Y/2):
   holds frequencies up to span = max Y - min Y, so the step
   h = 2 pi / (span + sqrt(156 a_max)) aliases only what the weight has
   damped by e^-39, and nodes stop at t_max = sqrt(39 / a_min), where every
-  weight is below e^-39.  All T rates of a call share the nodes and one set
-  of cos and sin values.
+  weight is below e^-39.  All T rates of a call share the nodes.
+  exp(i k h Y_j) comes from a rotation, not from a cos and a sin per node:
+  z_j = exp(i h Y_j) is computed once per row, a block of B nodes starting
+  at k0 is exp(i k0 h Y_j) times z_j^0 .. z_j^(B-1), and exp(i k0 h Y_j) is
+  evaluated directly every ``_ANCHOR`` = 16 nodes and multiplied by z^B in
+  between.  No value is more than 16 complex products from a direct one,
+  so the phase error stays within ~16 eps (Numerical Recipes, section 5.4,
+  on trigonometric recurrences).
 - S = (1/n) int_{-1}^{1} (sum_j (t - m_j) exp(tY_j))^2 dt, by
   Gauss-Legendre.  The integrand is a square, so S has none of the pair
   form's cancellation at large |Y_j + Y_k|.
 - R: its pair sum of (A_0(s)/2) / (4 v^2 pi^2 + s^2), s = Y_j + Y_k, equals
   int_{-1}^{1} sin^2(pi v t) / (4 pi^2 v^2) (sum_j exp(tY_j))^2 dt, because
   int_{-1}^{1} cos(2 pi v t) exp(ts) dt = A_0(s) s^2 / (s^2 + 4 pi^2 v^2).
-  S and every order share the values exp(t_k Y_j).  R's single-observation
-  and constant terms are the same as on the pair path.
+  S and every order share the values exp(t_k Y_j), and the weights
+  w sin^2(pi v t) / (4 pi^2 v^2) are cached with each Gauss-Legendre table.
+  R's single-observation and constant terms are the same as on the pair
+  path.
 
-The Gauss-Legendre count is ceil(0.7 c + 4 c^(1/3) + 4) with
-c = 2 max|Y| + 2 pi max(v), which bounds the rule's error on exp(c t) to
-1e-17 of its integral; tables are built on first use and cached.  Node
-counts depend only on the row and on the tunings of the call.  A row takes
-the spectral path only while its nodes cost less than its pairs: at most
-n/4 trapezoid nodes (each costs a cos and a sin per observation) and at
-most 2n Gauss-Legendre nodes (one exp); wider rows and rows with NaN take
-the pair path.  The crossover
-``_SPECTRAL_MIN_N`` = 64 is measured: for all seven T, S and R
-specifications on batches of logistic and Cauchy moment residuals the
-spectral path is 1.5 to 2 times faster from n = 64, and at n = 50 the
-null calibration measured no gain, so n = 20 and n = 50 stay on the pair
-path.
+Both sums over j of a node block, of f(t_k Y_j) and of m_j f(t_k Y_j), are
+one matrix product per row with the two rows (1, m) (for T, (exp(i k0 h Y),
+m exp(i k0 h Y)) against the powers of z).  The Gauss-Legendre count is
+ceil(0.7 c + 4 c^(1/3) + 4) with c = 2 max|Y| + 2 pi max(v), which bounds
+the rule's error on exp(c t) to 1e-17 of its integral; tables are built on
+first use and cached.  Node counts are rounded up to whole blocks of
+``_NODE_BLOCK`` = 8 nodes and depend only on the row and on the tunings of
+the call.
+
+Routing.  Each family has its own crossover and node cap, measured on the
+engine's chunk shapes (4096 rows up to n = 25, 1024 up to 64) of logistic
+and Cauchy moment residuals, T at three rates and S with R of orders 1-3,
+on 2 vCPUs (median of 7 alternating rounds of the best of 5 calls):
+
+- T (24-30 nodes on these rows) ties with its pair sums at n = 20
+  (0.97-1.06 times their speed) and gains only 1.1-1.25 at n = 22-28, within
+  this host's noise; ``_T_MIN_N`` = 32 is the first n where it wins
+  clearly, 1.4-1.5 times (1.6 at 40, 2.0-2.2 at 50).  At n = 32 and 50 the
+  spectral T breaks even with the pair sums at about 1.2 n nodes (1.5-2 n
+  at n = 128-256), so a row takes it only while its node count is at most
+  ``_T_NODES_PER_OBS`` n = n; wider rows and rows with NaN take the pair
+  path.
+- S and R (40-49 nodes) are 1.4-1.5 times faster spectrally at
+  ``_SR_MIN_N`` = 24, 2-3 times from n = 32.  At n = 20 the gain is 1.3;
+  the paper's n = 20 keeps the pair path and its values bit for bit.  From
+  the crossover on, every row inside the exp range takes the spectral path
+  whatever its node count: the count is at most 544 there, and the wide
+  rows are those on which the pair form of S cancels.
 
 Memory.  Offsets are taken in blocks whose size depends on n only, and rows
 in groups, so that a block holds at most ``_PAIR_BUDGET`` pairs for any
 batch size C (one offset row of n pairs when n exceeds the budget).  The
 pair terms are computed in eight scratch buffers of one block each,
 allocated once per call, so that the heap does not grow and shrink with
-every block.  The spectral path takes nodes and rows in blocks of the same
-budget, in three scratch buffers.  Besides them the kernel keeps O(C n)
-arrays.
+every block.  The spectral path takes rows in groups whose node block holds
+at most ``_PAIR_BUDGET`` elements (one row when n exceeds the budget), in
+scratch buffers allocated once per call; each group keeps only O(rows K)
+node sums.  Besides them the kernel keeps O(C n) arrays.
 
 Overflow.  S and R are +inf on rows with 2 max|Y| > ``_EXP_LIMIT``: their
 exponential terms leave double range, and the statistic then exceeds any
-calibrated threshold.  T and the EDF statistics stay finite on those rows.
-Rows containing NaN give NaN for every statistic.
+calibrated threshold.  Neither path evaluates their sums on those rows.  T
+and the EDF statistics stay finite on them.  Rows containing NaN give NaN
+for every statistic.
 
 Determinism.  Rows are sorted first, so every statistic is exactly invariant
 under permutations of a sample.  Each row is reduced over blocks whose
 lengths depend on n only, in a fixed order, so a row's values are
 bit-identical whatever the other rows of the batch, and whatever the number
-of workers.  On the spectral path each node's sum runs over the n values
-of one row, and the node sums are added strictly in order, so the zero
-terms that pad a row to the batch's largest node count change nothing.
+of workers.  On the spectral path every matrix product has the same shape
+for a given n, since BLAS may round a product's rows differently when its
+shape changes; that is why node blocks are computed whole.  The node sums
+of a row are added strictly in order, so the zero terms that pad a row to
+the largest node count of its group change nothing.
 """
 
 from __future__ import annotations
@@ -97,8 +125,15 @@ _SERIES_CUT = 0.1
 # Most pairs in one block, and the size of each pair scratch buffer.
 _PAIR_BUDGET = 1 << 14
 _EDF_EPS = 1e-15
-# Smallest n evaluated by the spectral path (see the module docstring).
-_SPECTRAL_MIN_N = 64
+# Smallest n for which T, and S and R, take the spectral path, and T's
+# largest node count per observation; all three measured (see the module
+# docstring).
+_T_MIN_N = 32
+_SR_MIN_N = 24
+_T_NODES_PER_OBS = 1
+# Nodes per spectral block, and T's re-anchoring interval (a multiple of it).
+_NODE_BLOCK = 8
+_ANCHOR = 16
 # The spectral rules leave out what is damped by exp(-_DECAY) ~ 1e-17.
 _DECAY = 39.0
 
@@ -290,6 +325,30 @@ def _pair_sums(y, m, rates, orders, need_s) -> list:
 # the spectral path
 
 
+def _node_block(n: int) -> int:
+    """Nodes per block for rows of n observations: ``_NODE_BLOCK``, or the
+    largest power of two that keeps one row's block within ``_PAIR_BUDGET``
+    elements.  It depends on n only and divides ``_ANCHOR``."""
+    fit = max(1, _PAIR_BUDGET // n)
+    return min(_NODE_BLOCK, 1 << (fit.bit_length() - 1))
+
+
+def _row_blocks(c: int, n: int):
+    """The node block of ``_node_block(n)``, the most rows per row block
+    (a block of nodes of every row in it holds at most ``_PAIR_BUDGET``
+    elements), and the row slices."""
+    block = _node_block(n)
+    rows = min(c, max(1, _PAIR_BUDGET // (block * n)))
+    return block, rows, [slice(r0, min(r0 + rows, c)) for r0 in range(0, c, rows)]
+
+
+def _padded(counts, n):
+    """Node counts rounded up to whole node blocks: the blocks are computed
+    whole, so the extra nodes cost nothing and only refine the rule."""
+    block = _node_block(n)
+    return np.ceil(counts / block) * block
+
+
 def _t_step(y, rates):
     """Trapezoid step of T on each sorted row: the integrand's frequencies
     lie within the row's span, so this step aliases only content that the
@@ -298,22 +357,33 @@ def _t_step(y, rates):
     return 2.0 * math.pi / (span + math.sqrt(4.0 * _DECAY * max(rates)))
 
 
-def _t_counts(y, rates):
-    """Trapezoid node count t = 0, h, 2h, ... of T on each row: nodes up to
+def _t_route(y, rates):
+    """T's trapezoid node count t = 0, h, 2h, ... on each row, and which
+    rows take the spectral path: from ``_T_MIN_N`` on, those with at most
+    ``_T_NODES_PER_OBS`` nodes per observation.  Nodes reach
     t_max = sqrt(_DECAY / a_min), past which every weight is below
-    exp(-_DECAY).  NaN for rows containing NaN."""
-    return np.ceil(math.sqrt(_DECAY / min(rates)) / _t_step(y, rates)) + 1.0
+    exp(-_DECAY).  Rows with NaN have no count and take the pair path."""
+    c, n = y.shape
+    if n < _T_MIN_N:
+        return None, np.zeros(c, dtype=bool)
+    counts = _padded(np.ceil(math.sqrt(_DECAY / min(rates)) / _t_step(y, rates)) + 1.0, n)
+    return counts, counts <= _T_NODES_PER_OBS * n
 
 
-def _sr_counts(y, orders):
-    """Gauss-Legendre node count of S and R on each row.  The integrands are
-    sums of exp(s t) with |s| <= c = 2 max|Y| (below the exp limit), times
-    sin^2(pi v t) for R; ceil(0.7 c' + 4 c'^(1/3) + 4) nodes with
-    c' = c + 2 pi max(v) bound the Gauss-Legendre error of exp(c' t) to
-    1e-17 of its integral."""
-    c = 2.0 * np.minimum(np.max(np.abs(y), axis=1), 0.5 * _EXP_LIMIT) \
-        + 2.0 * math.pi * max(orders, default=0)
-    return np.ceil(0.7 * c + 4.0 * np.cbrt(c) + 4.0)
+def _sr_route(y, orders, live):
+    """Gauss-Legendre node count of S and R on each row, and which of the
+    rows in ``live`` take the spectral path: all of them from
+    ``_SR_MIN_N`` on.  The integrands are sums of exp(s t) with
+    |s| <= c = 2 max|Y|, times sin^2(pi v t) for R; ceil(0.7 c' +
+    4 c'^(1/3) + 4) nodes with c' = c + 2 pi max(v) bound the Gauss-Legendre
+    error of exp(c' t) to 1e-17 of its integral.  Inside the exp range that
+    is at most 544 nodes."""
+    n = y.shape[1]
+    if n < _SR_MIN_N:
+        return None, np.zeros(len(y), dtype=bool)
+    c = 2.0 * np.max(np.abs(y), axis=1) + 2.0 * math.pi * max(orders, default=0)
+    counts = _padded(np.ceil(0.7 * c + 4.0 * np.cbrt(c) + 4.0), n)
+    return counts, live & np.isfinite(counts)
 
 
 @functools.lru_cache(maxsize=256)
@@ -337,112 +407,150 @@ def _legendre(count: int):
     return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
 
 
-def _node_sums(y, m, t, funcs) -> np.ndarray:
-    """Sums over j of f(t_k Y_j) and of m_j f(t_k Y_j) for each f in
-    ``funcs``, for every row and node of the (C, K) node table t: an array
-    of shape (2 len(funcs), C, K).  Nodes and rows are taken in blocks of at
-    most ``_PAIR_BUDGET`` elements (one node of n when n exceeds it), in
-    three scratch buffers allocated once per call."""
-    c, n = y.shape
-    nodes = t.shape[1]
-    per_block = max(1, min(nodes, _PAIR_BUDGET // n))
-    rows = max(1, _PAIR_BUDGET // (per_block * n))
-    scratch = np.empty((3, min(rows, c) * per_block * n))
-    out = np.empty((2 * len(funcs), c, nodes))
-    for r0 in range(0, c, rows):
-        r1 = min(r0 + rows, c)
-        yr, mr = y[r0:r1, None, :], m[r0:r1, None, :]
-        for lo in range(0, nodes, per_block):
-            hi = min(lo + per_block, nodes)
-            shape = (r1 - r0, hi - lo, n)
-            phase, value, weighted = scratch[:, :math.prod(shape)].reshape(3, *shape)
-            np.multiply(t[r0:r1, lo:hi, None], yr, out=phase)
-            for i, f in enumerate(funcs):
-                f(phase, out=value)
-                out[2 * i, r0:r1, lo:hi] = value.sum(axis=2)
-                np.multiply(value, mr, out=weighted)
-                out[2 * i + 1, r0:r1, lo:hi] = weighted.sum(axis=2)
-    return out
+@functools.lru_cache(maxsize=256)
+def _sr_rule(count: int, orders: tuple):
+    """Gauss-Legendre nodes of order ``count`` and a (1 + len(orders), count)
+    table of weights: S's, then w sin^2(pi v t) / (4 pi^2 v^2) for each R
+    order v.  Cached with the rule, so no call evaluates a sine."""
+    t, w = _legendre(count)
+    return t, np.stack([w] + [w * np.sin(math.pi * v * t) ** 2 / (4.0 * v * v * math.pi**2)
+                              for v in orders])
 
 
 def _node_total(terms):
-    """Sum over the node axis of a (C, K) array, strictly left to right.
-    Rows with fewer nodes than K are padded with zero terms; a pairwise
-    np.sum would group a row's terms by K, a running sum does not."""
-    return np.cumsum(terms, axis=1)[:, -1]
+    """Sum over the last (node) axis, strictly left to right.  Rows with
+    fewer nodes than the axis are padded with zero terms; a pairwise np.sum
+    would group a row's terms by the padded length, a running sum does not."""
+    return np.cumsum(terms, axis=-1)[..., -1]
 
 
-def _t_spectral(y, m, rates, counts) -> list:
-    """T pair sums of each rate from n int |g(t)|^2 exp(-a t^2) dt, where
-    n g(t) = G(t) = sum_j (it - m_j) exp(itY_j): the integrand is even, so
-    the trapezoid rule on t = 0, h, 2h, ... weights t = 0 by h and every
-    other node by 2h.  All rates share the cos and sin values."""
-    h = _t_step(y, rates)
-    k = np.arange(counts.max())
-    t = h[:, None] * k
-    weight = np.where(k < counts[:, None], 2.0 * h[:, None], 0.0)
-    weight[:, 0] = h
-    cos, m_cos, sin, m_sin = _node_sums(y, m, t, (np.cos, np.sin))
-    re = t * sin + m_cos
-    im = t * cos - m_sin
-    g2 = weight * (re * re + im * im)
-    return [math.sqrt(a / math.pi) * _node_total(g2 * np.exp(-a * t * t)) for a in rates]
+def _t_spectral(y, m, rates, counts) -> np.ndarray:
+    """T pair sums of each rate, (len(rates), C), from
+    n int |g(t)|^2 exp(-a t^2) dt, where n g(t) = G(t) =
+    sum_j (it - m_j) exp(itY_j): the integrand is even, so the trapezoid
+    rule on t = 0, h, 2h, ... weights t = 0 by h and every other node by 2h.
+    All rates share the node sums.
+
+    exp(i t_k Y_j) comes from a rotation: with z_j = exp(i h Y_j) and the
+    powers z^0 .. z^(B-1) of one node block, a block starting at node k0 is
+    exp(i k0 h Y) times the powers, and both of its sums over j are one
+    matrix product of the powers with (exp(i k0 h Y), m exp(i k0 h Y)).
+    exp(i k0 h Y) is evaluated directly every ``_ANCHOR`` nodes and rotated
+    by z^B in between, so no node is more than ``_ANCHOR`` complex products
+    from a direct value."""
+    c, n = y.shape
+    block, rows, slices = _row_blocks(c, n)
+    step = _t_step(y, rates)
+    a = np.array(rates)
+    scale = np.sqrt(a / math.pi)[:, None]
+    powers = np.empty((rows, block, n), dtype=complex)
+    rotation = np.empty((rows, n), dtype=complex)
+    anchor = np.empty((rows, 2, n), dtype=complex)
+    out = np.empty((len(a), c))
+    for sl in slices:
+        yr, mr, h = y[sl], m[sl], step[sl, None]
+        p, z, w = powers[:len(yr)], rotation[:len(yr)], anchor[:len(yr)]
+        np.exp(1j * (h * yr), out=z)
+        p[:, 0] = 1.0
+        for j in range(1, block):
+            np.multiply(p[:, j - 1], z, out=p[:, j])
+        z *= p[:, -1]                                 # z^B
+        k = np.arange(counts[sl].max())
+        sums = np.empty((len(yr), 2, k.size), dtype=complex)
+        for lo in range(0, k.size, block):
+            if lo == 0:
+                w[:, 0] = 1.0
+            elif lo % _ANCHOR:
+                w[:, 0] *= z
+            else:
+                np.exp(1j * ((h * lo) * yr), out=w[:, 0])
+            np.multiply(w[:, 0], mr, out=w[:, 1])
+            np.matmul(w, p.transpose(0, 2, 1), out=sums[:, :, lo:lo + block])
+        e, m_e = sums[:, 0], sums[:, 1]
+        t = h * k
+        re = t * e.imag + m_e.real
+        im = t * e.real - m_e.imag
+        weight = np.where(k < counts[sl, None], 2.0 * h, 0.0)
+        weight[:, 0] = h[:, 0]
+        g2 = weight * (re * re + im * im)
+        out[:, sl] = scale * _node_total(g2 * np.exp(np.multiply.outer(-a, t * t)))
+    return out
 
 
-def _sr_spectral(y, m, orders, need_s, counts) -> list:
-    """S and R pair sums from integrals over t in (-1, 1) by Gauss-Legendre:
-    S from (sum_j (t - m_j) exp(tY_j))^2 and R of order v from
-    sin^2(pi v t) / (4 pi^2 v^2) (sum_j exp(tY_j))^2, which equals R's pair
-    sum of (A_0(s)/2) / (4 v^2 pi^2 + s^2).  S and every order share one
-    exp(t_k Y_j) per node and row."""
-    c = len(y)
-    t = np.zeros((c, counts.max()))
-    weight = np.zeros_like(t)
-    for count in np.unique(counts):
-        rows = counts == count
-        t[rows, :count], weight[rows, :count] = _legendre(int(count))
-    e, m_e = _node_sums(y, m, t, (np.exp,))
-    sums = []
-    if need_s:
-        f = t * e - m_e
-        sums.append(_node_total(weight * f * f))
-    e2 = weight * e * e
-    for v in orders:
-        sums.append(_node_total(np.sin(math.pi * v * t) ** 2 * e2) / (4.0 * v * v * math.pi**2))
-    return sums
+def _sr_spectral(y, m, orders, need_s, counts) -> np.ndarray:
+    """S and R pair sums, (need_s + len(orders), C), from integrals over
+    t in (-1, 1) by Gauss-Legendre: S from (sum_j (t - m_j) exp(tY_j))^2 and
+    R of order v from sin^2(pi v t) / (4 pi^2 v^2) (sum_j exp(tY_j))^2,
+    which equals R's pair sum of (A_0(s)/2) / (4 v^2 pi^2 + s^2).  S and
+    every order share one exp(t_k Y_j) per node and row, and both sums over
+    j of a node block are one matrix product with (1, m)."""
+    c, n = y.shape
+    block, rows, slices = _row_blocks(c, n)
+    orders = tuple(orders)
+    sizes, which = np.unique(counts, return_inverse=True)
+    nodes = np.zeros((len(sizes), sizes[-1]))
+    weights = np.zeros((len(sizes), 1 + len(orders), sizes[-1]))
+    for i, size in enumerate(sizes):
+        nodes[i, :size], weights[i, :, :size] = _sr_rule(int(size), orders)
+    out = np.empty((need_s + len(orders), c))
+    values = np.empty((rows, block, n))
+    ones_m = np.empty((rows, 2, n))
+    ones_m[:, 0] = 1.0
+    for sl in slices:
+        width = counts[sl].max()
+        t, wt = nodes[which[sl], :width], weights[which[sl], :, :width]
+        v, w = values[:len(t)], ones_m[:len(t)]
+        w[:, 1] = m[sl]
+        sums = np.empty((len(t), 2, width))
+        for lo in range(0, width, block):
+            np.multiply(t[:, lo:lo + block, None], y[sl, None, :], out=v)
+            np.exp(v, out=v)
+            np.matmul(w, v.transpose(0, 2, 1), out=sums[:, :, lo:lo + block])
+        e, m_e = sums[:, 0], sums[:, 1]
+        terms = wt * (e * e)[:, None]
+        if need_s:
+            f = t * e - m_e
+            terms[:, 0] = wt[:, 0] * f * f
+        out[:, sl] = _node_total(terms[:, 1 - need_s:]).T
+    return out
 
 
-def _routed(y, m, fast, spectral, rates=(), orders=(), need_s=False) -> list:
-    """Pair sums of every row: ``spectral(fast)`` for the rows selected by
-    the mask ``fast``, the pair path for the others."""
-    out = np.empty((len(rates) + need_s + len(orders), len(y)))
-    if fast.any():
-        out[:, fast] = spectral(fast)
-    if not fast.all():
-        slow = ~fast
-        out[:, slow] = _pair_sums(y[slow], m[slow], rates, orders, need_s)
-    return list(out)
+def _routed(y, m, fast, slow, spectral, rates=(), orders=(), need_s=False) -> np.ndarray:
+    """Pair sums of every row: ``spectral(rows)`` for the rows selected by
+    the mask ``fast``, the pair path for those selected by ``slow``, +inf
+    for the rest.  A mask that selects every row is passed on as a slice,
+    so the rows are not copied."""
+    def pairs(rows):
+        return _pair_sums(y[rows], m[rows], rates, orders, need_s)
+
+    out = np.full((len(rates) + need_s + len(orders), len(y)), np.inf)
+    for mask, evaluate in ((fast, spectral), (slow, pairs)):
+        if mask.all():
+            out[:] = evaluate(slice(None))
+        elif mask.any():
+            out[:, mask] = evaluate(mask)
+    return out
 
 
-def _tsr_sums(y, m, rates, orders, need_s) -> list:
-    """The pair sums of ``_pair_sums``, by the spectral path for n at least
-    ``_SPECTRAL_MIN_N`` on the rows whose node count costs less than their
-    pairs: at most n/4 nodes for T, at most 2n for S and R.  Rows with NaN
-    have no node count and take the pair path."""
-    n = y.shape[1]
-    if n < _SPECTRAL_MIN_N:
-        return _pair_sums(y, m, rates, orders, need_s)
-    sums = []
+def _tsr_sums(y, m, rates, orders, need_s, overflow) -> list:
+    """The pair sums of ``_pair_sums``, each family on its own route (see
+    ``_t_route`` and ``_sr_route``).  S and R are not evaluated on the rows
+    in ``overflow``, whose sums are +inf.  When every row of every family
+    takes the pair path, the families share one pass over the pairs."""
+    routes = []
     if rates:
-        counts = _t_counts(y, rates)
-        sums += _routed(y, m, counts <= n // 4, lambda rows: _t_spectral(
-            y[rows], m[rows], rates, counts[rows].astype(int)), rates=rates)
+        t_counts, t_fast = _t_route(y, rates)
+        routes.append((t_fast, ~t_fast, lambda rows: _t_spectral(
+            y[rows], m[rows], rates, t_counts[rows].astype(int)), {"rates": rates}))
     if need_s or orders:
-        counts = _sr_counts(y, orders)
-        sums += _routed(y, m, counts <= 2 * n, lambda rows: _sr_spectral(
-            y[rows], m[rows], orders, need_s, counts[rows].astype(int)),
-            orders=orders, need_s=need_s)
-    return sums
+        sr_counts, sr_fast = _sr_route(y, orders, ~overflow)
+        routes.append((sr_fast, ~(sr_fast | overflow), lambda rows: _sr_spectral(
+            y[rows], m[rows], orders, need_s, sr_counts[rows].astype(int)),
+            {"orders": orders, "need_s": need_s}))
+    if all(slow.all() for _, slow, _, _ in routes):
+        return _pair_sums(y, m, rates, orders, need_s)
+    return [sums for fast, slow, spectral, family in routes
+            for sums in _routed(y, m, fast, slow, spectral, **family)]
 
 
 def _r_elementwise(y, v: int):
@@ -506,15 +614,15 @@ def compute_batch(y: np.ndarray, specs) -> np.ndarray:
     need_s = ("S", None) in specs
     values = {}
     if rates or orders or need_s:
+        overflow = 2.0 * np.max(np.abs(y), axis=1, initial=0.0) > _EXP_LIMIT
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            sums = iter(_tsr_sums(y, np.tanh(y / 2.0), rates, orders, need_s))
+            sums = iter(_tsr_sums(y, np.tanh(y / 2.0), rates, orders, need_s, overflow))
             values = {("T", a): math.sqrt(math.pi / a) / n * next(sums) for a in rates}
             if need_s:
                 values["S", None] = next(sums) / n
             for v in orders:
                 values["R", v] = (4.0 * v * v * math.pi**2 / n) * next(sums) \
                     - 4.0 * math.pi**2 * _r_elementwise(y, v) + n * _r_constant(v)
-        overflow = 2.0 * np.max(np.abs(y), axis=1, initial=0.0) > _EXP_LIMIT
         for (sid, _), value in values.items():
             if STATS[sid].family == "SR":
                 value[overflow] = np.inf

@@ -437,9 +437,12 @@ def simulate_statistics(specs: Sequence[StatSpec], n: int, cfg: McConfig,
     """Simulate every requested statistic over cfg.reps replications.
 
     Returns (values, fit_failures) where values has shape (len(specs), reps);
-    replications whose fit failed are NaN columns.  Raises McError when more
-    than 0.1% of replications are unusable.
+    replications whose fit failed are NaN columns.  Raises DomainError for
+    n < 2, before drawing anything, and McError when more than 0.1% of
+    replications are unusable.
     """
+    if n < 2:
+        raise DomainError(f"sample size must be at least 2 to fit location and scale, got {n}")
     alt = alternative if alternative is not None else AlternativeSpec.logistic()
     raw_specs = tuple(s.key() for s in specs)
     chunk = _chunk_reps(n)

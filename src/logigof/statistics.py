@@ -5,11 +5,12 @@ the limiting covariance kernel K(s, t), and the consistency discrepancy Delta.
 The primary statistic integrates, against a Gaussian weight exp(-a t^2), the
 squared modulus of an empirical transform that vanishes exactly at the
 logistic law.  ``t_stat_closed``, ``s_stat`` and ``r_stat`` evaluate the
-batch kernel on one sample: below ``_kernels._SPECTRAL_MIN_N`` observations
-it sums the pairwise closed forms (Gaussian and interval integrals evaluated
-analytically), from there on it integrates on fixed nodes (trapezoid for T,
-Gauss-Legendre for S and R), with the pairwise forms as its oracle in the
-tests.  ``t_stat_quadrature`` (adaptive Gauss-Hermite) and
+batch kernel on one sample.  Below a crossover of its own for each family
+(``_kernels._T_MIN_N`` observations for T, ``_kernels._SR_MIN_N`` for S and
+R) it sums the pairwise closed forms (Gaussian and interval integrals
+evaluated analytically); from there on it integrates on fixed nodes
+(trapezoid for T, Gauss-Legendre for S and R), with the pairwise forms as
+its oracle in the tests.  ``t_stat_quadrature`` (adaptive Gauss-Hermite) and
 ``s_stat_quadrature`` (adaptive quadrature) evaluate the defining integrals
 independently of the kernel and serve as oracles for both paths.
 
@@ -121,13 +122,14 @@ def gauss_weighted_integral(fun, a: float, rtol: float = 1e-10,
 def t_stat_closed(res: ScaledResiduals, w: WeightSpec = WeightSpec()) -> TestOutcome:
     """The characterisation statistic T_{n,a}, by the batch kernel.
 
-    Below the kernel's spectral crossover each (j, k) pair contributes the
-    analytically evaluated Gaussian-weight integral sqrt(pi/a) *
-    exp(-(Y_j-Y_k)^2/4a) * [(2a - (Y_j-Y_k)^2)/4a^2 + m_j m_k -
-    (Y_j-Y_k)(m_j-m_k)/2a] with m = tanh(Y/2), and the sum is divided by n;
-    from the crossover on, the defining integral is taken by the trapezoid
-    rule on fixed nodes.  Agrees with ``t_stat_quadrature`` to quadrature
-    accuracy.
+    Below ``_kernels._T_MIN_N`` observations, and for samples whose span
+    needs more trapezoid nodes than there are observations, each (j, k)
+    pair contributes the analytically evaluated Gaussian-weight integral
+    sqrt(pi/a) * exp(-(Y_j-Y_k)^2/4a) * [(2a - (Y_j-Y_k)^2)/4a^2 + m_j m_k -
+    (Y_j-Y_k)(m_j-m_k)/2a] with m = tanh(Y/2), and the sum is divided by n.
+    Otherwise the defining integral is taken by the trapezoid rule on fixed
+    nodes, with exp(itY) stepped from node to node by a rotation.  Agrees
+    with ``t_stat_quadrature`` to quadrature accuracy.
     """
     value = float(_evaluate(res, [("T", w.a)])[0])
     return TestOutcome(name="T", tuning=w.a, value=value, n=res.n)
@@ -348,9 +350,9 @@ def s_stat(res: ScaledResiduals) -> TestOutcome:
     """Finite-interval (moment generating function based) statistic: n times
     the integral over t in (-1, 1) of the squared empirical transform.
 
-    Below the kernel's spectral crossover it is the pairwise closed form,
-    with near-cancelling pairs (|Y_j + Y_k| < 0.1) evaluated by series; from
-    the crossover on, the integral is taken by Gauss-Legendre, whose
+    Below ``_kernels._SR_MIN_N`` observations it is the pairwise closed
+    form, with near-cancelling pairs (|Y_j + Y_k| < 0.1) evaluated by
+    series; from there on, the integral is taken by Gauss-Legendre, whose
     integrand is a square and does not cancel.
     """
     value = float(_evaluate(res, [("S", None)])[0])

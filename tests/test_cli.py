@@ -218,6 +218,13 @@ def test_calibrate_bad_alpha(capsys):
     capsys.readouterr()
 
 
+def test_calibrate_rejects_a_sample_size_of_one(capsys):
+    # A usage error (exit 2), not 5000 failed fits (exit 4).
+    assert main(["calibrate", "--stat", "T", "--n", "1", "--reps", "5000",
+                 "--workers", "1"]) == EXIT_USAGE
+    assert "at least 2" in capsys.readouterr().err
+
+
 def test_calibrate_rejects_fractional_sample_size(capsys):
     assert main(["calibrate", "--stat", "KS", "--n", "20.5", "--reps", "50",
                  "--workers", "1"]) == EXIT_USAGE

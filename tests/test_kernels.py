@@ -14,7 +14,7 @@ import pytest
 from scipy.special import expit
 
 from logigof import _kernels, montecarlo
-from logigof._kernels import _SPECTRAL_MIN_N, STATS, compute_batch
+from logigof._kernels import _SR_MIN_N, _T_MIN_N, STATS, compute_batch
 from logigof.estimation import Method
 from logigof.logistic_core import DomainError
 
@@ -23,6 +23,8 @@ SPECS = (("T", 3.0), ("T", 4.0), ("T", 5.0), ("S", None), ("R", 1), ("R", 2),
 RTOL = 1e-11
 EXP_LIMIT = 700.0
 EDF_EPS = 1e-15
+# The smallest n from which every kernel family takes the spectral path.
+_SPECTRAL_MIN_N = max(_T_MIN_N, _SR_MIN_N)
 
 
 def _interval_moment(s, r):
@@ -230,6 +232,27 @@ def test_memory_stays_bounded_for_large_batches():
     assert peak < 12 * y.nbytes + 32 * 8 * _PAIR_BUDGET
 
 
+@pytest.mark.parametrize("rows, n", [(4096, 20), (1024, 50)])
+def test_memory_on_engine_chunks(rows, n):
+    # The Monte Carlo engine's chunk shapes at n = 20 and 50, all eleven
+    # statistics.  The bound, 7 y.nbytes + 52 _PAIR_BUDGET bytes (5.44 and
+    # 3.72 MB), is just above what the pair path needs at n = 20 (5.4 MB);
+    # per-node temporaries of a whole chunk would exceed it at n = 50.
+    tracemalloc = pytest.importorskip("tracemalloc")
+    from logigof._kernels import _PAIR_BUDGET
+
+    y = _kernels.moment_residuals_batch(
+        np.random.default_rng([rows, n]).logistic(size=(rows, n)))
+    compute_batch(y, SPECS)                          # builds the cached rules
+    tracemalloc.start()
+    try:
+        compute_batch(y, SPECS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * y.nbytes + 52 * _PAIR_BUDGET
+
+
 def test_large_sample_matches_quadrature_oracles():
     from logigof.estimation import scaled_residuals
     from logigof.logistic_core import RngStream, sample
@@ -252,12 +275,12 @@ TSR = SPECS[:7]
 
 def _pair_path(y, specs=SPECS):
     """compute_batch with every row on the pair path."""
-    crossover = _kernels._SPECTRAL_MIN_N
-    _kernels._SPECTRAL_MIN_N = math.inf
+    crossovers = _kernels._T_MIN_N, _kernels._SR_MIN_N
+    _kernels._T_MIN_N = _kernels._SR_MIN_N = math.inf
     try:
         return compute_batch(y, specs)
     finally:
-        _kernels._SPECTRAL_MIN_N = crossover
+        _kernels._T_MIN_N, _kernels._SR_MIN_N = crossovers
 
 
 def _residual_rows(kind, rows, n, seed):
@@ -271,15 +294,17 @@ def _residual_rows(kind, rows, n, seed):
 def _spectral_rows(y):
     """Which rows of y the spectral path evaluates for T and for S and R."""
     y = np.sort(y, axis=1)
-    n = y.shape[1]
     rates = [a for sid, a in TSR if sid == "T"]
     orders = [v for sid, v in TSR if sid == "R"]
-    return (_kernels._t_counts(y, rates) <= n // 4,
-            _kernels._sr_counts(y, orders) <= 2 * n)
+    live = 2.0 * np.max(np.abs(y), axis=1) <= EXP_LIMIT
+    return _kernels._t_route(y, rates)[1], _kernels._sr_route(y, orders, live)[1]
 
 
+# Each family's crossover - 1 and crossover, n = 63 and 64 (both families
+# spectral), and one large n.
 @pytest.mark.parametrize("kind", ["logistic", "laplace", "t3", "cauchy"])
-@pytest.mark.parametrize("n", [_SPECTRAL_MIN_N - 1, _SPECTRAL_MIN_N, 2048])
+@pytest.mark.parametrize("n", sorted({_SR_MIN_N - 1, _SR_MIN_N, _T_MIN_N - 1, _T_MIN_N,
+                                      63, 64, 2048}))
 def test_spectral_path_matches_pair_path(kind, n):
     y = _residual_rows(kind, 4 if n < 2048 else 2, n, seed=61)
     got = compute_batch(y, SPECS)
@@ -287,10 +312,8 @@ def test_spectral_path_matches_pair_path(kind, n):
     if n < 2048:
         np.testing.assert_allclose(got, reference(y), rtol=RTOL, atol=0)
     t_rows, sr_rows = _spectral_rows(y)
-    if n >= _SPECTRAL_MIN_N:
-        assert sr_rows.all()
-    if n == 2048:
-        assert t_rows.all()
+    assert sr_rows.all() == (n >= _SR_MIN_N) and sr_rows.any() == (n >= _SR_MIN_N)
+    assert t_rows.all() == (n >= _T_MIN_N) and t_rows.any() == (n >= _T_MIN_N)
 
 
 def test_spectral_path_on_a_row_at_the_edge_of_the_exp_range():
@@ -311,6 +334,21 @@ def test_spectral_path_on_a_row_at_the_edge_of_the_exp_range():
         s_stat_quadrature(res).value, rel=RTOL)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_s_at_the_crossover_on_a_row_near_the_exp_limit(sign):
+    # 2 max|Y| = 698: the S pair term cancels by a factor ~s^2 here, the
+    # spectral integrand is a square and does not.
+    from logigof.estimation import ScaledResiduals, fit_moments
+    from logigof.statistics import s_stat_quadrature
+
+    y = _logistic_rows(1, _SR_MIN_N, seed=68)
+    y[0, 3] = sign * 349.0
+    assert _spectral_rows(y)[1].all()
+    got = compute_batch(y, [("S", None)])[0, 0]
+    res = ScaledResiduals(values=y[0], fit=fit_moments(np.array([-1.0, 1.0])))
+    assert got == pytest.approx(s_stat_quadrature(res).value, rel=1e-12)
+
+
 def test_spectral_path_nan_and_exp_range_rows():
     n = max(_SPECTRAL_MIN_N, 128)
     y = _logistic_rows(5, n, seed=63)
@@ -323,6 +361,71 @@ def test_spectral_path_nan_and_exp_range_rows():
     assert np.isfinite(np.delete(got[:, :4], sr, axis=0)).all()
     assert np.isnan(got[:, 4]).all()
     np.testing.assert_allclose(got[:, :4], _pair_path(y[:4]), rtol=RTOL, atol=0)
+
+
+@pytest.mark.parametrize("n", [_SR_MIN_N - 1, _SR_MIN_N, 128])
+def test_rows_past_the_exp_range_are_not_evaluated(monkeypatch, n):
+    # Their S and R are +inf whatever the sums; neither path sees them.
+    seen = []
+
+    def spy(fn):
+        def wrapped(y, *args):
+            seen.append(np.max(np.abs(y), axis=1))
+            return fn(y, *args)
+        return wrapped
+
+    monkeypatch.setattr(_kernels, "_pair_sums", spy(_kernels._pair_sums))
+    monkeypatch.setattr(_kernels, "_sr_spectral", spy(_kernels._sr_spectral))
+    y = _logistic_rows(4, n, seed=69)
+    y[1, 2] = 351.0
+    y[3, 0] = -1e6
+    got = compute_batch(y, TSR[3:])
+    assert np.isposinf(got[:, [1, 3]]).all()
+    np.testing.assert_allclose(got[:, [0, 2]], reference(y[[0, 2]], TSR[3:]), rtol=RTOL, atol=0)
+    assert seen and 2.0 * np.concatenate(seen).max() <= EXP_LIMIT
+
+
+def _widest_spectral_t_row(n, seed):
+    """A sorted residual row scaled to the widest span whose T node count
+    the cap still sends to the spectral path, and the same row 1% wider."""
+    rates = [a for sid, a in TSR if sid == "T"]
+    base = np.sort(_residual_rows("logistic", 1, n, seed), axis=1)
+    lo, hi = 1.0, 64.0
+    assert _kernels._t_route(base * lo, rates)[1].all()
+    assert not _kernels._t_route(base * hi, rates)[1].any()
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _kernels._t_route(base * mid, rates)[1].all() else (lo, mid)
+    return base * lo, base * (1.01 * lo)
+
+
+def test_rotation_on_the_widest_spectral_t_row_matches_quadrature():
+    # Every node of the row, up to the cap, is one rotation chain from a
+    # direct value: the row needs at least one re-anchoring.
+    from logigof.estimation import ScaledResiduals, fit_moments
+    from logigof.statistics import WeightSpec, t_stat_quadrature
+
+    rates = [a for sid, a in TSR if sid == "T"]
+    y, _ = _widest_spectral_t_row(_T_MIN_N, seed=70)
+    assert _kernels._t_route(y, rates)[0][0] > _kernels._ANCHOR
+    got = compute_batch(y, TSR[:3])[:, 0]
+    res = ScaledResiduals(values=y[0], fit=fit_moments(np.array([-1.0, 1.0])))
+    for value, a in zip(got, rates):
+        assert value == pytest.approx(t_stat_quadrature(res, WeightSpec(a)).value, rel=1e-11)
+
+
+@pytest.mark.parametrize("n", [_T_MIN_N, 200])
+def test_t_rows_past_the_node_cap_take_the_pair_path(n):
+    inside, outside = _widest_spectral_t_row(n, seed=71)
+    y = np.concatenate([inside, outside, _residual_rows("cauchy", 2, n, seed=72)])
+    t_rows, _ = _spectral_rows(y)
+    assert t_rows.tolist() == [True, False, True, True]
+    whole = compute_batch(y, SPECS)
+    # Only T against the pair path: the scaled rows reach |Y| ~ 190, where
+    # the S pair form cancels.
+    np.testing.assert_allclose(whole[:3], _pair_path(y, TSR[:3]), rtol=RTOL, atol=0)
+    for i in range(y.shape[0]):
+        np.testing.assert_array_equal(whole[:, i], compute_batch(y[i:i + 1], SPECS)[:, 0])
 
 
 def test_spectral_rows_are_independent_of_the_batch_and_of_order():

@@ -385,6 +385,19 @@ def test_systematic_failures_raise():
         simulate_statistics([StatSpec("KS")], 10, cfg, alternative=flat)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_simulation_rejects_samples_too_small_to_fit(monkeypatch, n):
+    # Both fits need two observations; the run stops before any draw.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(AlternativeSpec, "sample", no_draws)
+    for method in Method:
+        cfg = McConfig(reps=5000, seed=91, workers=1, method=method)
+        with pytest.raises(DomainError, match="at least 2"):
+            simulate_statistics([StatSpec("T", 3)], n, cfg)
+
+
 def test_ml_method_runs_in_engine():
     cfg = McConfig(reps=300, seed=95, workers=1, method=Method.MAX_LIKELIHOOD)
     values, failures = simulate_statistics([StatSpec("T", 3)], 20, cfg)
