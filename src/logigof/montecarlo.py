@@ -15,6 +15,20 @@ and before each replication the Philox is re-keyed to [s, r] with its
 counter and buffers reset, the state a fresh ``Philox(key=[s, r])`` has.
 Either way replication r sees exactly the stream of substream (s, r).
 
+Chunks run in worker processes when a call has more than one chunk and more
+than one worker.  The workers live in one pool per process.  It starts on
+the first parallel call, with ``min(workers, chunks)`` processes, and later
+calls reuse it; a call that needs another size replaces it, and a call whose
+map raises shuts it down.  A process forked from one that holds a pool
+starts its own.  Inside a ``multiprocessing`` child the pool is shut down
+after each call, as a kept pool would stop the child from exiting.  Each
+worker exits within about a second once its parent is gone, however the
+parent ended.  Workers take their copy of the code when the pool starts
+(on Linux they are forked), so code patched after that is not seen by them:
+tests that patch engine internals run with ``workers=1``.
+``concurrent.futures`` and ``multiprocessing`` are imported on the first
+parallel call.
+
 Only ``AlternativeSpec.pdf``, ``mean`` and ``std`` use scipy: they resolve
 the kind's ``scipy.stats`` law, importing scipy.stats on first call.  They
 serve ``statistics.delta_alternative``; sampling, calibration, power studies
@@ -23,13 +37,15 @@ and p-values never import scipy.
 
 from __future__ import annotations
 
+import atexit
 import csv
 import functools
 import io
 import math
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
+import threading
+import time
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -361,10 +377,8 @@ class McConfig:
         if self.reps < 1:
             raise DomainError("replication count must be at least 1")
         object.__setattr__(self, "seed", uint64_index(self.seed, "seed"))
-        if self.workers is not None and not (
-                isinstance(self.workers, int) and self.workers >= 0):
-            raise DomainError(
-                f"worker count must be a non-negative integer, got {self.workers!r}")
+        if self.workers is not None:
+            object.__setattr__(self, "workers", uint64_index(self.workers, "worker count"))
 
     def resolved_workers(self) -> int:
         return self.workers if self.workers else default_workers()
@@ -432,6 +446,77 @@ def _run_chunk(task: _ChunkTask) -> tuple[int, np.ndarray, int]:
     return task.rep_lo, _kernels.compute_batch(y, task.specs), failures
 
 
+class _Pool(NamedTuple):
+    pid: int
+    size: int
+    executor: object
+
+
+_pool: Optional[_Pool] = None
+_pool_lock = threading.Lock()
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Worker initializer: end this worker once its parent process is gone.
+
+    An idle worker blocks on its task queue, which a killed parent never
+    closes, so a daemon thread watches the parent pid instead.
+    """
+    def watch():
+        while os.getppid() == parent_pid:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _drop_pool() -> None:
+    """Forget the process's pool; shut it down if this process started it."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None and pool.pid == os.getpid():
+        pool.executor.shutdown(cancel_futures=True)
+
+
+# Let go of the pool before the interpreter tears its modules down: an
+# executor collected after that reports an error from its weakref callback.
+atexit.register(_drop_pool)
+
+
+def _map_chunks(tasks: list, size: int) -> list:
+    """``_run_chunk`` over tasks, in order, on ``size`` worker processes."""
+    global _pool
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    def start():
+        return ProcessPoolExecutor(size, initializer=_exit_with_parent,
+                                   initargs=(os.getpid(),))
+
+    if not _pool_lock.acquire(blocking=False):
+        # Another thread is mapping on the shared pool; this call gets its own.
+        with start() as executor:
+            return list(executor.map(_run_chunk, tasks))
+    try:
+        # A pool inherited through fork belongs to the parent: forget it.
+        if _pool is not None and (_pool.pid, _pool.size) != (os.getpid(), size):
+            _drop_pool()
+        if _pool is None:
+            _pool = _Pool(os.getpid(), size, start())
+        try:
+            results = list(_pool.executor.map(_run_chunk, tasks))
+        except BaseException:
+            _drop_pool()
+            raise
+        # A multiprocessing child joins its live children on exit, so a
+        # pool kept there would hang it.
+        if multiprocessing.parent_process() is not None:
+            _drop_pool()
+        return results
+    finally:
+        _pool_lock.release()
+
+
 def simulate_statistics(specs: Sequence[StatSpec], n: int, cfg: McConfig,
                         alternative: Optional[AlternativeSpec] = None) -> tuple[np.ndarray, int]:
     """Simulate every requested statistic over cfg.reps replications.
@@ -440,6 +525,14 @@ def simulate_statistics(specs: Sequence[StatSpec], n: int, cfg: McConfig,
     replications whose fit failed are NaN columns.  Raises DomainError for
     n < 2, before drawing anything, and McError when more than 0.1% of
     replications are unusable.
+
+    With more than one chunk and more than one worker, the chunks run on
+    the process's worker pool: it is started on the first such call with
+    ``min(workers, chunks)`` processes, kept for the life of the process
+    (never inside a ``multiprocessing`` child), reused by later calls of the
+    same size, and its workers exit when their parent goes.  They do not see
+    code patched after the pool started; ``workers=1`` runs every chunk in
+    this process.
     """
     if n < 2:
         raise DomainError(f"sample size must be at least 2 to fit location and scale, got {n}")
@@ -456,11 +549,7 @@ def simulate_statistics(specs: Sequence[StatSpec], n: int, cfg: McConfig,
     if workers <= 1 or len(tasks) == 1:
         results = map(_run_chunk, tasks)
     else:
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
-        try:
-            results = list(pool.map(_run_chunk, tasks))
-        finally:
-            pool.shutdown()
+        results = _map_chunks(tasks, min(workers, len(tasks)))
     for rep_lo, chunk_values, chunk_failures in results:
         values[:, rep_lo:rep_lo + chunk_values.shape[1]] = chunk_values
         failures += chunk_failures

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -290,6 +291,32 @@ out = {out}
     assert len(csv_lines) == 3
 
 
+POOL_CFG = """
+mode = power
+n = 30
+reps = 2048
+calibration-reps = 2048
+seed = 23
+alpha = 0.05
+statistic = T:3
+statistic = KS
+alternative = cauchy
+alternative = uniform
+"""
+
+
+def test_power_csv_is_the_same_for_any_worker_count_in_one_process(tmp_path, capsys):
+    # 2048 replications at n = 30 are two chunks, so each --workers 2 run
+    # maps them on the process's pool; the second one reuses it.
+    path = write(tmp_path, "pool.cfg", POOL_CFG)
+    outputs = []
+    for workers in ("2", "1", "2"):
+        assert main(["power", "--config", path, "--workers", workers]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].startswith("statistic,")
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_power_config_diagnostics(tmp_path, capsys):
     bad_key = write(tmp_path, "a.cfg", "mode = power\nbanana = 1\n")
     with pytest.raises(InputError, match=r"a\.cfg:2"):
@@ -348,16 +375,22 @@ def test_console_script_entrypoint_installed():
 
 
 # ---------------------------------------------------------------------------
-# import hygiene: scipy is loaded only by the oracles that need it
+# import hygiene: scipy is loaded only by the oracles that need it, and the
+# process-pool machinery only by a parallel Monte Carlo call
+
+
+def fresh_env():
+    """Environment for a new interpreter that imports this copy of logigof."""
+    src = os.path.dirname(os.path.dirname(logigof.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def run_fresh(code):
     """stdout of ``code`` run by a new interpreter that imports this copy of
     logigof."""
-    src = os.path.dirname(os.path.dirname(logigof.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path))
+                          text=True, env=fresh_env())
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -368,9 +401,12 @@ def test_cli_paths_import_no_scipy(tmp_path):
 import contextlib, io, json, sys
 import logigof
 import logigof.cli as c
-scipy_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+# scipy, and the process-pool machinery that only a parallel call needs
+unwanted = lambda: sorted(m for m in sys.modules
+                          if m.split(".")[0] in ("scipy", "multiprocessing")
+                          or m == "concurrent.futures.process")
 c.build_parser()
-seen = {{"import": scipy_modules()}}
+seen = {{"import": unwanted()}}
 runs = {{
     "fit": ["fit", "bundled:", "--log"],
     "test": ["test", "bundled:", "--log", "--reps", "50", "--workers", "1"],
@@ -381,7 +417,7 @@ runs = {{
 for name, args in runs.items():
     with contextlib.redirect_stdout(io.StringIO()):
         assert c.main(args) == 0, name
-    seen[name] = scipy_modules()
+    seen[name] = unwanted()
 print(json.dumps(seen))
 """
     seen = json.loads(run_fresh(code).strip().splitlines()[-1])
@@ -400,3 +436,37 @@ print(repr(float(t5.pdf(0.5))), repr(t5.mean()), repr(t5.std()))
     assert float(kernel) == statistics.covariance_kernel(0.5, 1.0)
     t5 = AlternativeSpec.parse("t(5)")
     assert [float(v) for v in law.split()] == [t5.pdf(0.5), t5.mean(), t5.std()]
+
+
+def running_in_session(sid: int) -> list:
+    """Pids of the processes of session ``sid`` that have not exited."""
+    pids = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+                state, _, _, session = fh.read().rsplit(")", 1)[1].split()[:4]
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if state != "Z" and int(session) == sid:
+            pids.append(int(pid))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_parallel_calibrate_exits_cleanly_and_leaves_no_process(tmp_path):
+    out = tmp_path / "cv.csv"
+    cmd = [sys.executable, "-m", "logigof.cli", "calibrate", "--stat", "T:3,KS",
+           "--n", "30", "--reps", "2048", "--workers", "2", "--out", str(out)]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=fresh_env(), start_new_session=True)
+    try:
+        _, stderr = proc.communicate(timeout=300)
+    finally:
+        proc.kill()
+        proc.wait()
+    left = running_in_session(proc.pid)
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert proc.returncode == 0 and stderr == ""
+    assert out.read_text().startswith("statistic,")
+    assert left == []

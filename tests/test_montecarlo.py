@@ -1,9 +1,20 @@
+import concurrent.futures
 import hashlib
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import process as futures_process
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import logigof
 from logigof import montecarlo
 from logigof.estimation import Method
 from logigof.logistic_core import DomainError, RngStream, sample_from_generator
@@ -330,9 +341,14 @@ def test_mc_config_rejects_fractional_seed_and_reps():
 def test_mc_config_rejects_negative_or_fractional_workers():
     with pytest.raises(DomainError, match="worker"):
         McConfig(reps=10, seed=1, workers=-3)
-    with pytest.raises(DomainError, match="worker"):
-        McConfig(reps=10, seed=1, workers=1.5)
+    for workers in (1.5, True, "2", 2**64):
+        with pytest.raises(DomainError, match="worker"):
+            McConfig(reps=10, seed=1, workers=workers)
     assert McConfig(reps=10, seed=1, workers=2).resolved_workers() == 2
+    assert McConfig(reps=10, seed=1, workers=0).resolved_workers() == \
+        montecarlo.default_workers()
+    cfg = McConfig(reps=10, seed=1, workers=np.int64(2))
+    assert cfg == McConfig(reps=10, seed=1, workers=2) and type(cfg.workers) is int
 
 
 def test_power_study_null_alternative_near_level():
@@ -465,3 +481,194 @@ def test_default_workers_count_the_cpus_this_process_may_use(monkeypatch):
     assert montecarlo.default_workers() == 3
     monkeypatch.delattr(montecarlo.os, "sched_getaffinity")
     assert montecarlo.default_workers() == 64
+
+
+# ---------------------------------------------------------------------------
+# the worker pool
+
+POOL_SPECS = [StatSpec("T", 3), StatSpec("KS")]
+POOL_N = 30                                        # 1024-replication chunks
+POOL_CFG = McConfig(reps=2048, seed=31, workers=2)  # two chunks
+
+
+@pytest.fixture
+def fresh_pool():
+    montecarlo._drop_pool()
+    yield
+    montecarlo._drop_pool()
+
+
+def count_pool_starts(monkeypatch) -> list:
+    """Record each process pool constructed, as perfbench/run.py counts them."""
+    starts = []
+    original = futures_process.ProcessPoolExecutor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        starts.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(futures_process.ProcessPoolExecutor, "__init__", counting_init)
+    return starts
+
+
+class StandInExecutor:
+    """Runs the chunks in this process and records the pools asked for; a
+    pool of more than a few workers fails the test before anything forks."""
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        assert max_workers <= 4, f"asked for a pool of {max_workers} workers"
+        self.max_workers = max_workers
+        self.shut_down = False
+        self.starts.append(self)
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shut_down = True
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+
+
+@pytest.fixture
+def stand_in_pools(fresh_pool, monkeypatch):
+    monkeypatch.setattr(StandInExecutor, "starts", [], raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandInExecutor)
+    return StandInExecutor.starts
+
+
+def test_successive_parallel_calls_share_one_pool(fresh_pool, monkeypatch):
+    starts = count_pool_starts(monkeypatch)
+    for label in ("logistic", "cauchy"):
+        alt = AlternativeSpec.parse(label)
+        serial, _ = simulate_statistics(POOL_SPECS, POOL_N, replace(POOL_CFG, workers=1), alt)
+        parallel, _ = simulate_statistics(POOL_SPECS, POOL_N, POOL_CFG, alt)
+        np.testing.assert_array_equal(parallel, serial)
+    assert len(starts) == 1
+
+
+def test_pool_size_is_capped_by_the_chunk_count(stand_in_pools):
+    values, _ = simulate_statistics(POOL_SPECS, POOL_N, replace(POOL_CFG, workers=10**6))
+    assert [pool.max_workers for pool in stand_in_pools] == [2]
+    serial, _ = simulate_statistics(POOL_SPECS, POOL_N, replace(POOL_CFG, workers=1))
+    np.testing.assert_array_equal(values, serial)
+
+
+def test_a_call_that_needs_another_size_replaces_the_pool(stand_in_pools):
+    three_chunks = replace(POOL_CFG, reps=3000, workers=3)
+    for cfg in (POOL_CFG, POOL_CFG, three_chunks, three_chunks, POOL_CFG):
+        simulate_statistics(POOL_SPECS, POOL_N, cfg)
+    assert [pool.max_workers for pool in stand_in_pools] == [2, 3, 2]
+    assert [pool.shut_down for pool in stand_in_pools] == [True, True, False]
+
+
+def test_a_call_made_while_another_thread_maps_gets_its_own_pool(stand_in_pools):
+    with montecarlo._pool_lock:  # as held by a call running in another thread
+        simulate_statistics(POOL_SPECS, POOL_N, POOL_CFG)
+    assert montecarlo._pool is None
+    assert [pool.shut_down for pool in stand_in_pools] == [True]
+
+
+class KernelRejectedSpec:
+    """A spec whose key the kernel rejects, so the error is raised in a worker."""
+
+    def key(self):
+        return ("T", -1.0)
+
+
+def test_a_failing_chunk_raises_and_the_next_call_starts_a_new_pool(fresh_pool, monkeypatch):
+    starts = count_pool_starts(monkeypatch)
+    with pytest.raises(DomainError, match="positive"):
+        simulate_statistics([KernelRejectedSpec()], POOL_N, POOL_CFG)
+    values, _ = simulate_statistics(POOL_SPECS, POOL_N, POOL_CFG)
+    serial, _ = simulate_statistics(POOL_SPECS, POOL_N, replace(POOL_CFG, workers=1))
+    np.testing.assert_array_equal(values, serial)
+    assert len(starts) == 2 and starts[0]._shutdown_thread
+
+
+def _simulate_in_child(queue):
+    queue.put(simulate_statistics(POOL_SPECS, POOL_N, POOL_CFG)[0])
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_a_multiprocessing_child_runs_a_parallel_call_and_exits(fresh_pool, start_method):
+    # This process holds a live pool when the child starts.
+    expected, _ = simulate_statistics(POOL_SPECS, POOL_N, POOL_CFG)
+    ctx = multiprocessing.get_context(start_method)
+    queue = ctx.Queue()
+    child = ctx.Process(target=_simulate_in_child, args=(queue,))
+    child.start()
+    try:
+        got = queue.get(timeout=120)
+        child.join(timeout=30)
+        assert not child.is_alive(), "the child did not exit"
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    np.testing.assert_array_equal(got, expected)
+
+
+def fresh_env():
+    """Environment for a new interpreter that imports this copy of logigof."""
+    src = os.path.dirname(os.path.dirname(logigof.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_a_process_that_holds_a_pool_exits_quietly():
+    # Kept alive from sys, the module outlives concurrent.futures when the
+    # interpreter tears its modules down, as it does under a test runner.
+    code = """
+import sys
+from logigof import montecarlo as mc
+sys.keep_alive = mc
+mc.simulate_statistics([mc.StatSpec("KS")], 30, mc.McConfig(reps=2048, seed=1, workers=2))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=fresh_env(), timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
+def _running(pid: int) -> bool:
+    """Whether pid names a process that has not exited; a zombie has."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_workers_exit_when_their_parent_is_killed():
+    code = """
+import multiprocessing, time
+from logigof.montecarlo import McConfig, StatSpec, simulate_statistics
+simulate_statistics([StatSpec("KS")], 30, McConfig(reps=2048, seed=1, workers=2))
+print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+time.sleep(600)
+"""
+    parent = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                              text=True, env=fresh_env())
+    watchdog = threading.Timer(120, parent.kill)
+    watchdog.start()
+    try:
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+    finally:
+        watchdog.cancel()
+        parent.kill()
+        parent.wait(timeout=30)
+        parent.stdout.close()
+    assert len(pids) == 2
+    deadline = time.monotonic() + 5.0
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    left = [pid for pid in pids if _running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert left == []
