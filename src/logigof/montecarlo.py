@@ -22,10 +22,12 @@ calls reuse it; a call that needs another size replaces it, and a call whose
 map raises shuts it down.  A process forked from one that holds a pool
 starts its own.  Inside a ``multiprocessing`` child the pool is shut down
 after each call, as a kept pool would stop the child from exiting.  Each
-worker exits within about a second once its parent is gone, however the
-parent ended.  Workers take their copy of the code when the pool starts
-(on Linux they are forked), so code patched after that is not seen by them:
-tests that patch engine internals run with ``workers=1``.
+worker exits within about a second once the process that started the pool
+is gone, however it ended.  Calls from several threads take turns on the
+one pool.  Workers are started by the default ``multiprocessing`` start
+method and take their copy of the code when the pool starts, so code patched
+after that is not seen by them: tests that patch engine internals run with
+``workers=1``.
 ``concurrent.futures`` and ``multiprocessing`` are imported on the first
 parallel call.
 
@@ -456,14 +458,32 @@ _pool: Optional[_Pool] = None
 _pool_lock = threading.Lock()
 
 
-def _exit_with_parent(parent_pid: int) -> None:
-    """Worker initializer: end this worker once its parent process is gone.
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        pass
+    return True
 
-    An idle worker blocks on its task queue, which a killed parent never
-    closes, so a daemon thread watches the parent pid instead.
+
+def _exit_with_parent(owner: int) -> None:
+    """Worker initializer: end this worker once ``owner``, the process that
+    started the pool, is gone.
+
+    An idle worker blocks on its task queue, which a killed owner never
+    closes, so a daemon thread watches for the owner's end instead.  Under
+    fork and spawn the owner is the worker's parent, and the worker is
+    re-parented when the owner dies.  Under forkserver the parent is the
+    fork server, which stays up as long as any worker holds its pipe, so the
+    worker also polls the owner's pid, which is gone once the owner has been
+    reaped.
     """
+    parent = os.getppid()
+
     def watch():
-        while os.getppid() == parent_pid:
+        while os.getppid() == parent and _alive(owner):
             time.sleep(1.0)
         os._exit(1)
 
@@ -489,20 +509,14 @@ def _map_chunks(tasks: list, size: int) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    def start():
-        return ProcessPoolExecutor(size, initializer=_exit_with_parent,
-                                   initargs=(os.getpid(),))
-
-    if not _pool_lock.acquire(blocking=False):
-        # Another thread is mapping on the shared pool; this call gets its own.
-        with start() as executor:
-            return list(executor.map(_run_chunk, tasks))
-    try:
+    with _pool_lock:
         # A pool inherited through fork belongs to the parent: forget it.
         if _pool is not None and (_pool.pid, _pool.size) != (os.getpid(), size):
             _drop_pool()
         if _pool is None:
-            _pool = _Pool(os.getpid(), size, start())
+            _pool = _Pool(os.getpid(), size,
+                          ProcessPoolExecutor(size, initializer=_exit_with_parent,
+                                              initargs=(os.getpid(),)))
         try:
             results = list(_pool.executor.map(_run_chunk, tasks))
         except BaseException:
@@ -513,8 +527,6 @@ def _map_chunks(tasks: list, size: int) -> list:
         if multiprocessing.parent_process() is not None:
             _drop_pool()
         return results
-    finally:
-        _pool_lock.release()
 
 
 def simulate_statistics(specs: Sequence[StatSpec], n: int, cfg: McConfig,
@@ -530,7 +542,7 @@ def simulate_statistics(specs: Sequence[StatSpec], n: int, cfg: McConfig,
     the process's worker pool: it is started on the first such call with
     ``min(workers, chunks)`` processes, kept for the life of the process
     (never inside a ``multiprocessing`` child), reused by later calls of the
-    same size, and its workers exit when their parent goes.  They do not see
+    same size, and its workers exit when this process goes.  They do not see
     code patched after the pool started; ``workers=1`` runs every chunk in
     this process.
     """

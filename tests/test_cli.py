@@ -8,12 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-import logigof
 from logigof import statistics
 from logigof.cli import (EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, Dataset,
                          InputError, bundled_data_path, load_dataset, main,
                          parse_power_config)
 from logigof.montecarlo import AlternativeSpec
+from proc_helpers import fresh_env, live_processes
 
 
 def write(tmp_path, name, text):
@@ -379,13 +379,6 @@ def test_console_script_entrypoint_installed():
 # process-pool machinery only by a parallel Monte Carlo call
 
 
-def fresh_env():
-    """Environment for a new interpreter that imports this copy of logigof."""
-    src = os.path.dirname(os.path.dirname(logigof.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return dict(os.environ, PYTHONPATH=path)
-
-
 def run_fresh(code):
     """stdout of ``code`` run by a new interpreter that imports this copy of
     logigof."""
@@ -438,20 +431,6 @@ print(repr(float(t5.pdf(0.5))), repr(t5.mean()), repr(t5.std()))
     assert [float(v) for v in law.split()] == [t5.pdf(0.5), t5.mean(), t5.std()]
 
 
-def running_in_session(sid: int) -> list:
-    """Pids of the processes of session ``sid`` that have not exited."""
-    pids = []
-    for pid in filter(str.isdigit, os.listdir("/proc")):
-        try:
-            with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
-                state, _, _, session = fh.read().rsplit(")", 1)[1].split()[:4]
-        except (FileNotFoundError, ProcessLookupError):
-            continue
-        if state != "Z" and int(session) == sid:
-            pids.append(int(pid))
-    return pids
-
-
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
 def test_parallel_calibrate_exits_cleanly_and_leaves_no_process(tmp_path):
     out = tmp_path / "cv.csv"
@@ -464,7 +443,7 @@ def test_parallel_calibrate_exits_cleanly_and_leaves_no_process(tmp_path):
     finally:
         proc.kill()
         proc.wait()
-    left = running_in_session(proc.pid)
+    left = [pid for pid, sid in live_processes().items() if sid == proc.pid]
     for pid in left:
         os.kill(pid, signal.SIGKILL)
     assert proc.returncode == 0 and stderr == ""

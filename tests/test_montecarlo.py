@@ -14,7 +14,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import logigof
 from logigof import montecarlo
 from logigof.estimation import Method
 from logigof.logistic_core import DomainError, RngStream, sample_from_generator
@@ -22,6 +21,7 @@ from logigof.montecarlo import (AlternativeSpec, McConfig, McError, StatSpec,
                                 calibrate, local_power_curve,
                                 power_study, pvalue_simulated, rows_to_csv,
                                 rows_to_text, simulate_statistics)
+from proc_helpers import fresh_env, live_processes
 
 ALL_SPECS = [StatSpec("T", 3), StatSpec("T", 4), StatSpec("T", 5),
              StatSpec("S"), StatSpec("R", 1), StatSpec("R", 2), StatSpec("R", 3),
@@ -566,13 +566,6 @@ def test_a_call_that_needs_another_size_replaces_the_pool(stand_in_pools):
     assert [pool.shut_down for pool in stand_in_pools] == [True, True, False]
 
 
-def test_a_call_made_while_another_thread_maps_gets_its_own_pool(stand_in_pools):
-    with montecarlo._pool_lock:  # as held by a call running in another thread
-        simulate_statistics(POOL_SPECS, POOL_N, POOL_CFG)
-    assert montecarlo._pool is None
-    assert [pool.shut_down for pool in stand_in_pools] == [True]
-
-
 class KernelRejectedSpec:
     """A spec whose key the kernel rejects, so the error is raised in a worker."""
 
@@ -614,13 +607,6 @@ def test_a_multiprocessing_child_runs_a_parallel_call_and_exits(fresh_pool, star
     np.testing.assert_array_equal(got, expected)
 
 
-def fresh_env():
-    """Environment for a new interpreter that imports this copy of logigof."""
-    src = os.path.dirname(os.path.dirname(logigof.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return dict(os.environ, PYTHONPATH=path)
-
-
 def test_a_process_that_holds_a_pool_exits_quietly():
     # Kept alive from sys, the module outlives concurrent.futures when the
     # interpreter tears its modules down, as it does under a test runner.
@@ -635,40 +621,44 @@ mc.simulate_statistics([mc.StatSpec("KS")], 30, mc.McConfig(reps=2048, seed=1, w
     assert proc.returncode == 0 and proc.stderr == ""
 
 
-def _running(pid: int) -> bool:
-    """Whether pid names a process that has not exited; a zombie has."""
-    try:
-        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
-
-
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
-def test_workers_exit_when_their_parent_is_killed():
-    code = """
+@pytest.mark.parametrize("start_method", ["fork", "spawn", "forkserver"])
+def test_workers_return_serial_values_and_exit_when_their_parent_is_killed(start_method):
+    # Under forkserver the workers' parent is the fork server, which stays
+    # up while they hold its pipe; once they exit, it and the resource
+    # tracker follow, so the parent's whole session must empty.
+    code = f"""
 import multiprocessing, time
+import numpy as np
 from logigof.montecarlo import McConfig, StatSpec, simulate_statistics
-simulate_statistics([StatSpec("KS")], 30, McConfig(reps=2048, seed=1, workers=2))
-print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+multiprocessing.set_start_method({start_method!r})
+specs = [StatSpec("T", 3), StatSpec("KS")]
+parallel, _ = simulate_statistics(specs, 30, McConfig(reps=2048, seed=1, workers=2))
+serial, _ = simulate_statistics(specs, 30, McConfig(reps=2048, seed=1, workers=1))
+print(np.array_equal(parallel, serial), *(p.pid for p in multiprocessing.active_children()),
+      flush=True)
 time.sleep(600)
 """
     parent = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
-                              text=True, env=fresh_env())
+                              text=True, env=fresh_env(), start_new_session=True)
     watchdog = threading.Timer(120, parent.kill)
     watchdog.start()
     try:
-        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        equal, *pids = parent.stdout.readline().split() or ["no output"]
     finally:
         watchdog.cancel()
         parent.kill()
         parent.wait(timeout=30)
         parent.stdout.close()
-    assert len(pids) == 2
+    assert equal == "True" and len(pids) == 2
+
+    def left():
+        return [pid for pid, sid in live_processes().items() if sid == parent.pid]
+
     deadline = time.monotonic() + 5.0
-    while any(map(_running, pids)) and time.monotonic() < deadline:
+    while left() and time.monotonic() < deadline:
         time.sleep(0.1)
-    left = [pid for pid in pids if _running(pid)]
-    for pid in left:
+    stayed = left()
+    for pid in stayed:
         os.kill(pid, signal.SIGKILL)
-    assert left == []
+    assert stayed == []
