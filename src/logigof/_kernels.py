@@ -34,10 +34,15 @@ K nodes per row at O(n K) cost.  With m = tanh(Y/2):
   exp(i k h Y_j) comes from a rotation, not from a cos and a sin per node:
   z_j = exp(i h Y_j) is computed once per row, a block of B nodes starting
   at k0 is exp(i k0 h Y_j) times z_j^0 .. z_j^(B-1), and exp(i k0 h Y_j) is
-  evaluated directly every ``_ANCHOR`` = 16 nodes and multiplied by z^B in
-  between.  No value is more than 16 complex products from a direct one,
-  so the phase error stays within ~16 eps (Numerical Recipes, section 5.4,
-  on trigonometric recurrences).
+  evaluated directly every ``_ANCHOR`` = 32 nodes and multiplied by z^B in
+  between.  No value is more than 32 complex products from a direct one,
+  so the phase error stays within ~32 eps (Numerical Recipes, section 5.4,
+  on trigonometric recurrences).  The interval is 32 and not shorter
+  because a direct complex exp costs 20-45 times a complex product, and
+  because the weight makes the longer chains harmless: on logistic rows at
+  n = 50 (24 nodes), exp(-a t^2) is below about e^-22 from node 16 on, and
+  on wider rows of 40 nodes (n = 48-128) T stays within 4e-15 of its
+  quadrature.
 - S = (1/n) int_{-1}^{1} (sum_j (t - m_j) exp(tY_j))^2 dt, by
   Gauss-Legendre.  The integrand is a square, so S has none of the pair
   form's cancellation at large |Y_j + Y_k|.
@@ -125,6 +130,9 @@ _SERIES_CUT = 0.1
 # Most pairs in one block, and the size of each pair scratch buffer.
 _PAIR_BUDGET = 1 << 14
 _EDF_EPS = 1e-15
+# Up to this |Y| the logistic CDF lies inside [_EDF_EPS, 1 - _EDF_EPS]; it
+# leaves it at |Y| ~ -log(_EDF_EPS) = 34.54.
+_EDF_SAFE = 34.5
 # Smallest n for which T, and S and R, take the spectral path, and T's
 # largest node count per observation; all three measured (see the module
 # docstring).
@@ -133,7 +141,7 @@ _SR_MIN_N = 24
 _T_NODES_PER_OBS = 1
 # Nodes per spectral block, and T's re-anchoring interval (a multiple of it).
 _NODE_BLOCK = 8
-_ANCHOR = 16
+_ANCHOR = 32
 # The spectral rules leave out what is damped by exp(-_DECAY) ~ 1e-17.
 _DECAY = 39.0
 
@@ -435,9 +443,12 @@ def _t_spectral(y, m, rates, counts) -> np.ndarray:
     powers z^0 .. z^(B-1) of one node block, a block starting at node k0 is
     exp(i k0 h Y) times the powers, and both of its sums over j are one
     matrix product of the powers with (exp(i k0 h Y), m exp(i k0 h Y)).
-    exp(i k0 h Y) is evaluated directly every ``_ANCHOR`` nodes and rotated
-    by z^B in between, so no node is more than ``_ANCHOR`` complex products
-    from a direct value."""
+    exp(i k0 h Y) is evaluated directly every ``_ANCHOR`` = 32 nodes and
+    rotated by z^B in between, so no node is more than 32 complex products
+    from a direct value, a phase error of ~32 eps.  On logistic rows at
+    n = 50 the weight is below about e^-22 from node 16 on, so the chains
+    past it change no value there, and a row of 24 nodes takes one complex
+    exp per observation instead of two."""
     c, n = y.shape
     block, rows, slices = _row_blocks(c, n)
     step = _t_step(y, rates)
@@ -553,15 +564,20 @@ def _tsr_sums(y, m, rates, orders, need_s, overflow) -> list:
             for sums in _routed(y, m, fast, slow, spectral, **family)]
 
 
-def _r_elementwise(y, v: int):
-    """Row sums of the single-observation part of R of order v."""
-    ch, sh = np.cosh(y), np.sinh(y)
+def _r_elementwise(y, orders) -> dict:
+    """Row sums of the single-observation part of R, keyed by each order v
+    in ``orders``: the sum over k = 1 .. v of one row sum per k.  One pass
+    takes k up to the largest order, and each order's total is added in the
+    order of k, so it is the same whatever the other orders."""
+    ch, ysh = np.cosh(y), 2.0 * y * np.sinh(y)
     y2 = y * y
     total = np.zeros(y.shape[0])
-    for k in range(1, v + 1):
+    totals = {}
+    for k in range(1, max(orders) + 1):
         q = y2 + (2 * k - 1) ** 2 * math.pi**2
-        total += np.sum((2 * k - 1) * (q * ch - 2.0 * y * sh) / (q * q), axis=1)
-    return total
+        total = total + np.sum((2 * k - 1) * (q * ch - ysh) / (q * q), axis=1)
+        totals[k] = total
+    return totals
 
 
 def _r_constant(v: int) -> float:
@@ -569,18 +585,19 @@ def _r_constant(v: int) -> float:
     return 2.0 * v * math.pi**2 / 3.0 + 2.0 * tail
 
 
-def edf_probabilities(y: np.ndarray):
-    """Logistic CDF of each residual clamped into [eps, 1 - eps], and the
-    number of values clamped per row."""
-    u = expit(y)
-    clamped = np.sum((u < _EDF_EPS) | (u > 1.0 - _EDF_EPS), axis=-1)
-    return np.clip(u, _EDF_EPS, 1.0 - _EDF_EPS), clamped
+def edf_clamped(y: np.ndarray) -> int:
+    """How many residuals of y have a logistic CDF that the EDF statistics
+    clamp into [eps, 1 - eps].  Only |y| > ``_EDF_SAFE`` can clamp, so only
+    those are mapped through expit."""
+    u = expit(y[np.abs(y) > _EDF_SAFE])
+    return int(np.count_nonzero((u < _EDF_EPS) | (u > 1.0 - _EDF_EPS)))
 
 
 def _edf_values(y) -> dict:
-    """KS, CM, AD and WA of every row, keyed by (stat_id, None)."""
+    """KS, CM, AD and WA of every row, keyed by (stat_id, None); the
+    logistic CDF of each residual is clamped into [eps, 1 - eps]."""
     n = y.shape[1]
-    u, _ = edf_probabilities(y)
+    u = np.clip(expit(y), _EDF_EPS, 1.0 - _EDF_EPS)
     j = np.arange(1, n + 1, dtype=float)
     d_plus = np.max(j / n - u, axis=1)
     d_minus = np.max(u - (j - 1.0) / n, axis=1)
@@ -620,9 +637,10 @@ def compute_batch(y: np.ndarray, specs) -> np.ndarray:
             values = {("T", a): math.sqrt(math.pi / a) / n * next(sums) for a in rates}
             if need_s:
                 values["S", None] = next(sums) / n
+            single = _r_elementwise(y, orders) if orders else {}
             for v in orders:
                 values["R", v] = (4.0 * v * v * math.pi**2 / n) * next(sums) \
-                    - 4.0 * math.pi**2 * _r_elementwise(y, v) + n * _r_constant(v)
+                    - 4.0 * math.pi**2 * single[v] + n * _r_constant(v)
         for (sid, _), value in values.items():
             if STATS[sid].family == "SR":
                 value[overflow] = np.inf

@@ -587,22 +587,17 @@ class CriticalValueTable:
         return self.entries[(spec.key(), alpha)]
 
 
-def _quantile_with_se(sorted_vals: np.ndarray, prob: float) -> tuple[float, float]:
-    m = sorted_vals.size
-    q = float(np.quantile(sorted_vals, prob))
-    half = math.sqrt(prob * (1.0 - prob) / m)
-    lo = float(np.quantile(sorted_vals, max(prob - half, 0.0)))
-    hi = float(np.quantile(sorted_vals, min(prob + half, 1.0)))
-    return q, (hi - lo) / 2.0
-
-
 def calibrate(specs: Sequence[StatSpec], n: int, alphas: Sequence[float],
               cfg: McConfig) -> CriticalValueTable:
     """Empirical (1 - alpha) null quantiles for several statistics at once.
 
     All statistics share one stream of standard-logistic samples, fitted by
     cfg.method; location and scale of the simulated law are irrelevant by
-    affine invariance.
+    affine invariance.  Each quantile's standard error is half the distance
+    between the empirical quantiles at p - h and p + h, clipped to [0, 1],
+    with p = 1 - alpha and h = sqrt(p (1 - p) / m) for the m valid values.
+    One ``np.quantile`` call per statistic takes all 3 len(alphas) levels;
+    each equals the value of a call at that level alone.
     """
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
@@ -612,12 +607,17 @@ def calibrate(specs: Sequence[StatSpec], n: int, alphas: Sequence[float],
     rows = []
     for i, spec in enumerate(specs):
         vals = values[i]
-        valid = np.sort(vals[~np.isnan(vals)])
+        valid = vals[~np.isnan(vals)]
         excluded = int(vals.size - valid.size)
+        probs = []
         for alpha in alphas:
-            q, se = _quantile_with_se(valid, 1.0 - alpha)
+            p = 1.0 - alpha
+            half = math.sqrt(p * (1.0 - p) / valid.size)
+            probs += [p, max(p - half, 0.0), min(p + half, 1.0)]
+        levels = np.quantile(valid, probs).reshape(len(alphas), 3)
+        for alpha, (q, lo, hi) in zip(alphas, levels.tolist()):
             entries[(spec.key(), alpha)] = q
-            rows.append(McRow(spec.stat_id, spec.tuning, n, alpha, q, se, excluded))
+            rows.append(McRow(spec.stat_id, spec.tuning, n, alpha, q, (hi - lo) / 2.0, excluded))
     return CriticalValueTable(n=n, method=cfg.method, entries=entries, rows=tuple(rows))
 
 

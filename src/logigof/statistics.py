@@ -146,7 +146,7 @@ def _evaluate(res: ScaledResiduals, specs) -> np.ndarray:
             f"residual magnitude {np.max(np.abs(res.values)):.3g} exceeds the "
             "exp-safe range of the statistic")
     if any(sid in _kernels.EDF_IDS for sid, _ in specs):
-        _, clamped = _kernels.edf_probabilities(res.values)
+        clamped = _kernels.edf_clamped(res.values)
         if clamped:
             warnings.warn(f"{clamped} probability value(s) clamped away from 0/1",
                           RuntimeWarning, stacklevel=3)

@@ -401,12 +401,13 @@ def _widest_spectral_t_row(n, seed):
 
 def test_rotation_on_the_widest_spectral_t_row_matches_quadrature():
     # Every node of the row, up to the cap, is one rotation chain from a
-    # direct value: the row needs at least one re-anchoring.
+    # direct value: the row needs at least one re-anchoring.  At n = 48 the
+    # widest spectral row has 48 nodes, past _ANCHOR = 32.
     from logigof.estimation import ScaledResiduals, fit_moments
     from logigof.statistics import WeightSpec, t_stat_quadrature
 
     rates = [a for sid, a in TSR if sid == "T"]
-    y, _ = _widest_spectral_t_row(_T_MIN_N, seed=70)
+    y, _ = _widest_spectral_t_row(48, seed=70)
     assert _kernels._t_route(y, rates)[0][0] > _kernels._ANCHOR
     got = compute_batch(y, TSR[:3])[:, 0]
     res = ScaledResiduals(values=y[0], fit=fit_moments(np.array([-1.0, 1.0])))
@@ -426,6 +427,29 @@ def test_t_rows_past_the_node_cap_take_the_pair_path(n):
     np.testing.assert_allclose(whole[:3], _pair_path(y, TSR[:3]), rtol=RTOL, atol=0)
     for i in range(y.shape[0]):
         np.testing.assert_array_equal(whole[:, i], compute_batch(y[i:i + 1], SPECS)[:, 0])
+
+
+@pytest.mark.parametrize("n", [20, 50])
+def test_r_orders_are_independent_of_each_other(n):
+    # Each order's single-observation term is the same bit for bit whatever
+    # the other orders, and so is its whole value on the pair path (n = 20).
+    # On the spectral path (n = 50) the Gauss-Legendre node count grows with
+    # the call's largest order, so there the values agree to quadrature
+    # accuracy.
+    y = np.concatenate([_residual_rows("logistic", 48, n, seed=80),
+                        _residual_rows("cauchy", 16, n, seed=81)])
+    for specs in ([("R", 3), ("R", 1), ("R", 2)],
+                  [("T", 3.0), ("R", 3), ("S", None), ("R", 1), ("R", 2)]):
+        single = _kernels._r_elementwise(y, [v for sid, v in specs if sid == "R"])
+        for row, (sid, v) in zip(compute_batch(y, specs), specs):
+            if sid != "R":
+                continue
+            np.testing.assert_array_equal(single[v], _kernels._r_elementwise(y, [v])[v])
+            alone = compute_batch(y, [("R", v)])[0]
+            if n < _SR_MIN_N:
+                np.testing.assert_array_equal(row, alone)
+            else:
+                np.testing.assert_allclose(row, alone, rtol=RTOL, atol=0)
 
 
 def test_spectral_rows_are_independent_of_the_batch_and_of_order():

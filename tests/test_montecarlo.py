@@ -313,6 +313,33 @@ def test_calibrate_quantiles_and_rows():
     assert all(row.mc_std_error > 0 for row in table.rows)
 
 
+@pytest.mark.parametrize("reps", [7, 2048])
+def test_calibrate_quantiles_equal_one_call_per_level(monkeypatch, reps):
+    # Each critical value and SE equals three scalar np.quantile calls on the
+    # sorted valid values.  At reps = 7, 1 - alpha + h passes 1 and is clipped.
+    values = np.random.default_rng(reps).logistic(size=(2, reps))
+    values[1, ::3] = np.nan
+    monkeypatch.setattr(montecarlo, "simulate_statistics", lambda *args: (values, 0))
+    alphas = [0.01, 0.05, 0.1, 0.5]
+    table = calibrate([StatSpec("T", 3), StatSpec("KS")], 20, alphas,
+                      McConfig(reps=reps, seed=1, workers=1))
+    rows = iter(table.rows)
+    clipped = False
+    for vals in values:
+        valid = np.sort(vals[~np.isnan(vals)])
+        for alpha in alphas:
+            p = 1.0 - alpha
+            half = math.sqrt(p * (1.0 - p) / valid.size)
+            clipped |= p + half > 1.0
+            lo = float(np.quantile(valid, max(p - half, 0.0)))
+            hi = float(np.quantile(valid, min(p + half, 1.0)))
+            row = next(rows)
+            assert (row.key, row.excluded_reps) == (alpha, vals.size - valid.size)
+            assert row.value == float(np.quantile(valid, p))
+            assert row.mc_std_error == (hi - lo) / 2.0
+    assert clipped == (reps == 7)
+
+
 def test_calibrate_rejects_bad_alpha():
     cfg = McConfig(reps=100, seed=1, workers=1)
     with pytest.raises(DomainError):

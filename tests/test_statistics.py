@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -374,9 +375,13 @@ def test_ks_cm_match_library_implementations():
 
 
 def test_edf_warns_when_probabilities_clamp():
-    res = _raw(np.array([0.0, 0.5, -0.25, 800.0]))
-    with pytest.warns(RuntimeWarning):
+    # The logistic CDF leaves [1e-15, 1 - 1e-15] at |y| ~ 34.54 on either side.
+    res = _raw(np.array([0.0, 0.5, -0.25, 800.0, -34.54, 34.54]))
+    with pytest.warns(RuntimeWarning, match=r"^3 probability value\(s\) clamped"):
         edf_stats(res)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edf_stats(_raw(np.array([-34.5, -34.0, 0.0, 34.0, 34.5])))
 
 
 @given(residual_vectors)
