@@ -447,8 +447,8 @@ def _t_spectral(y, m, rates, counts) -> np.ndarray:
     rotated by z^B in between, so no node is more than 32 complex products
     from a direct value, a phase error of ~32 eps.  On logistic rows at
     n = 50 the weight is below about e^-22 from node 16 on, so the chains
-    past it change no value there, and a row of 24 nodes takes one complex
-    exp per observation instead of two."""
+    past it change no value there, and a row of at most 32 nodes takes no
+    complex exp besides the one that gives z."""
     c, n = y.shape
     block, rows, slices = _row_blocks(c, n)
     step = _t_step(y, rates)
