@@ -7,22 +7,19 @@ point, ``compute_batch(y, specs)``, evaluates every requested statistic for
 each row of a (C, n) residual batch; the single-sample functions of
 ``statistics`` call it with a batch of one.
 
-Pair path.  Below its family's crossover (``_T_MIN_N`` for T,
-``_SR_MIN_N`` for S and R) a statistic sums a term that is symmetric in
-(j, k) over all n^2 ordered pairs; each unordered pair is evaluated once.
-Pairing each j with (j + o) mod n for the offsets o = 1 .. (n-1)//2 meets
-every unordered pair exactly once; those offsets carry weight 2.  For even
-n the offset n/2 meets each pair twice and carries weight 1, and so does
-the diagonal, offset 0.  The shifted rows are windows into [y, y], so no
-pair index arrays are built.  T computes d^2 once for all its weight rates.
-S and R compute sinh and cosh of s = Y_j + Y_k from one expm1 and share
-them: R's sinh(s)/s is S's A_0(s)/2.  Where |s| < 0.1 the closed forms of
-the interval moments cancel, and only those pairs are re-evaluated by
-series.  The pair path is the oracle of the spectral path in the tests.
+Pair path.  Below ``_T_MIN_N``, and on rows past its node cap, T sums a
+term that is symmetric in (j, k) over all n^2 ordered pairs; each unordered
+pair is evaluated once.  Pairing each j with (j + o) mod n for the offsets
+o = 1 .. (n-1)//2 meets every unordered pair exactly once; those offsets
+carry weight 2.  For even n the offset n/2 meets each pair twice and
+carries weight 1, and so does the diagonal, offset 0.  The shifted rows are
+windows into [y, y], so no pair index arrays are built, and d^2 is computed
+once for all weight rates.  The pair path is the oracle of T's spectral
+path in the tests.
 
-Spectral path.  The pair sums are O(n^2); from its crossover on, a family
-evaluates its statistics instead from the integrals that define them, with
-K nodes per row at O(n K) cost.  With m = tanh(Y/2):
+Spectral path.  Pair sums are O(n^2); S and R at every n, and T from its
+crossover on, are evaluated instead from the integrals that define them,
+with K nodes per row at O(n K) cost.  With m = tanh(Y/2):
 
 - T = (1/n) int |G(t)|^2 exp(-a t^2) dt over the real line, with
   G(t) = sum_j (it - m_j) exp(itY_j).  The integrand is even and entire, so
@@ -44,15 +41,16 @@ K nodes per row at O(n K) cost.  With m = tanh(Y/2):
   on wider rows of 40 nodes (n = 48-128) T stays within 4e-15 of its
   quadrature.
 - S = (1/n) int_{-1}^{1} (sum_j (t - m_j) exp(tY_j))^2 dt, by
-  Gauss-Legendre.  The integrand is a square, so S has none of the pair
-  form's cancellation at large |Y_j + Y_k|.
+  Gauss-Legendre.  The integrand is a square, so S has none of the
+  cancellation that its pair form, A_2(s) - (m_j + m_k) A_1(s) +
+  m_j m_k A_0(s) with A_r(s) the integral of t^r exp(ts) over (-1, 1) and
+  s = Y_j + Y_k, suffers at large |s|.
 - R: its pair sum of (A_0(s)/2) / (4 v^2 pi^2 + s^2), s = Y_j + Y_k, equals
   int_{-1}^{1} sin^2(pi v t) / (4 pi^2 v^2) (sum_j exp(tY_j))^2 dt, because
   int_{-1}^{1} cos(2 pi v t) exp(ts) dt = A_0(s) s^2 / (s^2 + 4 pi^2 v^2).
   S and every order share the values exp(t_k Y_j), and the weights
   w sin^2(pi v t) / (4 pi^2 v^2) are cached with each Gauss-Legendre table.
-  R's single-observation and constant terms are the same as on the pair
-  path.
+  R's single-observation and constant terms are closed forms in each Y_j.
 
 Both sums over j of a node block, of f(t_k Y_j) and of m_j f(t_k Y_j), are
 one matrix product per row with the two rows (1, m) (for T, (exp(i k0 h Y),
@@ -63,30 +61,26 @@ first use and cached.  Node counts are rounded up to whole blocks of
 ``_NODE_BLOCK`` = 8 nodes and depend only on the row and on the tunings of
 the call.
 
-Routing.  Each family has its own crossover and node cap, measured on the
-engine's chunk shapes (4096 rows up to n = 25, 1024 up to 64) of logistic
-and Cauchy moment residuals, T at three rates and S with R of orders 1-3,
-on 2 vCPUs (median of 7 alternating rounds of the best of 5 calls):
-
-- T (24-30 nodes on these rows) ties with its pair sums at n = 20
-  (0.97-1.06 times their speed) and gains only 1.1-1.25 at n = 22-28, within
-  this host's noise; ``_T_MIN_N`` = 32 is the first n where it wins
-  clearly, 1.4-1.5 times (1.6 at 40, 2.0-2.2 at 50).  At n = 32 and 50 the
-  spectral T breaks even with the pair sums at about 1.2 n nodes (1.5-2 n
-  at n = 128-256), so a row takes it only while its node count is at most
-  ``_T_NODES_PER_OBS`` n = n; wider rows and rows with NaN take the pair
-  path.
-- S and R (40-49 nodes) are 1.4-1.5 times faster spectrally at
-  ``_SR_MIN_N`` = 24, 2-3 times from n = 32.  At n = 20 the gain is 1.3;
-  the paper's n = 20 keeps the pair path and its values bit for bit.  From
-  the crossover on, every row inside the exp range takes the spectral path
-  whatever its node count: the count is at most 544 there, and the wide
-  rows are those on which the pair form of S cancels.
+Routing.  T's crossover and node cap were measured on the engine's chunk
+shapes (4096 rows up to n = 25, 1024 up to 64) of logistic and Cauchy
+moment residuals at three rates, on 2 vCPUs (median of 7 alternating rounds
+of the best of 5 calls).  T (24-30 nodes on these rows) ties with its pair
+sums at n = 20 (0.97-1.06 times their speed) and gains only 1.1-1.25 at
+n = 22-28, within this host's noise; ``_T_MIN_N`` = 32 is the first n where
+it wins clearly, 1.4-1.5 times (1.6 at 40, 2.0-2.2 at 50).  At n = 32 and
+50 the spectral T breaks even with the pair sums at about 1.2 n nodes
+(1.5-2 n at n = 128-256), so a row takes it only while its node count is at
+most ``_T_NODES_PER_OBS`` n = n; wider rows take the pair path.  S and R
+(40-49 nodes on such rows) take the spectral path on every row inside the
+exp range, whatever its node count (at most 544 there): on 4096 rows at
+n = 20 it is 1.4 times faster than their pair sums on logistic rows and 1.3
+times on Cauchy rows, and it breaks even near n = 14 (0.76-0.82 times their
+speed at n = 10).  Rows with NaN take neither path.
 
 Memory.  Offsets are taken in blocks whose size depends on n only, and rows
 in groups, so that a block holds at most ``_PAIR_BUDGET`` pairs for any
 batch size C (one offset row of n pairs when n exceeds the budget).  The
-pair terms are computed in eight scratch buffers of one block each,
+pair terms are computed in six scratch buffers of one block each,
 allocated once per call, so that the heap does not grow and shrink with
 every block.  The spectral path takes rows in groups whose node block holds
 at most ``_PAIR_BUDGET`` elements (one row when n exceeds the budget), in
@@ -95,8 +89,8 @@ node sums.  Besides them the kernel keeps O(C n) arrays.
 
 Overflow.  S and R are +inf on rows with 2 max|Y| > ``_EXP_LIMIT``: their
 exponential terms leave double range, and the statistic then exceeds any
-calibrated threshold.  Neither path evaluates their sums on those rows.  T
-and the EDF statistics stay finite on them.  Rows containing NaN give NaN
+calibrated threshold.  Their sums are not evaluated on those rows.  T and
+the EDF statistics stay finite on them.  Rows containing NaN give NaN
 for every statistic.
 
 Determinism.  Rows are sorted first, so every statistic is exactly invariant
@@ -123,21 +117,15 @@ from .logistic_core import DomainError, expit
 
 # Largest 2 max|Y| for which S and R are finite; beyond it they are +inf.
 _EXP_LIMIT = 700.0
-# Below this |Y_j + Y_k| the interval moments switch to series evaluation;
-# the closed forms lose ~4e-16/s^3 to cancellation, so 0.1 keeps both
-# branches accurate to better than 1e-12 in the overlap band.
-_SERIES_CUT = 0.1
 # Most pairs in one block, and the size of each pair scratch buffer.
 _PAIR_BUDGET = 1 << 14
 _EDF_EPS = 1e-15
 # Up to this |Y| the logistic CDF lies inside [_EDF_EPS, 1 - _EDF_EPS]; it
 # leaves it at |Y| ~ -log(_EDF_EPS) = 34.54.
 _EDF_SAFE = 34.5
-# Smallest n for which T, and S and R, take the spectral path, and T's
-# largest node count per observation; all three measured (see the module
-# docstring).
+# Smallest n for which T takes the spectral path, and its largest node
+# count per observation; both measured (see the module docstring).
 _T_MIN_N = 32
-_SR_MIN_N = 24
 _T_NODES_PER_OBS = 1
 # Nodes per spectral block, and T's re-anchoring interval (a multiple of it).
 _NODE_BLOCK = 8
@@ -201,7 +189,7 @@ def moment_residuals_batch(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# pair terms
+# T's pair path
 
 
 def _t_sums(yj, mj, yk, mk, rates, scratch) -> list:
@@ -231,74 +219,12 @@ def _t_sums(yj, mj, yk, mk, rates, scratch) -> list:
     return sums
 
 
-def _sr_sums(yj, mj, yk, mk, orders, need_s, scratch) -> list:
-    """Per (row, offset) sums over j of the S pair term (when ``need_s``)
-    and of the R pair term of each order v.
-
-    With s = Y_j + Y_k and A_r(s) the integral of t^r exp(t s) over
-    t in (-1, 1), the S term is A_2(s) - (m_j + m_k) A_1(s) + m_j m_k A_0(s)
-    and the R term is (A_0(s)/2) / (4 v^2 pi^2 + s^2).  sinh and cosh of |s|
-    come from one expm1, which keeps sinh accurate as s nears 0; pairs with
-    |s| < 0.1, where the closed forms cancel, are overwritten by the power
-    series.  Shapes as in ``_t_sums``.
-    """
-    s, abs_s, em, e, inv_e, a0, a1, a2 = scratch[:8]
-    np.add(yj, yk, out=s)
-    np.abs(s, out=abs_s)
-    np.expm1(abs_s, out=em)
-    np.add(em, 1.0, out=e)
-    np.divide(1.0, e, out=inv_e)
-    np.multiply(em, inv_e, out=a0)
-    a0 += em
-    a0 /= abs_s                                   # 2 sinh(s) / s
-    moments = [a0]
-    if need_s:
-        inv_s = np.divide(1.0, s, out=em)
-        np.add(e, inv_e, out=a1)
-        a1 -= a0
-        a1 *= inv_s                               # (2 cosh(s) - A_0) / s
-        np.multiply(a1, inv_s, out=a2)
-        a2 *= -2.0
-        a2 += a0                                  # A_0 - 2 A_1 / s
-        moments += [a1, a2]
-    small = np.flatnonzero(abs_s < _SERIES_CUT)
-    if small.size:
-        ss = np.take(s, small)
-        s2 = ss * ss
-        series = (
-            2.0 * (1.0 + s2 * (1.0 / 6.0 + s2 * (
-                1.0 / 120.0 + s2 * (1.0 / 5040.0 + s2 / 362880.0)))),
-            2.0 * ss * (1.0 / 3.0 + s2 * (1.0 / 30.0 + s2 * (
-                1.0 / 840.0 + s2 / 45360.0))),
-            2.0 * (1.0 / 3.0 + s2 * (1.0 / 10.0 + s2 * (
-                1.0 / 168.0 + s2 / 6480.0))),
-        )
-        for moment, value in zip(moments, series):
-            np.put(moment, small, value)
-    sums = []
-    if need_s:
-        pair = np.add(mj, mk, out=inv_e)
-        pair *= a1
-        np.subtract(a2, pair, out=pair)
-        mm_a0 = np.multiply(mj, mk, out=e)
-        mm_a0 *= a0
-        pair += mm_a0
-        sums.append(pair.sum(axis=2))
-    ss = np.multiply(s, s, out=abs_s)
-    for v in orders:
-        den = np.add(ss, 4.0 * v * v * math.pi**2, out=s)
-        np.divide(a0, den, out=den)
-        sums.append(0.5 * den.sum(axis=2))
-    return sums
-
-
-def _pair_sums(y, m, rates, orders, need_s) -> list:
-    """Sums over all ordered pairs of each T, S and R pair term, per row.
+def _pair_sums(y, m, rates) -> np.ndarray:
+    """T pair sums of each rate over all ordered pairs, (len(rates), C).
 
     Offset o pairs j with (j + o) mod n; see the module docstring for the
-    weights.  Returns (C,) arrays: one per T rate, then S when ``need_s``,
-    then one per R order.  Every block works in the same preallocated
-    scratch buffers, so the heap does not grow and shrink once per block.
+    weights.  Every block works in the same preallocated scratch buffers, so
+    the heap does not grow and shrink once per block.
     """
     c, n = y.shape
     offsets = n // 2 + 1
@@ -310,23 +236,18 @@ def _pair_sums(y, m, rates, orders, need_s) -> list:
     rows = max(1, _PAIR_BUDGET // (per_block * n))
     y_win = sliding_window_view(np.concatenate([y, y], axis=1), n, axis=1)
     m_win = sliding_window_view(np.concatenate([m, m], axis=1), n, axis=1)
-    scratch = np.empty((8, min(rows, c) * per_block * n))
-    totals = np.zeros((len(rates) + need_s + len(orders), c))
+    scratch = np.empty((6, min(rows, c) * per_block * n))
+    totals = np.zeros((len(rates), c))
     for r0 in range(0, c, rows):
         r1 = min(r0 + rows, c)
         yj, mj = y[r0:r1, None, :], m[r0:r1, None, :]
         for lo in range(0, offsets, per_block):
             hi = min(lo + per_block, offsets)
             yk, mk = y_win[r0:r1, lo:hi], m_win[r0:r1, lo:hi]
-            block = scratch[:, :yk.size].reshape(8, *yk.shape)
-            sums = []
-            if rates:
-                sums += _t_sums(yj, mj, yk, mk, rates, block)
-            if need_s or orders:
-                sums += _sr_sums(yj, mj, yk, mk, orders, need_s, block)
-            for total, part in zip(totals, sums):
+            block = scratch[:, :yk.size].reshape(6, *yk.shape)
+            for total, part in zip(totals, _t_sums(yj, mj, yk, mk, rates, block)):
                 total[r0:r1] += (part * weights[lo:hi]).sum(axis=1)
-    return list(totals)
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +291,7 @@ def _t_route(y, rates):
     rows take the spectral path: from ``_T_MIN_N`` on, those with at most
     ``_T_NODES_PER_OBS`` nodes per observation.  Nodes reach
     t_max = sqrt(_DECAY / a_min), past which every weight is below
-    exp(-_DECAY).  Rows with NaN have no count and take the pair path."""
+    exp(-_DECAY).  Rows with NaN have no count and are not selected."""
     c, n = y.shape
     if n < _T_MIN_N:
         return None, np.zeros(c, dtype=bool)
@@ -378,20 +299,14 @@ def _t_route(y, rates):
     return counts, counts <= _T_NODES_PER_OBS * n
 
 
-def _sr_route(y, orders, live):
-    """Gauss-Legendre node count of S and R on each row, and which of the
-    rows in ``live`` take the spectral path: all of them from
-    ``_SR_MIN_N`` on.  The integrands are sums of exp(s t) with
-    |s| <= c = 2 max|Y|, times sin^2(pi v t) for R; ceil(0.7 c' +
-    4 c'^(1/3) + 4) nodes with c' = c + 2 pi max(v) bound the Gauss-Legendre
-    error of exp(c' t) to 1e-17 of its integral.  Inside the exp range that
-    is at most 544 nodes."""
-    n = y.shape[1]
-    if n < _SR_MIN_N:
-        return None, np.zeros(len(y), dtype=bool)
+def _sr_counts(y, orders):
+    """Gauss-Legendre node count of S and R on each row.  The integrands are
+    sums of exp(s t) with |s| <= c = 2 max|Y|, times sin^2(pi v t) for R;
+    ceil(0.7 c' + 4 c'^(1/3) + 4) nodes with c' = c + 2 pi max(v) bound the
+    Gauss-Legendre error of exp(c' t) to 1e-17 of its integral.  Inside the
+    exp range that is at most 544 nodes."""
     c = 2.0 * np.max(np.abs(y), axis=1) + 2.0 * math.pi * max(orders, default=0)
-    counts = _padded(np.ceil(0.7 * c + 4.0 * np.cbrt(c) + 4.0), n)
-    return counts, live & np.isfinite(counts)
+    return _padded(np.ceil(0.7 * c + 4.0 * np.cbrt(c) + 4.0), y.shape[1]).astype(int)
 
 
 @functools.lru_cache(maxsize=256)
@@ -526,16 +441,13 @@ def _sr_spectral(y, m, orders, need_s, counts) -> np.ndarray:
     return out
 
 
-def _routed(y, m, fast, slow, spectral, rates=(), orders=(), need_s=False) -> np.ndarray:
-    """Pair sums of every row: ``spectral(rows)`` for the rows selected by
-    the mask ``fast``, the pair path for those selected by ``slow``, +inf
-    for the rest.  A mask that selects every row is passed on as a slice,
-    so the rows are not copied."""
-    def pairs(rows):
-        return _pair_sums(y[rows], m[rows], rates, orders, need_s)
-
-    out = np.full((len(rates) + need_s + len(orders), len(y)), np.inf)
-    for mask, evaluate in ((fast, spectral), (slow, pairs)):
+def _routed(count, c, routes) -> np.ndarray:
+    """(count, C) sums: ``evaluate(rows)`` for the rows that ``mask``
+    selects, for each (mask, evaluate) of ``routes``, and NaN on every other
+    row.  A mask that selects every row is passed on as a slice, so the rows
+    are not copied."""
+    out = np.full((count, c), np.nan)
+    for mask, evaluate in routes:
         if mask.all():
             out[:] = evaluate(slice(None))
         elif mask.any():
@@ -543,25 +455,24 @@ def _routed(y, m, fast, slow, spectral, rates=(), orders=(), need_s=False) -> np
     return out
 
 
-def _tsr_sums(y, m, rates, orders, need_s, overflow) -> list:
-    """The pair sums of ``_pair_sums``, each family on its own route (see
-    ``_t_route`` and ``_sr_route``).  S and R are not evaluated on the rows
-    in ``overflow``, whose sums are +inf.  When every row of every family
-    takes the pair path, the families share one pass over the pairs."""
-    routes = []
+def _tsr_sums(y, m, rates, orders, need_s, live, overflow) -> list:
+    """Pair sums of T for each rate, then of S when ``need_s``, then of R
+    for each order, each a (C,) array.  T takes the spectral path on the
+    rows ``_t_route`` selects and the pair path on the other rows in
+    ``live``; S and R take the spectral path on every row in ``live`` but
+    not in ``overflow``.  The sums of any other row are NaN."""
+    c = len(y)
+    sums = []
     if rates:
-        t_counts, t_fast = _t_route(y, rates)
-        routes.append((t_fast, ~t_fast, lambda rows: _t_spectral(
-            y[rows], m[rows], rates, t_counts[rows].astype(int)), {"rates": rates}))
+        counts, fast = _t_route(y, rates)
+        sums += list(_routed(len(rates), c, [
+            (fast, lambda rows: _t_spectral(y[rows], m[rows], rates, counts[rows].astype(int))),
+            (live & ~fast, lambda rows: _pair_sums(y[rows], m[rows], rates))]))
     if need_s or orders:
-        sr_counts, sr_fast = _sr_route(y, orders, ~overflow)
-        routes.append((sr_fast, ~(sr_fast | overflow), lambda rows: _sr_spectral(
-            y[rows], m[rows], orders, need_s, sr_counts[rows].astype(int)),
-            {"orders": orders, "need_s": need_s}))
-    if all(slow.all() for _, slow, _, _ in routes):
-        return _pair_sums(y, m, rates, orders, need_s)
-    return [sums for fast, slow, spectral, family in routes
-            for sums in _routed(y, m, fast, slow, spectral, **family)]
+        sums += list(_routed(need_s + len(orders), c, [
+            (live & ~overflow, lambda rows: _sr_spectral(
+                y[rows], m[rows], orders, need_s, _sr_counts(y[rows], orders)))]))
+    return sums
 
 
 def _r_elementwise(y, orders) -> dict:
@@ -631,9 +542,10 @@ def compute_batch(y: np.ndarray, specs) -> np.ndarray:
     need_s = ("S", None) in specs
     values = {}
     if rates or orders or need_s:
+        live = ~np.isnan(y).any(axis=1)
         overflow = 2.0 * np.max(np.abs(y), axis=1, initial=0.0) > _EXP_LIMIT
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            sums = iter(_tsr_sums(y, np.tanh(y / 2.0), rates, orders, need_s, overflow))
+            sums = iter(_tsr_sums(y, np.tanh(y / 2.0), rates, orders, need_s, live, overflow))
             values = {("T", a): math.sqrt(math.pi / a) / n * next(sums) for a in rates}
             if need_s:
                 values["S", None] = next(sums) / n

@@ -5,14 +5,15 @@ Monte Carlo layer.
 All functions accept scalars or array-likes and are overflow-safe: large
 standardized arguments underflow to zero rather than producing NaN or inf.
 
-Logistic draws are made without a numpy ``Generator``.  ``fill_logistic``
+Logistic draws are made without a numpy ``Generator``.  ``philox_words``
 runs Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1,
 2, 3", SC'11) in numpy, vectorised over (substream, counter block), so one
-call draws the rows of many substreams at once.  For key [seed, r] it gives
-exactly the words of ``np.random.Philox(key=[seed, r]).random_raw()``, and
-it maps them to uniforms and to logistic variates by the same operations,
-in the same order, as ``draw_logistic`` on that Philox's ``Generator``.
-Each row therefore equals, bit for bit, the per-substream stream.
+call computes the words of many substreams at once.  For key [seed, r] it
+gives exactly the words of ``np.random.Philox(key=[seed, r]).random_raw()``.
+``fill_logistic`` maps them to uniforms and to logistic variates by the
+same operations, in the same order, as ``draw_logistic`` on that Philox's
+``Generator``, and ``random_doubles`` as ``Generator.random`` does.  Each
+row therefore equals, bit for bit, the per-substream stream.
 """
 
 from __future__ import annotations
@@ -198,19 +199,25 @@ def philox_words(seed: int, first: int, rows: int, n: int) -> np.ndarray:
     return np.stack((c0, c1, c2, c3), axis=-1).reshape(rows, 4 * blocks)[:, :n]
 
 
-def fill_logistic(out: np.ndarray, stream: RngStream, mu: float = 0.0,
+def random_doubles(words: np.ndarray) -> np.ndarray:
+    """The doubles in [0, 1) that ``Generator.random`` makes of raw Philox
+    words: (w >> 11) 2^-53, one word each."""
+    return (words >> _SHIFT11).astype(np.float64) * 2.0**-53
+
+
+def fill_logistic(out: np.ndarray, words: np.ndarray, mu: float = 0.0,
                   sigma: float = 1.0) -> np.ndarray:
-    """Fill row i of the (k, n) array ``out`` with the n draws of L(mu, sigma)
-    that ``draw_logistic`` makes on the Generator of substream
-    ``stream.substream + i``, and return ``out``.
+    """Fill ``out`` with the draws of L(mu, sigma) that ``draw_logistic``
+    makes from the raw Philox words ``words`` of the same shape, one word
+    each, and return ``out``.  With the words of ``philox_words``, row i is
+    the draw on the Generator of that row's substream.
 
     The uniforms are ``integers(0, 2**53)``, which for this bound is the raw
     word shifted right by 11 bits, centred in their bins as in
     ``_uniform_open``.  Temporaries are a few arrays the size of ``out``;
     callers bound them by passing row blocks.
     """
-    rows, n = out.shape
-    u = (philox_words(stream.seed, stream.substream, rows, n) >> _SHIFT11).astype(np.float64)
+    u = (words >> _SHIFT11).astype(np.float64)
     u += 0.5
     u *= 2.0**-53
     np.log(u, out=out)
@@ -242,7 +249,8 @@ def sample(n: int, p: LogisticParams = STANDARD, *,
     """
     if n < 1:
         raise DomainError("sample size must be at least 1")
-    return fill_logistic(np.empty((1, n)), stream, p.mu, p.sigma)[0]
+    words = philox_words(stream.seed, stream.substream, 1, n)
+    return fill_logistic(np.empty((1, n)), words, p.mu, p.sigma)[0]
 
 
 def score(x, p: LogisticParams = STANDARD):

@@ -8,12 +8,14 @@ vectorized work; chunk boundaries depend only on the sample size, never on
 the worker count, and chunk results are concatenated in order.
 
 A chunk draws all its samples in one ``AlternativeSpec.sample(..., reps=k)``
-call.  Logistic samples come from ``logistic_core.fill_logistic``, which
-computes the Philox words of all substreams at once.  Every other kind keeps
-numpy's own transforms: one Philox and one Generator serve the whole chunk,
-and before each replication the Philox is re-keyed to [s, r] with its
-counter and buffers reset, the state a fresh ``Philox(key=[s, r])`` has.
-Either way replication r sees exactly the stream of substream (s, r).
+call.  Draws that take one Philox word each are computed from the words of
+all substreams at once (``logistic_core.philox_words``): logistic and
+uniform samples, and a mixture's picks and logistic base.  Every other draw
+keeps numpy's own transforms: one Philox and one Generator serve the whole
+chunk, and before each replication the Philox is set to the state that
+``Philox(key=[s, r])`` has at the draw's first word, fresh for the other
+kinds and past the picks and the base for a mixture's contaminant.  Either
+way replication r sees exactly the stream of substream (s, r).
 
 Chunks run in worker processes when a call has more than one chunk and more
 than one worker.  The workers live in one pool per process.  It starts on
@@ -57,7 +59,8 @@ import numpy as np
 from . import _kernels
 from .estimation import ConvergenceError, Method, fit_mle
 from .logistic_core import (DomainError, RngStream, draw_logistic,
-                            fill_logistic, uint64_index)
+                            fill_logistic, philox_words, random_doubles,
+                            uint64_index)
 from .logistic_core import pdf as logistic_pdf
 
 WORKERS_ENV_VAR = "LOGIGOF_WORKERS"
@@ -112,16 +115,27 @@ _KINDS = {
                        lambda st, s: st.lognorm(s)),
     "gamma": _Kind("", 1, None, "finite shape k > 0",
                    lambda gen, n, k: gen.gamma(k, 1.0, n), lambda st, k: st.gamma(k)),
-    "uniform": _Kind("u", 2, (-SQRT3, SQRT3), "finite lo < hi",
+    "uniform": _Kind("u", 2, (-SQRT3, SQRT3), "finite lo < hi with a finite hi - lo",
                      lambda gen, n, lo, hi: gen.uniform(lo, hi, n),
                      lambda st, lo, hi: st.uniform(lo, hi - lo),
-                     lambda lo, hi: lo < hi),
+                     lambda lo, hi: lo < hi and math.isfinite(hi - lo)),
     "beta": _Kind("b", 2, None, "finite shapes a, b > 0",
                   lambda gen, n, a, b: gen.beta(a, b, n), lambda st, a, b: st.beta(a, b)),
     "chisquare": _Kind("chisq chi2", 1, None, "finite df > 0",
                        lambda gen, n, df: gen.chisquare(df, n), lambda st, df: st.chi2(df)),
 }
 _NAMES = {alias: kind for kind, spec in _KINDS.items() for alias in (kind, *spec.aliases.split())}
+
+
+def _philox_state(seed: int, substream: int, counter: int = 0,
+                  buffer: Sequence[int] = (0, 0, 0, 0), buffer_pos: int = 4) -> dict:
+    """The state of ``Philox(key=[seed, substream])`` once it has made
+    ``counter`` blocks, the last one ``buffer``, and handed out
+    ``buffer_pos`` of its words; fresh by default.  Built from plain ints,
+    it is set about twice as fast as the arrays that ``state`` returns."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": [counter, 0, 0, 0], "key": [seed, substream]},
+            "buffer": buffer, "buffer_pos": buffer_pos, "has_uint32": 0, "uinteger": 0}
 
 
 @functools.lru_cache(maxsize=64)
@@ -221,12 +235,17 @@ class AlternativeSpec:
         """n iid draws, deterministic given the stream.
 
         With ``reps=k`` the result is a (k, n) block whose row i is exactly
-        ``sample(n, RngStream(stream.seed, stream.substream + i))``.  Pure
-        logistic draws (mixtures with p = 0 included) are computed for all
-        rows at once by ``fill_logistic``, in row blocks of at most
-        ``_kernels._PAIR_BUDGET`` Philox words.  Other kinds reuse one
-        Generator, re-keyed before each row to the fresh state of that
-        row's substream, and draw with numpy's own transforms.
+        ``sample(n, RngStream(stream.seed, stream.substream + i))``, which is
+        ``_draw`` on that substream's fresh Generator.  Mixtures with p = 0
+        are logistic and with p = 1 their contaminant.  Draws that take one
+        Philox word each are computed for all rows at once from
+        ``philox_words``, in row blocks of at most ``_kernels._PAIR_BUDGET``
+        words: logistic and uniform samples, and a mixture's picks (words
+        0 .. n-1) and logistic base (words n .. 2n-1).  The other kinds, and
+        a mixture's contaminant, are drawn with numpy's own transforms from
+        one Generator, set before each row to the state of that row's
+        Philox at the draw's first word: fresh, or at word 2n for the
+        contaminant.
         """
         if n < 1:
             raise DomainError("sample size must be at least 1")
@@ -239,23 +258,44 @@ class AlternativeSpec:
         spec = self
         if self.kind == "mixture" and self.p in (0.0, 1.0):
             spec = self.contaminant if self.p else AlternativeSpec.logistic()
+        words = {"logistic": n, "uniform": n, "mixture": 2 * n}.get(spec.kind)
+        gen = None if spec.kind in ("logistic", "uniform") else stream.generator()
+        step = max(1, _kernels._PAIR_BUDGET // (-(-words // 4) * 4)) if words else k
         x = np.empty((k, n))
-        if spec.kind == "logistic":
-            step = max(1, _kernels._PAIR_BUDGET // (-(-n // 4) * 4))
-            for lo in range(0, k, step):
-                fill_logistic(x[lo:lo + step], RngStream(stream.seed, stream.substream + lo),
-                              *spec.params)
-        else:
-            gen = stream.generator()
-            fresh = gen.bit_generator.state
-            for i in range(k):
-                if i:
-                    fresh["state"]["key"][1] = stream.substream + i
-                    gen.bit_generator.state = fresh
-                x[i] = spec._draw(gen, n)
+        for lo in range(0, k, step):
+            spec._fill(x[lo:lo + step], stream.seed, stream.substream + lo, gen)
         return x if reps is not None else x[0]
 
+    def _fill(self, out: np.ndarray, seed: int, first: int, gen) -> None:
+        """Fill row i of ``out`` from substream ``first + i`` of ``seed``;
+        ``gen`` makes the draws that do not come from ``philox_words``."""
+        rows, n = out.shape
+        if self.kind == "logistic":
+            fill_logistic(out, philox_words(seed, first, rows, n), *self.params)
+        elif self.kind == "uniform":
+            lo, hi = self.params
+            out[:] = lo + (hi - lo) * random_doubles(philox_words(seed, first, rows, n))
+        elif self.kind == "mixture":
+            # The picks and the base fill ceil(2n / 4) Philox blocks; the
+            # contaminant starts at word 2n, inside the last one when 2n is
+            # not a multiple of 4.
+            blocks = -(-n // 2)
+            words = philox_words(seed, first, rows, 4 * blocks)
+            fill_logistic(out, words[:, n:2 * n])
+            picks = random_doubles(words[:, :n]) < self.p
+            last = words[:, -4:].tolist()
+            for i in range(rows):
+                gen.bit_generator.state = _philox_state(seed, first + i, blocks, last[i],
+                                                        2 * n - 4 * (blocks - 1))
+                np.copyto(out[i], self.contaminant._draw(gen, n), where=picks[i])
+        else:
+            for i in range(rows):
+                gen.bit_generator.state = _philox_state(seed, first + i)
+                out[i] = self._draw(gen, n)
+
     def _draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        """n draws from ``gen``, one Generator call per part: the stream
+        that ``sample`` reproduces for every row."""
         if self.kind != "mixture":
             return _KINDS[self.kind].draw(gen, n, *self.params)
         pick = gen.random(n)

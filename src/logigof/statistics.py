@@ -5,14 +5,13 @@ the limiting covariance kernel K(s, t), and the consistency discrepancy Delta.
 The primary statistic integrates, against a Gaussian weight exp(-a t^2), the
 squared modulus of an empirical transform that vanishes exactly at the
 logistic law.  ``t_stat_closed``, ``s_stat`` and ``r_stat`` evaluate the
-batch kernel on one sample.  Below a crossover of its own for each family
-(``_kernels._T_MIN_N`` observations for T, ``_kernels._SR_MIN_N`` for S and
-R) it sums the pairwise closed forms (Gaussian and interval integrals
-evaluated analytically); from there on it integrates on fixed nodes
-(trapezoid for T, Gauss-Legendre for S and R), with the pairwise forms as
-its oracle in the tests.  ``t_stat_quadrature`` (adaptive Gauss-Hermite) and
+batch kernel on one sample.  It integrates S and R on fixed Gauss-Legendre
+nodes at every n.  T takes the trapezoid rule from ``_kernels._T_MIN_N``
+observations on and sums its pairwise closed form (Gaussian integrals
+evaluated analytically) below that, and the pairwise form is its oracle in
+the tests.  ``t_stat_quadrature`` (adaptive Gauss-Hermite) and
 ``s_stat_quadrature`` (adaptive quadrature) evaluate the defining integrals
-independently of the kernel and serve as oracles for both paths.
+independently of the kernel and serve as oracles for both.
 
 Only the adaptive-quadrature oracles use scipy: ``s_stat_quadrature``,
 ``moment_identities``, ``covariance_kernel`` and ``delta_alternative``
@@ -350,10 +349,8 @@ def s_stat(res: ScaledResiduals) -> TestOutcome:
     """Finite-interval (moment generating function based) statistic: n times
     the integral over t in (-1, 1) of the squared empirical transform.
 
-    Below ``_kernels._SR_MIN_N`` observations it is the pairwise closed
-    form, with near-cancelling pairs (|Y_j + Y_k| < 0.1) evaluated by
-    series; from there on, the integral is taken by Gauss-Legendre, whose
-    integrand is a square and does not cancel.
+    The integral is taken by Gauss-Legendre at every n.  Its integrand is
+    a square, so it does not cancel where the pairwise closed form does.
     """
     value = float(_evaluate(res, [("S", None)])[0])
     return TestOutcome(name="S", tuning=None, value=value, n=res.n)

@@ -340,7 +340,10 @@ def test_power_config_diagnostics(tmp_path, capsys):
     with pytest.raises(InputError, match="normal"):
         parse_power_config(bad_alt)
     assert main(["power", "--config", bad_alt]) == EXIT_USAGE
-    capsys.readouterr()
+    wide = write(tmp_path, "g.cfg", "n = 10\nreps = 50\nstatistic = KS\n"
+                                    "alternative = uniform(-1e308,1e308)\n")
+    assert main(["power", "--config", wide, "--workers", "1"]) == EXIT_USAGE
+    assert "uniform" in capsys.readouterr().err
 
 
 def test_power_config_parses_shipped_style(tmp_path):

@@ -14,7 +14,7 @@ import pytest
 from scipy.special import expit
 
 from logigof import _kernels, montecarlo
-from logigof._kernels import _SR_MIN_N, _T_MIN_N, STATS, compute_batch
+from logigof._kernels import _T_MIN_N, STATS, compute_batch
 from logigof.estimation import Method
 from logigof.logistic_core import DomainError
 
@@ -23,8 +23,6 @@ SPECS = (("T", 3.0), ("T", 4.0), ("T", 5.0), ("S", None), ("R", 1), ("R", 2),
 RTOL = 1e-11
 EXP_LIMIT = 700.0
 EDF_EPS = 1e-15
-# The smallest n from which every kernel family takes the spectral path.
-_SPECTRAL_MIN_N = max(_T_MIN_N, _SR_MIN_N)
 
 
 def _interval_moment(s, r):
@@ -93,6 +91,39 @@ def _reference_row(y, specs):
 def reference(y, specs=SPECS):
     """(len(specs), C) values of every row of y, as compute_batch returns."""
     return np.stack([_reference_row(row, specs) for row in y], axis=1)
+
+
+def r_stat_quadrature(y, v):
+    """R of order v for one residual row, with its pair sum taken by
+    adaptive quadrature: sum_jk (A_0(s)/2) / (4 v^2 pi^2 + s^2), s = Y_j + Y_k,
+    is the integral over t in (-1, 1) of sin^2(pi v t) / (4 pi^2 v^2) times
+    (sum_j exp(t Y_j))^2, since the integral of cos(2 pi v t) exp(ts) is
+    A_0(s) s^2 / (s^2 + 4 pi^2 v^2)."""
+    from scipy.integrate import quad
+
+    y = np.asarray(y, dtype=float)
+    n = y.size
+
+    def integrand(t):
+        return math.sin(math.pi * v * t) ** 2 * np.sum(np.exp(t * y)) ** 2
+
+    pair, _ = quad(integrand, -1.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=400)
+    elem = 0.0
+    for k in range(1, v + 1):
+        q = y * y + (2 * k - 1) ** 2 * math.pi**2
+        elem += np.sum((2 * k - 1) * (q * np.cosh(y) - 2 * y * np.sinh(y)) / q**2)
+    const = 2 * v * math.pi**2 / 3 + 2 * sum((v - k) / k**2 for k in range(1, v))
+    return pair / n - 4 * math.pi**2 * elem + n * const
+
+
+def s_quadrature(y):
+    """``statistics.s_stat_quadrature`` of one residual row."""
+    from logigof.estimation import ScaledResiduals, fit_moments
+    from logigof.statistics import s_stat_quadrature as quadrature
+
+    res = ScaledResiduals(values=np.asarray(y, dtype=float),
+                          fit=fit_moments(np.array([-1.0, 1.0])))
+    return quadrature(res).value
 
 
 def _logistic_rows(rows, n, seed):
@@ -236,8 +267,9 @@ def test_memory_stays_bounded_for_large_batches():
 def test_memory_on_engine_chunks(rows, n):
     # The Monte Carlo engine's chunk shapes at n = 20 and 50, all eleven
     # statistics.  The bound, 7 y.nbytes + 52 _PAIR_BUDGET bytes (5.44 and
-    # 3.72 MB), is just above what the pair path needs at n = 20 (5.4 MB);
-    # per-node temporaries of a whole chunk would exceed it at n = 50.
+    # 3.72 MB), is just above what T's pair path and the spectral S and R
+    # need at n = 20 (5.1 MB); per-node temporaries of a whole chunk would
+    # exceed it at n = 50.
     tracemalloc = pytest.importorskip("tracemalloc")
     from logigof._kernels import _PAIR_BUDGET
 
@@ -267,20 +299,20 @@ def test_large_sample_matches_quadrature_oracles():
 
 
 # ---------------------------------------------------------------------------
-# the spectral path against the pair path
+# the spectral path against the pair path and the quadrature oracles
 
 
 TSR = SPECS[:7]
 
 
-def _pair_path(y, specs=SPECS):
-    """compute_batch with every row on the pair path."""
-    crossovers = _kernels._T_MIN_N, _kernels._SR_MIN_N
-    _kernels._T_MIN_N = _kernels._SR_MIN_N = math.inf
+def _t_pair_path(y, specs=TSR[:3]):
+    """compute_batch with every T row on the pair path."""
+    crossover = _kernels._T_MIN_N
+    _kernels._T_MIN_N = math.inf
     try:
         return compute_batch(y, specs)
     finally:
-        _kernels._T_MIN_N, _kernels._SR_MIN_N = crossovers
+        _kernels._T_MIN_N = crossover
 
 
 def _residual_rows(kind, rows, n, seed):
@@ -291,66 +323,66 @@ def _residual_rows(kind, rows, n, seed):
     return _kernels.moment_residuals_batch(x)
 
 
-def _spectral_rows(y):
-    """Which rows of y the spectral path evaluates for T and for S and R."""
-    y = np.sort(y, axis=1)
-    rates = [a for sid, a in TSR if sid == "T"]
-    orders = [v for sid, v in TSR if sid == "R"]
-    live = 2.0 * np.max(np.abs(y), axis=1) <= EXP_LIMIT
-    return _kernels._t_route(y, rates)[1], _kernels._sr_route(y, orders, live)[1]
+def _t_spectral_rows(y):
+    """Which rows of y the spectral path evaluates for T."""
+    return _kernels._t_route(np.sort(y, axis=1), [a for sid, a in TSR if sid == "T"])[1]
 
 
-# Each family's crossover - 1 and crossover, n = 63 and 64 (both families
-# spectral), and one large n.
+def test_r_quadrature_oracle_matches_the_pair_reference():
+    y = np.concatenate([_residual_rows("logistic", 2, 9, seed=60),
+                        _residual_rows("cauchy", 2, 9, seed=60)])
+    for row in y:
+        want = _reference_row(row, [("R", v) for v in (1, 2, 3)])
+        got = [r_stat_quadrature(row, v) for v in (1, 2, 3)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+# T's crossover - 1 and crossover, n = 63 and 64, two n below them, and one
+# large n.  S and R take the spectral path at every n.
 @pytest.mark.parametrize("kind", ["logistic", "laplace", "t3", "cauchy"])
-@pytest.mark.parametrize("n", sorted({_SR_MIN_N - 1, _SR_MIN_N, _T_MIN_N - 1, _T_MIN_N,
-                                      63, 64, 2048}))
+@pytest.mark.parametrize("n", sorted({23, 24, _T_MIN_N - 1, _T_MIN_N, 63, 64, 2048}))
 def test_spectral_path_matches_pair_path(kind, n):
     y = _residual_rows(kind, 4 if n < 2048 else 2, n, seed=61)
     got = compute_batch(y, SPECS)
-    np.testing.assert_allclose(got, _pair_path(y), rtol=RTOL, atol=0)
+    np.testing.assert_allclose(got[:3], _t_pair_path(y), rtol=RTOL, atol=0)
     if n < 2048:
         np.testing.assert_allclose(got, reference(y), rtol=RTOL, atol=0)
-    t_rows, sr_rows = _spectral_rows(y)
-    assert sr_rows.all() == (n >= _SR_MIN_N) and sr_rows.any() == (n >= _SR_MIN_N)
+    else:
+        for i, row in enumerate(y):
+            assert got[3, i] == pytest.approx(s_quadrature(row), rel=RTOL)
+            for v in (1, 2, 3):
+                assert got[3 + v, i] == pytest.approx(r_stat_quadrature(row, v), rel=RTOL)
+    t_rows = _t_spectral_rows(y)
     assert t_rows.all() == (n >= _T_MIN_N) and t_rows.any() == (n >= _T_MIN_N)
 
 
 def test_spectral_path_on_a_row_at_the_edge_of_the_exp_range():
     # 2 max|Y| = 698.  The pair form of S cancels by a factor ~s^2 here
-    # (rel ~2e-11), so S is held to its quadrature oracle instead.
-    from logigof.estimation import ScaledResiduals, fit_moments
-    from logigof.statistics import s_stat_quadrature
-
+    # (rel ~2e-11), so S and R are held to their quadrature oracles.
     y = _logistic_rows(1, 2048, seed=62)
     y[0, 7] = 349.0
-    assert all(rows.all() for rows in _spectral_rows(y))
-    got = compute_batch(y, TSR)
-    want = _pair_path(y, TSR)
-    keep = [i for i, (sid, _) in enumerate(TSR) if sid != "S"]
-    np.testing.assert_allclose(got[keep], want[keep], rtol=RTOL, atol=0)
-    res = ScaledResiduals(values=y[0], fit=fit_moments(np.array([-1.0, 1.0])))
-    assert got[TSR.index(("S", None)), 0] == pytest.approx(
-        s_stat_quadrature(res).value, rel=RTOL)
+    assert _t_spectral_rows(y).all()
+    got = compute_batch(y, TSR)[:, 0]
+    np.testing.assert_allclose(got[:3], _t_pair_path(y)[:, 0], rtol=RTOL, atol=0)
+    assert got[3] == pytest.approx(s_quadrature(y[0]), rel=RTOL)
+    for v in (1, 2, 3):
+        assert got[3 + v] == pytest.approx(r_stat_quadrature(y[0], v), rel=RTOL)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_s_at_the_crossover_on_a_row_near_the_exp_limit(sign):
-    # 2 max|Y| = 698: the S pair term cancels by a factor ~s^2 here, the
-    # spectral integrand is a square and does not.
-    from logigof.estimation import ScaledResiduals, fit_moments
-    from logigof.statistics import s_stat_quadrature
-
-    y = _logistic_rows(1, _SR_MIN_N, seed=68)
+def test_s_and_r_on_a_row_near_the_exp_limit(sign):
+    # n = 20, 2 max|Y| = 698: the S pair term cancels by a factor ~s^2
+    # here, the spectral integrand is a square and does not.
+    y = _logistic_rows(1, 20, seed=68)
     y[0, 3] = sign * 349.0
-    assert _spectral_rows(y)[1].all()
-    got = compute_batch(y, [("S", None)])[0, 0]
-    res = ScaledResiduals(values=y[0], fit=fit_moments(np.array([-1.0, 1.0])))
-    assert got == pytest.approx(s_stat_quadrature(res).value, rel=1e-12)
+    got = compute_batch(y, TSR[3:])[:, 0]
+    assert got[0] == pytest.approx(s_quadrature(y[0]), rel=1e-12)
+    for v in (1, 2, 3):
+        assert got[v] == pytest.approx(r_stat_quadrature(y[0], v), rel=1e-12)
 
 
 def test_spectral_path_nan_and_exp_range_rows():
-    n = max(_SPECTRAL_MIN_N, 128)
+    n = max(_T_MIN_N, 128)
     y = _logistic_rows(5, n, seed=63)
     y[0, 2] = 351.0                                  # 2 max|Y| = 702
     y[2, 5] = -1e6                                   # T needs the pair path
@@ -360,29 +392,37 @@ def test_spectral_path_nan_and_exp_range_rows():
     assert np.isposinf(got[sr][:, [0, 2]]).all()
     assert np.isfinite(np.delete(got[:, :4], sr, axis=0)).all()
     assert np.isnan(got[:, 4]).all()
-    np.testing.assert_allclose(got[:, :4], _pair_path(y[:4]), rtol=RTOL, atol=0)
+    np.testing.assert_allclose(got[:3, :4], _t_pair_path(y[:4]), rtol=RTOL, atol=0)
+    np.testing.assert_allclose(got[:, :4], reference(y[:4]), rtol=RTOL, atol=0)
 
 
-@pytest.mark.parametrize("n", [_SR_MIN_N - 1, _SR_MIN_N, 128])
+@pytest.mark.parametrize("n", [23, 24, 128])
 def test_rows_past_the_exp_range_are_not_evaluated(monkeypatch, n):
-    # Their S and R are +inf whatever the sums; neither path sees them.
-    seen = []
+    # Their S and R are +inf whatever the sums, and every statistic of a row
+    # with NaN is NaN: no path sees those rows, T's pair path included.
+    seen = {}
 
-    def spy(fn):
+    def spy(name):
+        fn = getattr(_kernels, name)
+
         def wrapped(y, *args):
-            seen.append(np.max(np.abs(y), axis=1))
+            seen.setdefault(name, []).append(y.copy())
             return fn(y, *args)
-        return wrapped
+        monkeypatch.setattr(_kernels, name, wrapped)
 
-    monkeypatch.setattr(_kernels, "_pair_sums", spy(_kernels._pair_sums))
-    monkeypatch.setattr(_kernels, "_sr_spectral", spy(_kernels._sr_spectral))
-    y = _logistic_rows(4, n, seed=69)
+    for name in ("_pair_sums", "_t_spectral", "_sr_spectral"):
+        spy(name)
+    y = _logistic_rows(5, n, seed=69)
     y[1, 2] = 351.0
-    y[3, 0] = -1e6
-    got = compute_batch(y, TSR[3:])
-    assert np.isposinf(got[:, [1, 3]]).all()
-    np.testing.assert_allclose(got[:, [0, 2]], reference(y[[0, 2]], TSR[3:]), rtol=RTOL, atol=0)
-    assert seen and 2.0 * np.concatenate(seen).max() <= EXP_LIMIT
+    y[3, 0] = -1e6                                   # T takes the pair path
+    y[4, 1] = np.nan
+    got = compute_batch(y, SPECS)
+    assert np.isposinf(got[3:7, [1, 3]]).all()
+    assert np.isnan(got[:, 4]).all()
+    np.testing.assert_allclose(got[:, :4], reference(y[:4]), rtol=RTOL, atol=0)
+    assert "_pair_sums" in seen and "_sr_spectral" in seen
+    assert not any(np.isnan(rows).any() for calls in seen.values() for rows in calls)
+    assert 2.0 * np.abs(np.concatenate(seen["_sr_spectral"])).max() <= EXP_LIMIT
 
 
 def _widest_spectral_t_row(n, seed):
@@ -419,12 +459,9 @@ def test_rotation_on_the_widest_spectral_t_row_matches_quadrature():
 def test_t_rows_past_the_node_cap_take_the_pair_path(n):
     inside, outside = _widest_spectral_t_row(n, seed=71)
     y = np.concatenate([inside, outside, _residual_rows("cauchy", 2, n, seed=72)])
-    t_rows, _ = _spectral_rows(y)
-    assert t_rows.tolist() == [True, False, True, True]
+    assert _t_spectral_rows(y).tolist() == [True, False, True, True]
     whole = compute_batch(y, SPECS)
-    # Only T against the pair path: the scaled rows reach |Y| ~ 190, where
-    # the S pair form cancels.
-    np.testing.assert_allclose(whole[:3], _pair_path(y, TSR[:3]), rtol=RTOL, atol=0)
+    np.testing.assert_allclose(whole[:3], _t_pair_path(y), rtol=RTOL, atol=0)
     for i in range(y.shape[0]):
         np.testing.assert_array_equal(whole[:, i], compute_batch(y[i:i + 1], SPECS)[:, 0])
 
@@ -432,10 +469,8 @@ def test_t_rows_past_the_node_cap_take_the_pair_path(n):
 @pytest.mark.parametrize("n", [20, 50])
 def test_r_orders_are_independent_of_each_other(n):
     # Each order's single-observation term is the same bit for bit whatever
-    # the other orders, and so is its whole value on the pair path (n = 20).
-    # On the spectral path (n = 50) the Gauss-Legendre node count grows with
-    # the call's largest order, so there the values agree to quadrature
-    # accuracy.
+    # the other orders.  The Gauss-Legendre node count grows with the call's
+    # largest order, so the whole values agree to quadrature accuracy.
     y = np.concatenate([_residual_rows("logistic", 48, n, seed=80),
                         _residual_rows("cauchy", 16, n, seed=81)])
     for specs in ([("R", 3), ("R", 1), ("R", 2)],
@@ -445,11 +480,7 @@ def test_r_orders_are_independent_of_each_other(n):
             if sid != "R":
                 continue
             np.testing.assert_array_equal(single[v], _kernels._r_elementwise(y, [v])[v])
-            alone = compute_batch(y, [("R", v)])[0]
-            if n < _SR_MIN_N:
-                np.testing.assert_array_equal(row, alone)
-            else:
-                np.testing.assert_allclose(row, alone, rtol=RTOL, atol=0)
+            np.testing.assert_allclose(row, compute_batch(y, [("R", v)])[0], rtol=RTOL, atol=0)
 
 
 def test_spectral_rows_are_independent_of_the_batch_and_of_order():
@@ -458,8 +489,8 @@ def test_spectral_rows_are_independent_of_the_batch_and_of_order():
                         _residual_rows("cauchy", 3, n, seed=65),
                         np.full((1, n), np.nan),
                         _residual_rows("t3", 2, n, seed=66) * 4.0])
-    t_rows, sr_rows = _spectral_rows(y)
-    assert t_rows.any() and not t_rows.all() and sr_rows.any()
+    t_rows = _t_spectral_rows(y)
+    assert t_rows.any() and not t_rows.all()
     whole = compute_batch(y, SPECS)
     for i in range(y.shape[0]):
         np.testing.assert_array_equal(whole[:, i], compute_batch(y[i:i + 1], SPECS)[:, 0])

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from logigof.logistic_core import (STANDARD, DomainError, LogisticParams,
                                    RngStream, cdf, draw_logistic, expit,
                                    fill_logistic, fisher_info, pdf,
-                                   philox_words, quantile, sample, score)
+                                   philox_words, quantile, random_doubles,
+                                   sample, score)
 from logigof.montecarlo import AlternativeSpec
 from logigof.statistics import h_func, kappa
 
@@ -170,11 +171,21 @@ def test_philox_words_equal_numpy_philox(seed, first):
 def test_fill_logistic_equals_one_generator_per_substream(mu, sigma):
     for seed, first in ((20260815, 0), (7, NEAR_TOP)):
         for n in (1, 3, 21, 50):
-            got = fill_logistic(np.empty((8, n)), RngStream(seed, first), mu, sigma)
+            got = fill_logistic(np.empty((8, n)), philox_words(seed, first, 8, n), mu, sigma)
             for i in range(8):
                 gen = np.random.Generator(np.random.Philox(
                     key=np.array([seed, first + i], dtype=np.uint64)))
                 np.testing.assert_array_equal(got[i], draw_logistic(gen, n, mu, sigma))
+
+
+def test_random_doubles_equal_generator_random():
+    for seed, first in ((20260815, 0), (7, NEAR_TOP)):
+        for n in (1, 3, 21, 50):
+            got = random_doubles(philox_words(seed, first, 8, n))
+            for i in range(8):
+                gen = np.random.Generator(np.random.Philox(
+                    key=np.array([seed, first + i], dtype=np.uint64)))
+                np.testing.assert_array_equal(got[i], gen.random(n))
 
 
 def test_block_sampling_memory_is_bounded():

@@ -61,7 +61,8 @@ def test_alternative_parse_aliases_and_errors():
     # A kind takes no parameters (its defaults) or all of them, all finite.
     for bad in ("normal(5)", "cauchy(2,3)", "laplace(9)", "mixture(0.5,normal(3))",
                 "t(nan)", "gamma(inf)", "lognormal(nan)", "beta(nan,2)",
-                "chisquare(inf)", "logistic(0,nan)", "uniform(1)"):
+                "chisquare(inf)", "logistic(0,nan)", "uniform(1)",
+                "uniform(-1e308,1e308)", "mixture(0.5,uniform(-1e308,1e308))"):
         with pytest.raises(DomainError):
             AlternativeSpec.parse(bad)
     # The Python constructors follow the same rule as the text form.
@@ -142,16 +143,49 @@ def test_block_sample_equals_single_replication_draws(label):
 
 
 def test_block_sample_rejects_bad_replication_counts():
-    for spec in (AlternativeSpec.logistic(), AlternativeSpec.student_t(2)):
+    # A block may end at the last substream, 2^64 - 1, and no later; n = 5
+    # starts a mixture's contaminant inside a Philox block.
+    for spec in (AlternativeSpec.logistic(), AlternativeSpec.student_t(2),
+                 AlternativeSpec.uniform(-2.0, 5.0),
+                 AlternativeSpec.mixture(0.5, AlternativeSpec.cauchy())):
         for reps in (0, -1, 2.5, 3.0, "3"):
             with pytest.raises(DomainError, match="replication count"):
                 spec.sample(5, RngStream(1), reps=reps)
         last = RngStream(5, 2**64 - 3)
         np.testing.assert_array_equal(
-            spec.sample(4, last, reps=3)[2],
-            per_replication_sample(spec, 4, RngStream(5, 2**64 - 1)))
+            spec.sample(5, last, reps=3)[2],
+            per_replication_sample(spec, 5, RngStream(5, 2**64 - 1)))
         with pytest.raises(DomainError, match="substream"):
-            spec.sample(4, last, reps=4)
+            spec.sample(5, last, reps=4)
+
+
+WORD_SAMPLED = ["uniform", "uniform(-2,5)",
+                *(f"mixture({p},{c})" for p in (0.2, 0.5, 0.8)
+                  for c in ("cauchy", "t(2)", "normal", "uniform"))]
+
+
+@pytest.mark.parametrize("label", WORD_SAMPLED)
+def test_rows_drawn_from_philox_words_equal_per_row_draws(label):
+    # Uniform samples, and a mixture's picks and base, come from the Philox
+    # words of the whole block; a mixture's contaminant comes from a
+    # Generator set to word 2n, inside a Philox block when n is odd.  The
+    # block sizes span several row blocks at n = 20 and 50.
+    spec = AlternativeSpec.parse(label)
+    for n, k in ((20, 900), (21, 40), (22, 40), (23, 40), (50, 400)):
+        block = spec.sample(n, RngStream(20260815, 4096), reps=k)
+        for i, row in enumerate(block):
+            np.testing.assert_array_equal(
+                row, spec._draw(RngStream(20260815, 4096 + i).generator(), n))
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_mixture_shortcuts_draw_the_base_or_the_contaminant_alone(p):
+    mix = AlternativeSpec.mixture(p, AlternativeSpec.uniform(-2.0, 5.0))
+    alone = mix.contaminant if p else AlternativeSpec.logistic()
+    for n in (20, 21):
+        block = mix.sample(n, RngStream(3, 10), reps=50)
+        for i, row in enumerate(block):
+            np.testing.assert_array_equal(row, alone._draw(RngStream(3, 10 + i).generator(), n))
 
 
 def test_default_uniform_is_variance_one():
@@ -277,25 +311,55 @@ def test_simulation_rep_count_extension_is_prefix_stable():
     np.testing.assert_array_equal(short[0], longer[0, :500])
 
 
-# SHA-256 of the simulate_statistics values (all eleven statistics, n = 20,
-# seed 20260815, 4100 replications: a full chunk and a partial one) as the
+# SHA-256 of the samples that simulate_statistics draws (n = 20, seed
+# 20260815, 4100 replications: a full chunk and a partial one), and of its
+# T and EDF values (every statistic but S and R, in ALL_SPECS order), as the
 # engine gave them when each replication built its own Generator, recorded
-# with numpy 2.4.6 on x86-64.
-ENGINE_VALUE_SHA256 = {
-    "logistic": "556b86819ad28efb43be50a6ad325a730104e85a1d44cc87bfd25dfc5470688c",
-    "t(2)": "2b2eb8dac407d9412a4f6852a301a4bcb1a070f5474985ffd64c40bacca07f4d",
-    "mixture(0.3,cauchy)": "53e58765e8c35ffdb891c7055da5a046ab5493f432a2e1a2950c35e2f94a2865",
+# with numpy 2.4.6 on x86-64.  S and R are held to the kernel tests'
+# full-square reference instead: they are evaluated by quadrature, which
+# agrees with the reference to rounding, not bit for bit.
+ENGINE_SHA256 = {
+    "logistic": ("1f2e5af0fd69218a966789aac4aab6497716e95a7023e6129bf1c6e6e70b30b6",
+                 "dedf95161ff28640a797a8a0c13e202f9b49ead00502f366efe408fa599d3721"),
+    "t(2)": ("1169e04c4d5822cc4c95167bbc8b2956e8def8e4093bfa676d387bad49ce21f0",
+             "3d70add48f6db12cd64f72ab2943e64271bccf63a5de67951b34e506de36a120"),
+    "mixture(0.3,cauchy)": (
+        "57ac16c576d80ffd991c950ed3661305bf4690dab291c55f0205d86574044d64",
+        "1ddf5e10b1dacc7083112bc2b055348c0e38668cded1818e14f45e6914fa4599"),
 }
+SR_ROWS = [i for i, spec in enumerate(ALL_SPECS) if spec.stat_id in ("S", "R")]
 
 
-@pytest.mark.parametrize("label", ENGINE_VALUE_SHA256)
-def test_simulated_values_are_pinned(label):
+def _engine_run(label):
+    alt = AlternativeSpec.parse(label)
+    x = np.concatenate([alt.sample(20, RngStream(20260815, lo), reps=hi - lo)
+                        for lo, hi in ((0, 4096), (4096, 4100))])
     values, failures = simulate_statistics(
-        ALL_SPECS, 20, McConfig(reps=4100, seed=20260815, workers=1),
-        alternative=AlternativeSpec.parse(label))
+        ALL_SPECS, 20, McConfig(reps=4100, seed=20260815, workers=1), alternative=alt)
     assert failures == 0
-    digest = hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
-    assert digest == ENGINE_VALUE_SHA256[label]
+    return x, values
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("label", ENGINE_SHA256)
+def test_simulated_values_are_pinned(label):
+    x, values = _engine_run(label)
+    assert (_sha256(x), _sha256(np.delete(values, SR_ROWS, axis=0))) == ENGINE_SHA256[label]
+
+
+@pytest.mark.parametrize("label", ENGINE_SHA256)
+def test_simulated_s_and_r_match_the_reference(label):
+    # Every 16th replication of the full chunk, and the partial chunk.
+    from test_kernels import RTOL, reference
+
+    x, values = _engine_run(label)
+    rows = [*range(0, 4096, 16), *range(4096, 4100)]
+    y = montecarlo._kernels.moment_residuals_batch(x[rows])
+    want = reference(y, [ALL_SPECS[i].key() for i in SR_ROWS])
+    np.testing.assert_allclose(values[SR_ROWS][:, rows], want, rtol=RTOL, atol=0)
 
 
 def test_calibrate_quantiles_and_rows():
