@@ -3,7 +3,8 @@ every test statistic consumes.
 
 Two estimators are provided: method of moments (sample mean plus a rescaled
 standard deviation) and maximum likelihood (damped Newton on the two
-likelihood equations).  Both are equivariant under x -> b*x + c, b > 0, which
+likelihood equations, run on every row of a batch at once; one sample is a
+batch of one).  Both are equivariant under x -> b*x + c, b > 0, which
 makes all downstream statistics affine invariant.
 """
 
@@ -47,7 +48,7 @@ class Method(enum.Enum):
             return cls.MOMENTS
         if key in ("ml", "mle", "maxlikelihood", "maximumlikelihood"):
             return cls.MAX_LIKELIHOOD
-        raise ValueError(f"unknown estimation method: {text!r}")
+        raise DomainError(f"unknown estimation method: {text!r}")
 
 
 @dataclass(frozen=True)
@@ -106,106 +107,118 @@ def fit_moments(data, unbiased: bool = False) -> FitResult:
     return FitResult(mu_hat=mu, sigma_hat=SQRT3_OVER_PI * sd, method=Method.MOMENTS)
 
 
-def _loglik(x: np.ndarray, mu: float, sigma: float) -> float:
-    z = (x - mu) / sigma
+def _loglik(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    z = (x - mu[:, None]) / sigma[:, None]
     # log f = -|z| - 2*log1p(exp(-|z|)) - log sigma  (stable for both tails)
     az = np.abs(z)
-    return float(np.sum(-az - 2.0 * np.log1p(np.exp(-az))) - x.size * math.log(sigma))
+    return np.sum(-az - 2.0 * np.log1p(np.exp(-az)), axis=1) - x.shape[1] * np.log(sigma)
 
 
-def _likelihood_equations(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
+def _likelihood_equations(x: np.ndarray, mu, sigma) -> np.ndarray:
     """Residuals of the two likelihood equations at (mu, sigma).
 
     With z_j = (x_j - mu)/sigma these are sum(1/(1+exp(z_j))) - n/2 = 0 and
     sum(z_j * tanh(z_j/2)) - n = 0, i.e. the stationarity of the
     log-likelihood in mu and sigma.  The first is evaluated in the equal form
     -sum(tanh(z_j/2))/2, since 1/(1+exp(z)) = (1 - tanh(z/2))/2; it has no
-    cancellation against n/2.
+    cancellation against n/2.  On (R, n) rows with (R, 1) parameters: (2, R).
     """
     z = (x - mu) / sigma
     t = np.tanh(z / 2.0)
-    return np.array([
-        -0.5 * float(np.sum(t)),
-        float(np.sum(z * t)) - x.size,
-    ])
+    return np.array([-0.5 * np.sum(t, axis=-1), np.sum(z * t, axis=-1) - x.shape[-1]])
 
 
 def fit_mle(data, max_iter: int = 100, tol: float = 1e-10) -> FitResult:
-    """Maximum-likelihood fit via damped Newton.
-
-    Starts at the moment fit and, should that basin fail (moment scale can be
-    inflated by orders of magnitude under heavy contamination), retries from
-    a median/MAD start.  Stops when both likelihood-equation residuals are
-    below ``tol``.  Steps that would decrease the log-likelihood (or leave
-    the parameter domain) are halved; non-convergence raises
-    ConvergenceError carrying the last iterate.
-    """
+    """Maximum-likelihood fit of one sample: ``fit_mle_batch`` on a batch of
+    one.  Non-convergence raises ConvergenceError carrying the last iterate."""
     x = _checked_data(data)
-    start = fit_moments(x)
-    starts = [(start.mu_hat, start.sigma_hat)]
-    med = float(np.median(x))
-    # For the logistic law the MAD equals sigma * log(3).
-    mad = float(np.median(np.abs(x - med))) / math.log(3.0)
-    if mad > 0:
-        starts.append((med, mad))
-    error: ConvergenceError | None = None
-    for mu0, sigma0 in starts:
-        try:
-            return _newton_mle(x, mu0, sigma0, max_iter, tol)
-        except ConvergenceError as exc:
-            error = exc
-    raise error
+    mu, sigma, iterations, converged = (v[0] for v in fit_mle_batch(x[None, :], max_iter, tol))
+    if not converged:
+        raise ConvergenceError("maximum-likelihood fit did not converge",
+                               last_iterate=(float(mu), float(sigma)))
+    return FitResult(float(mu), float(sigma), Method.MAX_LIKELIHOOD, int(iterations))
 
 
-def _newton_mle(x: np.ndarray, mu: float, sigma: float,
-                max_iter: int, tol: float) -> FitResult:
-    for iteration in range(1, max_iter + 1):
-        f = _likelihood_equations(x, mu, sigma)
-        if np.max(np.abs(f)) <= tol:
-            return FitResult(mu, sigma, Method.MAX_LIKELIHOOD,
-                             iterations=iteration - 1, converged=True)
-        z = (x - mu) / sigma
+def fit_mle_batch(x: np.ndarray, max_iter: int = 100, tol: float = 1e-10):
+    """ML fits of every row of x, shape (R, n), by damped Newton on all rows
+    at once.  Starts at the moment fit and, for the rows where that basin
+    fails (moment scale can be inflated by orders of magnitude under heavy
+    contamination), retries from a median/MAD start.  Returns (mu, sigma,
+    iterations, converged), each of shape (R,); a row that fails from both
+    starts (a constant row, or one with NaN or inf) keeps its last iterate
+    and reads -1 iterations.
+    """
+    with np.errstate(all="ignore"):
+        fits = _newton(x, np.mean(x, axis=1), SQRT3_OVER_PI * np.std(x, axis=1),
+                       max_iter, tol)
+        failed = np.flatnonzero(~fits[3])
+        med = np.median(x[failed], axis=1)
+        # For the logistic law the MAD equals sigma * log(3).
+        mad = np.median(np.abs(x[failed] - med[:, None]), axis=1) / math.log(3.0)
+        retry = mad > 0
+        again = _newton(x[failed[retry]], med[retry], mad[retry], max_iter, tol)
+    for full, part in zip(fits, again):
+        full[failed[retry]] = part
+    return fits
+
+
+def _newton(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray, max_iter: int, tol: float):
+    """Damped Newton from (mu, sigma), updated in place, on each row of x.
+
+    A row stops when both likelihood-equation residuals are below ``tol``,
+    checked before each of at most ``max_iter`` steps.  A step that would
+    decrease the log-likelihood (or leave the parameter domain) is halved, up
+    to 40 times, before the row is given up.  The 2x2 systems are solved in
+    closed form, so one singular row does not stop the others.
+    """
+    iterations = np.full(mu.size, -1)
+    active = np.arange(mu.size)
+    for iteration in range(max_iter):
+        f1, f2 = _likelihood_equations(x[active], mu[active, None], sigma[active, None])
+        done = np.maximum(np.abs(f1), np.abs(f2)) <= tol
+        iterations[active[done]] = iteration
+        active, f1, f2 = active[~done], f1[~done], f2[~done]
+        if active.size == 0:
+            break
+        xa, m, s = x[active], mu[active], sigma[active]
+        z = (xa - m[:, None]) / s[:, None]
         t = np.tanh(z / 2.0)
         c = 1.0 - t * t  # sech^2(z/2)
         # Jacobian of (-sum tanh(z/2)/2, sum z*tanh(z/2) - n) in (mu, sigma);
         # d tanh(z/2)/dz = c/2 and dz/dmu = -1/sigma.
-        j11 = np.sum(c) / (4.0 * sigma)
-        j12 = np.sum(z * c) / (4.0 * sigma)
-        j21 = -np.sum(t + z * c / 2.0) / sigma
-        j22 = -np.sum(z * t + z * z * c / 2.0) / sigma
-        jac = np.array([[j11, j12], [j21, j22]])
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError("singular Jacobian in likelihood solve",
-                                   last_iterate=(mu, sigma)) from None
-        base_ll = _loglik(x, mu, sigma)
-        scale = 1.0
-        for _ in range(40):
-            mu_new, sigma_new = mu + scale * step[0], sigma + scale * step[1]
-            if sigma_new > 0 and _loglik(x, mu_new, sigma_new) >= base_ll - 1e-13:
+        j11 = np.sum(c, axis=1) / (4.0 * s)
+        j12 = np.sum(z * c, axis=1) / (4.0 * s)
+        j21 = -np.sum(t + z * c / 2.0, axis=1) / s
+        j22 = -np.sum(z * t + z * z * c / 2.0, axis=1) / s
+        det = j11 * j22 - j12 * j21
+        step_mu, step_sigma = (j12 * f2 - j22 * f1) / det, (j21 * f1 - j11 * f2) / det
+        base_ll = _loglik(xa, m, s)
+        pending = np.arange(active.size)
+        for halving in range(40):
+            mu_new = m[pending] + 0.5**halving * step_mu[pending]
+            sigma_new = s[pending] + 0.5**halving * step_sigma[pending]
+            ok = (sigma_new > 0) & (_loglik(xa[pending], mu_new, sigma_new)
+                                    >= base_ll[pending] - 1e-13)
+            mu[active[pending[ok]]], sigma[active[pending[ok]]] = mu_new[ok], sigma_new[ok]
+            pending = pending[~ok]
+            if pending.size == 0:
                 break
-            scale *= 0.5
-        else:
-            raise ConvergenceError("step halving failed to improve the likelihood",
-                                   last_iterate=(mu, sigma))
-        mu, sigma = mu_new, sigma_new
-
-    raise ConvergenceError(f"no convergence after {max_iter} iterations",
-                           last_iterate=(mu, sigma))
+        active = np.delete(active, pending)
+    return mu, sigma, iterations, iterations >= 0
 
 
 def fit(data, method: Method = Method.MOMENTS, unbiased: bool = False) -> FitResult:
     if method is Method.MOMENTS:
         return fit_moments(data, unbiased=unbiased)
+    if unbiased:
+        raise DomainError("the n - 1 divisor applies to the moment fit only")
     return fit_mle(data)
 
 
-def scaled_residuals(data, method: Method = Method.MOMENTS,
-                     unbiased: bool = False) -> ScaledResiduals:
+def scaled_residuals(data, method: Method = Method.MOMENTS) -> ScaledResiduals:
     """Standardize the sample with the chosen fit: Y_j = (X_j - mu_hat)/sigma_hat."""
     x = _checked_data(data)
-    result = fit(x, method=method, unbiased=unbiased)
+    result = fit(x, method=method)
     return ScaledResiduals(values=(x - result.mu_hat) / result.sigma_hat, fit=result)
 
 

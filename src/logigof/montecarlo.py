@@ -57,7 +57,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .estimation import ConvergenceError, Method, fit_mle
+from .estimation import Method, fit_mle_batch
 from .logistic_core import (DomainError, RngStream, draw_logistic,
                             fill_logistic, philox_words, random_doubles,
                             uint64_index)
@@ -467,18 +467,12 @@ class _ChunkTask:
 def _residuals_for_chunk(x: np.ndarray, method: Method) -> tuple[np.ndarray, int]:
     if method is Method.MOMENTS:
         y = _kernels.moment_residuals_batch(x)
-        failures = int(np.isnan(y[:, 0]).sum())
-        return y, failures
-    y = np.empty_like(x)
-    failures = 0
-    for i in range(x.shape[0]):
-        try:
-            fit = fit_mle(x[i])
-            y[i] = (x[i] - fit.mu_hat) / fit.sigma_hat
-        except (ConvergenceError, ValueError):
-            y[i] = np.nan
-            failures += 1
-    return y, failures
+    else:
+        mu, sigma, _, converged = fit_mle_batch(x)
+        with np.errstate(all="ignore"):
+            y = (x - mu[:, None]) / sigma[:, None]
+        y[~converged] = np.nan
+    return y, int(np.isnan(y[:, 0]).sum())
 
 
 def _run_chunk(task: _ChunkTask) -> tuple[int, np.ndarray, int]:

@@ -13,10 +13,10 @@ the tests.  ``t_stat_quadrature`` (adaptive Gauss-Hermite) and
 ``s_stat_quadrature`` (adaptive quadrature) evaluate the defining integrals
 independently of the kernel and serve as oracles for both.
 
-Only the adaptive-quadrature oracles use scipy: ``s_stat_quadrature``,
-``moment_identities``, ``covariance_kernel`` and ``delta_alternative``
-import ``scipy.integrate`` when first called, so importing this module, or
-computing any statistic, loads no scipy.
+``moment_identities`` and ``covariance_kernel`` integrate on a fixed
+Gauss-Legendre rule.  Only ``s_stat_quadrature`` and ``delta_alternative``
+use scipy, importing ``scipy.integrate`` when first called, so importing
+this module, or computing any statistic, loads no scipy.
 """
 
 from __future__ import annotations
@@ -211,16 +211,15 @@ def h_func(t, x):
 # expectations under the standard logistic law
 
 
-def _expect(fun, epsabs: float = 1e-11) -> float:
-    """E[fun(X)] for X standard logistic, by adaptive quadrature split at 0."""
-    from scipy.integrate import quad
-
-    def integrand(x):
-        return fun(x) * pdf(x)
-
-    left = quad(integrand, -np.inf, 0.0, epsabs=epsabs, epsrel=1e-12, limit=400)
-    right = quad(integrand, 0.0, np.inf, epsabs=epsabs, epsrel=1e-12, limit=400)
-    return left[0] + right[0]
+def _expect(fun) -> float:
+    """E[fun(X)] for X standard logistic, ``fun`` vectorised over x, by
+    16-point Gauss-Legendre on the panels of width 2 that cover (0, 48), taken
+    at +-x so that the kink of |x| at 0 is a panel edge; the mass beyond 48
+    is below 1e-20."""
+    t, w = _kernels._legendre(16)
+    x = (np.arange(1.0, 48.0, 2.0)[:, None] + t).ravel()
+    w = np.tile(w, 24) * pdf(x)
+    return float(fun(-x) @ w + fun(x) @ w)
 
 
 def moment_identities() -> tuple[float, float, float, float]:
@@ -237,20 +236,12 @@ def moment_identities() -> tuple[float, float, float, float]:
     return first, second, third, fourth
 
 
-@functools.lru_cache(maxsize=4)
-def _psi_moments(method: Method) -> tuple[float, float, float]:
-    e11 = _expect(lambda x: psi1(x, method) ** 2)
-    e22 = _expect(lambda x: psi2(x, method) ** 2)
-    e12 = _expect(lambda x: psi1(x, method) * psi2(x, method))
-    return e11, e22, e12
-
-
 def covariance_kernel(s: float, t: float, method: Method = Method.MOMENTS) -> float:
     """Covariance K(s, t) of the limiting Gaussian process of the statistic.
 
-    All component expectations are taken under the standard logistic law by
-    adaptive quadrature; ``method`` selects the influence functions of the
-    estimator whose residuals feed the process.
+    All component expectations are taken under the standard logistic law on
+    a fixed Gauss-Legendre rule; ``method`` selects the influence functions
+    of the estimator whose residuals feed the process.
     """
     e_kk = _expect(lambda x: kappa(s, x) * kappa(t, x))
     eh_s = _expect(lambda x: h_func(s, x))
@@ -261,7 +252,9 @@ def covariance_kernel(s: float, t: float, method: Method = Method.MOMENTS) -> fl
     e1k_t = _expect(lambda x: psi1(x, method) * kappa(t, x))
     e2k_s = _expect(lambda x: psi2(x, method) * kappa(s, x))
     e2k_t = _expect(lambda x: psi2(x, method) * kappa(t, x))
-    e11, e22, e12 = _psi_moments(method)
+    e11 = _expect(lambda x: psi1(x, method) ** 2)
+    e22 = _expect(lambda x: psi2(x, method) ** 2)
+    e12 = _expect(lambda x: psi1(x, method) * psi2(x, method))
     return (
         e_kk
         + eh_s * e1k_t + eh_t * e1k_s

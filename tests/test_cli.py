@@ -117,6 +117,22 @@ def test_fit_degenerate_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args", [
+    ["fit", "bundled:"],
+    ["test", "bundled:", "--stat", "KS", "--reps", "10", "--workers", "1"],
+    ["calibrate", "--stat", "KS", "--n", "10", "--reps", "10", "--workers", "1"],
+])
+def test_unknown_method_is_a_usage_error(args, capsys):
+    assert main(args + ["--method", "banana"]) == EXIT_USAGE
+    assert "error: unknown estimation method: 'banana'" in capsys.readouterr().err
+
+
+def test_fit_rejects_unbiased_with_ml(capsys):
+    assert main(["fit", "bundled:", "--log", "--method", "ml", "--unbiased"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "moment fit only" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # test subcommand
 
@@ -418,6 +434,18 @@ print(json.dumps(seen))
 """
     seen = json.loads(run_fresh(code).strip().splitlines()[-1])
     assert seen == {name: [] for name in ("import", "fit", "test", "calibrate", "power")}
+
+
+def test_expectations_under_the_logistic_law_import_no_scipy():
+    code = """
+import sys
+from logigof import statistics
+from logigof.estimation import Method
+statistics.moment_identities()
+statistics.covariance_kernel(0.5, 1.0, Method.MAX_LIKELIHOOD)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    assert run_fresh(code).strip() == "[]"
 
 
 def test_lazy_scipy_oracles_work_on_first_call():

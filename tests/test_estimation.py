@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logigof.estimation import (ConvergenceError, DegenerateSampleError,
-                                Method, SampleSizeError, _likelihood_equations,
-                                fit, fit_mle, fit_moments, psi1, psi2,
+                                Method, SampleSizeError,
+                                _likelihood_equations, _newton, fit, fit_mle,
+                                fit_mle_batch, fit_moments, psi1, psi2,
                                 scaled_residuals)
-from logigof.logistic_core import (STANDARD, RngStream, fisher_info, pdf,
-                                   sample, score)
+from logigof.logistic_core import (STANDARD, DomainError, RngStream,
+                                   fisher_info, pdf, sample, score)
+from logigof.montecarlo import AlternativeSpec, _residuals_for_chunk
+from oracles import scalar_fit_mle
 
 SQRT3_OVER_PI = math.sqrt(3.0) / math.pi
 
@@ -169,3 +173,121 @@ def test_psi_functions_track_estimator_fluctuations():
         assert result.mu_hat == pytest.approx(lin_mu, abs=6.0 / n**0.75)
         assert result.sigma_hat - 1.0 == pytest.approx(lin_sigma,
                                                        abs=6.0 / n**0.75)
+
+
+def test_unknown_method_and_unbiased_ml_are_domain_errors():
+    with pytest.raises(DomainError):
+        Method.parse("banana")
+    x = sample(30, stream=RngStream(4))
+    with pytest.raises(DomainError):
+        fit(x, Method.MAX_LIKELIHOOD, unbiased=True)
+
+
+# ---------------------------------------------------------------------------
+# the batched ML fit against the one-sample damped Newton it replaced
+
+
+LAWS = ("logistic", "cauchy", "t(2)", "mixture(0.5,cauchy)", "lognormal(1)", "uniform")
+
+
+def _rows(law, n, reps, seed):
+    return AlternativeSpec.parse(law).sample(n, RngStream(seed, 0), reps=reps)
+
+
+def _compare_with_scalar_reference(x):
+    """Fit the rows of x by the batch and by tests/oracles.scalar_fit_mle,
+    check that both converge on the same rows, to within 1e-15 of
+    max(|mu|, sigma), the scale of the sample, and return (iterations,
+    reference iterations, reference start), the start 0 (moments) or 1
+    (median/MAD), and -1 where the reference fails."""
+    mu, sigma, iterations, converged = fit_mle_batch(x)
+    ref = []
+    for row in x:
+        try:
+            ref.append(scalar_fit_mle(row))
+        except ConvergenceError:
+            ref.append((math.nan, math.nan, -1, -1))
+    mu_ref, sigma_ref, iterations_ref, start = (np.array(v) for v in zip(*ref))
+    assert converged.tolist() == (start >= 0).tolist()
+    scale = np.maximum(np.abs(mu_ref), sigma_ref)[converged]
+    assert np.all(np.abs(mu - mu_ref)[converged] <= 1e-15 * scale)
+    assert np.all(np.abs(sigma - sigma_ref)[converged] <= 1e-15 * sigma_ref[converged])
+    return iterations, iterations_ref, start
+
+
+@pytest.mark.parametrize("n", [20, 50])
+@pytest.mark.parametrize("law", LAWS)
+def test_batch_fit_matches_the_scalar_reference(law, n):
+    iterations, iterations_ref, start = _compare_with_scalar_reference(_rows(law, n, 128, 7))
+    assert start.tolist() == [0] * 128
+    assert iterations.tolist() == iterations_ref.tolist()
+
+
+def test_batch_fit_restarts_rows_from_the_median_mad_start():
+    x = _rows("mixture(0.3,lognormal(8))", 800, 40, 96)
+    iterations, iterations_ref, start = _compare_with_scalar_reference(x)
+    assert (start == 1).sum() == 2
+    # The batch restarts the same rows, and one more: on that row a step
+    # near the solution changes the log-likelihood (~ -1.4e4) by less than
+    # one ulp, and whether it passes the 1e-13 test depends on how the 2x2
+    # solve was rounded (closed form here, LAPACK in the reference).  The
+    # batch stalls on it and reaches the same fit from the second start.
+    with np.errstate(all="ignore"):
+        moments = _newton(x, np.mean(x, axis=1), SQRT3_OVER_PI * np.std(x, axis=1), 100, 1e-10)
+    same_start = moments[3] == (start == 0)
+    assert not moments[3][start == 1].any() and (~same_start).sum() <= 1
+    assert iterations[same_start].tolist() == iterations_ref[same_start].tolist()
+    mu, sigma, iterations, converged = fit_mle_batch(x)
+    assert converged.all()
+    assert np.abs(_likelihood_equations(x, mu[:, None], sigma[:, None])).max() <= 1e-10
+    for i, row in enumerate(x):
+        one = fit_mle(row)
+        assert (one.mu_hat, one.sigma_hat, one.iterations) == (mu[i], sigma[i], iterations[i])
+
+
+@pytest.mark.parametrize("n", [20, 50])
+@pytest.mark.parametrize("law", ["cauchy", "t(2)", "mixture(0.5,cauchy)"])
+def test_batch_fits_solve_the_likelihood_equations(law, n):
+    x = _rows(law, n, 1024, 5)
+    mu, sigma, _, converged = fit_mle_batch(x)
+    assert converged.all()
+    eq = _likelihood_equations(x, mu[:, None], sigma[:, None])
+    assert eq.shape == (2, 1024)
+    assert np.abs(eq).max() <= 1e-10
+
+
+def test_batch_fit_gives_up_on_bad_rows_without_raising():
+    good = _rows("logistic", 20, 3, 11)
+    bad = np.array([np.full(20, np.nan), np.r_[np.inf, good[0, 1:]],
+                    np.r_[-np.inf, good[0, 1:]], np.full(20, 2.5)])
+    x = np.vstack([good[:1], bad, good[1:]])
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu, sigma, iterations, converged = fit_mle_batch(x)
+        y, failures = _residuals_for_chunk(x, Method.MAX_LIKELIHOOD)
+    assert converged.tolist() == [True, False, False, False, False, True, True]
+    assert iterations[1:5].tolist() == [-1] * 4
+    assert failures == 4
+    assert np.isnan(y[1:5]).all() and np.isfinite(y[[0, 5, 6]]).all()
+    alone = fit_mle_batch(good)
+    for full, part in zip((mu, sigma, iterations), alone):
+        assert full[[0, 5, 6]].tolist() == part.tolist()
+
+
+def test_fit_mle_equals_its_row_of_any_batch_bit_for_bit():
+    x = np.vstack([_rows(law, 50, 16, 3) for law in LAWS])
+    mu, sigma, iterations, _ = fit_mle_batch(x)
+    order = np.random.default_rng(0).permutation(len(x))[:37]
+    for full, part in zip((mu, sigma, iterations), fit_mle_batch(x[order])):
+        assert full[order].tolist() == part.tolist()
+    for i in range(0, len(x), 5):
+        one = fit_mle(x[i])
+        assert (one.mu_hat, one.sigma_hat, one.iterations) == (mu[i], sigma[i], iterations[i])
+
+
+def test_fit_mle_reports_the_last_iterate_when_both_starts_fail():
+    x = sample(40, stream=RngStream(12))
+    with pytest.raises(ConvergenceError) as info:
+        fit_mle(x, max_iter=2)
+    mu, sigma = info.value.last_iterate
+    assert math.isfinite(mu) and sigma > 0

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from logigof import statistics
 from logigof.estimation import Method, ScaledResiduals, fit_moments, scaled_residuals
 from logigof.logistic_core import RngStream, sample
 from logigof.statistics import (DomainError, NumericOverflowError, WeightSpec,
@@ -17,6 +18,7 @@ from logigof.statistics import (DomainError, NumericOverflowError, WeightSpec,
                                 moment_identities, r_stat, s_stat,
                                 s_stat_quadrature, t_stat_closed,
                                 t_stat_quadrature)
+from oracles import quad_expect
 
 residual_vectors = arrays(
     np.float64, st.integers(4, 16),
@@ -185,6 +187,22 @@ def test_moment_identities_exact():
     assert i2 == pytest.approx(math.log(2.0) / 3.0 - 1.0 / 12.0, abs=1e-10)
     assert i3 == pytest.approx(1.0 / 6.0, abs=1e-10)
     assert i4 == pytest.approx(2.0 * math.log(2.0) / 3.0 + 1.0 / 12.0, abs=1e-10)
+
+
+def test_moment_identities_match_closed_forms_to_rounding():
+    exact = (1.0 / 3.0, math.log(2.0) / 3.0 - 1.0 / 12.0, 1.0 / 6.0,
+             2.0 * math.log(2.0) / 3.0 + 1.0 / 12.0)
+    for got, want in zip(moment_identities(), exact):
+        assert abs(got - want) <= 4e-15
+
+
+@pytest.mark.parametrize("method", [Method.MOMENTS, Method.MAX_LIKELIHOOD])
+def test_covariance_kernel_matches_the_quadrature_oracle(method, monkeypatch):
+    points = [(0.5, 1.0), (3.0, 0.7), (6.0, 6.0)]
+    fixed_rule = [covariance_kernel(s, t, method) for s, t in points]
+    monkeypatch.setattr(statistics, "_expect", quad_expect)
+    for (s, t), value in zip(points, fixed_rule):
+        assert value == pytest.approx(covariance_kernel(s, t, method), rel=1e-13, abs=1e-12)
 
 
 def test_covariance_kernel_symmetry_and_positivity():
