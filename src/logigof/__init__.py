@@ -22,8 +22,7 @@ from .logistic_core import (STANDARD, DomainError, LogisticParams, RngStream,
                             cdf, pdf, quantile, sample)
 from .montecarlo import (AlternativeSpec, CriticalValueTable, McConfig,
                          McError, McRow, StatSpec, calibrate,
-                         local_power_curve, power_study, pvalue_simulated,
-                         pvalues_simulated)
+                         local_power_curve, power_study, pvalues_simulated)
 from .statistics import (NumericOverflowError, QuadratureError, TestOutcome,
                          WeightSpec, covariance_kernel, delta_alternative,
                          edf_stats, h_func, kappa, moment_identities, r_stat,
@@ -49,5 +48,5 @@ __all__ = [
     # monte carlo
     "AlternativeSpec", "StatSpec", "McConfig", "McRow", "McError",
     "CriticalValueTable", "calibrate", "power_study",
-    "local_power_curve", "pvalue_simulated", "pvalues_simulated",
+    "local_power_curve", "pvalues_simulated",
 ]

@@ -202,7 +202,8 @@ def cmd_test(args) -> int:
     spec = specs[0]
     value = float(statistics._evaluate(res, [spec.key()])[0])
     cfg = McConfig(reps=args.reps, seed=args.seed, workers=args.workers, method=method)
-    pvalue = montecarlo.pvalue_simulated(spec.stat_id, spec.tuning, value, data.n, cfg)
+    outcome = statistics.TestOutcome(spec.stat_id, spec.tuning, value, data.n)
+    pvalue = montecarlo.pvalues_simulated([outcome], data.n, cfg)[0]
     print(f"statistic = {spec.stat_id}")
     print(f"tuning = {'' if spec.tuning is None else _fmt(spec.tuning)}")
     print(f"n = {data.n}")

@@ -10,10 +10,10 @@ runs Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1,
 2, 3", SC'11) in numpy, vectorised over (substream, counter block), so one
 call computes the words of many substreams at once.  For key [seed, r] it
 gives exactly the words of ``np.random.Philox(key=[seed, r]).random_raw()``.
-``fill_logistic`` maps them to uniforms and to logistic variates by the
-same operations, in the same order, as ``draw_logistic`` on that Philox's
-``Generator``, and ``random_doubles`` as ``Generator.random`` does.  Each
-row therefore equals, bit for bit, the per-substream stream.
+``fill_logistic`` maps them to uniforms as ``Generator.integers(0, 2**53)``
+does and inverts those, and ``random_doubles`` maps them as
+``Generator.random`` does.  Each row therefore equals, bit for bit, the
+per-substream stream.
 """
 
 from __future__ import annotations
@@ -147,12 +147,6 @@ def quantile(u, p: LogisticParams = STANDARD):
     return _maybe_scalar(out, u)
 
 
-def _uniform_open(gen: np.random.Generator, n: int) -> np.ndarray:
-    # 53-bit uniforms centered in their bins: strictly inside (0, 1), so the
-    # inversion below can never produce +-inf.
-    return (gen.integers(0, 2**53, size=n).astype(np.float64) + 0.5) * 2.0**-53
-
-
 # Philox4x64-10: the round multipliers and the Weyl increments of the key.
 _PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
 _PHILOX_M1 = np.uint64(0xCA5A826395121157)
@@ -207,15 +201,14 @@ def random_doubles(words: np.ndarray) -> np.ndarray:
 
 def fill_logistic(out: np.ndarray, words: np.ndarray, mu: float = 0.0,
                   sigma: float = 1.0) -> np.ndarray:
-    """Fill ``out`` with the draws of L(mu, sigma) that ``draw_logistic``
-    makes from the raw Philox words ``words`` of the same shape, one word
-    each, and return ``out``.  With the words of ``philox_words``, row i is
-    the draw on the Generator of that row's substream.
+    """Fill ``out`` with draws of L(mu, sigma) by inversion of the raw Philox
+    words ``words`` of the same shape, one word each, and return ``out``.
+    With the words of ``philox_words``, row i is its substream's draw.
 
-    The uniforms are ``integers(0, 2**53)``, which for this bound is the raw
-    word shifted right by 11 bits, centred in their bins as in
-    ``_uniform_open``.  Temporaries are a few arrays the size of ``out``;
-    callers bound them by passing row blocks.
+    The uniforms are ``Generator.integers(0, 2**53)``, which for this bound
+    is the raw word shifted right by 11 bits, centred in their bins: strictly
+    inside (0, 1), so the inversion can never produce +-inf.  Temporaries are
+    a few arrays the size of ``out``; callers bound them by passing row blocks.
     """
     u = (words >> _SHIFT11).astype(np.float64)
     u += 0.5
@@ -226,18 +219,6 @@ def fill_logistic(out: np.ndarray, words: np.ndarray, mu: float = 0.0,
     out *= sigma
     out += mu
     return out
-
-
-def sample_from_generator(gen: np.random.Generator, n: int,
-                          p: LogisticParams = STANDARD) -> np.ndarray:
-    """Draw n logistic variates from an already-open generator by inversion."""
-    return draw_logistic(gen, n, p.mu, p.sigma)
-
-
-def draw_logistic(gen: np.random.Generator, n: int, mu: float, sigma: float) -> np.ndarray:
-    """``sample_from_generator`` with the parameters given as numbers."""
-    u = _uniform_open(gen, n)
-    return mu + sigma * (np.log(u) - np.log1p(-u))
 
 
 def sample(n: int, p: LogisticParams = STANDARD, *,

@@ -33,10 +33,10 @@ after that is not seen by them: tests that patch engine internals run with
 ``concurrent.futures`` and ``multiprocessing`` are imported on the first
 parallel call.
 
-Only ``AlternativeSpec.pdf``, ``mean`` and ``std`` use scipy: they resolve
-the kind's ``scipy.stats`` law, importing scipy.stats on first call.  They
-serve ``statistics.delta_alternative``; sampling, calibration, power studies
-and p-values never import scipy.
+Only ``AlternativeSpec.pdf``, ``mean``, ``std`` and ``breaks`` use scipy:
+they resolve the kind's ``scipy.stats`` law, importing scipy.stats on first
+call.  They serve ``statistics.delta_alternative``; sampling, calibration,
+power studies and p-values never import scipy.
 """
 
 from __future__ import annotations
@@ -51,16 +51,14 @@ import re
 import threading
 import time
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .estimation import Method, fit_mle_batch
-from .logistic_core import (DomainError, RngStream, draw_logistic,
-                            fill_logistic, philox_words, random_doubles,
-                            uint64_index)
+from .logistic_core import (DomainError, RngStream, fill_logistic,
+                            philox_words, random_doubles, uint64_index)
 from .logistic_core import pdf as logistic_pdf
 
 WORKERS_ENV_VAR = "LOGIGOF_WORKERS"
@@ -84,10 +82,10 @@ class _Kind(NamedTuple):
     """One alternative family: its short names, its parameter count, the
     parameters its bare name means (None when all are required), the range
     rule in words and ``check`` testing it, the exact Generator call that
-    draws it, and its law: a function of the ``scipy.stats`` module and the
-    parameters that returns the frozen scipy distribution.  Only
-    ``_frozen_law`` calls ``law``, for ``AlternativeSpec.pdf``, ``mean`` and
-    ``std``, and it imports scipy.stats on first use."""
+    draws it, its law (a function of the ``scipy.stats`` module and the
+    parameters that returns the frozen distribution), and the ``kinks``
+    inside its support where its density is not smooth.  ``_frozen_law``
+    alone calls ``law``, importing scipy.stats on first use."""
 
     aliases: str
     arity: int
@@ -96,10 +94,13 @@ class _Kind(NamedTuple):
     draw: Callable[..., np.ndarray]
     law: Callable[..., object]
     check: Callable[..., bool] = _positive
+    kinks: tuple = ()
 
 
 _KINDS = {
-    "logistic": _Kind("l", 2, (0.0, 1.0), "finite mu and sigma > 0", draw_logistic,
+    "logistic": _Kind("l", 2, (0.0, 1.0), "finite mu and sigma > 0",
+                      lambda gen, n, mu, sigma: fill_logistic(
+                          np.empty(n), gen.bit_generator.random_raw(n), mu, sigma),
                       lambda st, mu, sigma: st.logistic(loc=mu, scale=sigma),
                       lambda mu, sigma: sigma > 0),
     "normal": _Kind("n gaussian", 0, (), "no parameters",
@@ -109,7 +110,8 @@ _KINDS = {
     "cauchy": _Kind("c", 0, (), "no parameters",
                     lambda gen, n: gen.standard_cauchy(n), lambda st: st.cauchy()),
     "laplace": _Kind("lp", 0, (), "no parameters",
-                     lambda gen, n: gen.laplace(0.0, 1.0, n), lambda st: st.laplace()),
+                     lambda gen, n: gen.laplace(0.0, 1.0, n), lambda st: st.laplace(),
+                     kinks=(0.0,)),
     "lognormal": _Kind("ln", 1, None, "finite log-scale s > 0",
                        lambda gen, n, s: gen.lognormal(0.0, s, n),
                        lambda st, s: st.lognorm(s)),
@@ -141,8 +143,8 @@ def _philox_state(seed: int, substream: int, counter: int = 0,
 @functools.lru_cache(maxsize=64)
 def _frozen_law(kind: str, params: tuple):
     """The frozen ``scipy.stats`` law of ``kind`` at ``params``, built once:
-    freezing one costs ~1 ms, and ``delta_alternative`` evaluates the
-    density thousands of times.  Imports scipy.stats on the first call."""
+    freezing one costs ~1 ms, and ``delta_alternative`` asks it for the
+    density once per refinement level.  Imports scipy.stats on the first call."""
     import scipy.stats
 
     return _KINDS[kind].law(scipy.stats, *params)
@@ -299,7 +301,7 @@ class AlternativeSpec:
         if self.kind != "mixture":
             return _KINDS[self.kind].draw(gen, n, *self.params)
         pick = gen.random(n)
-        base = draw_logistic(gen, n, 0.0, 1.0)
+        base = _KINDS["logistic"].draw(gen, n, 0.0, 1.0)
         return np.where(pick < self.p, self.contaminant._draw(gen, n), base)
 
     # -- density and moments (for the population discrepancy) ---------------
@@ -320,6 +322,15 @@ class AlternativeSpec:
                 + self.p * (self.contaminant.std() ** 2 + m_c**2)
             return math.sqrt(second - self.mean() ** 2)
         return float(_frozen_law(self.kind, self.params).std())
+
+    def breaks(self) -> tuple:
+        """The points where the density is not smooth, in increasing order: the
+        finite ends of the support and the kinks; a mixture has its contaminant's."""
+        if self.kind == "mixture":
+            return self.contaminant.breaks()
+        ends = _frozen_law(self.kind, self.params).support()
+        return tuple(sorted({*(float(v) for v in ends if math.isfinite(v)),
+                             *_KINDS[self.kind].kinks}))
 
     # -- text form ---------------------------------------------------------
     def label(self) -> str:
@@ -702,17 +713,11 @@ def local_power_curve(contaminant: AlternativeSpec, p_grid: Sequence[float],
 # simulated p-values
 
 
-def pvalue_simulated(stat_id: str, tuning: Optional[float], observed: float,
-                     n: int, cfg: McConfig) -> float:
-    """Add-one Monte Carlo p-value: (1 + #{simulated >= observed})/(reps + 1)."""
-    if not math.isfinite(observed):
-        raise DomainError("observed statistic value must be finite")
-    outcome = SimpleNamespace(name=stat_id, tuning=tuning, value=observed)
-    return pvalues_simulated([outcome], n, cfg)[0]
-
-
 def pvalues_simulated(outcomes, n: int, cfg: McConfig) -> list[float]:
-    """Add-one p-values for several observed outcomes sharing one null run."""
+    """Add-one p-values (1 + #{simulated >= observed})/(reps + 1) of outcomes
+    sharing one null run; DomainError, before any draw, for a value not finite."""
+    if not all(math.isfinite(o.value) for o in outcomes):
+        raise DomainError("observed statistic value must be finite")
     specs = [StatSpec(o.name, o.tuning) for o in outcomes]
     values, _ = simulate_statistics(specs, n, cfg)
     out = []

@@ -442,9 +442,8 @@ def test_criterion_08_covariance_kernel():
     s, t = 0.5, 1.0
     k_ref = covariance_kernel(s, t, Method.MOMENTS)
 
-    xs = np.empty((reps, n))
-    for r in range(reps):
-        xs[r] = sample(n, stream=RngStream(seed, r))
+    # Row r equals sample(n, stream=RngStream(seed, r)); one call draws them all.
+    xs = AlternativeSpec.logistic().sample(n, RngStream(seed, 0), reps=reps)
     ys = moment_residuals_batch(xs)
     assert not np.isnan(ys).any()
 

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logigof.logistic_core import (STANDARD, DomainError, LogisticParams,
-                                   RngStream, cdf, draw_logistic, expit,
-                                   fill_logistic, fisher_info, pdf,
-                                   philox_words, quantile, random_doubles,
-                                   sample, score)
+                                   RngStream, cdf, expit, fill_logistic,
+                                   fisher_info, pdf, philox_words, quantile,
+                                   random_doubles, sample, score)
 from logigof.montecarlo import AlternativeSpec
 from logigof.statistics import h_func, kappa
+from oracles import draw_logistic
 
 params_strategy = st.builds(
     LogisticParams,

@@ -10,17 +10,19 @@ import threading
 import time
 from concurrent.futures import process as futures_process
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from logigof import montecarlo
 from logigof.estimation import Method
-from logigof.logistic_core import DomainError, RngStream, sample_from_generator
+from logigof.logistic_core import DomainError, RngStream
 from logigof.montecarlo import (AlternativeSpec, McConfig, McError, StatSpec,
                                 calibrate, local_power_curve,
-                                power_study, pvalue_simulated, rows_to_csv,
+                                power_study, pvalues_simulated, rows_to_csv,
                                 rows_to_text, simulate_statistics)
+from oracles import draw_logistic
 from proc_helpers import fresh_env, live_processes
 
 ALL_SPECS = [StatSpec("T", 3), StatSpec("T", 4), StatSpec("T", 5),
@@ -120,11 +122,11 @@ def per_replication_sample(spec, n, stream):
         return kinds[spec.kind].draw(gen, n, *spec.params)
     c = spec.contaminant
     if spec.p == 0.0:
-        return sample_from_generator(gen, n)
+        return draw_logistic(gen, n)
     if spec.p == 1.0:
         return kinds[c.kind].draw(gen, n, *c.params)
     pick = gen.random(n)
-    base = sample_from_generator(gen, n)
+    base = draw_logistic(gen, n)
     return np.where(pick < spec.p, kinds[c.kind].draw(gen, n, *c.params), base)
 
 
@@ -224,13 +226,13 @@ def test_mixture_draws_compose_base_and_contaminant():
     got = mix.sample(200, stream)
     gen = stream.generator()
     pick = gen.random(200)
-    base = sample_from_generator(gen, 200)
+    base = draw_logistic(gen, 200)
     contaminated = np.random.Generator(np.random.Philox(
         key=np.array([11, 0], dtype=np.uint64)))
     # Rebuild through the public draw order: picks, base, then contaminant.
     gen2 = stream.generator()
     pick2 = gen2.random(200)
-    base2 = sample_from_generator(gen2, 200)
+    base2 = draw_logistic(gen2, 200)
     cont2 = gen2.standard_cauchy(200)
     expected = np.where(pick2 < 0.35, cont2, base2)
     np.testing.assert_array_equal(got, expected)
@@ -475,11 +477,18 @@ def test_local_power_curve_keys_and_monotonicity():
 
 
 def test_pvalue_add_one_rule_bounds():
+    def pvalue(observed):
+        outcome = SimpleNamespace(name="T", tuning=3.0, value=observed)
+        return pvalues_simulated([outcome], 15, cfg)[0]
+
     cfg = McConfig(reps=400, seed=80, workers=1)
-    assert pvalue_simulated("T", 3.0, 1e9, 15, cfg) == pytest.approx(1.0 / 401.0)
-    assert pvalue_simulated("T", 3.0, -1e9, 15, cfg) == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        pvalue_simulated("T", 3.0, math.inf, 15, cfg)
+    assert pvalue(1e9) == pytest.approx(1.0 / 401.0)
+    assert pvalue(-1e9) == pytest.approx(1.0)
+    # A value that is not finite has no p-value; NaN compares false with
+    # every simulated value, so it would read as the smallest, 1/401.
+    for observed in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite"):
+            pvalue(observed)
 
 
 def test_systematic_failures_raise():

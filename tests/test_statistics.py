@@ -18,7 +18,7 @@ from logigof.statistics import (DomainError, NumericOverflowError, WeightSpec,
                                 moment_identities, r_stat, s_stat,
                                 s_stat_quadrature, t_stat_closed,
                                 t_stat_quadrature)
-from oracles import quad_expect
+from oracles import quad_delta, quad_expect
 
 residual_vectors = arrays(
     np.float64, st.integers(4, 16),
@@ -244,8 +244,62 @@ def test_delta_positive_for_common_alternatives():
 
 def test_delta_rejects_undefined_variance():
     from logigof.montecarlo import AlternativeSpec
-    with pytest.raises(DomainError):
-        delta_alternative(AlternativeSpec.cauchy(), WeightSpec(3.0))
+    for label in ("cauchy", "t(2)"):
+        with pytest.raises(DomainError):
+            delta_alternative(AlternativeSpec.parse(label), WeightSpec(3.0))
+
+
+@pytest.mark.parametrize("label", ["normal", "laplace", "gamma(2)", "mixture(0.2,laplace)"])
+def test_delta_matches_nested_adaptive_quadrature(label):
+    # The oracle integrates over t by Gauss-Hermite and, at each node, over
+    # the density by adaptive quadrature; Laplace and gamma(2) have a kink
+    # or a support end that the fixed rule must cut at.
+    from logigof.montecarlo import AlternativeSpec
+    alt = AlternativeSpec.parse(label)
+    assert delta_alternative(alt, WeightSpec(3.0)) == pytest.approx(quad_delta(alt, 3.0),
+                                                                    rel=1e-10)
+
+
+# Heavy tails that the nested adaptive rule could not resolve; the values
+# agree to 11 digits with a trapezoid rule in u on x = 2 sinh u at 600, 1200
+# and 2400 nodes.
+DELTA_T_GOLDEN = {"t(3)": 1.07665117797e-2, "t(5)": 7.4332115946e-4}
+
+
+@pytest.mark.parametrize("label", DELTA_T_GOLDEN)
+def test_delta_student_t_matches_golden_value(label):
+    from logigof.montecarlo import AlternativeSpec
+    value = delta_alternative(AlternativeSpec.parse(label), WeightSpec(3.0))
+    assert value == pytest.approx(DELTA_T_GOLDEN[label], rel=1e-9)
+
+
+@pytest.mark.parametrize("left, right", [("chisquare(1)", "gamma(0.5)"),
+                                         ("uniform", "uniform(-2,5)")])
+def test_delta_is_affine_invariant(left, right):
+    # chi-square(1) is gamma(0.5) scaled by 2; both uniforms are standardized
+    # to the same law.  The density of gamma(0.5) is infinite at its break.
+    from logigof.montecarlo import AlternativeSpec
+    values = [delta_alternative(AlternativeSpec.parse(s), WeightSpec(3.0))
+              for s in (left, right)]
+    assert values[0] == pytest.approx(values[1], rel=1e-12)
+
+
+def test_delta_memory_is_bounded():
+    # H is taken in row blocks of at most _kernels._PAIR_BUDGET pairs, so the
+    # peak (0.8 MB) stays far below one whole H at the last level that t(3)
+    # needs: up to 3074^2 doubles, 76 MB.
+    import tracemalloc
+
+    from logigof.montecarlo import AlternativeSpec
+    alt = AlternativeSpec.student_t(3)
+    alt.pdf(np.zeros(2))                        # load scipy.stats and the law
+    tracemalloc.start()
+    try:
+        delta_alternative(alt, WeightSpec(3.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # ---------------------------------------------------------------------------
