@@ -118,13 +118,13 @@ def _fmt(v: float) -> str:
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        items = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise InputError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
-    if not items:
+    if not text.strip():
         raise InputError(f"{flag}: empty list")
-    return items
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        # float() also rejects an empty field, as in "20,,30" or "0.05,".
+        raise InputError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:

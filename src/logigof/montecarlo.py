@@ -187,58 +187,15 @@ class AlternativeSpec:
                               f"{kind.rule}{' or none' if kind.defaults else ''}")
         object.__setattr__(self, "params", params)
 
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def logistic(cls, *params: float):
-        return cls("logistic", params)
-
-    @classmethod
-    def normal(cls):
-        return cls("normal")
-
-    @classmethod
-    def student_t(cls, df: float):
-        return cls("t", (df,))
-
-    @classmethod
-    def cauchy(cls):
-        return cls("cauchy")
-
-    @classmethod
-    def laplace(cls):
-        return cls("laplace")
-
-    @classmethod
-    def lognormal(cls, s: float):
-        return cls("lognormal", (s,))
-
-    @classmethod
-    def gamma(cls, k: float):
-        return cls("gamma", (k,))
-
-    @classmethod
-    def uniform(cls, *params: float):
-        return cls("uniform", params)
-
-    @classmethod
-    def beta(cls, alpha: float, beta_: float):
-        return cls("beta", (alpha, beta_))
-
-    @classmethod
-    def chisquare(cls, df: float):
-        return cls("chisquare", (df,))
-
-    @classmethod
-    def mixture(cls, p: float, contaminant: "AlternativeSpec"):
-        return cls("mixture", p=p, contaminant=contaminant)
-
     # -- sampling ----------------------------------------------------------
     def sample(self, n: int, stream: RngStream, reps: Optional[int] = None) -> np.ndarray:
         """n iid draws, deterministic given the stream.
 
         With ``reps=k`` the result is a (k, n) block whose row i is exactly
-        ``sample(n, RngStream(stream.seed, stream.substream + i))``, which is
-        ``_draw`` on that substream's fresh Generator.  Mixtures with p = 0
+        ``sample(n, RngStream(stream.seed, stream.substream + i))``: the
+        kind's ``_KINDS`` draw on that substream's fresh Generator, or for a
+        mixture its picks (``random``), its logistic base and its
+        contaminant's draw, one Generator call each.  Mixtures with p = 0
         are logistic and with p = 1 their contaminant.  Draws that take one
         Philox word each are computed for all rows at once from
         ``philox_words``, in row blocks of at most ``_kernels._PAIR_BUDGET``
@@ -259,7 +216,7 @@ class AlternativeSpec:
                               f"pass the last substream index, 2^64 - 1")
         spec = self
         if self.kind == "mixture" and self.p in (0.0, 1.0):
-            spec = self.contaminant if self.p else AlternativeSpec.logistic()
+            spec = self.contaminant if self.p else AlternativeSpec("logistic")
         words = {"logistic": n, "uniform": n, "mixture": 2 * n}.get(spec.kind)
         gen = None if spec.kind in ("logistic", "uniform") else stream.generator()
         step = max(1, _kernels._PAIR_BUDGET // (-(-words // 4) * 4)) if words else k
@@ -286,23 +243,17 @@ class AlternativeSpec:
             fill_logistic(out, words[:, n:2 * n])
             picks = random_doubles(words[:, :n]) < self.p
             last = words[:, -4:].tolist()
+            c = self.contaminant
+            draw = _KINDS[c.kind].draw
             for i in range(rows):
                 gen.bit_generator.state = _philox_state(seed, first + i, blocks, last[i],
                                                         2 * n - 4 * (blocks - 1))
-                np.copyto(out[i], self.contaminant._draw(gen, n), where=picks[i])
+                np.copyto(out[i], draw(gen, n, *c.params), where=picks[i])
         else:
+            draw = _KINDS[self.kind].draw
             for i in range(rows):
                 gen.bit_generator.state = _philox_state(seed, first + i)
-                out[i] = self._draw(gen, n)
-
-    def _draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        """n draws from ``gen``, one Generator call per part: the stream
-        that ``sample`` reproduces for every row."""
-        if self.kind != "mixture":
-            return _KINDS[self.kind].draw(gen, n, *self.params)
-        pick = gen.random(n)
-        base = _KINDS["logistic"].draw(gen, n, 0.0, 1.0)
-        return np.where(pick < self.p, self.contaminant._draw(gen, n), base)
+                out[i] = draw(gen, n, *self.params)
 
     # -- density and moments (for the population discrepancy) ---------------
     def pdf(self, x):
@@ -351,14 +302,22 @@ class AlternativeSpec:
             raise DomainError(f"cannot parse alternative: {text!r}")
         name = m.group(1).lower()
         raw_args = (m.group(2) or "").strip()
+
+        def numbers(fields: str) -> tuple:
+            # Every field must be a number: an empty one is an error, not a skip.
+            try:
+                return tuple(float(v) for v in fields.split(","))
+            except ValueError:
+                raise DomainError(f"bad number in alternative: {text!r}") from None
+
         if name == "mixture":
             if "," not in raw_args:
                 raise DomainError("mixture needs a proportion and a contaminant")
             p_text, rest = raw_args.split(",", 1)
-            return cls.mixture(float(p_text), cls.parse(rest))
+            return cls("mixture", p=numbers(p_text)[0], contaminant=cls.parse(rest))
         if name not in _NAMES:
             raise DomainError(f"unknown alternative name: {m.group(1)!r}")
-        return cls(_NAMES[name], tuple(float(v) for v in raw_args.split(",") if v.strip()))
+        return cls(_NAMES[name], numbers(raw_args) if raw_args else ())
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +552,7 @@ def simulate_statistics(specs: Sequence[StatSpec], n: int, cfg: McConfig,
     """
     if n < 2:
         raise DomainError(f"sample size must be at least 2 to fit location and scale, got {n}")
-    alt = alternative if alternative is not None else AlternativeSpec.logistic()
+    alt = alternative if alternative is not None else AlternativeSpec("logistic")
     raw_specs = tuple(s.key() for s in specs)
     chunk = _chunk_reps(n)
     tasks = [
@@ -703,7 +662,7 @@ def local_power_curve(contaminant: AlternativeSpec, p_grid: Sequence[float],
     the contaminant at each mixing proportion in p_grid."""
     rows = []
     for p in p_grid:
-        alt = AlternativeSpec.mixture(p, contaminant)
+        alt = AlternativeSpec("mixture", p=p, contaminant=contaminant)
         rows += [replace(row, key=float(p))
                  for row in power_study(specs, [alt], n, cfg, critical_table, alpha=alpha)]
     return rows

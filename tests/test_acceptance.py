@@ -20,7 +20,6 @@ The same table's T critical values reproduce in criterion 1.
 
 import dataclasses
 import math
-import os
 import subprocess
 import sys
 
@@ -38,6 +37,7 @@ from logigof import (AlternativeSpec, McConfig, Method, RngStream, StatSpec,
 from logigof._kernels import moment_residuals_batch
 from logigof.cli import bundled_data_path, load_dataset
 from logigof.logistic_core import fisher_info, score
+from proc_helpers import fresh_env
 
 ALL_SPECS = tuple(
     StatSpec.parse(text)
@@ -120,7 +120,7 @@ def test_criterion_01_critical_values(t_critical_tables):
 
 
 def test_criterion_02_size(power_cv_tables):
-    alt = AlternativeSpec.logistic(3.7, 2.2)
+    alt = AlternativeSpec("logistic", (3.7, 2.2))
     failures = []
     worst = 0.0
     for n in (20, 50):
@@ -144,12 +144,12 @@ def test_criterion_02_size(power_cv_tables):
 
 
 POWER_ALTS = (
-    AlternativeSpec.cauchy(),
-    AlternativeSpec.student_t(2),
-    AlternativeSpec.lognormal(1),
-    AlternativeSpec.gamma(1),
-    AlternativeSpec.uniform(),
-    AlternativeSpec.chisquare(2),
+    AlternativeSpec("cauchy"),
+    AlternativeSpec("t", (2,)),
+    AlternativeSpec("lognormal", (1,)),
+    AlternativeSpec("gamma", (1,)),
+    AlternativeSpec("uniform"),
+    AlternativeSpec("chisquare", (2,)),
 )
 
 POWER_REF = {
@@ -242,8 +242,8 @@ def test_criterion_04_local_power(power_cv_tables):
     failures = []
     worst = 0.0
     cells = 0
-    paths = ((AlternativeSpec.cauchy(), CAUCHY_MIX_REF),
-             (AlternativeSpec.lognormal(1), LOGNORMAL_MIX_REF))
+    paths = ((AlternativeSpec("cauchy"), CAUCHY_MIX_REF),
+             (AlternativeSpec("lognormal", (1,)), LOGNORMAL_MIX_REF))
     for contaminant, ref_by_n in paths:
         for n in (20, 50):
             cfg = McConfig(reps=RUN_REPS, seed=20260104)
@@ -400,13 +400,13 @@ def test_criterion_06_oracle_equivalence():
 def test_criterion_07_characterisation():
     failures = []
 
-    d_null = delta_alternative(AlternativeSpec.logistic())
+    d_null = delta_alternative(AlternativeSpec("logistic"))
     if not d_null <= 1e-10:
         failures.append(f"discrepancy at the null = {d_null:.3e} > 1e-10")
 
     deltas = {}
-    for alt in (AlternativeSpec.normal(), AlternativeSpec.laplace(),
-                AlternativeSpec.gamma(2)):
+    for alt in (AlternativeSpec("normal"), AlternativeSpec("laplace"),
+                AlternativeSpec("gamma", (2,))):
         deltas[alt.label()] = delta_alternative(alt)
         if not deltas[alt.label()] > 1e-3:
             failures.append(f"discrepancy({alt.label()}) = "
@@ -415,7 +415,7 @@ def test_criterion_07_characterisation():
     # T_n/n at n = 10,000 under the normal alternative: a single draw has
     # ~10% Monte Carlo spread, so average a few independent replicates.
     n_big = 10_000
-    normal = AlternativeSpec.normal()
+    normal = AlternativeSpec("normal")
     ratios = []
     for r in range(1, 8):
         x = normal.sample(n_big, RngStream(777, r))
@@ -443,7 +443,7 @@ def test_criterion_08_covariance_kernel():
     k_ref = covariance_kernel(s, t, Method.MOMENTS)
 
     # Row r equals sample(n, stream=RngStream(seed, r)); one call draws them all.
-    xs = AlternativeSpec.logistic().sample(n, RngStream(seed, 0), reps=reps)
+    xs = AlternativeSpec("logistic").sample(n, RngStream(seed, 0), reps=reps)
     ys = moment_residuals_batch(xs)
     assert not np.isnan(ys).any()
 
@@ -519,7 +519,7 @@ def test_criterion_10_worker_determinism(tmp_path):
     outputs = []
     for workers in (1, 4, 16):
         out = tmp_path / f"cv_w{workers}.csv"
-        env = dict(os.environ, LOGIGOF_WORKERS=str(workers))
+        env = dict(fresh_env(), LOGIGOF_WORKERS=str(workers))
         cmd = [sys.executable, "-m", "logigof.cli", "calibrate",
                "--stat", "T,KS", "--a", "3", "--n", "30",
                "--reps", "12000", "--seed", "77", "--out", str(out)]

@@ -249,6 +249,17 @@ def test_calibrate_rejects_fractional_sample_size(capsys):
     assert "--n" in err and "integers" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--n", "20,,30"), ("--n", "20,"),
+                                         ("--alpha-list", "0.05,"),
+                                         ("--alpha-list", ",0.1")])
+def test_calibrate_rejects_an_empty_list_field(flag, value, capsys):
+    args = {"--n": "20", "--alpha-list": "0.05", flag: value}
+    assert main(["calibrate", "--stat", "KS", "--reps", "50", "--workers", "1",
+                 *(v for item in args.items() for v in item)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert flag in err and repr(value) in err
+
+
 # ---------------------------------------------------------------------------
 # power
 
@@ -388,7 +399,7 @@ def test_shipped_configs_parse():
 
 def test_console_script_entrypoint_installed():
     proc = subprocess.run([sys.executable, "-m", "logigof.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=fresh_env())
     assert proc.returncode == 0
     assert "fit" in proc.stdout and "power" in proc.stdout
 

@@ -170,7 +170,7 @@ def test_rows_past_the_exp_range_through_the_engine(monkeypatch):
     y[3, 0] = -360.0
     monkeypatch.setattr(montecarlo, "_residuals_for_chunk", lambda x, method: (y.copy(), 0))
     task = montecarlo._ChunkTask(seed=1, rep_lo=0, rep_hi=4, n=9, specs=SPECS,
-                                 alternative=montecarlo.AlternativeSpec.logistic(),
+                                 alternative=montecarlo.AlternativeSpec("logistic"),
                                  method=Method.MOMENTS)
     _, values, _ = montecarlo._run_chunk(task)
     want = reference(y)
@@ -515,5 +515,5 @@ def test_spectral_s_on_a_t3_sample_matches_quadrature():
     from logigof.logistic_core import RngStream
     from logigof.statistics import s_stat, s_stat_quadrature
 
-    res = scaled_residuals(montecarlo.AlternativeSpec.student_t(3).sample(2048, RngStream(2048)))
+    res = scaled_residuals(montecarlo.AlternativeSpec("t", (3,)).sample(2048, RngStream(2048)))
     assert s_stat(res).value == pytest.approx(s_stat_quadrature(res).value, rel=1e-13)

@@ -191,7 +191,7 @@ def test_random_doubles_equal_generator_random():
 def test_block_sampling_memory_is_bounded():
     # The draws go into the block itself, in row blocks of at most
     # _kernels._PAIR_BUDGET Philox words.  Measured peak: 1.81 x.nbytes.
-    spec = AlternativeSpec.logistic()
+    spec = AlternativeSpec("logistic")
     spec.sample(20, RngStream(1), reps=16)
     tracemalloc.start()
     try:

@@ -46,9 +46,9 @@ def test_alternative_parse_label_round_trip():
 
 
 def test_alternative_parse_aliases_and_errors():
-    assert AlternativeSpec.parse("chi2(2)") == AlternativeSpec.chisquare(2)
-    assert AlternativeSpec.parse("LN(1.5)") == AlternativeSpec.lognormal(1.5)
-    assert AlternativeSpec.parse("uniform") == AlternativeSpec.uniform()
+    assert AlternativeSpec.parse("chi2(2)") == AlternativeSpec("chisquare", (2,))
+    assert AlternativeSpec.parse("LN(1.5)") == AlternativeSpec("lognormal", (1.5,))
+    assert AlternativeSpec.parse("uniform") == AlternativeSpec("uniform")
     with pytest.raises(DomainError):
         AlternativeSpec.parse("weibull(2)")
     with pytest.raises(DomainError):
@@ -56,32 +56,63 @@ def test_alternative_parse_aliases_and_errors():
     with pytest.raises(DomainError):
         AlternativeSpec.parse("t()")
     with pytest.raises(DomainError):
-        AlternativeSpec.mixture(1.5, AlternativeSpec.cauchy())
+        AlternativeSpec("mixture", p=1.5, contaminant=AlternativeSpec("cauchy"))
     with pytest.raises(DomainError):
-        AlternativeSpec.mixture(
-            0.5, AlternativeSpec.mixture(0.5, AlternativeSpec.cauchy()))
+        AlternativeSpec("mixture", p=0.5, contaminant=AlternativeSpec(
+            "mixture", p=0.5, contaminant=AlternativeSpec("cauchy")))
     # A kind takes no parameters (its defaults) or all of them, all finite.
     for bad in ("normal(5)", "cauchy(2,3)", "laplace(9)", "mixture(0.5,normal(3))",
                 "t(nan)", "gamma(inf)", "lognormal(nan)", "beta(nan,2)",
                 "chisquare(inf)", "logistic(0,nan)", "uniform(1)",
-                "uniform(-1e308,1e308)", "mixture(0.5,uniform(-1e308,1e308))"):
+                "uniform(-1e308,1e308)", "mixture(0.5,uniform(-1e308,1e308))",
+                # An empty or non-numeric field is an error, not a field to skip.
+                "uniform(-1,,1)", "logistic(,)", "t(2,)", "t(,2)", "logistic(0,1,)",
+                "mixture(,cauchy)", "mixture(0.5,t(2,))", "t(two)"):
         with pytest.raises(DomainError):
             AlternativeSpec.parse(bad)
-    # The Python constructors follow the same rule as the text form.
-    assert AlternativeSpec.uniform() == AlternativeSpec.parse("uniform")
-    assert AlternativeSpec.logistic() == AlternativeSpec.parse("logistic")
-    assert AlternativeSpec.logistic(2.0, 1.0) == AlternativeSpec.parse("logistic(2,1)")
-    for make, params in ((AlternativeSpec.uniform, (1.0,)),
-                         (AlternativeSpec.logistic, (2.0,)),
-                         (AlternativeSpec.uniform, (-1.0, 0.0, 1.0))):
+    assert AlternativeSpec.parse("logistic()") == AlternativeSpec.parse("logistic")
+    # The constructor follows the same rule as the text form.
+    assert AlternativeSpec("uniform") == AlternativeSpec.parse("uniform")
+    assert AlternativeSpec("logistic") == AlternativeSpec.parse("logistic")
+    assert AlternativeSpec("logistic", (2.0, 1.0)) == AlternativeSpec.parse("logistic(2,1)")
+    for kind, params in (("uniform", (1.0,)), ("logistic", (2.0,)),
+                         ("uniform", (-1.0, 0.0, 1.0))):
         with pytest.raises(DomainError):
-            make(*params)
+            AlternativeSpec(kind, params)
     # A mixture needs a proportion in [0, 1] and an AlternativeSpec contaminant.
-    cauchy = AlternativeSpec.cauchy()
+    cauchy = AlternativeSpec("cauchy")
     for fields in ({}, {"p": 0.5}, {"p": None, "contaminant": cauchy},
                    {"p": "0.5", "contaminant": cauchy}, {"p": 0.5, "contaminant": "cauchy"}):
         with pytest.raises(DomainError):
             AlternativeSpec("mixture", **fields)
+
+
+# For each kind with parameters, finite ones that its ``check`` rejects.
+REJECTED = {"logistic": (0.0, -1.0), "t": (-1.0,), "lognormal": (0.0,), "gamma": (0.0,),
+            "uniform": (2.0, 1.0), "beta": (1.0, 0.0), "chisquare": (-2.0,)}
+
+
+@pytest.mark.parametrize("kind", montecarlo._KINDS)
+def test_every_kind_follows_the_construction_rule(kind):
+    rules = montecarlo._KINDS[kind]
+    if rules.defaults is not None:
+        assert AlternativeSpec(kind) == AlternativeSpec.parse(kind)
+        assert AlternativeSpec(kind).params == rules.defaults
+    else:
+        for make in (AlternativeSpec, AlternativeSpec.parse):
+            with pytest.raises(DomainError):
+                make(kind)
+    good = rules.defaults or (2.0,) * rules.arity
+    assert AlternativeSpec(kind, good).params == good
+    bad = [good + (1.0,)]
+    for i in range(rules.arity):
+        bad += [good[:i] + (v,) + good[i + 1:] for v in (math.nan, math.inf, -math.inf)]
+    if rules.arity:
+        assert not rules.check(*REJECTED[kind])
+        bad.append(REJECTED[kind])
+    for params in bad:
+        with pytest.raises(DomainError):
+            AlternativeSpec(kind, params)
 
 
 # The first three draws of one alternative per kind at RngStream(20260815, 0),
@@ -147,9 +178,9 @@ def test_block_sample_equals_single_replication_draws(label):
 def test_block_sample_rejects_bad_replication_counts():
     # A block may end at the last substream, 2^64 - 1, and no later; n = 5
     # starts a mixture's contaminant inside a Philox block.
-    for spec in (AlternativeSpec.logistic(), AlternativeSpec.student_t(2),
-                 AlternativeSpec.uniform(-2.0, 5.0),
-                 AlternativeSpec.mixture(0.5, AlternativeSpec.cauchy())):
+    for spec in (AlternativeSpec("logistic"), AlternativeSpec("t", (2,)),
+                 AlternativeSpec("uniform", (-2.0, 5.0)),
+                 AlternativeSpec("mixture", p=0.5, contaminant=AlternativeSpec("cauchy"))):
         for reps in (0, -1, 2.5, 3.0, "3"):
             with pytest.raises(DomainError, match="replication count"):
                 spec.sample(5, RngStream(1), reps=reps)
@@ -177,21 +208,22 @@ def test_rows_drawn_from_philox_words_equal_per_row_draws(label):
         block = spec.sample(n, RngStream(20260815, 4096), reps=k)
         for i, row in enumerate(block):
             np.testing.assert_array_equal(
-                row, spec._draw(RngStream(20260815, 4096 + i).generator(), n))
+                row, per_replication_sample(spec, n, RngStream(20260815, 4096 + i)))
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0])
 def test_mixture_shortcuts_draw_the_base_or_the_contaminant_alone(p):
-    mix = AlternativeSpec.mixture(p, AlternativeSpec.uniform(-2.0, 5.0))
-    alone = mix.contaminant if p else AlternativeSpec.logistic()
+    mix = AlternativeSpec("mixture", p=p, contaminant=AlternativeSpec("uniform", (-2.0, 5.0)))
+    alone = mix.contaminant if p else AlternativeSpec("logistic")
     for n in (20, 21):
         block = mix.sample(n, RngStream(3, 10), reps=50)
         for i, row in enumerate(block):
-            np.testing.assert_array_equal(row, alone._draw(RngStream(3, 10 + i).generator(), n))
+            np.testing.assert_array_equal(row, per_replication_sample(alone, n,
+                                                                      RngStream(3, 10 + i)))
 
 
 def test_default_uniform_is_variance_one():
-    u = AlternativeSpec.uniform()
+    u = AlternativeSpec("uniform")
     assert u.mean() == pytest.approx(0.0, abs=1e-12)
     assert u.std() == pytest.approx(1.0, rel=1e-12)
 
@@ -199,30 +231,30 @@ def test_default_uniform_is_variance_one():
 def test_alternative_sampling_matches_distributions():
     stream = RngStream(1000)
     n = 100_000
-    x = AlternativeSpec.gamma(2.0).sample(n, stream)
+    x = AlternativeSpec("gamma", (2.0,)).sample(n, stream)
     assert x.mean() == pytest.approx(2.0, rel=0.02)
     assert x.var() == pytest.approx(2.0, rel=0.05)
-    x = AlternativeSpec.lognormal(1.0).sample(n, stream)
+    x = AlternativeSpec("lognormal", (1.0,)).sample(n, stream)
     assert np.log(x).std() == pytest.approx(1.0, rel=0.02)
 
 
 def test_mixture_zero_equals_base_stream_for_stream():
     stream = RngStream(7, 3)
-    mix = AlternativeSpec.mixture(0.0, AlternativeSpec.cauchy())
-    base = AlternativeSpec.logistic()
+    mix = AlternativeSpec("mixture", p=0.0, contaminant=AlternativeSpec("cauchy"))
+    base = AlternativeSpec("logistic")
     np.testing.assert_array_equal(mix.sample(50, stream), base.sample(50, stream))
 
 
 def test_mixture_one_equals_contaminant_stream_for_stream():
     stream = RngStream(7, 4)
-    mix = AlternativeSpec.mixture(1.0, AlternativeSpec.cauchy())
+    mix = AlternativeSpec("mixture", p=1.0, contaminant=AlternativeSpec("cauchy"))
     np.testing.assert_array_equal(
-        mix.sample(50, stream), AlternativeSpec.cauchy().sample(50, stream))
+        mix.sample(50, stream), AlternativeSpec("cauchy").sample(50, stream))
 
 
 def test_mixture_draws_compose_base_and_contaminant():
     stream = RngStream(11, 0)
-    mix = AlternativeSpec.mixture(0.35, AlternativeSpec.cauchy())
+    mix = AlternativeSpec("mixture", p=0.35, contaminant=AlternativeSpec("cauchy"))
     got = mix.sample(200, stream)
     gen = stream.generator()
     pick = gen.random(200)
@@ -240,7 +272,7 @@ def test_mixture_draws_compose_base_and_contaminant():
 
 
 def test_mixture_moments():
-    mix = AlternativeSpec.mixture(0.3, AlternativeSpec.gamma(2.0))
+    mix = AlternativeSpec("mixture", p=0.3, contaminant=AlternativeSpec("gamma", (2.0,)))
     assert mix.mean() == pytest.approx(0.3 * 2.0, rel=1e-12)
     second = 0.7 * math.pi**2 / 3.0 + 0.3 * (2.0 + 4.0)
     assert mix.std() == pytest.approx(math.sqrt(second - 0.6**2), rel=1e-12)
@@ -447,7 +479,7 @@ def test_mc_config_rejects_negative_or_fractional_workers():
 def test_power_study_null_alternative_near_level():
     specs = [StatSpec("T", 3), StatSpec("CM")]
     table = calibrate(specs, 20, [0.05], McConfig(reps=20000, seed=50, workers=1))
-    rows = power_study(specs, [AlternativeSpec.logistic()], 20,
+    rows = power_study(specs, [AlternativeSpec("logistic")], 20,
                        McConfig(reps=5000, seed=51, workers=1), table)
     for row in rows:
         assert 3.5 <= row.value <= 6.5
@@ -457,8 +489,8 @@ def test_power_study_null_alternative_near_level():
 def test_power_study_orders_sensible_alternatives():
     specs = [StatSpec("T", 3)]
     table = calibrate(specs, 20, [0.05], McConfig(reps=20000, seed=60, workers=1))
-    rows = power_study(specs, [AlternativeSpec.cauchy(),
-                               AlternativeSpec.normal()], 20,
+    rows = power_study(specs, [AlternativeSpec("cauchy"),
+                               AlternativeSpec("normal")], 20,
                        McConfig(reps=3000, seed=61, workers=1), table)
     by_alt = {row.key: row.value for row in rows}
     assert by_alt["cauchy"] > 50.0
@@ -468,7 +500,7 @@ def test_power_study_orders_sensible_alternatives():
 def test_local_power_curve_keys_and_monotonicity():
     specs = [StatSpec("T", 3)]
     table = calibrate(specs, 20, [0.05], McConfig(reps=20000, seed=70, workers=1))
-    rows = local_power_curve(AlternativeSpec.cauchy(), [0.0, 0.5, 1.0], specs,
+    rows = local_power_curve(AlternativeSpec("cauchy"), [0.0, 0.5, 1.0], specs,
                              20, McConfig(reps=4000, seed=71, workers=1), table)
     assert [row.key for row in rows] == [0.0, 0.5, 1.0]
     values = [row.value for row in rows]
@@ -495,7 +527,7 @@ def test_systematic_failures_raise():
     # Draws from a chi-square with a tiny shape underflow to exact zero about
     # 70% of the time, so whole samples are frequently constant and the fits
     # degenerate; well over 0.1% of replications fail and the run must abort.
-    flat = AlternativeSpec.chisquare(0.001)
+    flat = AlternativeSpec("chisquare", (0.001,))
     cfg = McConfig(reps=500, seed=90, workers=1)
     with pytest.raises(McError):
         simulate_statistics([StatSpec("KS")], 10, cfg, alternative=flat)
@@ -526,7 +558,7 @@ def test_overflowing_statistics_count_as_rejections():
     # n = 800 the span exceeds the exp range of the sinh-based statistics;
     # those replications must come back +inf (provably above any calibrated
     # threshold), not NaN, while the Gaussian-weighted statistic stays finite.
-    wild = AlternativeSpec.mixture(0.3, AlternativeSpec.parse("lognormal(8)"))
+    wild = AlternativeSpec("mixture", p=0.3, contaminant=AlternativeSpec.parse("lognormal(8)"))
     cfg = McConfig(reps=40, seed=96, workers=1, method=Method.MAX_LIKELIHOOD)
     values, failures = simulate_statistics(
         [StatSpec("S"), StatSpec("R", 1), StatSpec("T", 3)], 800, cfg,
@@ -563,7 +595,7 @@ def test_rows_to_csv_format():
 def test_rows_to_text_rounding():
     cfg = McConfig(reps=500, seed=9, workers=1)
     table = calibrate([StatSpec("KS")], 12, [0.05], cfg)
-    rows = power_study([StatSpec("KS")], [AlternativeSpec.cauchy()], 12,
+    rows = power_study([StatSpec("KS")], [AlternativeSpec("cauchy")], 12,
                        McConfig(reps=200, seed=10, workers=1), table)
     text = rows_to_text(rows, key_name="alternative", round_percent=True)
     lines = text.strip().split("\n")

@@ -128,7 +128,7 @@ def test_t_quadrature_converges_on_wide_t3_samples():
     # whose weights are finite, with no numpy warning on the way.
     from logigof.montecarlo import AlternativeSpec
 
-    alt = AlternativeSpec.student_t(3)
+    alt = AlternativeSpec("t", (3,))
     spans = []
     for r in range(20):
         res = scaled_residuals(alt.sample(2000, RngStream(11, r)))
@@ -226,19 +226,19 @@ DELTA_NORMAL_GOLDEN = 0.0014988821170463  # frozen from two independent runs
 
 def test_delta_zero_at_logistic():
     from logigof.montecarlo import AlternativeSpec
-    assert abs(delta_alternative(AlternativeSpec.logistic(), WeightSpec(3.0))) \
+    assert abs(delta_alternative(AlternativeSpec("logistic"), WeightSpec(3.0))) \
         <= 1e-10
 
 
 def test_delta_normal_matches_golden_value():
     from logigof.montecarlo import AlternativeSpec
-    value = delta_alternative(AlternativeSpec.normal(), WeightSpec(3.0))
+    value = delta_alternative(AlternativeSpec("normal"), WeightSpec(3.0))
     assert value == pytest.approx(DELTA_NORMAL_GOLDEN, rel=1e-8)
 
 
 def test_delta_positive_for_common_alternatives():
     from logigof.montecarlo import AlternativeSpec
-    for alt in (AlternativeSpec.laplace(), AlternativeSpec.gamma(2.0)):
+    for alt in (AlternativeSpec("laplace"), AlternativeSpec("gamma", (2.0,))):
         assert delta_alternative(alt, WeightSpec(3.0)) > 1e-3
 
 
@@ -291,7 +291,7 @@ def test_delta_memory_is_bounded():
     import tracemalloc
 
     from logigof.montecarlo import AlternativeSpec
-    alt = AlternativeSpec.student_t(3)
+    alt = AlternativeSpec("t", (3,))
     alt.pdf(np.zeros(2))                        # load scipy.stats and the law
     tracemalloc.start()
     try:
