@@ -140,12 +140,14 @@ _TUNING_FLAGS = {"T": ("--a", "weight decay"), "R": ("--v", "frequency cutoff")}
 
 def _stat_specs_from_flags(args) -> list[StatSpec]:
     """One spec per ``--stat`` item; a tuned statistic without ':' expands
-    over every value of its tuning flag."""
+    over every value of its tuning flag.  An empty item is an error."""
+    if not args.stat.strip():
+        raise InputError("--stat: no statistics given")
     specs: list[StatSpec] = []
     for part in args.stat.split(","):
         part = part.strip()
         if not part:
-            continue
+            raise InputError(f"--stat: empty item in {args.stat!r}")
         if ":" in part:
             specs.append(StatSpec.parse(part))
         elif part.upper() in _TUNING_FLAGS:
@@ -154,8 +156,6 @@ def _stat_specs_from_flags(args) -> list[StatSpec]:
             specs.extend(StatSpec(part, t) for t in tunings)
         else:
             specs.append(StatSpec(part))
-    if not specs:
-        raise InputError("--stat: no statistics given")
     return specs
 
 

@@ -260,6 +260,13 @@ def test_calibrate_rejects_an_empty_list_field(flag, value, capsys):
     assert flag in err and repr(value) in err
 
 
+@pytest.mark.parametrize("value", ["KS,,CM", "KS,", ",KS", "KS, ,CM", " "])
+def test_calibrate_rejects_an_empty_stat_item(value, capsys):
+    assert main(["calibrate", "--stat", value, "--n", "20", "--reps", "50",
+                 "--workers", "1"]) == EXIT_USAGE
+    assert "--stat" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # power
 

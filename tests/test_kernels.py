@@ -517,3 +517,102 @@ def test_spectral_s_on_a_t3_sample_matches_quadrature():
 
     res = scaled_residuals(montecarlo.AlternativeSpec("t", (3,)).sample(2048, RngStream(2048)))
     assert s_stat(res).value == pytest.approx(s_stat_quadrature(res).value, rel=1e-13)
+
+
+@pytest.mark.parametrize("orders", [(), (1,), (1, 2, 3)])
+def test_s_and_r_rules_are_exactly_symmetric(orders):
+    # The S/R path takes exp(-t Y) as the reciprocal of exp(t Y), so every
+    # even rule it can use must pair its nodes and weights exactly.
+    for count in range(8, 545, 2):
+        nodes, weights = _kernels._sr_rule(count, orders)
+        assert nodes.shape == (count,) and weights.shape == (1 + len(orders), count)
+        np.testing.assert_array_equal(nodes[::-1], -nodes)
+        np.testing.assert_array_equal(weights[:, ::-1], weights)
+        legendre = _kernels._legendre(count)
+        np.testing.assert_array_equal(nodes[count // 2:], legendre[0][count // 2:])
+        np.testing.assert_array_equal(weights[0, count // 2:], legendre[1][count // 2:])
+        for degree in range(0, min(2 * count, 80), 2):    # exact to degree 2 count - 1
+            assert np.dot(weights[0], nodes**degree) == pytest.approx(
+                2.0 / (degree + 1), rel=1e-13)
+        assert np.dot(weights[0], nodes**3) == pytest.approx(0.0, abs=1e-15)
+
+
+def _mixed_count_rows(rows, n, seed):
+    """Moment residuals of logistic, Cauchy and lognormal(1) samples and ML
+    residuals of t(2) samples, rows of each, then one row past the exp range
+    and one row with NaN."""
+    rng = np.random.default_rng([seed, n])
+    x = np.concatenate([rng.logistic(size=(rows, n)), rng.standard_cauchy(size=(rows, n)),
+                        rng.lognormal(0.0, 1.0, size=(rows, n))])
+    ml, _ = montecarlo._residuals_for_chunk(rng.standard_t(2, size=(rows, n)),
+                                            Method.MAX_LIKELIHOOD)
+    y = np.concatenate([_kernels.moment_residuals_batch(x), ml, x[:2] / x[:2].std()])
+    y[-2, 3] = 351.0                                 # 2 max|Y| = 702
+    y[-1, 5] = np.nan
+    return y
+
+
+@pytest.mark.parametrize("rows, n", [(48, 20), (24, 50), (3, 2048)])
+def test_s_and_r_rows_with_mixed_node_counts_are_independent_of_the_batch(rows, n):
+    # Rows are grouped by node count; a group spans several row blocks, and
+    # no row's values may depend on which other rows share its group or block.
+    y = _mixed_count_rows(rows, n, seed=90)
+    live = ~np.isnan(y).any(axis=1) & (2.0 * np.abs(y).max(axis=1) <= EXP_LIMIT)
+    assert not live[-2:].any() and np.isfinite(y[:-1]).all()
+    orders = tuple(v for sid, v in SPECS if sid == "R")
+    counts, sizes = np.unique(_kernels._sr_counts(np.sort(y[live], axis=1), orders),
+                              return_counts=True)
+    assert len(counts) > 1
+    block = np.minimum(counts // 2, max(1, _kernels._PAIR_BUDGET // n))
+    assert (sizes > np.maximum(1, _kernels._PAIR_BUDGET // (block * n))).any()
+    whole = compute_batch(y, SPECS)
+    for i in range(y.shape[0]):
+        np.testing.assert_array_equal(whole[:, i], compute_batch(y[i:i + 1], SPECS)[:, 0])
+    sr = [i for i, (sid, _) in enumerate(SPECS) if sid in ("S", "R")]
+    assert np.isposinf(whole[sr, -2]).all() and np.isnan(whole[:, -1]).all()
+    if n < 2048:
+        np.testing.assert_allclose(whole[sr][:, live], reference(y[live], SPECS[3:7]),
+                                   rtol=RTOL, atol=0)
+    else:
+        # The full-square reference takes about a minute per row here.
+        for i in np.flatnonzero(live):
+            assert whole[3, i] == pytest.approx(s_quadrature(y[i]), rel=RTOL)
+            for v in (1, 2, 3):
+                assert whole[3 + v, i] == pytest.approx(r_stat_quadrature(y[i], v), rel=RTOL)
+
+
+def test_s_and_r_past_the_node_block_budget():
+    # Past n = 8192 a node block is one node, so node counts may be odd; the
+    # S/R rule rounds them up to even, and above _PAIR_BUDGET observations
+    # one row's block holds more than the budget.
+    n = _kernels._PAIR_BUDGET + 116
+    y = _logistic_rows(3, n, seed=91)
+    for orders in ((), (1,), (1, 2)):
+        assert (_kernels._sr_counts(np.sort(y, axis=1), orders) % 2 == 0).all()
+    got = compute_batch(y, TSR[3:5])
+    for i, row in enumerate(y):
+        assert got[0, i] == pytest.approx(s_quadrature(row), rel=RTOL)
+        assert got[1, i] == pytest.approx(r_stat_quadrature(row, 1), rel=RTOL)
+
+
+def test_s_and_r_take_one_exponential_per_node_pair(monkeypatch):
+    # exp(-t Y) is the reciprocal of exp(t Y): the S/R path evaluates the
+    # exponential at the positive nodes only.
+    y = np.sort(np.concatenate([_residual_rows("logistic", 40, 50, seed=92),
+                                _residual_rows("cauchy", 9, 50, seed=93)]), axis=1)
+    orders = (1, 2, 3)
+    counts = _kernels._sr_counts(y, orders)
+    assert len(np.unique(counts)) > 1
+    evaluated = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x, *args, **kwargs):
+            evaluated.append(np.size(x))
+            return np.exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "np", CountingNumpy())
+    _kernels._sr_spectral(y, np.tanh(y / 2.0), orders, True, counts)
+    assert sum(evaluated) == int(np.sum(counts // 2)) * y.shape[1]
