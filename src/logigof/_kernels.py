@@ -1,8 +1,10 @@
 """Batch kernels for the test statistics, and the registry of statistics.
 
 ``STATS`` is the one place that names the statistics: each id maps to its
-kernel family and to the default and type of its tuning parameter, and
-``check_spec`` validates a (stat_id, tuning) pair against it.  One entry
+kernel family and to the default, type and largest value of its tuning
+parameter, and ``check_spec`` validates a (stat_id, tuning) pair against it.
+R's order stops at 100: its Gauss-Legendre rule grows with the order (984
+nodes at 100) and takes O(count^2) to build.  One entry
 point, ``compute_batch(y, specs)``, evaluates every requested statistic for
 each row of a (C, n) residual batch; the single-sample functions of
 ``statistics`` call it with a batch of one.
@@ -81,7 +83,8 @@ it wins clearly, 1.4-1.5 times (1.6 at 40, 2.0-2.2 at 50).  At n = 32 and
 (1.5-2 n at n = 128-256), so a row takes it only while its node count is at
 most ``_T_NODES_PER_OBS`` n = n; wider rows take the pair path.  S and R
 (40-49 nodes on such rows) take the spectral path on every row inside the
-exp range, whatever its node count (at most 544 there): on 4096 rows at
+exp range, whatever its node count (at most 544 there for orders up to 3,
+984 at order 100): on 4096 rows at
 n = 20 it is 1.4 times faster than their pair sums on logistic rows and 1.3
 times on Cauchy rows, and it breaks even near n = 14 (0.76-0.82 times their
 speed at n = 10).  Rows with NaN take neither path.
@@ -89,18 +92,17 @@ speed at n = 10).  Rows with NaN take neither path.
 Memory.  Offsets are taken in blocks whose size depends on n only, and rows
 in groups, so that a block holds at most ``_PAIR_BUDGET`` pairs for any
 batch size C (one offset row of n pairs when n exceeds the budget).  The
-pair terms are computed in six scratch buffers of one block each,
-allocated once per call, so that the heap does not grow and shrink with
-every block.  T's spectral path takes rows in groups whose node block
-holds at most ``_PAIR_BUDGET`` elements (one row when n exceeds the
-budget), in scratch buffers allocated once per call; each group keeps only
-O(rows K) node sums.  S and R take the rows of each node count in blocks
-whose values exp(t_k Y_j), at up to ``_PAIR_BUDGET`` / n positive nodes at
-a time, fill one scratch buffer of ``_PAIR_BUDGET`` elements (n when n
-exceeds the budget) allocated once per call.  The rows of a count are read
-block by block, so no (rows, n) copy of a whole group is made, and R's
-single-observation terms are also taken in row blocks of at most
-``_PAIR_BUDGET`` elements.  Besides them the kernel keeps O(C n) arrays.
+pair terms are computed in six scratch buffers of one block each, allocated
+once per call, so that the heap does not grow and shrink with every block.
+Both spectral paths take the rows of each node count in blocks
+(``_count_blocks``) whose node block, ``_node_block(n)`` nodes for T and up
+to ``_PAIR_BUDGET`` / n positive nodes for S and R, holds at most
+``_PAIR_BUDGET`` values (one row when n exceeds the budget).  Those values
+fill one scratch buffer allocated once per call, and a block keeps only
+O(rows K) node sums.  The rows of a count are read block by block, so no
+(rows, n) copy of a whole group is made, and R's single-observation terms
+are also taken in row blocks of at most ``_PAIR_BUDGET`` elements.  Besides
+them the kernel keeps O(C n) arrays.
 
 Overflow.  S and R are +inf on rows with 2 max|Y| > ``_EXP_LIMIT``: their
 exponential terms leave double range, and the statistic then exceeds any
@@ -109,18 +111,16 @@ the EDF statistics stay finite on them.  Rows containing NaN give NaN
 for every statistic.
 
 Determinism.  Rows are sorted first, so every statistic is exactly invariant
-under permutations of a sample.  Each row is reduced over blocks whose
-lengths depend on n only, in a fixed order, so a row's values are
-bit-identical whatever the other rows of the batch, and whatever the number
-of workers.  On the spectral path every matrix product has the same shape
-for a given n, since BLAS may round a product's rows differently when its
-shape changes; that is why T's node blocks are computed whole.  T's node
-sums of a row are added strictly in order, so the zero terms that pad a
-row to the largest node count of its group change nothing.  S and R group
-rows by node count, so no row is padded, and a row's rule, node blocks and
-matrix shapes follow from n and its own count only; the batched products
-are one (2, n) by (n, nodes) product per row, however many rows a block
-holds.
+under permutations of a sample.  A row's values are bit-identical whatever
+the other rows of the batch, and whatever the number of workers.  The pair
+path reduces each row over offset blocks whose lengths depend on n only, in
+a fixed order.  Both spectral paths group rows by node count, so no row is
+evaluated past its own count, and a row's rule, node blocks and matrix
+shapes follow from n and its own count only.  Every batched product is one
+(2, n) by (n, nodes) product per row, however many rows a block holds,
+since BLAS may round a product's rows differently when its shape changes
+(that is why T's node blocks are computed whole), and each row's terms are
+summed over its own nodes alone.
 """
 
 from __future__ import annotations
@@ -159,17 +159,19 @@ class NumericOverflowError(ArithmeticError):
 
 class Stat(NamedTuple):
     """Registry entry: the kernel family that evaluates a statistic, and the
-    default and type of its tuning parameter (None when it takes none)."""
+    default, type (None when it takes none) and largest value of its tuning
+    parameter."""
 
     family: str                       # "T", "SR" or "EDF"
     default: Optional[float] = None
     tuning: Optional[type] = None     # float (T's weight rate) or int (R's order)
+    limit: float = math.inf           # largest tuning
 
 
 STATS = {
     "T": Stat("T", 3.0, float),
     "S": Stat("SR"),
-    "R": Stat("SR", 1, int),
+    "R": Stat("SR", 1, int, 100),
     "KS": Stat("EDF"),
     "CM": Stat("EDF"),
     "AD": Stat("EDF"),
@@ -193,6 +195,8 @@ def check_spec(stat_id: str, tuning=None) -> tuple:
         raise DomainError(f"tuning for {stat_id} must be positive and finite")
     if stat.tuning is int and not value.is_integer():
         raise DomainError(f"tuning for {stat_id} must be an integer, got {value:g}")
+    if value > stat.limit:
+        raise DomainError(f"tuning for {stat_id} must be at most {stat.limit:g}, got {value:g}")
     return stat_id, stat.tuning(value)
 
 
@@ -281,19 +285,28 @@ def _node_block(n: int) -> int:
     return min(_NODE_BLOCK, 1 << (fit.bit_length() - 1))
 
 
-def _row_blocks(c: int, n: int):
-    """The node block of ``_node_block(n)``, the most rows per row block
-    (a block of nodes of every row in it holds at most ``_PAIR_BUDGET``
-    elements), and the row slices."""
-    block = _node_block(n)
-    rows = min(c, max(1, _PAIR_BUDGET // (block * n)))
-    return block, rows, [slice(r0, min(r0 + rows, c)) for r0 in range(0, c, rows)]
+def _count_blocks(counts, n, nodes):
+    """(count, rows) for the rows of each distinct node count of ``counts``,
+    in blocks of as many rows as fit ``nodes(count)`` nodes each into
+    ``_PAIR_BUDGET`` values (one row when n exceeds it).  rows is a slice
+    when every row has the same count, else an index array."""
+    if (counts == counts[0]).all():
+        groups = [(int(counts[0]), None)]
+    else:
+        groups = [(int(k), np.flatnonzero(counts == k)) for k in np.unique(counts)]
+    for count, group in groups:
+        size = len(counts) if group is None else group.size
+        step = max(1, _PAIR_BUDGET // (nodes(count) * n))
+        for r0 in range(0, size, step):
+            yield count, slice(r0, r0 + step) if group is None else group[r0:r0 + step]
 
 
 def _padded(counts, n):
-    """Node counts rounded up to whole node blocks: T's blocks are computed
-    whole, so there the extra nodes cost nothing and only refine the rule.
-    S and R evaluate every node of their counts, extra ones included."""
+    """Node counts rounded up to whole blocks of ``_node_block(n)`` nodes,
+    T's and S/R's alike.  T computes its node blocks whole, so there the
+    extra nodes cost nothing and only refine the rule.  S and R evaluate
+    every node, extra ones included; the rounding bounds how many distinct
+    counts, and so how many row groups, a batch can have."""
     block = _node_block(n)
     return np.ceil(counts / block) * block
 
@@ -331,7 +344,7 @@ def _sr_counts(y, orders):
     c' = c + 2 pi max(v) bound the Gauss-Legendre error of exp(c' t) to 1e-17
     of its integral.  Counts are rounded up to whole node blocks and then to
     an even number, so that the nodes pair as +-t.  Inside the exp range that
-    is at most 544 nodes."""
+    is at most 544 nodes for orders up to 3, and 984 at order 100."""
     c = 2.0 * _abs_max(y) + 2.0 * math.pi * max(orders, default=0)
     counts = _padded(np.ceil(0.7 * c + 4.0 * np.cbrt(c) + 4.0), y.shape[1]).astype(int)
     return counts + counts % 2
@@ -340,11 +353,12 @@ def _sr_counts(y, orders):
 @functools.lru_cache(maxsize=256)
 def _legendre(count: int):
     """Gauss-Legendre nodes (ascending) and weights of order ``count``, built
-    on first use and cached (residual rows with R orders up to 3 need fewer
-    than 560 nodes); callers only read them.  Newton's method on the Legendre
-    recurrence from the guesses cos(pi (k - 1/4) / (count + 1/2)) needs no
-    eigensolver, so no LAPACK buffers, and keeps the weights next to +-1
-    accurate, where numpy's leggauss loses ~1e-9 at count = 543."""
+    on first use and cached (rows inside the exp range need at most 544
+    nodes with R orders up to 3, and 984 at the largest order, 100, a rule
+    built in about 0.04 s); callers only read them.  Newton's method on the
+    Legendre recurrence from the guesses cos(pi (k - 1/4) / (count + 1/2))
+    needs no eigensolver, so no LAPACK buffers, and keeps the weights next to
+    +-1 accurate, where numpy's leggauss loses ~1e-9 at count = 543."""
     x = np.cos(math.pi * (np.arange(count, 0, -1) - 0.25) / (count + 0.5))
     for _ in range(100):
         p_prev, p = np.ones_like(x), x
@@ -372,19 +386,13 @@ def _sr_rule(count: int, orders: tuple):
     return np.concatenate([-t[::-1], t]), np.concatenate([table[:, ::-1], table], axis=1)
 
 
-def _node_total(terms):
-    """Sum over the last (node) axis, strictly left to right.  Rows with
-    fewer nodes than the axis are padded with zero terms; a pairwise np.sum
-    would group a row's terms by the padded length, a running sum does not."""
-    return np.cumsum(terms, axis=-1)[..., -1]
-
-
 def _t_spectral(y, m, rates, counts) -> np.ndarray:
     """T pair sums of each rate, (len(rates), C), from
     n int |g(t)|^2 exp(-a t^2) dt, where n g(t) = G(t) =
     sum_j (it - m_j) exp(itY_j): the integrand is even, so the trapezoid
     rule on t = 0, h, 2h, ... weights t = 0 by h and every other node by 2h.
-    All rates share the node sums.
+    All rates share the node sums.  Rows are taken by node count, in blocks
+    whose node block holds at most ``_PAIR_BUDGET`` values.
 
     exp(i t_k Y_j) comes from a rotation: with z_j = exp(i h Y_j) and the
     powers z^0 .. z^(B-1) of one node block, a block starting at node k0 is
@@ -397,25 +405,23 @@ def _t_spectral(y, m, rates, counts) -> np.ndarray:
     past it change no value there, and a row of at most 32 nodes takes no
     complex exp besides the one that gives z."""
     c, n = y.shape
-    block, rows, slices = _row_blocks(c, n)
+    block = _node_block(n)
     step = _t_step(y, rates)
     a = np.array(rates)
-    scale = np.sqrt(a / math.pi)[:, None]
-    powers = np.empty((rows, block, n), dtype=complex)
-    rotation = np.empty((rows, n), dtype=complex)
-    anchor = np.empty((rows, 2, n), dtype=complex)
+    scale = 2.0 * np.sqrt(a / math.pi)[:, None]
+    powers = np.empty(max(_PAIR_BUDGET, block * n), dtype=complex)
     out = np.empty((len(a), c))
-    for sl in slices:
-        yr, mr, h = y[sl], m[sl], step[sl, None]
-        p, z, w = powers[:len(yr)], rotation[:len(yr)], anchor[:len(yr)]
-        np.exp(1j * (h * yr), out=z)
+    for count, sel in _count_blocks(counts, n, lambda count: block):
+        yr, mr, h = y[sel], m[sel], step[sel, None]
+        p = powers[:yr.size * block].reshape(len(yr), block, n)
+        z = np.exp(1j * (h * yr))
         p[:, 0] = 1.0
         for j in range(1, block):
             np.multiply(p[:, j - 1], z, out=p[:, j])
         z *= p[:, -1]                                 # z^B
-        k = np.arange(counts[sl].max())
-        sums = np.empty((len(yr), 2, k.size), dtype=complex)
-        for lo in range(0, k.size, block):
+        w = np.empty((len(yr), 2, n), dtype=complex)
+        sums = np.empty((len(yr), 2, count), dtype=complex)
+        for lo in range(0, count, block):
             if lo == 0:
                 w[:, 0] = 1.0
             elif lo % _ANCHOR:
@@ -425,23 +431,13 @@ def _t_spectral(y, m, rates, counts) -> np.ndarray:
             np.multiply(w[:, 0], mr, out=w[:, 1])
             np.matmul(w, p.transpose(0, 2, 1), out=sums[:, :, lo:lo + block])
         e, m_e = sums[:, 0], sums[:, 1]
-        t = h * k
+        t = h * np.arange(count)
         re = t * e.imag + m_e.real
         im = t * e.real - m_e.imag
-        weight = np.where(k < counts[sl, None], 2.0 * h, 0.0)
-        weight[:, 0] = h[:, 0]
-        g2 = weight * (re * re + im * im)
-        out[:, sl] = scale * _node_total(g2 * np.exp(np.multiply.outer(-a, t * t)))
+        g2 = re * re + im * im
+        g2[:, 0] *= 0.5                               # t = 0 has weight h, the others 2h
+        out[:, sel] = scale * h.T * np.sum(g2 * np.exp(np.multiply.outer(-a, t * t)), axis=-1)
     return out
-
-
-def _count_groups(counts):
-    """(count, rows) for each distinct node count: rows is None when every
-    row has the same count, else the indices of the rows that have it."""
-    if (counts == counts[0]).all():
-        return [(int(counts[0]), None)]
-    sizes, which = np.unique(counts, return_inverse=True)
-    return [(int(size), np.flatnonzero(which == i)) for i, size in enumerate(sizes)]
 
 
 def _sr_spectral(y, m, orders, need_s, counts) -> np.ndarray:
@@ -457,39 +453,35 @@ def _sr_spectral(y, m, orders, need_s, counts) -> np.ndarray:
     are one matrix product with (1, m), once for +t and once for -t."""
     c, n = y.shape
     orders = tuple(orders)
+    fit = max(1, _PAIR_BUDGET // n)
     out = np.empty((need_s + len(orders), c))
     values = np.empty(max(_PAIR_BUDGET, n))
-    for count, group in _count_groups(counts):
+    for count, sel in _count_blocks(counts, n, lambda count: min(count // 2, fit)):
         half = count // 2
+        block = min(half, fit)
         t, wt = _sr_rule(count, orders)
-        tp, wp = t[half:], wt[:, half:]
-        # The node sums of a row hold -tp, then tp.
-        t, wt = np.concatenate([-tp, tp]), np.concatenate([wp, wp], axis=1)
-        block = min(half, max(1, _PAIR_BUDGET // n))
-        size = c if group is None else len(group)
-        rows = min(size, max(1, _PAIR_BUDGET // (block * n)))
-        ones_m = np.empty((rows, 2, n))
-        ones_m[:, 0] = 1.0
-        sums = np.empty((rows, 2, count))
-        for r0 in range(0, size, rows):
-            sel = slice(r0, r0 + rows) if group is None else group[r0:r0 + rows]
-            yr = y[sel]
-            w, s = ones_m[:len(yr)], sums[:len(yr)]
-            w[:, 1] = m[sel]
-            for lo in range(0, half, block):
-                hi = min(lo + block, half)
-                g = values[:(hi - lo) * yr.size].reshape(hi - lo, *yr.shape)
-                np.multiply.outer(tp[lo:hi], yr, out=g)
-                np.exp(g, out=g)
-                np.matmul(w, g.transpose(1, 2, 0), out=s[:, :, half + lo:half + hi])
-                np.reciprocal(g, out=g)
-                np.matmul(w, g.transpose(1, 2, 0), out=s[:, :, lo:hi])
-            e, m_e = s[:, 0], s[:, 1]
-            terms = wt * (e * e)[:, None]
-            if need_s:
-                f = t * e - m_e
-                terms[:, 0] = wt[0] * f * f
-            out[:, sel] = _node_total(terms[:, 1 - need_s:]).T
+        wt = wt[1 - need_s:]
+        yr = y[sel]
+        w = np.empty((len(yr), 2, n))
+        w[:, 0] = 1.0
+        w[:, 1] = m[sel]
+        s = np.empty((len(yr), 2, count))
+        for lo in range(half, count, block):
+            hi = min(lo + block, count)
+            g = values[:(hi - lo) * yr.size].reshape(hi - lo, *yr.shape)
+            np.multiply.outer(t[lo:hi], yr, out=g)
+            np.exp(g, out=g)
+            np.matmul(w, g.transpose(1, 2, 0), out=s[:, :, lo:hi])
+            np.reciprocal(g, out=g)
+            np.matmul(w, g.transpose(1, 2, 0), out=s[:, :, lo - half:hi - half])
+        # The first half holds the nodes -t[half:]; the rule lists them in reverse.
+        s[:, :, :half] = s[:, :, half - 1::-1]
+        e, m_e = s[:, 0], s[:, 1]
+        terms = wt * (e * e)[:, None]
+        if need_s:
+            f = t * e - m_e
+            terms[:, 0] = wt[0] * f * f
+        out[:, sel] = np.sum(terms, axis=-1).T
     return out
 
 
@@ -505,26 +497,6 @@ def _routed(count, c, routes) -> np.ndarray:
         elif mask.any():
             out[:, mask] = evaluate(mask)
     return out
-
-
-def _tsr_sums(y, m, rates, orders, need_s, live, overflow) -> list:
-    """Pair sums of T for each rate, then of S when ``need_s``, then of R
-    for each order, each a (C,) array.  T takes the spectral path on the
-    rows ``_t_route`` selects and the pair path on the other rows in
-    ``live``; S and R take the spectral path on every row in ``live`` but
-    not in ``overflow``.  The sums of any other row are NaN."""
-    c = len(y)
-    sums = []
-    if rates:
-        counts, fast = _t_route(y, rates)
-        sums += list(_routed(len(rates), c, [
-            (fast, lambda rows: _t_spectral(y[rows], m[rows], rates, counts[rows].astype(int))),
-            (live & ~fast, lambda rows: _pair_sums(y[rows], m[rows], rates))]))
-    if need_s or orders:
-        sums += list(_routed(need_s + len(orders), c, [
-            (live & ~overflow, lambda rows: _sr_spectral(
-                y[rows], m[rows], orders, need_s, _sr_counts(y[rows], orders)))]))
-    return sums
 
 
 def _r_elementwise(y, orders) -> dict:
@@ -602,15 +574,26 @@ def compute_batch(y: np.ndarray, specs) -> np.ndarray:
     if rates or orders or need_s:
         live = ~np.isnan(y).any(axis=1)
         overflow = 2.0 * _abs_max(y) > _EXP_LIMIT
+        m = np.tanh(y / 2.0)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            sums = iter(_tsr_sums(y, np.tanh(y / 2.0), rates, orders, need_s, live, overflow))
-            values = {("T", a): math.sqrt(math.pi / a) / n * next(sums) for a in rates}
-            if need_s:
-                values["S", None] = next(sums) / n
-            single = _r_elementwise(y, orders) if orders else {}
-            for v in orders:
-                values["R", v] = (4.0 * v * v * math.pi**2 / n) * next(sums) \
-                    - 4.0 * math.pi**2 * single[v] + n * _r_constant(v)
+            if rates:
+                counts, fast = _t_route(y, rates)
+                sums = _routed(len(rates), c, [
+                    (fast, lambda rows: _t_spectral(y[rows], m[rows], rates,
+                                                    counts[rows].astype(int))),
+                    (live & ~fast, lambda rows: _pair_sums(y[rows], m[rows], rates))])
+                for a, t in zip(rates, sums):
+                    values["T", a] = math.sqrt(math.pi / a) / n * t
+            if need_s or orders:
+                sums = _routed(need_s + len(orders), c, [
+                    (live & ~overflow, lambda rows: _sr_spectral(
+                        y[rows], m[rows], orders, need_s, _sr_counts(y[rows], orders)))])
+                if need_s:
+                    values["S", None] = sums[0] / n
+                single = _r_elementwise(y, orders) if orders else {}
+                for v, r in zip(orders, sums[need_s:]):
+                    values["R", v] = (4.0 * v * v * math.pi**2 / n) * r \
+                        - 4.0 * math.pi**2 * single[v] + n * _r_constant(v)
         for (sid, _), value in values.items():
             if STATS[sid].family == "SR":
                 value[overflow] = np.inf

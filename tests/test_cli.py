@@ -267,6 +267,20 @@ def test_calibrate_rejects_an_empty_stat_item(value, capsys):
     assert "--stat" in capsys.readouterr().err
 
 
+def test_r_orders_above_100_are_usage_errors(tmp_path, capsys):
+    data = write(tmp_path, "d.txt", "\n".join(str(v) for v in range(1, 21)))
+    cfg = write(tmp_path, "p.cfg", "n = 20\nreps = 50\nstatistic = R:101\n"
+                                   "alternative = cauchy\n")
+    for args in (["test", data, "--stat", "R:101", "--reps", "10"],
+                 ["test", data, "--stat", "R", "--v", "101", "--reps", "10"],
+                 ["calibrate", "--stat", "R", "--v", "1,101", "--n", "20", "--reps", "10"],
+                 ["power", "--config", cfg]):
+        assert main([*args, "--workers", "1"]) == EXIT_USAGE
+        assert "error: " in (err := capsys.readouterr().err) and "at most 100" in err
+    assert main(["calibrate", "--stat", "R:100", "--n", "20", "--reps", "10",
+                 "--workers", "1"]) == EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # power
 

@@ -499,6 +499,43 @@ def test_spectral_rows_are_independent_of_the_batch_and_of_order():
     np.testing.assert_array_equal(compute_batch(shuffled, SPECS), whole)
 
 
+@pytest.mark.parametrize("rows, n", [(48, 50), (16, 160)])
+def test_t_rows_with_mixed_node_counts_are_independent_of_the_batch(rows, n):
+    # T takes rows grouped by node count, in row blocks of _PAIR_BUDGET values
+    # per node block; a group here spans more than one row block, and no
+    # row's values may depend on which other rows share its group or block.
+    rng = np.random.default_rng([94, n])
+    t2 = _kernels.moment_residuals_batch(rng.standard_t(2, size=(rows // 2, n)))
+    _, wide = _widest_spectral_t_row(n, seed=96)
+    y = np.concatenate([_residual_rows("logistic", rows, n, seed=94),
+                        _residual_rows("cauchy", rows // 2, n, seed=95), t2,
+                        wide, np.full((1, n), np.nan)])
+    rates = [a for sid, a in TSR if sid == "T"]
+    counts, fast = _kernels._t_route(np.sort(y, axis=1), rates)
+    assert fast[:-2].all() and not fast[-2:].any()
+    sizes = np.unique(counts[fast], return_counts=True)[1]
+    block_rows = _kernels._PAIR_BUDGET // (_kernels._node_block(n) * n)
+    assert len(sizes) > 1 and sizes.max() > block_rows
+    whole = compute_batch(y, SPECS)
+    for i in range(y.shape[0]):
+        np.testing.assert_array_equal(whole[:, i], compute_batch(y[i:i + 1], SPECS)[:, 0])
+    assert np.isnan(whole[:, -1]).all()
+    np.testing.assert_allclose(whole[:3, :-1], _t_pair_path(y[:-1]), rtol=RTOL, atol=0)
+
+
+def test_r_orders_stop_at_100():
+    # The Gauss-Legendre rule grows with the order and costs O(count^2) to
+    # build: order 100 needs at most 984 nodes inside the exp range.
+    assert _kernels.check_spec("R", 100) == ("R", 100)
+    with pytest.raises(DomainError, match="at most 100"):
+        _kernels.check_spec("R", 101)
+    y = _logistic_rows(3, 20, seed=97)
+    y[0, 4] = 349.0                                   # 2 max|Y| = 698
+    assert _kernels._sr_counts(np.sort(y, axis=1), (100,)).max() <= 984
+    np.testing.assert_allclose(compute_batch(y, [("R", 100)]), reference(y, [("R", 100)]),
+                               rtol=RTOL, atol=0)
+
+
 @pytest.mark.parametrize("count", [4, 9, 40, 150, 543])
 def test_gauss_legendre_rule(count):
     nodes, weights = _kernels._legendre(count)
