@@ -4,7 +4,10 @@
 kernel family and to the default, type and largest value of its tuning
 parameter, and ``check_spec`` validates a (stat_id, tuning) pair against it.
 R's order stops at 100: its Gauss-Legendre rule grows with the order (984
-nodes at 100) and takes O(count^2) to build.  One entry
+nodes at 100) and takes O(count^2) to build.  T's rate starts at 1e-100: T
+grows like a^(-3/2), about 1e150 there, and below about 1e-153 the pair
+term's (0.5/a)^2 d^2 overflows while exp(-d^2/4a) underflows to 0, so every
+row would give 0 * inf = NaN.  One entry
 point, ``compute_batch(y, specs)``, evaluates every requested statistic for
 each row of a (C, n) residual batch; the single-sample functions of
 ``statistics`` call it with a batch of one.
@@ -34,11 +37,15 @@ with K nodes per row at O(n K) cost.  With m = tanh(Y/2):
   z_j = exp(i h Y_j) is computed once per row, a block of B nodes starting
   at k0 is exp(i k0 h Y_j) times z_j^0 .. z_j^(B-1), and exp(i k0 h Y_j) is
   evaluated directly every ``_ANCHOR`` = 32 nodes and multiplied by z^B in
-  between.  No value is more than 32 complex products from a direct one,
-  so the phase error stays within ~32 eps (Numerical Recipes, section 5.4,
-  on trigonometric recurrences).  The interval is 32 and not shorter
-  because a direct complex exp costs 20-45 times a complex product, and
-  because the weight makes the longer chains harmless: on logistic rows at
+  between.  Direct values are written from ``np.cos`` and ``np.sin`` into
+  the real and imaginary parts: the bits of np.exp(1j x) in less than half
+  its time (17 against 39 ns per value on 2000-value arrays, 2-vCPU x86-64
+  host).  No value is more than 32 complex products from a direct one, so
+  the phase error stays within ~32 eps (Numerical Recipes, section 5.4, on
+  trigonometric recurrences).  The interval is 32 and not shorter because a
+  direct value costs about 10 times a complex product (1.6 ns on the
+  contiguous planes of the powers), and because the weight makes the
+  longer chains harmless: on logistic rows at
   n = 50 (24 nodes), exp(-a t^2) is below about e^-22 from node 16 on, and
   on wider rows of 40 nodes (n = 48-128) T stays within 4e-15 of its
   quadrature.
@@ -55,8 +62,18 @@ with K nodes per row at O(n K) cost.  With m = tanh(Y/2):
   R's single-observation and constant terms are closed forms in each Y_j.
 
 Both sums over j of a node block, of f(t_k Y_j) and of m_j f(t_k Y_j), are
-one matrix product per row with the two rows (1, m) (for T, (exp(i k0 h Y),
-m exp(i k0 h Y)) against the powers of z).  The Gauss-Legendre count is
+one matrix product per row with the two rows (1, m).  For T those rows are
+(exp(i k0 h Y), m exp(i k0 h Y)), one pair per node block, against the
+powers of z, which are the same for every block.  T stacks the pairs of up
+to ``_node_block(n)`` / 2 node blocks (32 nodes at n <= 2048, all the nodes
+of most moment rows at n = 50) into one left operand, so a row takes one
+(2 nb, n) by (n, B) complex product where it took nb products of (2, n) by
+(n, B).  Most of a small product's time is the call: at n = 50 one (2, n)
+by (n, 8) product takes 0.73 us and one (6, n) by (n, 8) product 1.03 us
+(2-vCPU x86-64 host, one BLAS thread).  S and R then weight and sum the
+squares (t E - M)^2 and E^2 of a row's node sums E and M over its nodes by
+one (1 + s, count) by (count, q) product with the cached weight table
+(s = 1 when S is asked for, q its columns).  The Gauss-Legendre count is
 ceil(0.7 c + 4 c^(1/3) + 4) with c = 2 max|Y| + 2 pi max(v), which bounds
 the rule's error on exp(c t) to 1e-17 of its integral; tables are built on
 first use and cached.  Node counts are rounded up to whole blocks of
@@ -95,14 +112,21 @@ batch size C (one offset row of n pairs when n exceeds the budget).  The
 pair terms are computed in six scratch buffers of one block each, allocated
 once per call, so that the heap does not grow and shrink with every block.
 Both spectral paths take the rows of each node count in blocks
-(``_count_blocks``) whose node block, ``_node_block(n)`` nodes for T and up
-to ``_PAIR_BUDGET`` / n positive nodes for S and R, holds at most
-``_PAIR_BUDGET`` values (one row when n exceeds the budget).  Those values
-fill one scratch buffer allocated once per call, and a block keeps only
-O(rows K) node sums.  The rows of a count are read block by block, so no
-(rows, n) copy of a whole group is made, and R's single-observation terms
-are also taken in row blocks of at most ``_PAIR_BUDGET`` elements.  Besides
-them the kernel keeps O(C n) arrays.
+(``_count_blocks``).  T's node block of ``_node_block(n)`` nodes holds at
+most ``_PAIR_BUDGET`` complex powers, and its stacked anchors as many.  S
+and R's node block of up to ``_SR_BUDGET`` / n positive nodes holds at most
+``_SR_BUDGET`` = 4 ``_PAIR_BUDGET`` values exp(t Y), 512 KB: a quarter of
+a 2 MB L2 cache, and about 64 rows at n = 50 where ``_PAIR_BUDGET`` held
+16, so the ~17 numpy calls of a block serve 4 times as many rows.  T keeps
+the smaller blocks: the same scale-up made T alone slower on 1024 rows at
+n = 50 (median of 15 alternating rounds: 8.2 against 9.5 us per row on
+logistic rows, 8.8 against 9.0 on Cauchy rows).  A block holds one row
+when n exceeds its budget.  Those values fill one scratch buffer allocated
+once per call, and a block keeps only O(rows K) node sums.  The rows of a
+count are read block by block, so no (rows, n) copy of a whole group is
+made, and R's single-observation terms are also taken in row blocks of at
+most ``_PAIR_BUDGET`` elements.  Besides them the kernel keeps O(C n)
+arrays.
 
 Overflow.  S and R are +inf on rows with 2 max|Y| > ``_EXP_LIMIT``: their
 exponential terms leave double range, and the statistic then exceeds any
@@ -117,10 +141,13 @@ path reduces each row over offset blocks whose lengths depend on n only, in
 a fixed order.  Both spectral paths group rows by node count, so no row is
 evaluated past its own count, and a row's rule, node blocks and matrix
 shapes follow from n and its own count only.  Every batched product is one
-(2, n) by (n, nodes) product per row, however many rows a block holds,
-since BLAS may round a product's rows differently when its shape changes
-(that is why T's node blocks are computed whole), and each row's terms are
-summed over its own nodes alone.
+product per row, however many rows a block holds, since BLAS may round a
+product's rows differently when its shape changes (that is why T's node
+blocks are computed whole): for T a (2 nb, n) by (n, B) product of nb
+stacked node blocks, for S and R one (2, n) by (n, nodes) product per node
+block and sign and one (1 + s, count) by (count, q) product of the
+weighted squares, so each row's terms are summed over its own nodes
+alone.
 """
 
 from __future__ import annotations
@@ -138,6 +165,9 @@ from .logistic_core import DomainError, expit
 _EXP_LIMIT = 700.0
 # Most pairs or node values in one block, and the size of each scratch buffer.
 _PAIR_BUDGET = 1 << 14
+# S and R's one scratch buffer of values exp(t Y): 512 KB, a quarter of a
+# 2 MB L2 cache, so that a block's ~17 numpy calls serve more rows.
+_SR_BUDGET = 4 * _PAIR_BUDGET
 _EDF_EPS = 1e-15
 # Up to this |Y| the logistic CDF lies inside [_EDF_EPS, 1 - _EDF_EPS]; it
 # leaves it at |Y| ~ -log(_EDF_EPS) = 34.54.
@@ -159,17 +189,18 @@ class NumericOverflowError(ArithmeticError):
 
 class Stat(NamedTuple):
     """Registry entry: the kernel family that evaluates a statistic, and the
-    default, type (None when it takes none) and largest value of its tuning
-    parameter."""
+    default, type (None when it takes none) and smallest and largest values
+    of its tuning parameter."""
 
     family: str                       # "T", "SR" or "EDF"
     default: Optional[float] = None
     tuning: Optional[type] = None     # float (T's weight rate) or int (R's order)
     limit: float = math.inf           # largest tuning
+    least: float = 0.0                # smallest tuning
 
 
 STATS = {
-    "T": Stat("T", 3.0, float),
+    "T": Stat("T", 3.0, float, least=1e-100),
     "S": Stat("SR"),
     "R": Stat("SR", 1, int, 100),
     "KS": Stat("EDF"),
@@ -197,6 +228,8 @@ def check_spec(stat_id: str, tuning=None) -> tuple:
         raise DomainError(f"tuning for {stat_id} must be an integer, got {value:g}")
     if value > stat.limit:
         raise DomainError(f"tuning for {stat_id} must be at most {stat.limit:g}, got {value:g}")
+    if value < stat.least:
+        raise DomainError(f"tuning for {stat_id} must be at least {stat.least:g}, got {value:g}")
     return stat_id, stat.tuning(value)
 
 
@@ -285,20 +318,19 @@ def _node_block(n: int) -> int:
     return min(_NODE_BLOCK, 1 << (fit.bit_length() - 1))
 
 
-def _count_blocks(counts, n, nodes):
+def _count_blocks(counts, step):
     """(count, rows) for the rows of each distinct node count of ``counts``,
-    in blocks of as many rows as fit ``nodes(count)`` nodes each into
-    ``_PAIR_BUDGET`` values (one row when n exceeds it).  rows is a slice
-    when every row has the same count, else an index array."""
+    in blocks of ``step(count)`` rows.  rows is a slice when every row has
+    the same count, else an index array."""
     if (counts == counts[0]).all():
         groups = [(int(counts[0]), None)]
     else:
         groups = [(int(k), np.flatnonzero(counts == k)) for k in np.unique(counts)]
     for count, group in groups:
         size = len(counts) if group is None else group.size
-        step = max(1, _PAIR_BUDGET // (nodes(count) * n))
-        for r0 in range(0, size, step):
-            yield count, slice(r0, r0 + step) if group is None else group[r0:r0 + step]
+        rows = step(count)
+        for r0 in range(0, size, rows):
+            yield count, slice(r0, r0 + rows) if group is None else group[r0:r0 + rows]
 
 
 def _padded(counts, n):
@@ -386,6 +418,14 @@ def _sr_rule(count: int, orders: tuple):
     return np.concatenate([-t[::-1], t]), np.concatenate([table[:, ::-1], table], axis=1)
 
 
+def _cis(theta, out):
+    """Fill the complex array ``out`` with exp(i theta) from ``np.cos`` and
+    ``np.sin``, and return it; the bits equal those of np.exp(1j * theta)."""
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def _t_spectral(y, m, rates, counts) -> np.ndarray:
     """T pair sums of each rate, (len(rates), C), from
     n int |g(t)|^2 exp(-a t^2) dt, where n g(t) = G(t) =
@@ -394,46 +434,58 @@ def _t_spectral(y, m, rates, counts) -> np.ndarray:
     All rates share the node sums.  Rows are taken by node count, in blocks
     whose node block holds at most ``_PAIR_BUDGET`` values.
 
-    exp(i t_k Y_j) comes from a rotation: with z_j = exp(i h Y_j) and the
-    powers z^0 .. z^(B-1) of one node block, a block starting at node k0 is
-    exp(i k0 h Y) times the powers, and both of its sums over j are one
-    matrix product of the powers with (exp(i k0 h Y), m exp(i k0 h Y)).
-    exp(i k0 h Y) is evaluated directly every ``_ANCHOR`` = 32 nodes and
-    rotated by z^B in between, so no node is more than 32 complex products
-    from a direct value, a phase error of ~32 eps.  On logistic rows at
-    n = 50 the weight is below about e^-22 from node 16 on, so the chains
-    past it change no value there, and a row of at most 32 nodes takes no
-    complex exp besides the one that gives z."""
+    exp(i t_k Y_j) comes from a rotation: with z_j = exp(i h Y_j), taken
+    from a cos and a sin, and the powers z^0 .. z^(B-1) of one node block,
+    kept node-major, a block starting at node k0 is exp(i k0 h Y) times the
+    powers.  The rows (exp(i k0 h Y), m exp(i k0 h Y)) of up to B/2 node
+    blocks are stacked, so that all sums over j of those 32 nodes (at
+    B = 8) are one matrix product with the powers, and the stacked rows of
+    a row block take no more room than its powers.  exp(i k0 h Y) is
+    evaluated directly every ``_ANCHOR`` = 32 nodes and rotated by z^B in
+    between, so no node is more than 32 complex products from a direct
+    value, a phase error of ~32 eps.  On logistic rows at n = 50 the weight
+    is below about e^-22 from node 16 on, so the chains past it change no
+    value there."""
     c, n = y.shape
     block = _node_block(n)
     step = _t_step(y, rates)
     a = np.array(rates)
     scale = 2.0 * np.sqrt(a / math.pi)[:, None]
+    stack = max(1, block // 2)                       # node blocks per product
     powers = np.empty(max(_PAIR_BUDGET, block * n), dtype=complex)
     out = np.empty((len(a), c))
-    for count, sel in _count_blocks(counts, n, lambda count: block):
+    rows_per_block = max(1, _PAIR_BUDGET // (block * n))
+    for count, sel in _count_blocks(counts, lambda count: rows_per_block):
         yr, mr, h = y[sel], m[sel], step[sel, None]
-        p = powers[:yr.size * block].reshape(len(yr), block, n)
-        z = np.exp(1j * (h * yr))
-        p[:, 0] = 1.0
+        rows = len(yr)
+        p = powers[:yr.size * block].reshape(block, rows, n)
+        z = _cis(h * yr, np.empty(yr.shape, dtype=complex))
+        p[0] = 1.0
         for j in range(1, block):
-            np.multiply(p[:, j - 1], z, out=p[:, j])
-        z *= p[:, -1]                                 # z^B
-        w = np.empty((len(yr), 2, n), dtype=complex)
-        sums = np.empty((len(yr), 2, count), dtype=complex)
-        for lo in range(0, count, block):
-            if lo == 0:
-                w[:, 0] = 1.0
-            elif lo % _ANCHOR:
-                w[:, 0] *= z
-            else:
-                np.exp(1j * ((h * lo) * yr), out=w[:, 0])
-            np.multiply(w[:, 0], mr, out=w[:, 1])
-            np.matmul(w, p.transpose(0, 2, 1), out=sums[:, :, lo:lo + block])
-        e, m_e = sums[:, 0], sums[:, 1]
+            np.multiply(p[j - 1], z, out=p[j])
+        z *= p[-1]                                    # z^B
+        nb = count // block
+        w = np.empty((rows, stack, 2, n), dtype=complex)
+        sums = np.empty((rows, nb, 2, block), dtype=complex)
+        for b0 in range(0, nb, stack):
+            k = min(stack, nb - b0)
+            for b in range(k):
+                lo = (b0 + b) * block
+                if lo == 0:
+                    w[:, b, 0] = 1.0
+                elif lo % _ANCHOR:
+                    # at b = 0, w[:, -1] is the previous (full) product's last anchor
+                    np.multiply(w[:, b - 1, 0], z, out=w[:, b, 0])
+                else:
+                    _cis((h * lo) * yr, w[:, b, 0])
+            np.multiply(w[:, :k, 0], mr[:, None], out=w[:, :k, 1])
+            np.matmul(w[:, :k].reshape(rows, 2 * k, n), p.transpose(1, 2, 0),
+                      out=sums[:, b0:b0 + k].reshape(rows, 2 * k, block))
+        e, m_e = sums[:, :, 0], sums[:, :, 1]
         t = h * np.arange(count)
-        re = t * e.imag + m_e.real
-        im = t * e.real - m_e.imag
+        tb = t.reshape(e.shape)
+        re = (tb * e.imag + m_e.real).reshape(t.shape)
+        im = (tb * e.real - m_e.imag).reshape(t.shape)
         g2 = re * re + im * im
         g2[:, 0] *= 0.5                               # t = 0 has weight h, the others 2h
         out[:, sel] = scale * h.T * np.sum(g2 * np.exp(np.multiply.outer(-a, t * t)), axis=-1)
@@ -447,20 +499,22 @@ def _sr_spectral(y, m, orders, need_s, counts) -> np.ndarray:
     which equals R's pair sum of (A_0(s)/2) / (4 v^2 pi^2 + s^2).
 
     Rows are taken by node count, in blocks that hold at most
-    ``_PAIR_BUDGET`` values exp(t_k Y_j).  The rule is symmetric, so only the
+    ``_SR_BUDGET`` values exp(t_k Y_j).  The rule is symmetric, so only the
     positive nodes take an exponential: exp(-t_k Y_j) is its reciprocal.  S
     and every order share these values, and both sums over j of a node block
-    are one matrix product with (1, m), once for +t and once for -t."""
+    are one matrix product with (1, m), once for +t and once for -t.  The
+    squares (t E - M)^2 and E^2 of a row's sums E and M are then weighted
+    and summed over its nodes by one product with the rule's weight table."""
     c, n = y.shape
     orders = tuple(orders)
-    fit = max(1, _PAIR_BUDGET // n)
+    fit = max(1, _SR_BUDGET // n)
     out = np.empty((need_s + len(orders), c))
-    values = np.empty(max(_PAIR_BUDGET, n))
-    for count, sel in _count_blocks(counts, n, lambda count: min(count // 2, fit)):
+    values = np.empty(max(_SR_BUDGET, n))
+    for count, sel in _count_blocks(
+            counts, lambda count: max(1, _SR_BUDGET // (min(count // 2, fit) * n))):
         half = count // 2
         block = min(half, fit)
         t, wt = _sr_rule(count, orders)
-        wt = wt[1 - need_s:]
         yr = y[sel]
         w = np.empty((len(yr), 2, n))
         w[:, 0] = 1.0
@@ -469,7 +523,7 @@ def _sr_spectral(y, m, orders, need_s, counts) -> np.ndarray:
         for lo in range(half, count, block):
             hi = min(lo + block, count)
             g = values[:(hi - lo) * yr.size].reshape(hi - lo, *yr.shape)
-            np.multiply.outer(t[lo:hi], yr, out=g)
+            np.einsum("k,rj->krj", t[lo:hi], yr, out=g)
             np.exp(g, out=g)
             np.matmul(w, g.transpose(1, 2, 0), out=s[:, :, lo:hi])
             np.reciprocal(g, out=g)
@@ -477,11 +531,16 @@ def _sr_spectral(y, m, orders, need_s, counts) -> np.ndarray:
         # The first half holds the nodes -t[half:]; the rule lists them in reverse.
         s[:, :, :half] = s[:, :, half - 1::-1]
         e, m_e = s[:, 0], s[:, 1]
-        terms = wt * (e * e)[:, None]
+        squares = np.empty((len(yr), 1 + need_s, count))
         if need_s:
-            f = t * e - m_e
-            terms[:, 0] = wt[0] * f * f
-        out[:, sel] = np.sum(terms, axis=-1).T
+            f = np.multiply(t, e, out=squares[:, 0])
+            f -= m_e
+            f *= f
+        np.multiply(e, e, out=squares[:, -1])
+        sums = np.matmul(squares, wt[1 - need_s:].T)
+        if need_s:
+            out[0, sel] = sums[:, 0, 0]
+        out[need_s:, sel] = sums[:, -1, need_s:].T
     return out
 
 

@@ -158,13 +158,27 @@ _SHIFT11 = np.uint64(11)
 
 
 def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products m * x, the high one
-    built from 32-bit halves so that no partial product overflows."""
+    """High and low 64-bit words of the 128-bit products m * x.  The high
+    word is built from 32-bit halves: with t = (m_lo x_lo) >> 32,
+    u = m_hi x_lo + t and v = m_lo x_hi + (u & (2^32 - 1)), it is
+    m_hi x_hi + (u >> 32) + (v >> 32).  u and v are at most
+    (2^32 - 1)^2 + 2^32 - 1 < 2^64, and the last sum is the exact high word,
+    so no partial sum wraps.  The temporaries are updated in place: 15 array
+    operations in all."""
     m_lo, m_hi = m & _LOW32, m >> _SHIFT32
     x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    lo_lo, hi_lo, lo_hi = m_lo * x_lo, m_hi * x_lo, m_lo * x_hi
-    carry = ((lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)) >> _SHIFT32
-    return m_hi * x_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + carry, m * x
+    u = m_lo * x_lo
+    u >>= _SHIFT32                                   # t
+    x_lo *= m_hi
+    u += x_lo                                        # u = m_hi x_lo + t
+    v = m_lo * x_hi
+    v += np.bitwise_and(u, _LOW32, out=x_lo)
+    v >>= _SHIFT32
+    u >>= _SHIFT32
+    x_hi *= m_hi
+    x_hi += u
+    x_hi += v
+    return x_hi, m * x
 
 
 def philox_words(seed: int, first: int, rows: int, n: int) -> np.ndarray:

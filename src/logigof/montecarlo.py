@@ -601,7 +601,8 @@ def calibrate(specs: Sequence[StatSpec], n: int, alphas: Sequence[float],
     between the empirical quantiles at p - h and p + h, clipped to [0, 1],
     with p = 1 - alpha and h = sqrt(p (1 - p) / m) for the m valid values.
     One ``np.quantile`` call per statistic takes all 3 len(alphas) levels;
-    each equals the value of a call at that level alone.
+    each equals the value of a call at that level alone.  Raises McError
+    when a statistic has no valid value.
     """
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
@@ -613,6 +614,8 @@ def calibrate(specs: Sequence[StatSpec], n: int, alphas: Sequence[float],
         vals = values[i]
         valid = vals[~np.isnan(vals)]
         excluded = int(vals.size - valid.size)
+        if not valid.size:
+            raise McError(f"statistic {spec.label()} has no valid value in {vals.size} replications")
         probs = []
         for alpha in alphas:
             p = 1.0 - alpha

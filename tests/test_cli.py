@@ -281,6 +281,14 @@ def test_r_orders_above_100_are_usage_errors(tmp_path, capsys):
                  "--workers", "1"]) == EXIT_OK
 
 
+def test_t_rates_below_the_smallest_are_usage_errors(capsys):
+    # T at 1e-300 was NaN on every replication, and calibrate then divided
+    # by its zero valid values.
+    assert main(["calibrate", "--stat", "T:1e-300", "--n", "20", "--reps", "10",
+                 "--workers", "1"]) == EXIT_USAGE
+    assert "must be at least 1e-100, got 1e-300" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # power
 

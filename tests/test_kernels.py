@@ -356,6 +356,23 @@ def test_spectral_path_matches_pair_path(kind, n):
     assert t_rows.all() == (n >= _T_MIN_N) and t_rows.any() == (n >= _T_MIN_N)
 
 
+def test_t_products_past_n_2048_carry_the_rotation():
+    # Past n = 2048 a node block has fewer than 8 nodes and one product
+    # stacks fewer than 32 nodes, so the anchor of a product's first block
+    # is rotated from the last block of the product before it.
+    n = 4096
+    y = np.concatenate([_residual_rows("logistic", 2, n, seed=63),
+                        _residual_rows("laplace", 1, n, seed=63)])
+    block = _kernels._node_block(n)
+    counts, fast = _kernels._t_route(np.sort(y, axis=1), [a for sid, a in TSR if sid == "T"])
+    assert block * max(1, block // 2) < _kernels._ANCHOR and fast.all()
+    assert (counts > block * max(1, block // 2)).all()
+    got = compute_batch(y, TSR[:3])
+    np.testing.assert_allclose(got, _t_pair_path(y), rtol=RTOL, atol=0)
+    for i in range(y.shape[0]):
+        np.testing.assert_array_equal(got[:, i], compute_batch(y[i:i + 1], TSR[:3])[:, 0])
+
+
 def test_spectral_path_on_a_row_at_the_edge_of_the_exp_range():
     # 2 max|Y| = 698.  The pair form of S cancels by a factor ~s^2 here
     # (rel ~2e-11), so S and R are held to their quadrature oracles.
@@ -536,6 +553,20 @@ def test_r_orders_stop_at_100():
                                rtol=RTOL, atol=0)
 
 
+@pytest.mark.parametrize("n", [20, 50])
+def test_t_rates_start_at_the_smallest_rate(n):
+    # Below about 1e-153 the pair term's (0.5/a)^2 d^2 overflows while
+    # exp(-d^2/4a) underflows, and T was NaN on every row.  At the smallest
+    # rate T is finite on Cauchy moment rows, the widest the engine sees.
+    least = STATS["T"].least
+    assert _kernels.check_spec("T", least) == ("T", least)
+    for rate in (least / 2, 1e-300):
+        with pytest.raises(DomainError, match="at least"):
+            _kernels.check_spec("T", rate)
+    y = _residual_rows("cauchy", 64, n, seed=98)
+    assert np.isfinite(compute_batch(y, [("T", least), ("T", 1e-50)])).all()
+
+
 @pytest.mark.parametrize("count", [4, 9, 40, 150, 543])
 def test_gauss_legendre_rule(count):
     nodes, weights = _kernels._legendre(count)
@@ -616,6 +647,32 @@ def test_s_and_r_rows_with_mixed_node_counts_are_independent_of_the_batch(rows, 
             assert whole[3, i] == pytest.approx(s_quadrature(y[i]), rel=RTOL)
             for v in (1, 2, 3):
                 assert whole[3 + v, i] == pytest.approx(r_stat_quadrature(y[i], v), rel=RTOL)
+
+
+@pytest.mark.parametrize("n", [20, 50])
+def test_rows_in_blocks_of_the_s_and_r_budget_are_independent_of_the_batch(n):
+    # S and R take up to _SR_BUDGET values per row block: a count group here
+    # spans more than one block (about 160 rows at n = 20, 64 at n = 50).
+    # At n = 50 T stacks up to _ANCHOR nodes into one product per row.
+    # Mixed counts, ML-fitted t(2) rows, a row past the exp range and a row
+    # with NaN.
+    y = _mixed_count_rows(96, n, seed=99)
+    live = ~np.isnan(y).any(axis=1) & (2.0 * np.abs(y).max(axis=1) <= EXP_LIMIT)
+    orders = tuple(v for sid, v in SPECS if sid == "R")
+    counts, sizes = np.unique(_kernels._sr_counts(np.sort(y[live], axis=1), orders),
+                              return_counts=True)
+    block = np.minimum(counts // 2, max(1, _kernels._SR_BUDGET // n))
+    assert len(counts) > 1 and (sizes > _kernels._SR_BUDGET // (block * n)).any()
+    if n >= _T_MIN_N:
+        t_counts, fast = _kernels._t_route(np.sort(y[:-2], axis=1),
+                                           [a for sid, a in TSR if sid == "T"])
+        assert fast.all() and t_counts.max() > _kernels._ANCHOR    # two products on some rows
+    whole = compute_batch(y, SPECS)
+    for i in range(y.shape[0]):
+        np.testing.assert_array_equal(whole[:, i], compute_batch(y[i:i + 1], SPECS)[:, 0])
+    assert np.isposinf(whole[3:7, -2]).all() and np.isnan(whole[:, -1]).all()
+    rows = np.flatnonzero(live)[::8]
+    np.testing.assert_allclose(whole[:, rows], reference(y[rows]), rtol=RTOL, atol=0)
 
 
 def test_s_and_r_past_the_node_block_budget():

@@ -154,8 +154,8 @@ def test_rng_stream_rejects_fractional_values():
 NEAR_TOP = 2**64 - 8
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
-@pytest.mark.parametrize("first", [0, NEAR_TOP])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**32 - 1, 2**63])
+@pytest.mark.parametrize("first", [0, NEAR_TOP, 2**32 - 4])
 def test_philox_words_equal_numpy_philox(seed, first):
     # Row i is the raw stream of numpy's Philox keyed [seed, first + i], up to
     # the last substream index 2^64 - 1; n covers partial last counter blocks.

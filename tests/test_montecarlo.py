@@ -364,12 +364,25 @@ ENGINE_SHA256 = {
 SR_ROWS = [i for i, spec in enumerate(ALL_SPECS) if spec.stat_id in ("S", "R")]
 
 
-def _engine_run(label):
+# The same at n = 50 (1028 replications), where T takes its spectral path,
+# recorded with numpy 2.4.6 on x86-64 before T stacked its node blocks
+# into one product per row.
+ENGINE_SHA256_N50 = {
+    "logistic": ("961b0691f2651c8d9039441d35bef18ac9e66554fbde84dca5b79904d3f45342",
+                 "7539dd943b8c880c306b3dbf200c665ecd569f290bbd631008900ee0f360b337"),
+    "t(2)": ("ac564e70d814b27874942a4200a383e00ca125ccdec11194ab06012f47f65536",
+             "6eb2760aea330b5f4d8ff18ec0cea8aa1a981edf5dce578ff820446580db49ad"),
+}
+
+
+def _engine_run(label, n=20):
+    """Samples and values of one full engine chunk and a partial one of 4."""
     alt = AlternativeSpec.parse(label)
-    x = np.concatenate([alt.sample(20, RngStream(20260815, lo), reps=hi - lo)
-                        for lo, hi in ((0, 4096), (4096, 4100))])
+    chunk = montecarlo._chunk_reps(n)
+    x = np.concatenate([alt.sample(n, RngStream(20260815, lo), reps=hi - lo)
+                        for lo, hi in ((0, chunk), (chunk, chunk + 4))])
     values, failures = simulate_statistics(
-        ALL_SPECS, 20, McConfig(reps=4100, seed=20260815, workers=1), alternative=alt)
+        ALL_SPECS, n, McConfig(reps=chunk + 4, seed=20260815, workers=1), alternative=alt)
     assert failures == 0
     return x, values
 
@@ -396,6 +409,24 @@ def test_simulated_s_and_r_match_the_reference(label):
     np.testing.assert_allclose(values[SR_ROWS][:, rows], want, rtol=RTOL, atol=0)
 
 
+@pytest.mark.parametrize("label", ENGINE_SHA256_N50)
+def test_simulated_values_are_pinned_at_n50(label):
+    x, values = _engine_run(label, 50)
+    assert montecarlo._chunk_reps(50) == 1024
+    assert (_sha256(x), _sha256(np.delete(values, SR_ROWS, axis=0))) == ENGINE_SHA256_N50[label]
+
+
+@pytest.mark.parametrize("label", ENGINE_SHA256_N50)
+def test_simulated_s_and_r_match_the_reference_at_n50(label):
+    from test_kernels import RTOL, reference
+
+    x, values = _engine_run(label, 50)
+    rows = [*range(0, 1024, 16), *range(1024, 1028)]
+    y = montecarlo._kernels.moment_residuals_batch(x[rows])
+    want = reference(y, [ALL_SPECS[i].key() for i in SR_ROWS])
+    np.testing.assert_allclose(values[SR_ROWS][:, rows], want, rtol=RTOL, atol=0)
+
+
 def test_calibrate_quantiles_and_rows():
     cfg = McConfig(reps=4000, seed=5, workers=1)
     table = calibrate([StatSpec("T", 3), StatSpec("KS")], 20,
@@ -409,6 +440,20 @@ def test_calibrate_quantiles_and_rows():
     assert len(table.rows) == 8
     assert {row.statistic for row in table.rows} == {"T", "KS"}
     assert all(row.mc_std_error > 0 for row in table.rows)
+
+
+def test_calibrate_without_a_valid_value_raises(monkeypatch):
+    # A statistic that is NaN on every replication has no quantile.
+    def nan_ks(y, specs):
+        values = compute_batch(y, specs)
+        values[[sid for sid, _ in specs].index("KS")] = np.nan
+        return values
+
+    compute_batch = montecarlo._kernels.compute_batch
+    monkeypatch.setattr(montecarlo._kernels, "compute_batch", nan_ks)
+    cfg = McConfig(reps=50, seed=5, workers=1)
+    with pytest.raises(McError, match="KS has no valid value in 50 replications"):
+        calibrate([StatSpec("T", 3), StatSpec("KS")], 20, [0.05], cfg)
 
 
 @pytest.mark.parametrize("reps", [7, 2048])
