@@ -6,25 +6,22 @@ parameter, and ``check_spec`` validates a (stat_id, tuning) pair against it.
 R's order stops at 100: its Gauss-Legendre rule grows with the order (984
 nodes at 100) and takes O(count^2) to build.  T's rate starts at 1e-100: T
 grows like a^(-3/2), about 1e150 there, and below about 1e-153 the pair
-term's (0.5/a)^2 d^2 overflows while exp(-d^2/4a) underflows to 0, so every
+term's d^2/4a^2 overflows while exp(-d^2/4a) underflows to 0, so every
 row would give 0 * inf = NaN.  One entry
 point, ``compute_batch(y, specs)``, evaluates every requested statistic for
 each row of a (C, n) residual batch; the single-sample functions of
 ``statistics`` call it with a batch of one.
 
-Pair path.  Below ``_T_MIN_N``, and on rows past its node cap, T sums a
-term that is symmetric in (j, k) over all n^2 ordered pairs; each unordered
-pair is evaluated once.  Pairing each j with (j + o) mod n for the offsets
-o = 1 .. (n-1)//2 meets every unordered pair exactly once; those offsets
-carry weight 2.  For even n the offset n/2 meets each pair twice and
-carries weight 1, and so does the diagonal, offset 0.  The shifted rows are
-windows into [y, y], so no pair index arrays are built, and d^2 is computed
-once for all weight rates.  The pair path is the oracle of T's spectral
-path in the tests.
+Pair path.  On rows past T's node cap, T sums its pair term over all n^2
+ordered pairs, row by row and rate by rate (``_pair_total``), in blocks of
+j of at most ``_PAIR_BUDGET`` pairs; ``statistics.delta_alternative`` sums
+the same term with weights.  Only unbounded spans, such as ML-fitted heavy
+tails, reach the cap, so no workload of the engine relies on the speed of
+this path.  It is the oracle of T's spectral path in the tests.
 
-Spectral path.  Pair sums are O(n^2); S and R at every n, and T from its
-crossover on, are evaluated instead from the integrals that define them,
-with K nodes per row at O(n K) cost.  With m = tanh(Y/2):
+Spectral path.  Pair sums are O(n^2); S and R on every row, and T on every
+row within its node cap, are evaluated instead from the integrals that
+define them, with K nodes per row at O(n K) cost.  With m = tanh(Y/2):
 
 - T = (1/n) int |G(t)|^2 exp(-a t^2) dt over the real line, with
   G(t) = sum_j (it - m_j) exp(itY_j).  The integrand is even and entire, so
@@ -89,44 +86,46 @@ alone (0.9 against 1.2 ns per value on a 2-vCPU x86-64 host).
 Since 2 max|Y| <= ``_EXP_LIMIT`` on every row they see, |t Y| <= 350 and
 neither value leaves the normal range.
 
-Routing.  T's crossover and node cap were measured on the engine's chunk
-shapes (4096 rows up to n = 25, 1024 up to 64) of logistic and Cauchy
-moment residuals at three rates, on 2 vCPUs (median of 7 alternating rounds
-of the best of 5 calls).  T (24-30 nodes on these rows) ties with its pair
-sums at n = 20 (0.97-1.06 times their speed) and gains only 1.1-1.25 at
-n = 22-28, within this host's noise; ``_T_MIN_N`` = 32 is the first n where
-it wins clearly, 1.4-1.5 times (1.6 at 40, 2.0-2.2 at 50).  At n = 32 and
-50 the spectral T breaks even with the pair sums at about 1.2 n nodes
-(1.5-2 n at n = 128-256), so a row takes it only while its node count is at
-most ``_T_NODES_PER_OBS`` n = n; wider rows take the pair path.  S and R
-(40-49 nodes on such rows) take the spectral path on every row inside the
-exp range, whatever its node count (at most 544 there for orders up to 3,
-984 at order 100): on 4096 rows at
-n = 20 it is 1.4 times faster than their pair sums on logistic rows and 1.3
-times on Cauchy rows, and it breaks even near n = 14 (0.76-0.82 times their
-speed at n = 10).  Rows with NaN take neither path.
+Routing.  T takes the spectral path on every row of at most
+max(``_ANCHOR``, n) nodes, whatever n: up to ``_ANCHOR`` = 32 nodes a row
+is one stacked product.  At rates 3 to 5 a moment row, whose span is at
+most sqrt(2n) pi / sqrt(3), needs at most 32 nodes up to n = 100 (24 on
+logistic rows at n = 20), and ML-fitted logistic, Cauchy and t(2) rows at
+n = 20 need at most 32 as well.  Against the pair sums that T took below
+n = 32 until it had one route, the spectral T on 4096 logistic and Cauchy
+moment rows at rates 3, 4 and 5 (two runs, each the median of 15
+alternating rounds of the best of 5 calls, 2-vCPU x86-64 host) costs
+x0.44-0.52 at n = 20 and x0.59-0.72 at n = 16, and breaks even near n = 12
+(x0.80-1.07).  Below that it costs more: x1.13-1.52 at n = 8, x1.7-1.9 at
+n = 5 and x2.3-2.6 at n = 3, at 2 us per row or less; no workload and no
+table of the paper runs there.  Past n = 32 the cap is n nodes: at n = 32
+and 50 the spectral T breaks even with those pair sums at about 1.2 n
+nodes (1.5-2 n at n = 128-256).  Wider rows take the pair path.  S and R
+(40-49 nodes on the engine's moment rows) take the spectral path on every
+row inside the exp range, whatever its node count (at most 544 there for
+orders up to 3, 984 at order 100): on 4096 rows at n = 20 it is 1.4 times
+faster than their pair sums on logistic rows and 1.3 times on Cauchy rows,
+and it breaks even near n = 14 (0.76-0.82 times their speed at n = 10).
+Rows with NaN take neither path.
 
-Memory.  Offsets are taken in blocks whose size depends on n only, and rows
-in groups, so that a block holds at most ``_PAIR_BUDGET`` pairs for any
-batch size C (one offset row of n pairs when n exceeds the budget).  The
-pair terms are computed in six scratch buffers of one block each, allocated
-once per call, so that the heap does not grow and shrink with every block.
-Both spectral paths take the rows of each node count in blocks
-(``_count_blocks``).  T's node block of ``_node_block(n)`` nodes holds at
-most ``_PAIR_BUDGET`` complex powers, and its stacked anchors as many.  S
-and R's node block of up to ``_SR_BUDGET`` / n positive nodes holds at most
-``_SR_BUDGET`` = 4 ``_PAIR_BUDGET`` values exp(t Y), 512 KB: a quarter of
-a 2 MB L2 cache, and about 64 rows at n = 50 where ``_PAIR_BUDGET`` held
-16, so the ~17 numpy calls of a block serve 4 times as many rows.  T keeps
-the smaller blocks: the same scale-up made T alone slower on 1024 rows at
-n = 50 (median of 15 alternating rounds: 8.2 against 9.5 us per row on
-logistic rows, 8.8 against 9.0 on Cauchy rows).  A block holds one row
-when n exceeds its budget.  Those values fill one scratch buffer allocated
-once per call, and a block keeps only O(rows K) node sums.  The rows of a
-count are read block by block, so no (rows, n) copy of a whole group is
-made, and R's single-observation terms are also taken in row blocks of at
-most ``_PAIR_BUDGET`` elements.  Besides them the kernel keeps O(C n)
-arrays.
+Memory.  The pair path takes one row at a time, in blocks of j of at most
+``_PAIR_BUDGET`` pairs (one j of n pairs when n exceeds the budget), and
+keeps a few temporaries of one block.  Both spectral paths take the rows of
+each node count in blocks (``_count_blocks``).  T's node block of
+``_node_block(n)`` nodes holds at most ``_PAIR_BUDGET`` complex powers, and
+its stacked anchors as many.  S and R's node block of up to
+``_SR_BUDGET`` / n positive nodes holds at most ``_SR_BUDGET`` =
+4 ``_PAIR_BUDGET`` values exp(t Y), 512 KB: a quarter of a 2 MB L2 cache,
+and about 64 rows at n = 50 where ``_PAIR_BUDGET`` held 16, so the ~17
+numpy calls of a block serve 4 times as many rows.  T keeps the smaller
+blocks: the same scale-up made T alone slower on 1024 rows at n = 50
+(median of 15 alternating rounds: 8.2 against 9.5 us per row on logistic
+rows, 8.8 against 9.0 on Cauchy rows).  A block holds one row when n
+exceeds its budget.  Those values fill one scratch buffer allocated once
+per call, and a block keeps only O(rows K) node sums.  The rows of a count
+are read block by block, so no (rows, n) copy of a whole group is made, and
+R's single-observation terms are also taken in row blocks of at most
+``_PAIR_BUDGET`` elements.  Besides them the kernel keeps O(C n) arrays.
 
 Overflow.  S and R are +inf on rows with 2 max|Y| > ``_EXP_LIMIT``: their
 exponential terms leave double range, and the statistic then exceeds any
@@ -137,10 +136,10 @@ for every statistic.
 Determinism.  Rows are sorted first, so every statistic is exactly invariant
 under permutations of a sample.  A row's values are bit-identical whatever
 the other rows of the batch, and whatever the number of workers.  The pair
-path reduces each row over offset blocks whose lengths depend on n only, in
-a fixed order.  Both spectral paths group rows by node count, so no row is
-evaluated past its own count, and a row's rule, node blocks and matrix
-shapes follow from n and its own count only.  Every batched product is one
+path sums each row on its own, over blocks of j whose lengths depend on n
+only, in a fixed order.  Both spectral paths group rows by node count, so
+no row is evaluated past its own count, and a row's rule, node blocks and
+matrix shapes follow from n and its own count only.  Every batched product is one
 product per row, however many rows a block holds, since BLAS may round a
 product's rows differently when its shape changes (that is why T's node
 blocks are computed whole): for T a (2 nb, n) by (n, B) product of nb
@@ -157,7 +156,6 @@ import math
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .logistic_core import DomainError, expit
 
@@ -172,10 +170,6 @@ _EDF_EPS = 1e-15
 # Up to this |Y| the logistic CDF lies inside [_EDF_EPS, 1 - _EDF_EPS]; it
 # leaves it at |Y| ~ -log(_EDF_EPS) = 34.54.
 _EDF_SAFE = 34.5
-# Smallest n for which T takes the spectral path, and its largest node
-# count per observation; both measured (see the module docstring).
-_T_MIN_N = 32
-_T_NODES_PER_OBS = 1
 # Nodes per spectral block, and T's re-anchoring interval (a multiple of it).
 _NODE_BLOCK = 8
 _ANCHOR = 32
@@ -245,65 +239,31 @@ def moment_residuals_batch(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# T's pair path
+# T's pair term
 
 
-def _t_sums(yj, mj, yk, mk, rates, scratch) -> list:
-    """Per (row, offset) sums over j of the T pair term of each rate a:
-    exp(-d^2/4a) [(2a - d^2)/4a^2 + m_j m_k - d (m_j - m_k)/2a], with
-    d = Y_j - Y_k and m = tanh(Y/2).
-
-    yj, mj have shape (R, 1, n), yk, mk and each scratch buffer (R, B, n).
-    """
-    mm, d, dd, g, inner, e = scratch[:6]
-    np.multiply(mj, mk, out=mm)
-    np.subtract(yj, yk, out=d)
-    np.multiply(d, d, out=dd)
-    np.subtract(mj, mk, out=g)
-    g *= d
-    np.subtract(1.0, g, out=g)                    # 1 - d (m_j - m_k)
-    sums = []
-    for a in rates:
-        np.multiply(dd, 0.5 / a, out=inner)
-        np.subtract(g, inner, out=inner)
-        inner *= 0.5 / a
-        inner += mm
-        np.multiply(dd, -0.25 / a, out=e)
-        np.exp(e, out=e)
-        e *= inner
-        sums.append(e.sum(axis=2))
-    return sums
+def _pair_total(y, m, a, q=None) -> float:
+    """sum over j, k of q_j q_k h_jk on one row y, with m = tanh(y/2) and q = 1
+    when None, for T's pair term of rate a:
+    h_jk = exp(-d^2/4a) [(2a - d^2)/4a^2 + m_j m_k - d (m_j - m_k)/2a],
+    d = Y_j - Y_k.  Rows j are taken in blocks of at most ``_PAIR_BUDGET``
+    pairs."""
+    rows = max(1, _PAIR_BUDGET // y.size)
+    total = 0.0
+    for lo in range(0, y.size, rows):
+        d = y[lo:lo + rows, None] - y
+        mj = m[lo:lo + rows, None]
+        h = np.exp(d * d * (-0.25 / a)) * (
+            (2.0 * a - d * d) / (4.0 * a * a) + mj * m - d * (mj - m) / (2.0 * a))
+        total += h.sum() if q is None else q[lo:lo + rows] @ (h @ q)
+    return total
 
 
 def _pair_sums(y, m, rates) -> np.ndarray:
-    """T pair sums of each rate over all ordered pairs, (len(rates), C).
-
-    Offset o pairs j with (j + o) mod n; see the module docstring for the
-    weights.  Every block works in the same preallocated scratch buffers, so
-    the heap does not grow and shrink once per block.
-    """
-    c, n = y.shape
-    offsets = n // 2 + 1
-    weights = np.full(offsets, 2.0)
-    weights[0] = 1.0
-    if n % 2 == 0:
-        weights[-1] = 1.0
-    per_block = max(1, min(offsets, _PAIR_BUDGET // n))
-    rows = max(1, _PAIR_BUDGET // (per_block * n))
-    y_win = sliding_window_view(np.concatenate([y, y], axis=1), n, axis=1)
-    m_win = sliding_window_view(np.concatenate([m, m], axis=1), n, axis=1)
-    scratch = np.empty((6, min(rows, c) * per_block * n))
-    totals = np.zeros((len(rates), c))
-    for r0 in range(0, c, rows):
-        r1 = min(r0 + rows, c)
-        yj, mj = y[r0:r1, None, :], m[r0:r1, None, :]
-        for lo in range(0, offsets, per_block):
-            hi = min(lo + per_block, offsets)
-            yk, mk = y_win[r0:r1, lo:hi], m_win[r0:r1, lo:hi]
-            block = scratch[:, :yk.size].reshape(6, *yk.shape)
-            for total, part in zip(totals, _t_sums(yj, mj, yk, mk, rates, block)):
-                total[r0:r1] += (part * weights[lo:hi]).sum(axis=1)
-    return totals
+    """T pair sums of each rate over all ordered pairs, (len(rates), C):
+    ``_pair_total`` of every row and rate."""
+    return np.array([[_pair_total(yr, mr, a) for yr, mr in zip(y, m)]
+                     for a in rates])
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +313,13 @@ def _t_step(y, rates):
 
 def _t_route(y, rates):
     """T's trapezoid node count t = 0, h, 2h, ... on each row, and which
-    rows take the spectral path: from ``_T_MIN_N`` on, those with at most
-    ``_T_NODES_PER_OBS`` nodes per observation.  Nodes reach
-    t_max = sqrt(_DECAY / a_min), past which every weight is below
-    exp(-_DECAY).  Rows with NaN have no count and are not selected."""
-    c, n = y.shape
-    if n < _T_MIN_N:
-        return None, np.zeros(c, dtype=bool)
+    rows take the spectral path: those with at most max(``_ANCHOR``, n)
+    nodes.  Nodes reach t_max = sqrt(_DECAY / a_min), past which every
+    weight is below exp(-_DECAY).  Rows with NaN have no count and are not
+    selected."""
+    n = y.shape[1]
     counts = _padded(np.ceil(math.sqrt(_DECAY / min(rates)) / _t_step(y, rates)) + 1.0, n)
-    return counts, counts <= _T_NODES_PER_OBS * n
+    return counts, counts <= max(_ANCHOR, n)
 
 
 def _abs_max(y):

@@ -167,8 +167,11 @@ def _newton(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray, max_iter: int, tol
 
     A row stops when both likelihood-equation residuals are below ``tol``,
     checked before each of at most ``max_iter`` steps.  A step that would
-    decrease the log-likelihood (or leave the parameter domain) is halved, up
-    to 40 times, before the row is given up.  The 2x2 systems are solved in
+    decrease the log-likelihood by more than 1e-13 + 8 eps |ll| (or leave the
+    parameter domain) is halved, up to 40 times, before the row is given up.
+    The margin grows with |ll| because near the optimum a step gains less
+    than one ulp of ll (4.5e-13 at |ll| ~ 2000, n ~ 1000), so rounding
+    alone would decide whether it passes.  The 2x2 systems are solved in
     closed form, so one singular row does not stop the others.
     """
     iterations = np.full(mu.size, -1)
@@ -193,12 +196,12 @@ def _newton(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray, max_iter: int, tol
         det = j11 * j22 - j12 * j21
         step_mu, step_sigma = (j12 * f2 - j22 * f1) / det, (j21 * f1 - j11 * f2) / det
         base_ll = _loglik(xa, m, s)
+        floor = base_ll - (1e-13 + 8.0 * np.finfo(float).eps * np.abs(base_ll))
         pending = np.arange(active.size)
         for halving in range(40):
             mu_new = m[pending] + 0.5**halving * step_mu[pending]
             sigma_new = s[pending] + 0.5**halving * step_sigma[pending]
-            ok = (sigma_new > 0) & (_loglik(xa[pending], mu_new, sigma_new)
-                                    >= base_ll[pending] - 1e-13)
+            ok = (sigma_new > 0) & (_loglik(xa[pending], mu_new, sigma_new) >= floor[pending])
             mu[active[pending[ok]]], sigma[active[pending[ok]]] = mu_new[ok], sigma_new[ok]
             pending = pending[~ok]
             if pending.size == 0:

@@ -6,10 +6,11 @@ The primary statistic integrates, against a Gaussian weight exp(-a t^2), the
 squared modulus of an empirical transform that vanishes exactly at the
 logistic law.  ``t_stat_closed``, ``s_stat`` and ``r_stat`` evaluate the
 batch kernel on one sample.  It integrates S and R on fixed Gauss-Legendre
-nodes at every n.  T takes the trapezoid rule from ``_kernels._T_MIN_N``
-observations on and sums its pairwise closed form (Gaussian integrals
-evaluated analytically) below that, and the pairwise form is its oracle in
-the tests.  ``t_stat_quadrature`` (adaptive Gauss-Hermite) and
+nodes and T by the trapezoid rule at every n; only samples whose span needs
+more trapezoid nodes than the kernel's cap sum T's pairwise closed form
+(Gaussian integrals evaluated analytically), which is also its oracle in
+the tests and the term that ``delta_alternative`` integrates.
+``t_stat_quadrature`` (adaptive Gauss-Hermite) and
 ``s_stat_quadrature`` (adaptive quadrature) evaluate the defining integrals
 independently of the kernel and serve as oracles for both.
 
@@ -119,14 +120,13 @@ def gauss_weighted_integral(fun, a: float) -> float:
 def t_stat_closed(res: ScaledResiduals, w: WeightSpec = WeightSpec()) -> TestOutcome:
     """The characterisation statistic T_{n,a}, by the batch kernel.
 
-    Below ``_kernels._T_MIN_N`` observations, and for samples whose span
-    needs more trapezoid nodes than there are observations, each (j, k)
-    pair contributes the analytically evaluated Gaussian-weight integral
+    The defining integral is taken by the trapezoid rule on fixed nodes,
+    with exp(itY) stepped from node to node by a rotation.  A sample whose
+    span needs more nodes than max(32, n) instead sums, over all (j, k)
+    pairs, the analytically evaluated Gaussian-weight integral
     sqrt(pi/a) * exp(-(Y_j-Y_k)^2/4a) * [(2a - (Y_j-Y_k)^2)/4a^2 + m_j m_k -
-    (Y_j-Y_k)(m_j-m_k)/2a] with m = tanh(Y/2), and the sum is divided by n.
-    Otherwise the defining integral is taken by the trapezoid rule on fixed
-    nodes, with exp(itY) stepped from node to node by a rotation.  Agrees
-    with ``t_stat_quadrature`` to quadrature accuracy.
+    (Y_j-Y_k)(m_j-m_k)/2a] with m = tanh(Y/2), divided by n.  Agrees with
+    ``t_stat_quadrature`` to quadrature accuracy.
     """
     value = float(_evaluate(res, [("T", w.a)])[0])
     return TestOutcome(name="T", tuning=w.a, value=value, n=res.n)
@@ -289,8 +289,9 @@ def delta_alternative(alt: AlternativeDensity, w: WeightSpec = WeightSpec()) -> 
     statistic value/n converges to Delta, its V-statistic limit
     sqrt(pi/a) E[h(Y, Y')] with h the pair term of ``t_stat_closed``
     (Baringhaus, Ebner & Henze, AISM 2017).  That double expectation is one
-    trapezoid sum q @ H @ q on the nodes of ``_de_nodes``, H taken in row
-    blocks of at most ``_kernels._PAIR_BUDGET`` pairs.  Its step is halved
+    trapezoid sum q @ H @ q on the nodes of ``_de_nodes``, by the kernel's
+    ``_pair_total``, which takes H in row blocks of at most
+    ``_kernels._PAIR_BUDGET`` pairs.  Its step is halved
     from 1/2 to 1/256 until two values agree to 1e-11, against
     Delta <= sqrt(pi/a) (1 + 1/2a); QuadratureError if they never do.
     """
@@ -310,15 +311,7 @@ def delta_alternative(alt: AlternativeDensity, w: WeightSpec = WeightSpec()) -> 
             q *= alt.pdf(x)
             keep = q > 0
             q, y = q[keep], (x[keep] - mean) / c
-            m = np.tanh(y / 2.0)
-            rows = max(1, _kernels._PAIR_BUDGET // y.size)
-            total = 0.0
-            for lo in range(0, y.size, rows):
-                d = y[lo:lo + rows, None] - y
-                mj = m[lo:lo + rows, None]
-                h = np.exp(d * d * (-0.25 / a)) * (
-                    (2.0 * a - d * d) / (4.0 * a * a) + mj * m - d * (mj - m) / (2.0 * a))
-                total += q[lo:lo + rows] @ (h @ q)
+            total = _kernels._pair_total(y, np.tanh(y / 2.0), a, q)
             value = math.sqrt(math.pi / a) * float(total)
             if previous is not None and abs(value - previous) <= 1e-11:
                 return value

@@ -43,10 +43,13 @@ def _newton(x, mu, sigma, max_iter, tol):
         except np.linalg.LinAlgError:
             raise ConvergenceError("singular Jacobian", last_iterate=(mu, sigma)) from None
         base_ll = _loglik(x, mu, sigma)
+        # The margin grows with |log-likelihood|: near the optimum a step
+        # gains less than one ulp of it, and rounding decides its sign.
+        floor = base_ll - (1e-13 + 8.0 * np.finfo(float).eps * abs(base_ll))
         scale = 1.0
         for _ in range(40):
             mu_new, sigma_new = mu + scale * step[0], sigma + scale * step[1]
-            if sigma_new > 0 and _loglik(x, mu_new, sigma_new) >= base_ll - 1e-13:
+            if sigma_new > 0 and _loglik(x, mu_new, sigma_new) >= floor:
                 break
             scale *= 0.5
         else:

@@ -224,25 +224,36 @@ def test_batch_fit_matches_the_scalar_reference(law, n):
 
 
 def test_batch_fit_restarts_rows_from_the_median_mad_start():
+    # Two rows are logistic samples of scale 1e155, whose variance
+    # overflows: the moment start has an infinite scale, and both fits take
+    # the median/MAD start on them.
     x = _rows("mixture(0.3,lognormal(8))", 800, 40, 96)
-    iterations, iterations_ref, start = _compare_with_scalar_reference(x)
-    assert (start == 1).sum() == 2
-    # The batch restarts the same rows, and one more: on that row a step
-    # near the solution changes the log-likelihood (~ -1.4e4) by less than
-    # one ulp, and whether it passes the 1e-13 test depends on how the 2x2
-    # solve was rounded (closed form here, LAPACK in the reference).  The
-    # batch stalls on it and reaches the same fit from the second start.
+    x[[3, 17]] = _rows("logistic", 800, 2, 97) * 1e155
+    with np.errstate(over="ignore"):
+        iterations, iterations_ref, start = _compare_with_scalar_reference(x)
+    assert np.flatnonzero(start == 1).tolist() == [3, 17]
+    # The batch restarts the same rows, after the same iterations.
     with np.errstate(all="ignore"):
         moments = _newton(x, np.mean(x, axis=1), SQRT3_OVER_PI * np.std(x, axis=1), 100, 1e-10)
-    same_start = moments[3] == (start == 0)
-    assert not moments[3][start == 1].any() and (~same_start).sum() <= 1
-    assert iterations[same_start].tolist() == iterations_ref[same_start].tolist()
+    assert moments[3].tolist() == (start == 0).tolist()
+    assert iterations.tolist() == iterations_ref.tolist()
     mu, sigma, iterations, converged = fit_mle_batch(x)
     assert converged.all()
     assert np.abs(_likelihood_equations(x, mu[:, None], sigma[:, None])).max() <= 1e-10
     for i, row in enumerate(x):
         one = fit_mle(row)
         assert (one.mu_hat, one.sigma_hat, one.iterations) == (mu[i], sigma[i], iterations[i])
+
+
+def test_no_failed_fit_on_logistic_rows_at_large_n():
+    # Near the optimum a step changes the log-likelihood (~ -1.3 n) by less
+    # than one ulp; with a fixed margin of 1e-13 rounding failed 4, 15 and 9
+    # of these rows, and the engine exited on them.
+    for n in (700, 1000, 2000):
+        x = _rows("logistic", n, 2048, 8)
+        mu, sigma, iterations, converged = fit_mle_batch(x)
+        assert converged.all() and iterations.max() <= 10
+        assert np.abs(_likelihood_equations(x, mu[:, None], sigma[:, None])).max() <= 1e-10
 
 
 @pytest.mark.parametrize("n", [20, 50])

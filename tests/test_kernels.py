@@ -14,7 +14,7 @@ import pytest
 from scipy.special import expit
 
 from logigof import _kernels, montecarlo
-from logigof._kernels import _T_MIN_N, STATS, compute_batch
+from logigof._kernels import STATS, compute_batch
 from logigof.estimation import Method
 from logigof.logistic_core import DomainError
 
@@ -306,13 +306,11 @@ TSR = SPECS[:7]
 
 
 def _t_pair_path(y, specs=TSR[:3]):
-    """compute_batch with every T row on the pair path."""
-    crossover = _kernels._T_MIN_N
-    _kernels._T_MIN_N = math.inf
-    try:
-        return compute_batch(y, specs)
-    finally:
-        _kernels._T_MIN_N = crossover
+    """T of every row of y, as compute_batch returns it, from the pair path."""
+    y = np.sort(y, axis=1)
+    rates = [a for _, a in specs]
+    sums = _kernels._pair_sums(y, np.tanh(y / 2.0), rates)
+    return np.array([math.sqrt(math.pi / a) / y.shape[1] * t for a, t in zip(rates, sums)])
 
 
 def _residual_rows(kind, rows, n, seed):
@@ -337,10 +335,11 @@ def test_r_quadrature_oracle_matches_the_pair_reference():
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
-# T's crossover - 1 and crossover, n = 63 and 64, two n below them, and one
-# large n.  S and R take the spectral path at every n.
+# Small n, where T's node count exceeds n but not _ANCHOR = 32, n = 31 and
+# 32 on either side of it, n = 63 and 64, and one large n.  Every moment row
+# takes the spectral path, and S and R do at every n.
 @pytest.mark.parametrize("kind", ["logistic", "laplace", "t3", "cauchy"])
-@pytest.mark.parametrize("n", sorted({23, 24, _T_MIN_N - 1, _T_MIN_N, 63, 64, 2048}))
+@pytest.mark.parametrize("n", [2, 3, 5, 11, 12, 23, 24, 31, 32, 63, 64, 2048])
 def test_spectral_path_matches_pair_path(kind, n):
     y = _residual_rows(kind, 4 if n < 2048 else 2, n, seed=61)
     got = compute_batch(y, SPECS)
@@ -352,8 +351,7 @@ def test_spectral_path_matches_pair_path(kind, n):
             assert got[3, i] == pytest.approx(s_quadrature(row), rel=RTOL)
             for v in (1, 2, 3):
                 assert got[3 + v, i] == pytest.approx(r_stat_quadrature(row, v), rel=RTOL)
-    t_rows = _t_spectral_rows(y)
-    assert t_rows.all() == (n >= _T_MIN_N) and t_rows.any() == (n >= _T_MIN_N)
+    assert _t_spectral_rows(y).all()
 
 
 def test_t_products_past_n_2048_carry_the_rotation():
@@ -399,7 +397,7 @@ def test_s_and_r_on_a_row_near_the_exp_limit(sign):
 
 
 def test_spectral_path_nan_and_exp_range_rows():
-    n = max(_T_MIN_N, 128)
+    n = 128
     y = _logistic_rows(5, n, seed=63)
     y[0, 2] = 351.0                                  # 2 max|Y| = 702
     y[2, 5] = -1e6                                   # T needs the pair path
@@ -472,7 +470,8 @@ def test_rotation_on_the_widest_spectral_t_row_matches_quadrature():
         assert value == pytest.approx(t_stat_quadrature(res, WeightSpec(a)).value, rel=1e-11)
 
 
-@pytest.mark.parametrize("n", [_T_MIN_N, 200])
+# The cap is _ANCHOR = 32 nodes up to n = 32 and n nodes past it.
+@pytest.mark.parametrize("n", [5, 20, 32, 200])
 def test_t_rows_past_the_node_cap_take_the_pair_path(n):
     inside, outside = _widest_spectral_t_row(n, seed=71)
     y = np.concatenate([inside, outside, _residual_rows("cauchy", 2, n, seed=72)])
@@ -620,10 +619,11 @@ def _mixed_count_rows(rows, n, seed):
     return y
 
 
-@pytest.mark.parametrize("rows, n", [(48, 20), (24, 50), (3, 2048)])
+@pytest.mark.parametrize("rows, n", [(96, 20), (48, 50), (3, 2048)])
 def test_s_and_r_rows_with_mixed_node_counts_are_independent_of_the_batch(rows, n):
-    # Rows are grouped by node count; a group spans several row blocks, and
-    # no row's values may depend on which other rows share its group or block.
+    # Rows are grouped by node count; a group spans several row blocks of
+    # _SR_BUDGET values, and no row's values may depend on which other rows
+    # share its group or block.
     y = _mixed_count_rows(rows, n, seed=90)
     live = ~np.isnan(y).any(axis=1) & (2.0 * np.abs(y).max(axis=1) <= EXP_LIMIT)
     assert not live[-2:].any() and np.isfinite(y[:-1]).all()
@@ -631,8 +631,8 @@ def test_s_and_r_rows_with_mixed_node_counts_are_independent_of_the_batch(rows, 
     counts, sizes = np.unique(_kernels._sr_counts(np.sort(y[live], axis=1), orders),
                               return_counts=True)
     assert len(counts) > 1
-    block = np.minimum(counts // 2, max(1, _kernels._PAIR_BUDGET // n))
-    assert (sizes > np.maximum(1, _kernels._PAIR_BUDGET // (block * n))).any()
+    block = np.minimum(counts // 2, max(1, _kernels._SR_BUDGET // n))
+    assert (sizes > np.maximum(1, _kernels._SR_BUDGET // (block * n))).any()
     whole = compute_batch(y, SPECS)
     for i in range(y.shape[0]):
         np.testing.assert_array_equal(whole[:, i], compute_batch(y[i:i + 1], SPECS)[:, 0])
@@ -653,7 +653,9 @@ def test_s_and_r_rows_with_mixed_node_counts_are_independent_of_the_batch(rows, 
 def test_rows_in_blocks_of_the_s_and_r_budget_are_independent_of_the_batch(n):
     # S and R take up to _SR_BUDGET values per row block: a count group here
     # spans more than one block (about 160 rows at n = 20, 64 at n = 50).
-    # At n = 50 T stacks up to _ANCHOR nodes into one product per row.
+    # Every live row takes T's spectral path, and at n = 50 some need more
+    # than the _ANCHOR nodes that T stacks into one product per row (at
+    # n = 20 the widest rows need 32).
     # Mixed counts, ML-fitted t(2) rows, a row past the exp range and a row
     # with NaN.
     y = _mixed_count_rows(96, n, seed=99)
@@ -663,10 +665,11 @@ def test_rows_in_blocks_of_the_s_and_r_budget_are_independent_of_the_batch(n):
                               return_counts=True)
     block = np.minimum(counts // 2, max(1, _kernels._SR_BUDGET // n))
     assert len(counts) > 1 and (sizes > _kernels._SR_BUDGET // (block * n)).any()
-    if n >= _T_MIN_N:
-        t_counts, fast = _kernels._t_route(np.sort(y[:-2], axis=1),
-                                           [a for sid, a in TSR if sid == "T"])
-        assert fast.all() and t_counts.max() > _kernels._ANCHOR    # two products on some rows
+    t_counts, fast = _kernels._t_route(np.sort(y[:-2], axis=1),
+                                       [a for sid, a in TSR if sid == "T"])
+    assert fast.all()
+    if n == 50:
+        assert t_counts.max() > _kernels._ANCHOR                  # two products on some rows
     whole = compute_batch(y, SPECS)
     for i in range(y.shape[0]):
         np.testing.assert_array_equal(whole[:, i], compute_batch(y[i:i + 1], SPECS)[:, 0])

@@ -346,27 +346,34 @@ def test_simulation_rep_count_extension_is_prefix_stable():
 
 
 # SHA-256 of the samples that simulate_statistics draws (n = 20, seed
-# 20260815, 4100 replications: a full chunk and a partial one), and of its
-# T and EDF values (every statistic but S and R, in ALL_SPECS order), as the
-# engine gave them when each replication built its own Generator, recorded
-# with numpy 2.4.6 on x86-64.  S and R are held to the kernel tests'
-# full-square reference instead: they are evaluated by quadrature, which
-# agrees with the reference to rounding, not bit for bit.
+# 20260815, 4100 replications: a full chunk and a partial one), of its EDF
+# values and of its T values (in ALL_SPECS order), recorded with numpy 2.4.6
+# on x86-64.  The samples and EDF digests are those of the engine when each
+# replication built its own Generator; the T digest is that of T's spectral
+# path, which T takes at n = 20 since it stopped summing pairs below n = 32.
+# T, S and R are also held to the kernel tests' full-square reference: they
+# are evaluated by quadrature, which agrees with it to rounding, not bit for
+# bit.
 ENGINE_SHA256 = {
     "logistic": ("1f2e5af0fd69218a966789aac4aab6497716e95a7023e6129bf1c6e6e70b30b6",
-                 "dedf95161ff28640a797a8a0c13e202f9b49ead00502f366efe408fa599d3721"),
+                 "c04614bbb818a324152dd2bfd84539aa1fa68da5013084786f248199d242f9d7",
+                 "d78ab44fc898281ad33d53626dc325ca3e18078e7e7d65c528c30906de0bba23"),
     "t(2)": ("1169e04c4d5822cc4c95167bbc8b2956e8def8e4093bfa676d387bad49ce21f0",
-             "3d70add48f6db12cd64f72ab2943e64271bccf63a5de67951b34e506de36a120"),
+             "67e6b0833bcd23d3a9bee67707bce995f025f62f6cc61a3732644c0d73e3157c",
+             "a00ccb241c06df68424d5d1e309333057e84dd8649c96f591200c99d2d5edfba"),
     "mixture(0.3,cauchy)": (
         "57ac16c576d80ffd991c950ed3661305bf4690dab291c55f0205d86574044d64",
-        "1ddf5e10b1dacc7083112bc2b055348c0e38668cded1818e14f45e6914fa4599"),
+        "d38104c755ed6b42611cccc14d83e988a1fda767eeac3719959d4a17a0b3db40",
+        "64a254cf1dd623093643f3c83cbd58e2286be50779b6b96a93a17c4191382fa6"),
 }
 SR_ROWS = [i for i, spec in enumerate(ALL_SPECS) if spec.stat_id in ("S", "R")]
+T_ROWS = [i for i, spec in enumerate(ALL_SPECS) if spec.stat_id == "T"]
+EDF_ROWS = [i for i, spec in enumerate(ALL_SPECS) if spec.stat_id in montecarlo._kernels.EDF_IDS]
 
 
-# The same at n = 50 (1028 replications), where T takes its spectral path,
-# recorded with numpy 2.4.6 on x86-64 before T stacked its node blocks
-# into one product per row.
+# At n = 50 (1028 replications), the samples and, in one digest, the T and
+# EDF values (every statistic but S and R), recorded with numpy 2.4.6 on
+# x86-64 before T stacked its node blocks into one product per row.
 ENGINE_SHA256_N50 = {
     "logistic": ("961b0691f2651c8d9039441d35bef18ac9e66554fbde84dca5b79904d3f45342",
                  "7539dd943b8c880c306b3dbf200c665ecd569f290bbd631008900ee0f360b337"),
@@ -394,19 +401,32 @@ def _sha256(a):
 @pytest.mark.parametrize("label", ENGINE_SHA256)
 def test_simulated_values_are_pinned(label):
     x, values = _engine_run(label)
-    assert (_sha256(x), _sha256(np.delete(values, SR_ROWS, axis=0))) == ENGINE_SHA256[label]
+    assert (_sha256(x), _sha256(values[EDF_ROWS]), _sha256(values[T_ROWS])) \
+        == ENGINE_SHA256[label]
+
+
+def _assert_matches_the_reference(label, spec_rows, n=20):
+    """The values of ``spec_rows`` (indices into ALL_SPECS) on every 16th
+    replication of the full chunk, and on the partial chunk, against the
+    kernel tests' full-square reference."""
+    from test_kernels import RTOL, reference
+
+    x, values = _engine_run(label, n)
+    chunk = montecarlo._chunk_reps(n)
+    rows = [*range(0, chunk, 16), *range(chunk, chunk + 4)]
+    y = montecarlo._kernels.moment_residuals_batch(x[rows])
+    want = reference(y, [ALL_SPECS[i].key() for i in spec_rows])
+    np.testing.assert_allclose(values[spec_rows][:, rows], want, rtol=RTOL, atol=0)
+
+
+@pytest.mark.parametrize("label", ENGINE_SHA256)
+def test_simulated_t_matches_the_reference(label):
+    _assert_matches_the_reference(label, T_ROWS)
 
 
 @pytest.mark.parametrize("label", ENGINE_SHA256)
 def test_simulated_s_and_r_match_the_reference(label):
-    # Every 16th replication of the full chunk, and the partial chunk.
-    from test_kernels import RTOL, reference
-
-    x, values = _engine_run(label)
-    rows = [*range(0, 4096, 16), *range(4096, 4100)]
-    y = montecarlo._kernels.moment_residuals_batch(x[rows])
-    want = reference(y, [ALL_SPECS[i].key() for i in SR_ROWS])
-    np.testing.assert_allclose(values[SR_ROWS][:, rows], want, rtol=RTOL, atol=0)
+    _assert_matches_the_reference(label, SR_ROWS)
 
 
 @pytest.mark.parametrize("label", ENGINE_SHA256_N50)
@@ -418,13 +438,7 @@ def test_simulated_values_are_pinned_at_n50(label):
 
 @pytest.mark.parametrize("label", ENGINE_SHA256_N50)
 def test_simulated_s_and_r_match_the_reference_at_n50(label):
-    from test_kernels import RTOL, reference
-
-    x, values = _engine_run(label, 50)
-    rows = [*range(0, 1024, 16), *range(1024, 1028)]
-    y = montecarlo._kernels.moment_residuals_batch(x[rows])
-    want = reference(y, [ALL_SPECS[i].key() for i in SR_ROWS])
-    np.testing.assert_allclose(values[SR_ROWS][:, rows], want, rtol=RTOL, atol=0)
+    _assert_matches_the_reference(label, SR_ROWS, 50)
 
 
 def test_calibrate_quantiles_and_rows():

@@ -2,6 +2,7 @@
 revision, side by side in one process.
 
     python3 tools/kernel_rounds.py [--base REV] [--rounds 15] [--repeats 5]
+                                   [--shapes 4096x20,1024x50,1x2048]
 
 Run from the root of a source checkout.  ``src/logigof/_kernels.py`` of the
 working tree is imported as usual, and the file of the same name at REV
@@ -11,11 +12,14 @@ tree's ``logistic_core``.  Native thread pools are capped at one thread.
 Each case is one ``compute_batch`` call on moment residuals of numpy draws
 (seed 5): all eleven statistics of the Monte Carlo engine, then T, S+R and
 the EDF statistics alone, on the engine's chunk shapes 4096x20 and 1024x50
-and on one row of 2048.  In every round each side takes the best of
-``--repeats`` timings of each case, and the sides alternate which goes
-first.  Printed per case: the median over rounds of the microseconds per
-row on each side, their ratio (change over base), the rounds the change
-was faster, and the base's interquartile range.  The last line of output is
+and on one row of 2048 by default, or on the ROWSxN shapes that
+``--shapes`` lists.  Each shape is drawn from the logistic and the Cauchy
+law, a single row from the logistic and the Laplace law.  In every round
+each side takes the best of ``--repeats`` timings of each case, and the
+sides alternate which goes first.  Printed per case: the median over
+rounds of the microseconds per row on each side, their ratio (change over
+base), the rounds the change was faster, and the base's interquartile
+range.  The last line of output is
 the same table as one JSON object.
 """
 
@@ -49,9 +53,7 @@ FAMILIES = {
     "S+R": (("S", None), ("R", 1), ("R", 2), ("R", 3)),
     "EDF": (("KS", None), ("CM", None), ("AD", None), ("WA", None)),
 }
-SHAPES = (("4096x20", 4096, 20, ("logistic", "cauchy")),
-          ("1024x50", 1024, 50, ("logistic", "cauchy")),
-          ("1x2048", 1, 2048, ("logistic", "laplace")))
+SHAPES = "4096x20,1024x50,1x2048"
 
 
 def load_base(rev: str) -> types.ModuleType:
@@ -65,11 +67,12 @@ def load_base(rev: str) -> types.ModuleType:
     return module
 
 
-def cases():
+def cases(shapes: str):
     """(label, residual rows, specs) of every case, in a fixed order."""
     out = []
-    for shape, rows, n, draws in SHAPES:
-        for draw in draws:
+    for shape in shapes.split(","):
+        rows, n = (int(v) for v in shape.split("x"))
+        for draw in ("logistic", "cauchy") if rows > 1 else ("logistic", "laplace"):
             rng = np.random.default_rng(5)
             x = {"logistic": rng.logistic, "cauchy": rng.standard_cauchy,
                  "laplace": rng.laplace}[draw](size=(rows, n))
@@ -96,9 +99,10 @@ def main() -> None:
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
     parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--shapes", default=SHAPES, help="comma list of ROWSxN")
     args = parser.parse_args()
     sides = {"base": load_base(args.base), "change": _kernels}
-    table = cases()
+    table = cases(args.shapes)
     times = {label: {"base": [], "change": []} for label, _, _ in table}
     for r in range(args.rounds):
         order = ("base", "change") if r % 2 == 0 else ("change", "base")
@@ -121,7 +125,7 @@ def main() -> None:
               f"  x{row['change_over_base']:.3f}  wins {row['change_wins']:>8s}"
               f"  base IQR {row['base_iqr']:.3f}")
     print(json.dumps({"base": args.base, "rounds": args.rounds, "repeats": args.repeats,
-                      "unit": "us per row", "cases": result}))
+                      "shapes": args.shapes, "unit": "us per row", "cases": result}))
 
 
 if __name__ == "__main__":
