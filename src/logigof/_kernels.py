@@ -157,6 +157,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .estimation import fit_moments_batch
 from .logistic_core import DomainError, expit
 
 # Largest 2 max|Y| for which S and R are finite; beyond it they are +inf.
@@ -228,14 +229,10 @@ def check_spec(stat_id: str, tuning=None) -> tuple:
 
 
 def moment_residuals_batch(x: np.ndarray) -> np.ndarray:
-    """Moment-fit residuals of each row of x; degenerate rows become NaN."""
-    mu = np.mean(x, axis=1, keepdims=True)
-    centered = x - mu
-    sd = np.sqrt(np.mean(centered * centered, axis=1, keepdims=True))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = centered / ((math.sqrt(3.0) / math.pi) * sd)
-    y[np.broadcast_to(sd == 0.0, y.shape)] = np.nan
-    return y
+    """Residuals of each row of x on its ``estimation.fit_moments_batch``
+    fit; rows of zero scale become NaN."""
+    mu, sigma = fit_moments_batch(x)
+    return (x - mu[:, None]) / np.where(sigma == 0.0, np.nan, sigma)[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,15 @@
 every test statistic consumes.
 
 Two estimators are provided: method of moments (sample mean plus a rescaled
-standard deviation) and maximum likelihood (damped Newton on the two
-likelihood equations, run on every row of a batch at once; one sample is a
-batch of one).  Both are equivariant under x -> b*x + c, b > 0, which
-makes all downstream statistics affine invariant.
+standard deviation, ``fit_moments_batch`` on every row of a batch at once)
+and maximum likelihood (damped Newton on the two likelihood equations, run
+on every row of a batch at once from the moment fit, with a median/MAD
+restart for the rows that stall near the optimum).  One sample is a batch
+of one.  Both are equivariant under x -> b*x + c, b > 0, which makes all
+downstream statistics affine invariant.  The moment fit is so at every data
+scale, since a row whose variance leaves the normal range is fitted again
+in units of the power of two of its largest |x|; the ML fit fails on data
+scaled past about 1e+-155.
 """
 
 from __future__ import annotations
@@ -19,6 +24,10 @@ import numpy as np
 from .logistic_core import DomainError
 
 SQRT3_OVER_PI = math.sqrt(3.0) / math.pi
+# Newton's most steps and its tolerance on the likelihood equations, read at
+# each call.
+MAX_ITER = 100
+TOL = 1e-10
 
 
 class DegenerateSampleError(ValueError):
@@ -92,19 +101,45 @@ def _checked_data(data) -> np.ndarray:
     return x
 
 
+def fit_moments_batch(x: np.ndarray, ddof: int = 0):
+    """Moment fits of every row of x, shape (R, n): (mu, sigma), each of
+    shape (R,), with mu the mean and sigma = (sqrt(3)/pi) * sd, the standard
+    deviation taken with divisor n - ddof.
+
+    A row whose variance overflows or falls below the smallest normal
+    double (|x| outside about 1e-154 .. 1e154, or a constant row) is fitted
+    again on x * 2^-e, where 2^(e-1) <= max|x| < 2^e, and its mu and sigma
+    are scaled back by 2^e.  Scaling by a power of two is exact, so the
+    residuals (x - mu) / sigma of x * 2^k are bit for bit those of x.  Every
+    other row takes one pass.  sigma is 0 on a constant row whose mean is
+    exact, and NaN on a row with NaN or inf.
+    """
+    with np.errstate(all="ignore"):
+        mu, var = _mean_var(x, ddof)
+        sigma = SQRT3_OVER_PI * np.sqrt(var)
+        redo = np.flatnonzero(~(var >= np.finfo(float).tiny) | (var == np.inf))
+        if redo.size:
+            e = np.frexp(np.max(np.abs(x[redo]), axis=1))[1]
+            mu_e, var_e = _mean_var(np.ldexp(x[redo], -e[:, None]), ddof)
+            mu[redo] = np.ldexp(mu_e, e)
+            sigma[redo] = np.ldexp(SQRT3_OVER_PI * np.sqrt(var_e), e)
+    return mu, sigma
+
+
+def _mean_var(x: np.ndarray, ddof: int):
+    mu = np.mean(x, axis=1)
+    centered = x - mu[:, None]
+    return mu, np.sum(np.square(centered, out=centered), axis=1) / (x.shape[1] - ddof)
+
+
 def fit_moments(data, unbiased: bool = False) -> FitResult:
-    """Moment fit: mu_hat = mean, sigma_hat = (sqrt(3)/pi) * sd.
+    """Moment fit of one sample: ``fit_moments_batch`` on a batch of one.
 
     The standard deviation uses divisor n by default; ``unbiased=True``
     switches to divisor n - 1.
     """
-    x = _checked_data(data)
-    mu = float(np.mean(x))
-    ddof = 1 if unbiased else 0
-    sd = float(np.std(x, ddof=ddof))
-    if sd == 0.0:
-        raise DegenerateSampleError("zero sample variance")
-    return FitResult(mu_hat=mu, sigma_hat=SQRT3_OVER_PI * sd, method=Method.MOMENTS)
+    mu, sigma = fit_moments_batch(_checked_data(data)[None, :], ddof=int(unbiased))
+    return FitResult(mu_hat=float(mu[0]), sigma_hat=float(sigma[0]), method=Method.MOMENTS)
 
 
 def _loglik(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -128,45 +163,43 @@ def _likelihood_equations(x: np.ndarray, mu, sigma) -> np.ndarray:
     return np.array([-0.5 * np.sum(t, axis=-1), np.sum(z * t, axis=-1) - x.shape[-1]])
 
 
-def fit_mle(data, max_iter: int = 100, tol: float = 1e-10) -> FitResult:
+def fit_mle(data) -> FitResult:
     """Maximum-likelihood fit of one sample: ``fit_mle_batch`` on a batch of
     one.  Non-convergence raises ConvergenceError carrying the last iterate."""
     x = _checked_data(data)
-    mu, sigma, iterations, converged = (v[0] for v in fit_mle_batch(x[None, :], max_iter, tol))
+    mu, sigma, iterations, converged = (v[0] for v in fit_mle_batch(x[None, :]))
     if not converged:
         raise ConvergenceError("maximum-likelihood fit did not converge",
                                last_iterate=(float(mu), float(sigma)))
     return FitResult(float(mu), float(sigma), Method.MAX_LIKELIHOOD, int(iterations))
 
 
-def fit_mle_batch(x: np.ndarray, max_iter: int = 100, tol: float = 1e-10):
+def fit_mle_batch(x: np.ndarray):
     """ML fits of every row of x, shape (R, n), by damped Newton on all rows
-    at once.  Starts at the moment fit and, for the rows where that basin
-    fails (moment scale can be inflated by orders of magnitude under heavy
-    contamination), retries from a median/MAD start.  Returns (mu, sigma,
-    iterations, converged), each of shape (R,); a row that fails from both
-    starts (a constant row, or one with NaN or inf) keeps its last iterate
-    and reads -1 iterations.
+    at once.  Starts at the moment fit and, for the rows where that start
+    fails (a row whose steps stall near the optimum), retries from a
+    median/MAD start.  Returns (mu, sigma, iterations, converged), each of
+    shape (R,); a row that fails from both starts (a constant row, or one
+    with NaN or inf) keeps its last iterate and reads -1 iterations.
     """
     with np.errstate(all="ignore"):
-        fits = _newton(x, np.mean(x, axis=1), SQRT3_OVER_PI * np.std(x, axis=1),
-                       max_iter, tol)
+        fits = _newton(x, *fit_moments_batch(x))
         failed = np.flatnonzero(~fits[3])
         med = np.median(x[failed], axis=1)
         # For the logistic law the MAD equals sigma * log(3).
         mad = np.median(np.abs(x[failed] - med[:, None]), axis=1) / math.log(3.0)
         retry = mad > 0
-        again = _newton(x[failed[retry]], med[retry], mad[retry], max_iter, tol)
+        again = _newton(x[failed[retry]], med[retry], mad[retry])
     for full, part in zip(fits, again):
         full[failed[retry]] = part
     return fits
 
 
-def _newton(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray, max_iter: int, tol: float):
+def _newton(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
     """Damped Newton from (mu, sigma), updated in place, on each row of x.
 
-    A row stops when both likelihood-equation residuals are below ``tol``,
-    checked before each of at most ``max_iter`` steps.  A step that would
+    A row stops when both likelihood-equation residuals are below ``TOL``,
+    checked before each of at most ``MAX_ITER`` steps.  A step that would
     decrease the log-likelihood by more than 1e-13 + 8 eps |ll| (or leave the
     parameter domain) is halved, up to 40 times, before the row is given up.
     The margin grows with |ll| because near the optimum a step gains less
@@ -176,9 +209,9 @@ def _newton(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray, max_iter: int, tol
     """
     iterations = np.full(mu.size, -1)
     active = np.arange(mu.size)
-    for iteration in range(max_iter):
+    for iteration in range(MAX_ITER):
         f1, f2 = _likelihood_equations(x[active], mu[active, None], sigma[active, None])
-        done = np.maximum(np.abs(f1), np.abs(f2)) <= tol
+        done = np.maximum(np.abs(f1), np.abs(f2)) <= TOL
         iterations[active[done]] = iteration
         active, f1, f2 = active[~done], f1[~done], f2[~done]
         if active.size == 0:
@@ -220,8 +253,8 @@ def fit(data, method: Method = Method.MOMENTS, unbiased: bool = False) -> FitRes
 
 def scaled_residuals(data, method: Method = Method.MOMENTS) -> ScaledResiduals:
     """Standardize the sample with the chosen fit: Y_j = (X_j - mu_hat)/sigma_hat."""
-    x = _checked_data(data)
-    result = fit(x, method=method)
+    result = fit(data, method=method)
+    x = np.asarray(data, dtype=float).ravel()
     return ScaledResiduals(values=(x - result.mu_hat) / result.sigma_hat, fit=result)
 
 

@@ -64,7 +64,6 @@ class TestOutcome:
     tuning: Optional[float]
     value: float
     n: int
-    pvalue: Optional[float] = None
 
     def __post_init__(self):
         if not math.isfinite(self.value):

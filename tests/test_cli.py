@@ -117,6 +117,20 @@ def test_fit_degenerate_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_fit_and_test_are_scale_invariant_on_the_bundled_data(scale, tmp_path, capsys):
+    # The variance of the scaled data leaves the double range; the moment fit
+    # takes those rows in units of a power of two.
+    values = load_dataset(str(bundled_data_path())).values * scale
+    path = write(tmp_path, "scaled.txt", "\n".join(repr(float(v)) for v in values))
+    assert main(["fit", path]) == EXIT_OK
+    out = dict(line.split(" = ") for line in capsys.readouterr().out.strip().split("\n"))
+    assert float(out["sigma_hat"]) == pytest.approx(5.77087 * scale, rel=1e-5)
+    assert main(["test", path, "--stat", "T", "--reps", "50", "--workers", "1"]) == EXIT_OK
+    out = dict(line.split(" = ") for line in capsys.readouterr().out.strip().split("\n"))
+    assert out["value"] == "7.8542"
+
+
 @pytest.mark.parametrize("args", [
     ["fit", "bundled:"],
     ["test", "bundled:", "--stat", "KS", "--reps", "10", "--workers", "1"],

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logigof import _kernels, estimation
+from logigof.cli import bundled_data_path, load_dataset
 from logigof.estimation import (ConvergenceError, DegenerateSampleError,
                                 Method, SampleSizeError,
                                 _likelihood_equations, _newton, fit, fit_mle,
-                                fit_mle_batch, fit_moments, psi1, psi2,
-                                scaled_residuals)
+                                fit_mle_batch, fit_moments, fit_moments_batch,
+                                psi1, psi2, scaled_residuals)
 from logigof.logistic_core import (STANDARD, DomainError, RngStream,
                                    fisher_info, pdf, sample, score)
 from logigof.montecarlo import AlternativeSpec, _residuals_for_chunk
@@ -224,23 +226,17 @@ def test_batch_fit_matches_the_scalar_reference(law, n):
 
 
 def test_batch_fit_restarts_rows_from_the_median_mad_start():
-    # Two rows are logistic samples of scale 1e155, whose variance
-    # overflows: the moment start has an infinite scale, and both fits take
-    # the median/MAD start on them.
-    x = _rows("mixture(0.3,lognormal(8))", 800, 40, 96)
-    x[[3, 17]] = _rows("logistic", 800, 2, 97) * 1e155
-    with np.errstate(over="ignore"):
-        iterations, iterations_ref, start = _compare_with_scalar_reference(x)
-    assert np.flatnonzero(start == 1).tolist() == [3, 17]
-    # The batch restarts the same rows, after the same iterations.
+    # Rows of gamma(0.1) at n = 1000 whose steps from the moment start stall
+    # near the optimum (no step passes before the residuals reach the
+    # tolerance); both fits converge on them from the median/MAD start.
+    x = _rows("gamma(0.1)", 1000, 256, 1)[[9, 56, 77, 83, 113, 116, 151]]
     with np.errstate(all="ignore"):
-        moments = _newton(x, np.mean(x, axis=1), SQRT3_OVER_PI * np.std(x, axis=1), 100, 1e-10)
-    assert moments[3].tolist() == (start == 0).tolist()
-    assert iterations.tolist() == iterations_ref.tolist()
+        moments = _newton(x, *fit_moments_batch(x))
+    assert not moments[3].any()
     mu, sigma, iterations, converged = fit_mle_batch(x)
     assert converged.all()
-    assert np.abs(_likelihood_equations(x, mu[:, None], sigma[:, None])).max() <= 1e-10
     for i, row in enumerate(x):
+        assert scalar_fit_mle(row) == (mu[i], sigma[i], iterations[i], 1)
         one = fit_mle(row)
         assert (one.mu_hat, one.sigma_hat, one.iterations) == (mu[i], sigma[i], iterations[i])
 
@@ -296,9 +292,53 @@ def test_fit_mle_equals_its_row_of_any_batch_bit_for_bit():
         assert (one.mu_hat, one.sigma_hat, one.iterations) == (mu[i], sigma[i], iterations[i])
 
 
-def test_fit_mle_reports_the_last_iterate_when_both_starts_fail():
+def test_fit_mle_reports_the_last_iterate_when_both_starts_fail(monkeypatch):
+    monkeypatch.setattr(estimation, "MAX_ITER", 2)
     x = sample(40, stream=RngStream(12))
     with pytest.raises(ConvergenceError) as info:
-        fit_mle(x, max_iter=2)
+        fit_mle(x)
     mu, sigma = info.value.last_iterate
     assert math.isfinite(mu) and sigma > 0
+
+
+# ---------------------------------------------------------------------------
+# equivariance at every data scale
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("source", ["bundled", *(f"{law}-{n}" for law in
+                                                 ("logistic", "cauchy", "lognormal(1)")
+                                                 for n in (20, 50))])
+def test_moment_residuals_are_bit_equal_at_every_power_of_two_scale(source):
+    # At 2^530 the variance overflows and at 2^-530 it underflows; such rows
+    # are fitted again in units of a power of two, which is exact.
+    if source == "bundled":
+        x = load_dataset(str(bundled_data_path())).values[None, :]
+    else:
+        law, n = source.rsplit("-", 1)
+        x = _rows(law, int(n), 64, 23)
+    want = _kernels.moment_residuals_batch(x)
+    assert np.isfinite(want).all()
+    for scale in (2.0**530, 2.0**-530):
+        assert _bits(_kernels.moment_residuals_batch(x * scale)) == _bits(want)
+        for row, y in zip(x, want):
+            assert _bits(scaled_residuals(row * scale).values) == _bits(y)
+
+
+def test_ml_fits_rows_of_scale_1e155_from_the_moment_start():
+    # Their variance overflows; the moment start is finite all the same, and
+    # the fit converges from it, equivariantly.
+    x = _rows("logistic", 800, 2, 97)
+    big = x * 1e155
+    mu, sigma, iterations, converged = fit_mle_batch(big)
+    start = fit_moments_batch(big)
+    assert np.isfinite(start).all()
+    assert [_bits(v) for v in _newton(big, *start)] == [_bits(v) for v in
+                                                        (mu, sigma, iterations, converged)]
+    assert converged.all()
+    base = fit_mle_batch(x)
+    np.testing.assert_allclose(mu, 1e155 * base[0], rtol=1e-12)
+    np.testing.assert_allclose(sigma, 1e155 * base[1], rtol=1e-12)

@@ -94,10 +94,18 @@ def best_us_per_row(module, y, specs, repeats: int) -> float:
     return best / (calls * len(y)) * 1e6
 
 
+def at_least_two(text: str) -> int:
+    """argparse type of ``--rounds``: the base IQR needs two rounds."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--rounds", type=int, default=15)
+    parser.add_argument("--rounds", type=at_least_two, default=15)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--shapes", default=SHAPES, help="comma list of ROWSxN")
     args = parser.parse_args()
