@@ -4,13 +4,14 @@ every test statistic consumes.
 Two estimators are provided: method of moments (sample mean plus a rescaled
 standard deviation, ``fit_moments_batch`` on every row of a batch at once)
 and maximum likelihood (damped Newton on the two likelihood equations, run
-on every row of a batch at once from the moment fit, with a median/MAD
-restart for the rows that stall near the optimum).  One sample is a batch
-of one.  Both are equivariant under x -> b*x + c, b > 0, which makes all
-downstream statistics affine invariant.  The moment fit is so at every data
-scale, since a row whose variance leaves the normal range is fitted again
-in units of the power of two of its largest |x|; the ML fit fails on data
-scaled past about 1e+-155.
+on every row of a batch at once from the moment fit, its one start).  One
+sample is a batch of one.  Both are equivariant under x -> b*x + c, b > 0,
+which makes all downstream statistics affine invariant, and both fit at
+every data scale and location: a row whose variance leaves the normal range
+is fitted again in units of the power of two of its largest |x|, Newton
+solves its steps in units of the power of two of sigma, and a Newton step
+within rounding of the iterate ends the fit, so a location large against
+the scale needs no tolerance it cannot meet.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ class FitResult:
     sigma_hat: float
     method: Method
     iterations: int = 0
-    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -142,11 +142,15 @@ def fit_moments(data, unbiased: bool = False) -> FitResult:
     return FitResult(mu_hat=float(mu[0]), sigma_hat=float(sigma[0]), method=Method.MOMENTS)
 
 
-def _loglik(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _loglik(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
+    """The log-likelihood sum(a_j) - n log sigma of each row, and the size
+    sum(|a_j|) + n |log sigma| of its terms, which bounds its rounding."""
     z = (x - mu[:, None]) / sigma[:, None]
     # log f = -|z| - 2*log1p(exp(-|z|)) - log sigma  (stable for both tails)
     az = np.abs(z)
-    return np.sum(-az - 2.0 * np.log1p(np.exp(-az)), axis=1) - x.shape[1] * np.log(sigma)
+    terms = np.sum(-az - 2.0 * np.log1p(np.exp(-az)), axis=1)
+    n_log_sigma = x.shape[1] * np.log(sigma)
+    return terms - n_log_sigma, np.abs(n_log_sigma) - terms
 
 
 def _likelihood_equations(x: np.ndarray, mu, sigma) -> np.ndarray:
@@ -176,70 +180,65 @@ def fit_mle(data) -> FitResult:
 
 def fit_mle_batch(x: np.ndarray):
     """ML fits of every row of x, shape (R, n), by damped Newton on all rows
-    at once.  Starts at the moment fit and, for the rows where that start
-    fails (a row whose steps stall near the optimum), retries from a
-    median/MAD start.  Returns (mu, sigma, iterations, converged), each of
-    shape (R,); a row that fails from both starts (a constant row, or one
-    with NaN or inf) keeps its last iterate and reads -1 iterations.
-    """
-    with np.errstate(all="ignore"):
-        fits = _newton(x, *fit_moments_batch(x))
-        failed = np.flatnonzero(~fits[3])
-        med = np.median(x[failed], axis=1)
-        # For the logistic law the MAD equals sigma * log(3).
-        mad = np.median(np.abs(x[failed] - med[:, None]), axis=1) / math.log(3.0)
-        retry = mad > 0
-        again = _newton(x[failed[retry]], med[retry], mad[retry])
-    for full, part in zip(fits, again):
-        full[failed[retry]] = part
-    return fits
-
-
-def _newton(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
-    """Damped Newton from (mu, sigma), updated in place, on each row of x.
+    at once from the moment fit.  Returns (mu, sigma, iterations, converged),
+    each of shape (R,); a row that fails (a constant row, or one with NaN or
+    inf) keeps its last iterate and reads -1 iterations.
 
     A row stops when both likelihood-equation residuals are below ``TOL``,
-    checked before each of at most ``MAX_ITER`` steps.  A step that would
-    decrease the log-likelihood by more than 1e-13 + 8 eps |ll| (or leave the
-    parameter domain) is halved, up to 40 times, before the row is given up.
-    The margin grows with |ll| because near the optimum a step gains less
-    than one ulp of ll (4.5e-13 at |ll| ~ 2000, n ~ 1000), so rounding
-    alone would decide whether it passes.  The 2x2 systems are solved in
-    closed form, so one singular row does not stop the others.
+    checked before each of at most ``MAX_ITER`` steps, or when its Newton
+    step is at most 2 ``np.spacing`` of |mu| and of sigma: when |mu| is
+    large against sigma, one ulp of mu can move the residuals by more than
+    ``TOL``, and such a step cannot improve the iterate.  A step that would
+    decrease the log-likelihood by more than 1e-13 + 8 eps (sum |a_j| +
+    n |log sigma|), a_j the per-observation terms of ``_loglik`` (or that
+    would leave the parameter domain), is halved, up to 40 times, before the
+    row is given up.  Near the optimum a step gains less than the rounding
+    of ll, which is set by the size of its terms, not by |ll|: below
+    sigma = 1 the two parts of ll cancel.  The 2x2 systems are solved in
+    closed form, so one singular row does not stop the others, in units of
+    2^e, where 2^(e-1) <= sigma < 2^e: scaling by a power of two is exact,
+    and the determinant then neither under- nor overflows at any sigma.
     """
+    mu, sigma = fit_moments_batch(x)
     iterations = np.full(mu.size, -1)
     active = np.arange(mu.size)
-    for iteration in range(MAX_ITER):
-        f1, f2 = _likelihood_equations(x[active], mu[active, None], sigma[active, None])
-        done = np.maximum(np.abs(f1), np.abs(f2)) <= TOL
-        iterations[active[done]] = iteration
-        active, f1, f2 = active[~done], f1[~done], f2[~done]
-        if active.size == 0:
-            break
-        xa, m, s = x[active], mu[active], sigma[active]
-        z = (xa - m[:, None]) / s[:, None]
-        t = np.tanh(z / 2.0)
-        c = 1.0 - t * t  # sech^2(z/2)
-        # Jacobian of (-sum tanh(z/2)/2, sum z*tanh(z/2) - n) in (mu, sigma);
-        # d tanh(z/2)/dz = c/2 and dz/dmu = -1/sigma.
-        j11 = np.sum(c, axis=1) / (4.0 * s)
-        j12 = np.sum(z * c, axis=1) / (4.0 * s)
-        j21 = -np.sum(t + z * c / 2.0, axis=1) / s
-        j22 = -np.sum(z * t + z * z * c / 2.0, axis=1) / s
-        det = j11 * j22 - j12 * j21
-        step_mu, step_sigma = (j12 * f2 - j22 * f1) / det, (j21 * f1 - j11 * f2) / det
-        base_ll = _loglik(xa, m, s)
-        floor = base_ll - (1e-13 + 8.0 * np.finfo(float).eps * np.abs(base_ll))
-        pending = np.arange(active.size)
-        for halving in range(40):
-            mu_new = m[pending] + 0.5**halving * step_mu[pending]
-            sigma_new = s[pending] + 0.5**halving * step_sigma[pending]
-            ok = (sigma_new > 0) & (_loglik(xa[pending], mu_new, sigma_new) >= floor[pending])
-            mu[active[pending[ok]]], sigma[active[pending[ok]]] = mu_new[ok], sigma_new[ok]
-            pending = pending[~ok]
-            if pending.size == 0:
+    with np.errstate(all="ignore"):
+        for iteration in range(MAX_ITER):
+            f1, f2 = _likelihood_equations(x[active], mu[active, None], sigma[active, None])
+            done = np.maximum(np.abs(f1), np.abs(f2)) <= TOL
+            iterations[active[done]] = iteration
+            active, f1, f2 = active[~done], f1[~done], f2[~done]
+            if active.size == 0:
                 break
-        active = np.delete(active, pending)
+            xa, m, s = x[active], mu[active], sigma[active]
+            unit, e = np.frexp(s)  # s = unit * 2^e, 0.5 <= unit < 1
+            z = (xa - m[:, None]) / s[:, None]
+            t = np.tanh(z / 2.0)
+            c = 1.0 - t * t  # sech^2(z/2)
+            # 2^e times the Jacobian of (-sum tanh(z/2)/2, sum z*tanh(z/2) - n)
+            # in (mu, sigma); d tanh(z/2)/dz = c/2 and dz/dmu = -1/sigma.
+            j11 = np.sum(c, axis=1) / (4.0 * unit)
+            j12 = np.sum(z * c, axis=1) / (4.0 * unit)
+            j21 = -np.sum(t + z * c / 2.0, axis=1) / unit
+            j22 = -np.sum(z * t + z * z * c / 2.0, axis=1) / unit
+            det = j11 * j22 - j12 * j21
+            step_mu = np.ldexp((j12 * f2 - j22 * f1) / det, e)
+            step_sigma = np.ldexp((j21 * f1 - j11 * f2) / det, e)
+            tiny = ((np.abs(step_mu) <= 2.0 * np.spacing(np.abs(m)))
+                    & (np.abs(step_sigma) <= 2.0 * np.spacing(s)))
+            iterations[active[tiny]] = iteration
+            base_ll, size = _loglik(xa, m, s)
+            floor = base_ll - (1e-13 + 8.0 * np.finfo(float).eps * size)
+            pending = np.flatnonzero(~tiny)
+            for halving in range(40):
+                mu_new = m[pending] + 0.5**halving * step_mu[pending]
+                sigma_new = s[pending] + 0.5**halving * step_sigma[pending]
+                ok = (sigma_new > 0) & (_loglik(xa[pending], mu_new, sigma_new)[0] >= floor[pending])
+                mu[active[pending[ok]]], sigma[active[pending[ok]]] = mu_new[ok], sigma_new[ok]
+                pending = pending[~ok]
+                if pending.size == 0:
+                    break
+            active = np.delete(active, np.r_[pending, np.flatnonzero(tiny)])
     return mu, sigma, iterations, iterations >= 0
 
 

@@ -15,9 +15,12 @@ from logigof.statistics import (_HERMITE_NODE_COUNTS, QuadratureError,
 
 
 def _loglik(x, mu, sigma):
+    """The log-likelihood and the size of its terms, which bounds its rounding."""
     z = (x - mu) / sigma
     az = np.abs(z)
-    return float(np.sum(-az - 2.0 * np.log1p(np.exp(-az))) - x.size * math.log(sigma))
+    terms = np.sum(-az - 2.0 * np.log1p(np.exp(-az)))
+    n_log_sigma = x.size * math.log(sigma)
+    return float(terms - n_log_sigma), float(abs(n_log_sigma) - terms)
 
 
 def _equations(x, mu, sigma):
@@ -26,11 +29,16 @@ def _equations(x, mu, sigma):
     return np.array([-0.5 * float(np.sum(t)), float(np.sum(z * t)) - x.size])
 
 
-def _newton(x, mu, sigma, max_iter, tol):
-    for iteration in range(1, max_iter + 1):
+def scalar_fit_mle(x, max_iter=100, tol=1e-10):
+    """(mu, sigma, iterations) of the one-sample damped Newton fit from the
+    moment start.  It stops when the likelihood equations are within tol, or
+    when the step is within 2 ulps of mu and of sigma.  Raises
+    ConvergenceError when it fails."""
+    mu, sigma = float(np.mean(x)), SQRT3_OVER_PI * float(np.std(x))
+    for iteration in range(max_iter):
         f = _equations(x, mu, sigma)
         if np.max(np.abs(f)) <= tol:
-            return mu, sigma, iteration - 1
+            return mu, sigma, iteration
         z = (x - mu) / sigma
         t = np.tanh(z / 2.0)
         c = 1.0 - t * t
@@ -42,38 +50,23 @@ def _newton(x, mu, sigma, max_iter, tol):
             step = np.linalg.solve(np.array([[j11, j12], [j21, j22]]), -f)
         except np.linalg.LinAlgError:
             raise ConvergenceError("singular Jacobian", last_iterate=(mu, sigma)) from None
-        base_ll = _loglik(x, mu, sigma)
-        # The margin grows with |log-likelihood|: near the optimum a step
-        # gains less than one ulp of it, and rounding decides its sign.
-        floor = base_ll - (1e-13 + 8.0 * np.finfo(float).eps * abs(base_ll))
+        if abs(step[0]) <= 2.0 * np.spacing(abs(mu)) and abs(step[1]) <= 2.0 * np.spacing(sigma):
+            return mu, sigma, iteration
+        base_ll, size = _loglik(x, mu, sigma)
+        # The margin grows with the size of the log-likelihood's terms: near
+        # the optimum a step gains less than their rounding, and rounding
+        # decides its sign.
+        floor = base_ll - (1e-13 + 8.0 * np.finfo(float).eps * size)
         scale = 1.0
         for _ in range(40):
             mu_new, sigma_new = mu + scale * step[0], sigma + scale * step[1]
-            if sigma_new > 0 and _loglik(x, mu_new, sigma_new) >= floor:
+            if sigma_new > 0 and _loglik(x, mu_new, sigma_new)[0] >= floor:
                 break
             scale *= 0.5
         else:
             raise ConvergenceError("step halving failed", last_iterate=(mu, sigma))
         mu, sigma = mu_new, sigma_new
     raise ConvergenceError("no convergence", last_iterate=(mu, sigma))
-
-
-def scalar_fit_mle(x, max_iter=100, tol=1e-10):
-    """(mu, sigma, iterations, start) of the one-sample damped Newton fit from
-    the moment start, then from the median/MAD start; start is 0 or 1.
-    Raises ConvergenceError when both fail."""
-    starts = [(float(np.mean(x)), SQRT3_OVER_PI * float(np.std(x)))]
-    med = float(np.median(x))
-    mad = float(np.median(np.abs(x - med))) / math.log(3.0)
-    if mad > 0:
-        starts.append((med, mad))
-    error = None
-    for k, (mu0, sigma0) in enumerate(starts):
-        try:
-            return (*_newton(x, mu0, sigma0, max_iter, tol), k)
-        except ConvergenceError as exc:
-            error = exc
-    raise error
 
 
 def quad_expect(fun, epsabs=1e-11):
