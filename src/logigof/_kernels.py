@@ -51,12 +51,21 @@ define them, with K nodes per row at O(n K) cost.  With m = tanh(Y/2):
   cancellation that its pair form, A_2(s) - (m_j + m_k) A_1(s) +
   m_j m_k A_0(s) with A_r(s) the integral of t^r exp(ts) over (-1, 1) and
   s = Y_j + Y_k, suffers at large |s|.
-- R: its pair sum of (A_0(s)/2) / (4 v^2 pi^2 + s^2), s = Y_j + Y_k, equals
-  int_{-1}^{1} sin^2(pi v t) / (4 pi^2 v^2) (sum_j exp(tY_j))^2 dt, because
-  int_{-1}^{1} cos(2 pi v t) exp(ts) dt = A_0(s) s^2 / (s^2 + 4 pi^2 v^2).
-  S and every order share the values exp(t_k Y_j), and the weights
-  w sin^2(pi v t) / (4 pi^2 v^2) are cached with each Gauss-Legendre table.
-  R's single-observation and constant terms are closed forms in each Y_j.
+- R = n int_{-1}^{1} sin^2(pi v t) (M(t) - pi t / sin(pi t))^2 dt, where
+  M(t) = E(t) / n is the residuals' empirical moment generating function,
+  E(t) = sum_j exp(tY_j), and pi t / sin(pi t) the logistic one.  Expanded,
+  its pair part int sin^2(pi v t) E^2 dt / n is R's pair sum of
+  (4 v^2 pi^2 / n) (A_0(s)/2) / (4 v^2 pi^2 + s^2), s = Y_j + Y_k, because
+  int_{-1}^{1} cos(2 pi v t) exp(ts) dt = A_0(s) s^2 / (s^2 + 4 pi^2 v^2);
+  its cross part -2 int sin^2(pi v t) (pi t / sin(pi t)) E dt sums R's
+  single-observation term over j; and the constant part is ``_r_constant``,
+  a closed form.  The pair and cross parts are Gauss-Legendre sums of E^2
+  and E, so S and every order share the values exp(t_k Y_j), and the weights
+  of both parts are cached with each Gauss-Legendre table.  The whole square
+  on the nodes, with n pi t / sin(pi t) subtracted from E, would need no
+  constant, but on 48 logistic and Cauchy moment rows at n = 20 and 50 it
+  was up to 1.8e-14 from 40-digit sums (R:1-3), where the expanded form is
+  within 4.2e-15.
 
 Both sums over j of a node block, of f(t_k Y_j) and of m_j f(t_k Y_j), are
 one matrix product per row with the two rows (1, m).  For T those rows are
@@ -68,8 +77,8 @@ of most moment rows at n = 50) into one left operand, so a row takes one
 (n, B).  Most of a small product's time is the call: at n = 50 one (2, n)
 by (n, 8) product takes 0.73 us and one (6, n) by (n, 8) product 1.03 us
 (2-vCPU x86-64 host, one BLAS thread).  S and R then weight and sum the
-squares (t E - M)^2 and E^2 of a row's node sums E and M over its nodes by
-one (1 + s, count) by (count, q) product with the cached weight table
+terms (t E - M)^2, E^2 and E of a row's node sums E and M over its nodes by
+one (2 + s, count) by (count, q) product with the cached weight table
 (s = 1 when S is asked for, q its columns).  The Gauss-Legendre count is
 ceil(0.7 c + 4 c^(1/3) + 4) with c = 2 max|Y| + 2 pi max(v), which bounds
 the rule's error on exp(c t) to 1e-17 of its integral; tables are built on
@@ -123,9 +132,8 @@ blocks: the same scale-up made T alone slower on 1024 rows at n = 50
 rows, 8.8 against 9.0 on Cauchy rows).  A block holds one row when n
 exceeds its budget.  Those values fill one scratch buffer allocated once
 per call, and a block keeps only O(rows K) node sums.  The rows of a count
-are read block by block, so no (rows, n) copy of a whole group is made, and
-R's single-observation terms are also taken in row blocks of at most
-``_PAIR_BUDGET`` elements.  Besides them the kernel keeps O(C n) arrays.
+are read block by block, so no (rows, n) copy of a whole group is made.
+Besides them the kernel keeps O(C n) arrays.
 
 Overflow.  S and R are +inf on rows with 2 max|Y| > ``_EXP_LIMIT``: their
 exponential terms leave double range, and the statistic then exceeds any
@@ -144,8 +152,8 @@ product per row, however many rows a block holds, since BLAS may round a
 product's rows differently when its shape changes (that is why T's node
 blocks are computed whole): for T a (2 nb, n) by (n, B) product of nb
 stacked node blocks, for S and R one (2, n) by (n, nodes) product per node
-block and sign and one (1 + s, count) by (count, q) product of the
-weighted squares, so each row's terms are summed over its own nodes
+block and sign and one (2 + s, count) by (count, q) product of the
+weighted terms, so each row's terms are summed over its own nodes
 alone.
 """
 
@@ -362,14 +370,18 @@ def _legendre(count: int):
 @functools.lru_cache(maxsize=256)
 def _sr_rule(count: int, orders: tuple):
     """Gauss-Legendre nodes of the even order ``count`` and a
-    (1 + len(orders), count) table of weights: S's, then
-    w sin^2(pi v t) / (4 pi^2 v^2) for each R order v.  The positive half is
-    ``_legendre``'s and the negative half its mirror image, so the rule is
-    exactly symmetric.  Cached with the rule, so no call evaluates a sine."""
+    (1 + 2 len(orders), count) table of weights: S's, then
+    w sin^2(pi v t) / (4 pi^2 v^2) for each R order v (R's pair sums), then
+    w sin^2(pi v t) t / (2 pi sin(pi t)) for each v (its single-observation
+    sums; sin^2(v x) / sin(x) is the sum of sin((2k - 1) x) over k <= v).
+    Every weight is even in t: the positive half is ``_legendre``'s and the
+    negative half its mirror image, so the rule is exactly symmetric.  Cached
+    with the rule, so no call evaluates a sine."""
     x, w = _legendre(count)
     t, w = x[count // 2:], w[count // 2:]
-    table = np.stack([w] + [w * np.sin(math.pi * v * t) ** 2 / (4.0 * v * v * math.pi**2)
-                            for v in orders])
+    sin2 = [w * np.sin(math.pi * v * t) ** 2 for v in orders]
+    table = np.stack([w] + [s / (4.0 * v * v * math.pi**2) for v, s in zip(orders, sin2)]
+                     + [s * t / (2.0 * math.pi * np.sin(math.pi * t)) for s in sin2])
     return np.concatenate([-t[::-1], t]), np.concatenate([table[:, ::-1], table], axis=1)
 
 
@@ -448,22 +460,25 @@ def _t_spectral(y, m, rates, counts) -> np.ndarray:
 
 
 def _sr_spectral(y, m, orders, need_s, counts) -> np.ndarray:
-    """S and R pair sums, (need_s + len(orders), C), from integrals over
-    t in (-1, 1) by Gauss-Legendre: S from (sum_j (t - m_j) exp(tY_j))^2 and
-    R of order v from sin^2(pi v t) / (4 pi^2 v^2) (sum_j exp(tY_j))^2,
-    which equals R's pair sum of (A_0(s)/2) / (4 v^2 pi^2 + s^2).
+    """S's pair sum, R's pair sums and R's single-observation sums,
+    (need_s + 2 len(orders), C), from integrals over t in (-1, 1) by
+    Gauss-Legendre: S from (sum_j (t - m_j) exp(tY_j))^2, and for each order
+    v R's pair sum of (A_0(s)/2) / (4 v^2 pi^2 + s^2) from
+    sin^2(pi v t) / (4 pi^2 v^2) E(t)^2 and its single-observation sum from
+    sin^2(pi v t) t / (2 pi sin(pi t)) E(t), with E(t) = sum_j exp(tY_j).
 
     Rows are taken by node count, in blocks that hold at most
     ``_SR_BUDGET`` values exp(t_k Y_j).  The rule is symmetric, so only the
     positive nodes take an exponential: exp(-t_k Y_j) is its reciprocal.  S
     and every order share these values, and both sums over j of a node block
     are one matrix product with (1, m), once for +t and once for -t.  The
-    squares (t E - M)^2 and E^2 of a row's sums E and M are then weighted
+    terms (t E - M)^2, E^2 and E of a row's sums E and M are then weighted
     and summed over its nodes by one product with the rule's weight table."""
     c, n = y.shape
     orders = tuple(orders)
+    r = len(orders)
     fit = max(1, _SR_BUDGET // n)
-    out = np.empty((need_s + len(orders), c))
+    out = np.empty((need_s + 2 * r, c))
     values = np.empty(max(_SR_BUDGET, n))
     for count, sel in _count_blocks(
             counts, lambda count: max(1, _SR_BUDGET // (min(count // 2, fit) * n))):
@@ -486,16 +501,18 @@ def _sr_spectral(y, m, orders, need_s, counts) -> np.ndarray:
         # The first half holds the nodes -t[half:]; the rule lists them in reverse.
         s[:, :, :half] = s[:, :, half - 1::-1]
         e, m_e = s[:, 0], s[:, 1]
-        squares = np.empty((len(yr), 1 + need_s, count))
+        terms = np.empty((len(yr), 2 + need_s, count))
         if need_s:
-            f = np.multiply(t, e, out=squares[:, 0])
+            f = np.multiply(t, e, out=terms[:, 0])
             f -= m_e
             f *= f
-        np.multiply(e, e, out=squares[:, -1])
-        sums = np.matmul(squares, wt[1 - need_s:].T)
+        np.multiply(e, e, out=terms[:, -2])
+        terms[:, -1] = e
+        sums = np.matmul(terms, wt[1 - need_s:].T)
         if need_s:
             out[0, sel] = sums[:, 0, 0]
-        out[need_s:, sel] = sums[:, -1, need_s:].T
+        out[need_s:need_s + r, sel] = sums[:, -2, need_s:need_s + r].T
+        out[need_s + r:, sel] = sums[:, -1, need_s + r:].T
     return out
 
 
@@ -511,28 +528,6 @@ def _routed(count, c, routes) -> np.ndarray:
         elif mask.any():
             out[:, mask] = evaluate(mask)
     return out
-
-
-def _r_elementwise(y, orders) -> dict:
-    """Row sums of the single-observation part of R, keyed by each order v
-    in ``orders``: the sum over k = 1 .. v of one row sum per k.  One pass
-    takes k up to the largest order, and each order's total is added in the
-    order of k, so it is the same whatever the other orders.  Rows are taken
-    in blocks of at most ``_PAIR_BUDGET`` elements, whose temporaries stay in
-    cache; each row sum is the same in any block."""
-    c, n = y.shape
-    totals = {k: np.empty(c) for k in range(1, max(orders) + 1)}
-    rows = max(1, _PAIR_BUDGET // n)
-    for r0 in range(0, c, rows):
-        yr = y[r0:r0 + rows]
-        ch, ysh = np.cosh(yr), 2.0 * yr * np.sinh(yr)
-        y2 = yr * yr
-        total = np.zeros(len(yr))
-        for k, out in totals.items():
-            q = y2 + (2 * k - 1) ** 2 * math.pi**2
-            total = total + np.sum((2 * k - 1) * (q * ch - ysh) / (q * q), axis=1)
-            out[r0:r0 + rows] = total
-    return totals
 
 
 def _r_constant(v: int) -> float:
@@ -599,15 +594,14 @@ def compute_batch(y: np.ndarray, specs) -> np.ndarray:
                 for a, t in zip(rates, sums):
                     values["T", a] = math.sqrt(math.pi / a) / n * t
             if need_s or orders:
-                sums = _routed(need_s + len(orders), c, [
+                sums = _routed(need_s + 2 * len(orders), c, [
                     (live & ~overflow, lambda rows: _sr_spectral(
                         y[rows], m[rows], orders, need_s, _sr_counts(y[rows], orders)))])
                 if need_s:
                     values["S", None] = sums[0] / n
-                single = _r_elementwise(y, orders) if orders else {}
-                for v, r in zip(orders, sums[need_s:]):
+                for v, r, single in zip(orders, sums[need_s:], sums[need_s + len(orders):]):
                     values["R", v] = (4.0 * v * v * math.pi**2 / n) * r \
-                        - 4.0 * math.pi**2 * single[v] + n * _r_constant(v)
+                        - 4.0 * math.pi**2 * single + n * _r_constant(v)
         for (sid, _), value in values.items():
             if STATS[sid].family == "SR":
                 value[overflow] = np.inf

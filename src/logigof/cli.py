@@ -24,7 +24,7 @@ from . import montecarlo, statistics
 from ._kernels import STATS, NumericOverflowError
 from .estimation import (ConvergenceError, DegenerateSampleError, Method,
                          SampleSizeError, fit, scaled_residuals)
-from .logistic_core import DomainError
+from .logistic_core import DomainError, uint64_index
 from .montecarlo import AlternativeSpec, McConfig, McError, StatSpec
 
 EXIT_OK = 0
@@ -229,9 +229,42 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-_CONFIG_KEYS = {"mode", "n", "reps", "calibration-reps", "seed", "alpha",
-                "method", "statistic", "alternative", "contaminant", "p",
-                "out", "workers"}
+def _checked(parse, ok, reason):
+    """A parser that rejects, with ``reason``, a value (or any item of a
+    tuple value) for which ``ok`` is false."""
+    def check(text):
+        value = parse(text)
+        if not all(ok(v) for v in (value if isinstance(value, tuple) else (value,))):
+            raise ValueError(reason)
+        return value
+    return check
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "must be at least 1")
+# Each config key: its PowerConfig field, its value when the key is absent,
+# and the parser of its text.  Every value is parsed on its own line, before
+# any simulation.  ``statistic`` and ``alternative`` repeat; the rest may be
+# given once.
+_CONFIG_KEYS = {
+    "mode": ("mode", "power", _checked(str, lambda v: v in ("power", "local-power"),
+                                       "expected 'power' or 'local-power'")),
+    "n": ("n_list", None, _checked(lambda t: tuple(_parse_int_list(t, "n")), lambda v: v >= 2,
+                                   "sample sizes must be at least 2")),
+    "reps": ("reps", 10000, _COUNT),
+    "calibration-reps": ("calibration_reps", None, _COUNT),
+    "seed": ("seed", 1, lambda t: uint64_index(int(t), "seed")),
+    "alpha": ("alpha", 0.05, _checked(float, lambda v: 0.0 < v < 1.0,
+                                      "must lie strictly between 0 and 1")),
+    "method": ("method", Method.MOMENTS, Method.parse),
+    "statistic": ("specs", (), StatSpec.parse),
+    "alternative": ("alternatives", (), AlternativeSpec.parse),
+    "contaminant": ("contaminant", None, AlternativeSpec.parse),
+    "p": ("p_grid", (), _checked(lambda t: tuple(_parse_float_list(t, "p")),
+                                 lambda v: 0.0 <= v <= 1.0, "proportions must lie in [0, 1]")),
+    "out": ("out", None, str),
+    "workers": ("workers", None, lambda t: uint64_index(int(t), "worker count")),
+}
+_REPEATED = ("statistic", "alternative")
 
 
 @dataclass(frozen=True)
@@ -255,15 +288,15 @@ class PowerConfig:
 
 def parse_power_config(path: str) -> PowerConfig:
     """Parse the flat ``key = value`` study format (lists comma-separated,
-    ``statistic``/``alternative`` repeatable)."""
+    ``statistic``/``alternative`` repeatable) by the ``_CONFIG_KEYS`` table;
+    a bad value names its ``path:line``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    single: dict = {}
-    stats: list[str] = []
-    alts: list[str] = []
+    fields = {field: default for field, default, _ in _CONFIG_KEYS.values()}
+    seen = set()
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -277,73 +310,25 @@ def parse_power_config(path: str) -> PowerConfig:
                              + ", ".join(sorted(_CONFIG_KEYS)))
         if not value:
             raise InputError(f"{path}:{lineno}: empty value for {key!r}")
-        if key == "statistic":
-            stats.append(value)
-        elif key == "alternative":
-            alts.append(value)
-        elif key in single:
+        if key in seen and key not in _REPEATED:
             raise InputError(f"{path}:{lineno}: duplicate key {key!r}")
-        else:
-            single[(key)] = (lineno, value)
-
-    def take(key: str, default=None) -> tuple[int, Optional[str]]:
-        if key in single:
-            return single.pop(key)
-        return (0, default)
-
-    def fail(lineno: int, key: str, value, reason: str):
-        raise InputError(f"{path}:{lineno}: bad value for {key!r} ({value!r}): {reason}")
-
-    try:
-        ln, mode = take("mode", "power")
-        if mode not in ("power", "local-power"):
-            fail(ln, "mode", mode, "expected 'power' or 'local-power'")
-        ln, n_text = take("n")
-        if n_text is None:
-            raise InputError(f"{path}: missing required key 'n'")
-        n_list = tuple(_parse_int_list(n_text, "n"))
-        ln, reps_text = take("reps", "10000")
-        reps = int(reps_text)
-        ln, cal_text = take("calibration-reps")
-        calibration_reps = int(cal_text) if cal_text is not None else reps
-        ln, seed_text = take("seed", "1")
-        seed = int(seed_text)
-        ln, alpha_text = take("alpha", "0.05")
-        alpha = float(alpha_text)
-        if not 0.0 < alpha < 1.0:
-            fail(ln, "alpha", alpha_text, "must lie strictly between 0 and 1")
-        ln, method_text = take("method", "moments")
-        method = Method.parse(method_text)
-        ln, out = take("out")
-        ln, workers_text = take("workers")
-        workers = int(workers_text) if workers_text is not None else None
-        if not stats:
-            raise InputError(f"{path}: at least one 'statistic = ...' line is required")
-        specs = tuple(StatSpec.parse(s) for s in stats)
-        contaminant = None
-        p_grid: tuple = ()
-        alternatives: tuple = ()
-        if mode == "local-power":
-            ln, cont_text = take("contaminant")
-            if cont_text is None:
-                raise InputError(f"{path}: mode 'local-power' requires 'contaminant'")
-            contaminant = AlternativeSpec.parse(cont_text)
-            ln, p_text = take("p")
-            if p_text is None:
-                raise InputError(f"{path}: mode 'local-power' requires 'p'")
-            p_grid = tuple(_parse_float_list(p_text, "p"))
-            if alts:
-                raise InputError(f"{path}: 'alternative' lines are only for mode 'power'")
-        else:
-            if not alts:
-                raise InputError(f"{path}: at least one 'alternative = ...' line is required")
-            alternatives = tuple(AlternativeSpec.parse(a) for a in alts)
-            if "contaminant" in single or "p" in single:
-                raise InputError(f"{path}: 'contaminant'/'p' are only for mode 'local-power'")
-    except (ValueError, DomainError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    return PowerConfig(mode, n_list, reps, calibration_reps, seed, alpha, method,
-                       specs, alternatives, contaminant, p_grid, out, workers)
+        seen.add(key)
+        field, _, parse = _CONFIG_KEYS[key]
+        try:
+            parsed = parse(value)
+        except (ValueError, DomainError, InputError) as exc:
+            raise InputError(f"{path}:{lineno}: bad value for {key!r} ({value!r}): {exc}") from exc
+        fields[field] = fields[field] + (parsed,) if key in _REPEATED else parsed
+    if fields["calibration_reps"] is None:
+        fields["calibration_reps"] = fields["reps"]
+    local = fields["mode"] == "local-power"
+    for key, needed in (("n", True), ("statistic", True), ("alternative", not local),
+                        ("contaminant", local), ("p", local)):
+        if needed and key not in seen:
+            raise InputError(f"{path}: missing key {key!r}, required in mode {fields['mode']!r}")
+        if not needed and key in seen:
+            raise InputError(f"{path}: key {key!r} is not used in mode {fields['mode']!r}")
+    return PowerConfig(**fields)
 
 
 def cmd_power(args) -> int:

@@ -414,13 +414,15 @@ class McRow:
 
 
 def _chunk_reps(n: int) -> int:
+    """Replications per chunk: 64 rows past n = 160, and past n = 16384 as
+    many as keep a chunk's (rows, n) arrays within 2^20 values."""
     if n <= 25:
         return 4096
     if n <= 64:
         return 1024
     if n <= 160:
         return 256
-    return 64
+    return min(64, max(1, (1 << 20) // n))
 
 
 @dataclass(frozen=True)

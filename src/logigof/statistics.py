@@ -370,8 +370,11 @@ def s_stat_quadrature(res: ScaledResiduals) -> TestOutcome:
 
 
 def r_stat(res: ScaledResiduals, v: int = 1) -> TestOutcome:
-    """Characteristic-function based competitor statistic of order v (a
-    positive integer; the kernel's spec check rejects anything else)."""
+    """Moment-generating-function competitor statistic of order v (a
+    positive integer; the kernel's spec check rejects anything else):
+    R_v = n int_{-1}^{1} sin^2(pi v t) (M_n(t) - pi t / sin(pi t))^2 dt, the
+    weighted distance between the residuals' empirical moment generating
+    function M_n(t) = mean_j exp(t Y_j) and the standard logistic one."""
     value = float(_evaluate(res, [("R", v)])[0])
     return TestOutcome(name="R", tuning=int(v), value=value, n=res.n)
 

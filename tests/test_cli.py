@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from logigof import statistics
+from logigof import montecarlo, statistics
 from logigof.cli import (EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, Dataset,
                          InputError, bundled_data_path, load_dataset, main,
                          parse_power_config)
@@ -439,6 +439,31 @@ def test_power_config_diagnostics(tmp_path, capsys):
     assert "uniform" in capsys.readouterr().err
 
 
+POWER_LINES = ["n = 20", "reps = 50", "statistic = KS", "alternative = cauchy"]
+LOCAL_LINES = ["mode = local-power", "n = 20", "reps = 50", "statistic = KS",
+               "contaminant = cauchy", "p = 0, 1"]
+
+
+@pytest.mark.parametrize("base, bad", [
+    (POWER_LINES, "reps = abc"), (POWER_LINES, "reps = 0"), (POWER_LINES, "seed = -1"),
+    (POWER_LINES, "statistic = KS, CM"), (POWER_LINES, "calibration-reps = 0"),
+    (POWER_LINES, "n = 20, 1"), (LOCAL_LINES, "p = 0.5, 2")])
+def test_power_config_values_are_checked_on_their_line(tmp_path, capsys, monkeypatch,
+                                                        base, bad):
+    # Every value is checked on the line that gives it, before any
+    # replication is drawn: n = 20, 1 used to fail only after the whole
+    # n = 20 study, and p = 0.5, 2 after the n = 20 calibration.
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulate_statistics was called")
+
+    monkeypatch.setattr(montecarlo, "simulate_statistics", no_simulation)
+    key = bad.split("=")[0]
+    lines = [line for line in base if not line.startswith(key)] + [bad]
+    path = write(tmp_path, "v.cfg", "\n".join(lines) + "\n")
+    assert main(["power", "--config", path, "--workers", "1"]) == EXIT_USAGE
+    assert f"v.cfg:{len(lines)}: bad value for {key.strip()!r}" in capsys.readouterr().err
+
+
 def test_power_config_parses_shipped_style(tmp_path):
     cfg = parse_power_config(write(tmp_path, "t.cfg", SMOKE_CFG))
     assert cfg.mode == "power"
@@ -516,7 +541,7 @@ print(json.dumps(seen))
 def test_expectations_under_the_logistic_law_import_no_scipy():
     code = """
 import sys
-from logigof import statistics
+from logigof import montecarlo, statistics
 from logigof.estimation import Method
 statistics.moment_identities()
 statistics.covariance_kernel(0.5, 1.0, Method.MAX_LIKELIHOOD)
@@ -527,7 +552,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 def test_lazy_scipy_oracles_work_on_first_call():
     code = """
-from logigof import statistics
+from logigof import montecarlo, statistics
 from logigof.montecarlo import AlternativeSpec
 t5 = AlternativeSpec.parse("t(5)")
 print(repr(statistics.covariance_kernel(0.5, 1.0)))

@@ -484,19 +484,46 @@ def test_t_rows_past_the_node_cap_take_the_pair_path(n):
 
 @pytest.mark.parametrize("n", [20, 50])
 def test_r_orders_are_independent_of_each_other(n):
-    # Each order's single-observation term is the same bit for bit whatever
-    # the other orders.  The Gauss-Legendre node count grows with the call's
-    # largest order, so the whole values agree to quadrature accuracy.
+    # Every term of R comes from the call's Gauss-Legendre rule, whose node
+    # count grows with the call's largest order, so an order's value alone
+    # and beside other orders agree to quadrature accuracy.
     y = np.concatenate([_residual_rows("logistic", 48, n, seed=80),
                         _residual_rows("cauchy", 16, n, seed=81)])
     for specs in ([("R", 3), ("R", 1), ("R", 2)],
                   [("T", 3.0), ("R", 3), ("S", None), ("R", 1), ("R", 2)]):
-        single = _kernels._r_elementwise(y, [v for sid, v in specs if sid == "R"])
         for row, (sid, v) in zip(compute_batch(y, specs), specs):
             if sid != "R":
                 continue
-            np.testing.assert_array_equal(single[v], _kernels._r_elementwise(y, [v])[v])
             np.testing.assert_allclose(row, compute_batch(y, [("R", v)])[0], rtol=RTOL, atol=0)
+
+
+def r_mgf_quadrature(y, v):
+    """R of order v for one residual row as the weighted distance between
+    the empirical and the logistic moment generating functions:
+    n int_{-1}^{1} sin^2(pi v t) (mean_j exp(t Y_j) - pi t / sin(pi t))^2 dt,
+    by adaptive quadrature."""
+    from scipy.integrate import quad
+
+    y = np.asarray(y, dtype=float)
+
+    def integrand(t):
+        logistic = 1.0 if t == 0.0 else math.pi * t / math.sin(math.pi * t)
+        return math.sin(math.pi * v * t) ** 2 * (np.mean(np.exp(t * y)) - logistic) ** 2
+
+    value, _ = quad(integrand, -1.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=400)
+    return y.size * value
+
+
+@pytest.mark.parametrize("n", [9, 20, 50])
+def test_r_matches_the_moment_generating_function_distance(n):
+    # An oracle that shares no term with the kernel's split of R into pair,
+    # single-observation and constant parts.
+    y = np.concatenate([_residual_rows("logistic", 3, n, seed=82),
+                        _residual_rows("cauchy", 3, n, seed=83)])
+    orders = (1, 2, 3, 10)
+    got = compute_batch(y, [("R", v) for v in orders])
+    want = [[r_mgf_quadrature(row, v) for row in y] for v in orders]
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=0)
 
 
 def test_spectral_rows_are_independent_of_the_batch_and_of_order():
@@ -592,7 +619,7 @@ def test_s_and_r_rules_are_exactly_symmetric(orders):
     # even rule it can use must pair its nodes and weights exactly.
     for count in range(8, 545, 2):
         nodes, weights = _kernels._sr_rule(count, orders)
-        assert nodes.shape == (count,) and weights.shape == (1 + len(orders), count)
+        assert nodes.shape == (count,) and weights.shape == (1 + 2 * len(orders), count)
         np.testing.assert_array_equal(nodes[::-1], -nodes)
         np.testing.assert_array_equal(weights[:, ::-1], weights)
         legendre = _kernels._legendre(count)

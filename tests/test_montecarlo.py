@@ -335,6 +335,24 @@ def test_simulation_is_chunk_layout_invariant():
     assert f1 == f4 == 0
 
 
+def test_chunk_memory_is_bounded_at_large_n():
+    # Past n = 16384 a chunk holds at most 2^20 values per (rows, n) array.
+    # At 64 rows per chunk this call peaked at 360 MB; it now keeps a few
+    # 8 MB arrays.
+    import tracemalloc
+
+    n = 100_000
+    assert montecarlo._chunk_reps(16384) == 64 and montecarlo._chunk_reps(n) == 10
+    tracemalloc.start()
+    try:
+        values, _ = simulate_statistics([StatSpec("KS")], n, McConfig(reps=64, seed=3, workers=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(values).all()
+    assert peak < 12 * 8 * (1 << 20)
+
+
 def test_simulation_rep_count_extension_is_prefix_stable():
     # Replication r depends only on (seed, r), so extending the run keeps
     # every earlier replication bit-identical.
