@@ -10,19 +10,22 @@ The package provides:
   transform (closed form and quadrature oracle), a finite-interval variant,
   a trigonometric-moment competitor, classical EDF statistics, and the
   asymptotic kernel/discrepancy machinery;
+* ``alternatives`` — the alternative laws of size and power studies and
+  their reproducible chunked draw;
 * ``montecarlo`` — reproducible parallel critical values, power studies,
   contamination power curves, and simulated p-values;
 * ``cli`` — the ``logigof`` command-line tool.
 """
 
+from .alternatives import AlternativeSpec
 from .estimation import (ConvergenceError, DegenerateSampleError, FitResult,
                          Method, SampleSizeError, ScaledResiduals, fit,
                          fit_mle, fit_moments, scaled_residuals)
 from .logistic_core import (STANDARD, DomainError, LogisticParams, RngStream,
                             cdf, pdf, quantile, sample)
-from .montecarlo import (AlternativeSpec, CriticalValueTable, McConfig,
-                         McError, McRow, StatSpec, calibrate,
-                         local_power_curve, power_study, pvalues_simulated)
+from .montecarlo import (CriticalValueTable, McConfig, McError, McRow,
+                         StatSpec, calibrate, local_power_curve, power_study,
+                         pvalues_simulated)
 from .statistics import (NumericOverflowError, QuadratureError, TestOutcome,
                          WeightSpec, covariance_kernel, delta_alternative,
                          edf_stats, h_func, kappa, moment_identities, r_stat,

@@ -1,0 +1,342 @@
+"""Alternative distributions for size and power studies: the table of kinds,
+``AlternativeSpec``, and the chunked draw of the Monte Carlo engine.
+
+An alternative is ``AlternativeSpec(kind, params)``, or a two-part mixture
+``AlternativeSpec("mixture", p=p, contaminant=c)`` of the standard logistic
+law and a contaminant; ``AlternativeSpec.parse`` reads the text form that
+``label`` writes.
+
+A Monte Carlo chunk draws all its samples in one
+``AlternativeSpec.sample(..., reps=k)`` call.  Draws that take one Philox
+word each are computed from the words of all substreams at once
+(``logistic_core.philox_words``): logistic and uniform samples, and a
+mixture's picks and logistic base.  Every other draw keeps numpy's own
+transforms: one Philox and one Generator serve the whole chunk, and before
+each replication the Philox is set to the state that ``Philox(key=[s, r])``
+has at the draw's first word, fresh for the other kinds and past the picks
+and the base for a mixture's contaminant.  Where numpy has an ``out=``
+sampler the row is filled in place, and the step that turns those values
+into the law's (a ratio, an exp, a factor) runs once per block.  Either way
+replication r sees exactly the stream of substream (s, r).
+
+Only ``AlternativeSpec.pdf``, ``mean``, ``std`` and ``breaks`` use scipy:
+they resolve the kind's ``scipy.stats`` law, importing scipy.stats on first
+call.  They serve ``statistics.delta_alternative``; sampling, calibration,
+power studies and p-values never import scipy.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import re
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional, Sequence
+
+import numpy as np
+
+from . import _kernels
+from .logistic_core import (DomainError, RngStream, fill_logistic,
+                            philox_words, random_doubles, uint64_index)
+from .logistic_core import pdf as logistic_pdf
+
+SQRT3 = math.sqrt(3.0)
+
+
+def _positive(*params) -> bool:
+    return all(v > 0 for v in params)
+
+
+class _Kind(NamedTuple):
+    """One alternative family: its short names, its parameter count, the
+    parameters its bare name means (None when all are required), the range
+    rule in words and ``check`` testing it, how numpy's ``Generator`` draws
+    it, its law (a function of the ``scipy.stats`` module and the parameters
+    that returns the frozen distribution), and the ``kinks`` inside its
+    support where its density is not smooth.
+
+    A draw is ``fill(gen, row, *params)``, which writes ``width`` values per
+    observation into ``row`` in place, then, when ``finish`` is given,
+    ``finish(block, *params)`` on the filled rows of a whole block at once.
+    Each entry makes the same Generator calls, and the same arithmetic on
+    their values, as numpy's sampler of that law, so the draws are its draws
+    bit for bit.  ``_frozen_law`` alone calls ``law``, importing scipy.stats
+    on first use."""
+
+    aliases: str
+    arity: int
+    defaults: Optional[tuple]
+    rule: str
+    fill: Callable[..., object]
+    law: Callable[..., object]
+    check: Callable[..., bool] = _positive
+    kinks: tuple = ()
+    width: int = 1
+    finish: Optional[Callable[..., np.ndarray]] = None
+
+
+def _c_exp(x: np.ndarray) -> np.ndarray:
+    """exp by the C library's exp, as numpy's lognormal sampler takes it.
+
+    numpy's float64 exp is its own SIMD kernel, which differs in the last
+    bit for some arguments, so exp is the real part of numpy's complex exp
+    (the C library's cexp), as in ``logistic_core.expit``.  cexp rescales
+    arguments past 709, where its real part may round differently, so those
+    few values come from ``math.exp``, which is the C library's exp too."""
+    with np.errstate(over="ignore"):
+        out = np.exp(x.astype(complex)).real
+    big = x > 709.0
+    if big.any():
+        out[big] = [_exp_or_inf(v) for v in x[big].tolist()]
+    return out
+
+
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+_KINDS = {
+    "logistic": _Kind("l", 2, (0.0, 1.0), "finite mu and sigma > 0",
+                      lambda gen, row, mu, sigma: fill_logistic(
+                          row, gen.bit_generator.random_raw(row.size), mu, sigma),
+                      lambda st, mu, sigma: st.logistic(loc=mu, scale=sigma),
+                      lambda mu, sigma: sigma > 0),
+    "normal": _Kind("n gaussian", 0, (), "no parameters",
+                    lambda gen, row: gen.standard_normal(out=row), lambda st: st.norm()),
+    "t": _Kind("student studentt", 1, None, "finite df > 0",
+               lambda gen, row, df: np.copyto(row, gen.standard_t(df, row.size)),
+               lambda st, df: st.t(df)),
+    # numpy's standard_cauchy is the ratio of two consecutive standard normals.
+    "cauchy": _Kind("c", 0, (), "no parameters",
+                    lambda gen, row: gen.standard_normal(out=row), lambda st: st.cauchy(),
+                    width=2, finish=lambda z: z[:, 0::2] / z[:, 1::2]),
+    "laplace": _Kind("lp", 0, (), "no parameters",
+                     lambda gen, row: np.copyto(row, gen.laplace(0.0, 1.0, row.size)),
+                     lambda st: st.laplace(), kinks=(0.0,)),
+    # lognormal(0, s) is exp(0 + s z) and gamma(k, 1) is 1 * standard_gamma(k).
+    "lognormal": _Kind("ln", 1, None, "finite log-scale s > 0",
+                       lambda gen, row, s: gen.standard_normal(out=row),
+                       lambda st, s: st.lognorm(s), finish=lambda z, s: _c_exp(s * z)),
+    "gamma": _Kind("", 1, None, "finite shape k > 0",
+                   lambda gen, row, k: gen.standard_gamma(k, out=row),
+                   lambda st, k: st.gamma(k)),
+    "uniform": _Kind("u", 2, (-SQRT3, SQRT3), "finite lo < hi with a finite hi - lo",
+                     lambda gen, row, lo, hi: np.copyto(row, gen.uniform(lo, hi, row.size)),
+                     lambda st, lo, hi: st.uniform(lo, hi - lo),
+                     lambda lo, hi: lo < hi and math.isfinite(hi - lo)),
+    "beta": _Kind("b", 2, None, "finite shapes a, b > 0",
+                  lambda gen, row, a, b: np.copyto(row, gen.beta(a, b, row.size)),
+                  lambda st, a, b: st.beta(a, b)),
+    # chisquare(df) is 2 * standard_gamma(df / 2).
+    "chisquare": _Kind("chisq chi2", 1, None, "finite df > 0",
+                       lambda gen, row, df: gen.standard_gamma(df / 2.0, out=row),
+                       lambda st, df: st.chi2(df), finish=lambda x, df: 2.0 * x),
+}
+_NAMES = {alias: kind for kind, spec in _KINDS.items() for alias in (kind, *spec.aliases.split())}
+
+
+def _philox_state(seed: int, substream: int, counter: int = 0,
+                  buffer: Sequence[int] = (0, 0, 0, 0), buffer_pos: int = 4) -> dict:
+    """The state of ``Philox(key=[seed, substream])`` once it has made
+    ``counter`` blocks, the last one ``buffer``, and handed out
+    ``buffer_pos`` of its words; fresh by default.  Built from plain ints,
+    it is set about twice as fast as the arrays that ``state`` returns."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": [counter, 0, 0, 0], "key": [seed, substream]},
+            "buffer": buffer, "buffer_pos": buffer_pos, "has_uint32": 0, "uinteger": 0}
+
+
+@functools.lru_cache(maxsize=64)
+def _frozen_law(kind: str, params: tuple):
+    """The frozen ``scipy.stats`` law of ``kind`` at ``params``, built once:
+    freezing one costs ~1 ms, and ``delta_alternative`` asks it for the
+    density once per refinement level.  Imports scipy.stats on the first call."""
+    import scipy.stats
+
+    return _KINDS[kind].law(scipy.stats, *params)
+
+
+@dataclass(frozen=True)
+class AlternativeSpec:
+    """A sampleable alternative distribution, possibly a two-part mixture.
+
+    A kind takes either no parameters, meaning its defaults, or all of them,
+    and every parameter must be finite.  Mixtures draw each observation from
+    the standard logistic base with probability 1 - p and from the
+    contaminant with probability p.
+    """
+
+    kind: str
+    params: tuple = ()
+    p: Optional[float] = None
+    contaminant: Optional["AlternativeSpec"] = None
+
+    def __post_init__(self):
+        if self.kind == "mixture":
+            if not (isinstance(self.p, (int, float, np.integer, np.floating))
+                    and 0.0 <= self.p <= 1.0):
+                raise DomainError(f"mixing proportion must lie in [0, 1], got {self.p!r}")
+            if not isinstance(self.contaminant, AlternativeSpec):
+                raise DomainError(f"a mixture needs an AlternativeSpec contaminant, "
+                                  f"got {self.contaminant!r}")
+            if self.contaminant.kind == "mixture":
+                raise DomainError("nested mixtures are not supported")
+            object.__setattr__(self, "p", float(self.p))
+            return
+        kind = _KINDS.get(self.kind)
+        if kind is None:
+            raise DomainError(f"unknown alternative kind: {self.kind!r}")
+        params = tuple(float(v) for v in self.params) or kind.defaults
+        if (params is None or len(params) != kind.arity
+                or not all(math.isfinite(v) for v in params) or not kind.check(*params)):
+            raise DomainError(f"bad parameters {tuple(self.params)} for {self.kind}: it takes "
+                              f"{kind.rule}{' or none' if kind.defaults else ''}")
+        object.__setattr__(self, "params", params)
+
+    # -- sampling ----------------------------------------------------------
+    def sample(self, n: int, stream: RngStream, reps: Optional[int] = None) -> np.ndarray:
+        """n iid draws, deterministic given the stream.
+
+        With ``reps=k`` the result is a (k, n) block whose row i is exactly
+        ``sample(n, RngStream(stream.seed, stream.substream + i))``: the
+        kind's ``_KINDS`` draw on that substream's fresh Generator, or for a
+        mixture its picks (``random``), its logistic base and its
+        contaminant's draw, one Generator call each.  Mixtures with p = 0
+        are logistic and with p = 1 their contaminant.  Draws that take one
+        Philox word each are computed for all rows at once from
+        ``philox_words``, in row blocks of at most ``_kernels._PAIR_BUDGET``
+        words: logistic and uniform samples, and a mixture's picks (words
+        0 .. n-1) and logistic base (words n .. 2n-1).  The other kinds, and
+        a mixture's contaminant, are drawn with numpy's own transforms from
+        one Generator, set before each row to the state of that row's
+        Philox at the draw's first word: fresh, or at word 2n for the
+        contaminant.
+        """
+        if n < 1:
+            raise DomainError("sample size must be at least 1")
+        k = 1 if reps is None else uint64_index(reps, "replication count")
+        if k < 1:
+            raise DomainError("replication count must be at least 1")
+        if stream.substream + k > 2**64:
+            raise DomainError(f"{k} replications from substream {stream.substream} "
+                              f"pass the last substream index, 2^64 - 1")
+        spec = self
+        if self.kind == "mixture" and self.p in (0.0, 1.0):
+            spec = self.contaminant if self.p else AlternativeSpec("logistic")
+        words = {"logistic": n, "uniform": n, "mixture": 2 * n}.get(spec.kind)
+        gen = None if spec.kind in ("logistic", "uniform") else stream.generator()
+        step = max(1, _kernels._PAIR_BUDGET // (-(-words // 4) * 4)) if words else k
+        x = np.empty((k, n))
+        for lo in range(0, k, step):
+            spec._fill(x[lo:lo + step], stream.seed, stream.substream + lo, gen)
+        return x if reps is not None else x[0]
+
+    def _fill(self, out: np.ndarray, seed: int, first: int, gen) -> None:
+        """Fill row i of ``out`` from substream ``first + i`` of ``seed``;
+        ``gen`` makes the draws that do not come from ``philox_words``."""
+        rows, n = out.shape
+        if self.kind == "logistic":
+            fill_logistic(out, philox_words(seed, first, rows, n), *self.params)
+        elif self.kind == "uniform":
+            lo, hi = self.params
+            out[:] = lo + (hi - lo) * random_doubles(philox_words(seed, first, rows, n))
+        elif self.kind == "mixture":
+            # The picks and the base fill ceil(2n / 4) Philox blocks; the
+            # contaminant starts at word 2n, inside the last one when 2n is
+            # not a multiple of 4.
+            blocks = -(-n // 2)
+            words = philox_words(seed, first, rows, 4 * blocks)
+            fill_logistic(out, words[:, n:2 * n])
+            picks = random_doubles(words[:, :n]) < self.p
+            drawn = np.empty((rows, n))
+            state = _philox_state(seed, first, blocks, buffer_pos=2 * n - 4 * (blocks - 1))
+            self.contaminant._fill_from(drawn, gen, state, words[:, -4:].tolist())
+            np.copyto(out, drawn, where=picks)
+        else:
+            self._fill_from(out, gen, _philox_state(seed, first))
+
+    def _fill_from(self, out: np.ndarray, gen, state: dict, buffers=None) -> None:
+        """Fill row i of ``out`` with this kind's ``_KINDS`` draw from
+        ``gen`` set to ``state``, its key word moved on by i (and its buffer
+        ``buffers[i]``, when given).  One state dict serves the block; only
+        those entries change from row to row."""
+        kind = _KINDS[self.kind]
+        rows, n = out.shape
+        raw = out if kind.width == 1 else np.empty((rows, kind.width * n))
+        key = state["state"]["key"]
+        first, bitgen, fill, params = key[1], gen.bit_generator, kind.fill, self.params
+        for i, row in enumerate(raw):
+            key[1] = first + i
+            if buffers is not None:
+                state["buffer"] = buffers[i]
+            bitgen.state = state
+            fill(gen, row, *params)
+        if kind.finish is not None:
+            out[:] = kind.finish(raw, *params)
+
+    # -- density and moments (for the population discrepancy) ---------------
+    def pdf(self, x):
+        if self.kind == "mixture":
+            return (1.0 - self.p) * logistic_pdf(x) + self.p * self.contaminant.pdf(x)
+        return _frozen_law(self.kind, self.params).pdf(x)
+
+    def mean(self) -> float:
+        if self.kind == "mixture":
+            return self.p * self.contaminant.mean()
+        return float(_frozen_law(self.kind, self.params).mean())
+
+    def std(self) -> float:
+        if self.kind == "mixture":
+            m_c = self.contaminant.mean()
+            second = (1.0 - self.p) * (math.pi**2 / 3.0) \
+                + self.p * (self.contaminant.std() ** 2 + m_c**2)
+            return math.sqrt(second - self.mean() ** 2)
+        return float(_frozen_law(self.kind, self.params).std())
+
+    def breaks(self) -> tuple:
+        """The points where the density is not smooth, in increasing order: the
+        finite ends of the support and the kinks; a mixture has its contaminant's."""
+        if self.kind == "mixture":
+            return self.contaminant.breaks()
+        ends = _frozen_law(self.kind, self.params).support()
+        return tuple(sorted({*(float(v) for v in ends if math.isfinite(v)),
+                             *_KINDS[self.kind].kinks}))
+
+    # -- text form ---------------------------------------------------------
+    def label(self) -> str:
+        """The kind, with its parameters unless they are the defaults;
+        ``parse`` reads it back to an equal spec."""
+        if self.kind == "mixture":
+            return f"mixture({self.p:g},{self.contaminant.label()})"
+        if self.params == _KINDS[self.kind].defaults:
+            return self.kind
+        return f"{self.kind}({','.join(f'{v:g}' for v in self.params)})"
+
+    @classmethod
+    def parse(cls, text: str) -> "AlternativeSpec":
+        """Parse labels like ``t(2)``, ``lognormal(1)`` or ``mixture(0.2,cauchy)``."""
+        s = text.strip()
+        m = re.fullmatch(r"([A-Za-z0-9_]+)\s*(?:\((.*)\))?", s)
+        if not m:
+            raise DomainError(f"cannot parse alternative: {text!r}")
+        name = m.group(1).lower()
+        raw_args = (m.group(2) or "").strip()
+
+        def numbers(fields: str) -> tuple:
+            # Every field must be a number: an empty one is an error, not a skip.
+            try:
+                return tuple(float(v) for v in fields.split(","))
+            except ValueError:
+                raise DomainError(f"bad number in alternative: {text!r}") from None
+
+        if name == "mixture":
+            if "," not in raw_args:
+                raise DomainError("mixture needs a proportion and a contaminant")
+            p_text, rest = raw_args.split(",", 1)
+            return cls("mixture", p=numbers(p_text)[0], contaminant=cls.parse(rest))
+        if name not in _NAMES:
+            raise DomainError(f"unknown alternative name: {m.group(1)!r}")
+        return cls(_NAMES[name], numbers(raw_args) if raw_args else ())

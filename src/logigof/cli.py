@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -22,10 +23,11 @@ import numpy as np
 
 from . import montecarlo, statistics
 from ._kernels import STATS, NumericOverflowError
+from .alternatives import AlternativeSpec
 from .estimation import (ConvergenceError, DegenerateSampleError, Method,
                          SampleSizeError, fit, scaled_residuals)
 from .logistic_core import DomainError, uint64_index
-from .montecarlo import AlternativeSpec, McConfig, McError, StatSpec
+from .montecarlo import McConfig, McError, StatSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -159,6 +161,18 @@ def _stat_specs_from_flags(args) -> list[StatSpec]:
     return specs
 
 
+def _check_writable(out: Optional[str]) -> None:
+    """InputError, naming ``out``, unless a file can be written there; run
+    before any simulation, so that a bad path costs no work."""
+    if not out:
+        return
+    where = os.path.dirname(out) or os.curdir
+    if not os.path.isdir(where):
+        raise InputError(f"cannot write {out}: no directory {where}")
+    if os.path.isdir(out) or not os.access(out if os.path.exists(out) else where, os.W_OK):
+        raise InputError(f"cannot write {out}: not a writable file")
+
+
 def _write_output(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -221,6 +235,7 @@ def cmd_calibrate(args) -> int:
     alphas = _parse_float_list(args.alpha_list, "--alpha-list")
     cfg = McConfig(reps=args.reps, seed=args.seed, workers=args.workers,
                    method=Method.parse(args.method))
+    _check_writable(args.out)
     rows = []
     for n in n_list:
         table = montecarlo.calibrate(specs, n, alphas, cfg)
@@ -333,6 +348,7 @@ def parse_power_config(path: str) -> PowerConfig:
 
 def cmd_power(args) -> int:
     config = parse_power_config(args.config)
+    _check_writable(config.out)
     workers = args.workers if args.workers else config.workers
     cal_cfg = McConfig(reps=config.calibration_reps, seed=config.seed,
                        workers=workers, method=config.method)

@@ -464,6 +464,24 @@ def test_power_config_values_are_checked_on_their_line(tmp_path, capsys, monkeyp
     assert f"v.cfg:{len(lines)}: bad value for {key.strip()!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["missing_dir/x.csv", "."])
+def test_an_unwritable_output_path_is_refused_before_any_simulation(tmp_path, capsys,
+                                                                     monkeypatch, out):
+    # Both commands used to run the whole study, then fail with a traceback.
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("the engine was called")
+
+    monkeypatch.setattr(montecarlo, "simulate_statistics", no_simulation)
+    monkeypatch.setattr(montecarlo, "_simulate_each", no_simulation)
+    target = str(tmp_path / out)
+    path = write(tmp_path, "o.cfg", "\n".join([*POWER_LINES, f"out = {target}"]) + "\n")
+    for argv in (["power", "--config", path, "--workers", "1"],
+                 ["calibrate", "--n", "20", "--reps", "50", "--workers", "1", "--out", target]):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}:") and err.count("\n") == 1
+
+
 def test_power_config_parses_shipped_style(tmp_path):
     cfg = parse_power_config(write(tmp_path, "t.cfg", SMOKE_CFG))
     assert cfg.mode == "power"

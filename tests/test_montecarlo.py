@@ -3,6 +3,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -142,31 +143,52 @@ def test_every_alternative_kind_round_trips_and_keeps_its_stream(label):
                                   FIRST_DRAWS[label])
 
 
+# Each kind drawn by numpy's public Generator samplers, written out here so
+# that the block path is not checked against its own ``_KINDS`` fills.
+PUBLIC_DRAWS = {
+    "logistic": lambda gen, n, mu, sigma: draw_logistic(gen, n, mu, sigma),
+    "normal": lambda gen, n: gen.standard_normal(n),
+    "t": lambda gen, n, df: gen.standard_t(df, n),
+    "cauchy": lambda gen, n: gen.standard_cauchy(n),
+    "laplace": lambda gen, n: gen.laplace(0.0, 1.0, n),
+    "lognormal": lambda gen, n, s: gen.lognormal(0.0, s, n),
+    "gamma": lambda gen, n, k: gen.gamma(k, 1.0, n),
+    "uniform": lambda gen, n, lo, hi: gen.uniform(lo, hi, n),
+    "beta": lambda gen, n, a, b: gen.beta(a, b, n),
+    "chisquare": lambda gen, n, df: gen.chisquare(df, n),
+}
+
+
+def test_the_public_draws_cover_every_kind():
+    assert set(PUBLIC_DRAWS) == set(montecarlo._KINDS)
+
+
 def per_replication_sample(spec, n, stream):
     """One fresh Generator(Philox(key=[seed, r])) per replication, the way
     every sample was drawn before chunks were drawn as blocks: the oracle of
     the block path."""
     gen = np.random.Generator(np.random.Philox(
         key=np.array([stream.seed, stream.substream], dtype=np.uint64)))
-    kinds = montecarlo._KINDS
     if spec.kind != "mixture":
-        return kinds[spec.kind].draw(gen, n, *spec.params)
+        return PUBLIC_DRAWS[spec.kind](gen, n, *spec.params)
     c = spec.contaminant
     if spec.p == 0.0:
         return draw_logistic(gen, n)
     if spec.p == 1.0:
-        return kinds[c.kind].draw(gen, n, *c.params)
+        return PUBLIC_DRAWS[c.kind](gen, n, *c.params)
     pick = gen.random(n)
     base = draw_logistic(gen, n)
-    return np.where(pick < spec.p, kinds[c.kind].draw(gen, n, *c.params), base)
+    return np.where(pick < spec.p, PUBLIC_DRAWS[c.kind](gen, n, *c.params), base)
 
 
-@pytest.mark.parametrize("label", [*FIRST_DRAWS, "mixture(0,cauchy)", "mixture(1,cauchy)"])
+# lognormal(300) takes exp past 709, where numpy's complex exp rescales.
+@pytest.mark.parametrize("label", [*FIRST_DRAWS, "mixture(0,cauchy)", "mixture(1,cauchy)",
+                                   "gamma(0.3)", "lognormal(300)"])
 def test_block_sample_equals_single_replication_draws(label):
     # k = 900 at n = 20 and 400 at n = 50 span two row blocks of the
     # logistic sampler.
     spec = AlternativeSpec.parse(label)
-    for n, k in ((1, 40), (3, 40), (20, 900), (50, 400)):
+    for n, k in ((1, 40), (3, 40), (20, 900), (21, 40), (50, 400)):
         block = spec.sample(n, RngStream(20260815, 4096), reps=k)
         assert block.shape == (k, n)
         streams = [RngStream(20260815, 4096 + i) for i in range(k)]
@@ -209,6 +231,18 @@ def test_rows_drawn_from_philox_words_equal_per_row_draws(label):
         for i, row in enumerate(block):
             np.testing.assert_array_equal(
                 row, per_replication_sample(spec, n, RngStream(20260815, 4096 + i)))
+
+
+@pytest.mark.parametrize("contaminant", ["cauchy", "lognormal(1)", "gamma(0.5)",
+                                         "chisquare(3)", "normal"])
+def test_contaminants_filled_in_place_start_inside_a_philox_block(contaminant):
+    # At odd n the contaminant's first word is the third of a Philox block,
+    # so each row's Generator starts from that block's buffer.
+    spec = AlternativeSpec("mixture", p=0.4, contaminant=AlternativeSpec.parse(contaminant))
+    for n in (1, 3, 21, 23):
+        block = spec.sample(n, RngStream(77, 2**40), reps=60)
+        np.testing.assert_array_equal(
+            block, [per_replication_sample(spec, n, RngStream(77, 2**40 + i)) for i in range(60)])
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0])
@@ -790,6 +824,92 @@ def test_a_failing_chunk_raises_and_the_next_call_starts_a_new_pool(fresh_pool, 
     serial, _ = simulate_statistics(POOL_SPECS, POOL_N, replace(POOL_CFG, workers=1))
     np.testing.assert_array_equal(values, serial)
     assert len(starts) == 2 and starts[0]._shutdown_thread
+
+
+STREAM_SPECS = [StatSpec("T", 3), StatSpec("S"), StatSpec("R", 2), StatSpec("KS"), StatSpec("AD")]
+STREAM_ALTERNATIVES = [AlternativeSpec.parse(label) for label in (
+    "cauchy", "t(2)", "lognormal(1)", "gamma(1)", "uniform", "chisquare(2)")]
+
+
+def _study_csvs(workers):
+    """A power study (two chunks per alternative) and a local power curve
+    (three per p) as CSV text."""
+    t20 = calibrate(STREAM_SPECS, 20, [0.05], McConfig(reps=4100, seed=12, workers=workers))
+    power = power_study(STREAM_SPECS, STREAM_ALTERNATIVES, 20,
+                        McConfig(reps=4100, seed=13, workers=workers), t20)
+    t30 = calibrate(STREAM_SPECS, 30, [0.05], McConfig(reps=2100, seed=14, workers=workers))
+    local = local_power_curve(AlternativeSpec("cauchy"), [0.0, 0.2, 1.0], STREAM_SPECS, 30,
+                              McConfig(reps=2100, seed=15, workers=workers), t30)
+    return rows_to_csv(power, "alternative"), rows_to_csv(local, "p")
+
+
+def test_one_chunk_stream_gives_the_csvs_of_one_call_per_alternative(fresh_pool):
+    # SHA-256 of both CSVs when each alternative and each p made its own
+    # simulate call (numpy 2.4.6, x86-64).
+    want = ("8df3c963763eff2bba3a17f9ace1cecdb1a82280582cf4f2c690465b333b145a",
+            "7e54b0934d55623fbd76a740345ec11dbc30ed698e9f0857976601796d8d0f6d")
+    for workers in (1, 2):
+        got = _study_csvs(workers)
+        assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in got) == want
+
+
+def test_an_alternative_that_fails_mid_stream_raises_and_the_next_call_runs(fresh_pool):
+    # The second of three alternatives, two chunks each, fails its fits.
+    table = calibrate([StatSpec("KS")], 10, [0.05], McConfig(reps=100, seed=1, workers=1))
+    alternatives = [AlternativeSpec.parse(label)
+                    for label in ("cauchy", "chisquare(0.001)", "uniform")]
+    cfg = McConfig(reps=8192, seed=16, workers=2)
+    with pytest.raises(McError, match=r"^183 of 8192 replications failed to fit$"):
+        power_study([StatSpec("KS")], alternatives, 10, cfg, table)
+    kept = [alternatives[0], alternatives[2]]
+    rows = power_study([StatSpec("KS")], kept, 10, cfg, table)
+    assert rows == power_study([StatSpec("KS")], kept, 10, replace(cfg, workers=1), table)
+
+
+def test_a_streamed_study_holds_no_more_than_one_alternative_at_a_time(fresh_pool):
+    # Before the chunk stream this study peaked at 2.66 MB of traced
+    # allocations in this process; results arriving ahead of their turn may
+    # add at most two chunks' values to that.
+    import tracemalloc
+
+    table = calibrate(ALL_SPECS, 20, [0.05], McConfig(reps=8192, seed=5, workers=2))
+    cfg = McConfig(reps=8192, seed=6, workers=2)
+    power_study(ALL_SPECS, STREAM_ALTERNATIVES, 20, cfg, table)  # starts the pool untraced
+    tracemalloc.start()
+    try:
+        power_study(ALL_SPECS, STREAM_ALTERNATIVES, 20, cfg, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.66e6 + 2 * len(ALL_SPECS) * 4096 * 8
+
+
+def _faults_per_chunk(task, repeats):
+    """Minor page faults of each of ``repeats`` runs of one chunk task."""
+    import resource
+
+    faults = []
+    for _ in range(repeats):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        montecarlo._run_chunk(task)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return faults
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the worker heap settings are glibc's")
+@pytest.mark.parametrize("n", [20, 50])
+def test_warm_workers_do_not_fault_their_chunks_in_again(n):
+    # Each chunk frees its arrays and the next allocates them again; with
+    # glibc's defaults a 4096-row chunk at n = 20 faulted ~1380 pages in.
+    keys = tuple(spec.key() for spec in ALL_SPECS)
+    task = montecarlo._ChunkTask(1, 0, montecarlo._chunk_reps(n), n, keys,
+                                 AlternativeSpec("cauchy"), Method.MOMENTS)
+    with concurrent.futures.ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("spawn"),
+            initializer=montecarlo._exit_with_parent, initargs=(os.getpid(),)) as pool:
+        faults = pool.submit(_faults_per_chunk, task, 5).result(timeout=120)
+    assert max(faults[2:]) < 50, faults
 
 
 def _simulate_in_child(queue):

@@ -1,0 +1,76 @@
+"""Wall time and worker idle share of ``logigof power`` on one config.
+
+    python3 tools/power_idle.py --config configs/table4.cfg [--workers 2]
+                                [--repeats 3] [--src DIR]
+
+Run from the root of a source checkout.  Each repeat is a fresh interpreter
+that imports ``logigof`` from ``--src`` (default: this checkout's ``src/``),
+runs ``cli.main(["power", ...])`` in a temporary directory, then shuts the
+worker pool down, which reaps the workers.  Native thread pools are capped
+at one thread.  Printed per repeat: the wall time of the ``main`` call, the
+CPU time of this process and of the reaped workers, and the idle share
+1 - worker CPU / (workers x wall), the part of the workers' time that they
+spent waiting.  The last line of output is the median of each as one JSON
+object.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+CHILD = """
+import contextlib, io, json, resource, sys, time
+from logigof import cli, montecarlo
+config, workers = sys.argv[1], sys.argv[2]
+start = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["power", "--config", config, "--workers", workers])
+wall = time.perf_counter() - start
+montecarlo._drop_pool()
+own, children = (resource.getrusage(who) for who in
+                 (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+print(json.dumps({"rc": rc, "wall_s": wall, "main_cpu_s": own.ru_utime + own.ru_stime,
+                  "worker_cpu_s": children.ru_utime + children.ru_stime}))
+"""
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--src", default=os.path.join(os.path.dirname(HERE), "src"))
+    args = parser.parse_args(argv)
+    if args.workers < 1 or args.repeats < 1:
+        parser.error("--workers and --repeats must be at least 1")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src),
+               **{name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                         "MKL_NUM_THREADS")})
+    config = os.path.abspath(args.config)
+    runs = []
+    for _ in range(args.repeats):
+        with tempfile.TemporaryDirectory() as workdir:
+            proc = subprocess.run([sys.executable, "-c", CHILD, config, str(args.workers)],
+                                  cwd=workdir, env=env, capture_output=True, text=True,
+                                  check=True)
+        run = json.loads(proc.stdout.splitlines()[-1])
+        if run.pop("rc"):
+            sys.exit(f"power_idle: logigof power failed: {proc.stderr.strip()}")
+        run["idle_share"] = 1.0 - run["worker_cpu_s"] / (args.workers * run["wall_s"])
+        print("  ".join(f"{key} {value:.3f}" for key, value in run.items()))
+        runs.append(run)
+    print(json.dumps({key: round(statistics.median(r[key] for r in runs), 4)
+                      for key in runs[0]}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
