@@ -345,7 +345,7 @@ def _sr_counts(y, orders):
     return counts + counts % 2
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=512)
 def _legendre(count: int):
     """Gauss-Legendre nodes (ascending) and weights of order ``count``, built
     on first use and cached (rows inside the exp range need at most 544

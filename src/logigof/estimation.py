@@ -9,9 +9,9 @@ sample is a batch of one.  Both are equivariant under x -> b*x + c, b > 0,
 which makes all downstream statistics affine invariant, and both fit at
 every data scale and location: a row whose variance leaves the normal range
 is fitted again in units of the power of two of its largest |x|, Newton
-solves its steps in units of the power of two of sigma, and a Newton step
-within rounding of the iterate ends the fit, so a location large against
-the scale needs no tolerance it cannot meet.
+solves its steps in units of the power of two of sigma, and the fit stops
+at the rounding of its own likelihood equations, so neither a large |mu|
+against sigma nor a large n asks for a tolerance it cannot meet.
 """
 
 from __future__ import annotations
@@ -184,11 +184,11 @@ def fit_mle_batch(x: np.ndarray):
     each of shape (R,); a row that fails (a constant row, or one with NaN or
     inf) keeps its last iterate and reads -1 iterations.
 
-    A row stops when both likelihood-equation residuals are below ``TOL``,
-    checked before each of at most ``MAX_ITER`` steps, or when its Newton
-    step is at most 2 ``np.spacing`` of |mu| and of sigma: when |mu| is
-    large against sigma, one ulp of mu can move the residuals by more than
-    ``TOL``, and such a step cannot improve the iterate.  A step that would
+    A row stops, checked before each of at most ``MAX_ITER`` steps, once
+    both likelihood-equation residuals are within max(``TOL``, 16 n eps) +
+    2n spacing(|mu|)/sigma: the rounding of their n-term sums (``TOL`` below
+    n ~ 28000) plus their move when mu, which can be large against sigma,
+    moves by about one ulp.  A step that would
     decrease the log-likelihood by more than 1e-13 + 8 eps (sum |a_j| +
     n |log sigma|), a_j the per-observation terms of ``_loglik`` (or that
     would leave the parameter domain), is halved, up to 40 times, before the
@@ -200,12 +200,15 @@ def fit_mle_batch(x: np.ndarray):
     and the determinant then neither under- nor overflows at any sigma.
     """
     mu, sigma = fit_moments_batch(x)
+    n, eps = x.shape[1], np.finfo(float).eps
     iterations = np.full(mu.size, -1)
     active = np.arange(mu.size)
     with np.errstate(all="ignore"):
         for iteration in range(MAX_ITER):
             f1, f2 = _likelihood_equations(x[active], mu[active, None], sigma[active, None])
-            done = np.maximum(np.abs(f1), np.abs(f2)) <= TOL
+            # 16 n eps: an n-term sum's rounding; |df/dmu| <= n/sigma: f's move over 2 ulps of mu
+            slack = max(TOL, 16 * n * eps) + 2 * n * np.spacing(np.abs(mu[active])) / sigma[active]
+            done = np.maximum(np.abs(f1), np.abs(f2)) <= slack
             iterations[active[done]] = iteration
             active, f1, f2 = active[~done], f1[~done], f2[~done]
             if active.size == 0:
@@ -224,12 +227,9 @@ def fit_mle_batch(x: np.ndarray):
             det = j11 * j22 - j12 * j21
             step_mu = np.ldexp((j12 * f2 - j22 * f1) / det, e)
             step_sigma = np.ldexp((j21 * f1 - j11 * f2) / det, e)
-            tiny = ((np.abs(step_mu) <= 2.0 * np.spacing(np.abs(m)))
-                    & (np.abs(step_sigma) <= 2.0 * np.spacing(s)))
-            iterations[active[tiny]] = iteration
             base_ll, size = _loglik(xa, m, s)
-            floor = base_ll - (1e-13 + 8.0 * np.finfo(float).eps * size)
-            pending = np.flatnonzero(~tiny)
+            floor = base_ll - (1e-13 + 8.0 * eps * size)
+            pending = np.arange(active.size)
             for halving in range(40):
                 mu_new = m[pending] + 0.5**halving * step_mu[pending]
                 sigma_new = s[pending] + 0.5**halving * step_sigma[pending]
@@ -238,7 +238,7 @@ def fit_mle_batch(x: np.ndarray):
                 pending = pending[~ok]
                 if pending.size == 0:
                     break
-            active = np.delete(active, np.r_[pending, np.flatnonzero(tiny)])
+            active = np.delete(active, pending)
     return mu, sigma, iterations, iterations >= 0
 
 

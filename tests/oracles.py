@@ -31,13 +31,16 @@ def _equations(x, mu, sigma):
 
 def scalar_fit_mle(x, max_iter=100, tol=1e-10):
     """(mu, sigma, iterations) of the one-sample damped Newton fit from the
-    moment start.  It stops when the likelihood equations are within tol, or
-    when the step is within 2 ulps of mu and of sigma.  Raises
-    ConvergenceError when it fails."""
+    moment start.  It stops when the likelihood equations are within
+    max(tol, 16 n eps), the rounding of their n-term sums, plus
+    2n spacing(|mu|)/sigma, their move when mu moves by about one ulp.
+    Raises ConvergenceError when it fails."""
     mu, sigma = float(np.mean(x)), SQRT3_OVER_PI * float(np.std(x))
+    n = x.size
+    tol = max(tol, 16 * n * np.finfo(float).eps)
     for iteration in range(max_iter):
         f = _equations(x, mu, sigma)
-        if np.max(np.abs(f)) <= tol:
+        if np.max(np.abs(f)) <= tol + 2 * n * np.spacing(abs(mu)) / sigma:
             return mu, sigma, iteration
         z = (x - mu) / sigma
         t = np.tanh(z / 2.0)
@@ -50,8 +53,6 @@ def scalar_fit_mle(x, max_iter=100, tol=1e-10):
             step = np.linalg.solve(np.array([[j11, j12], [j21, j22]]), -f)
         except np.linalg.LinAlgError:
             raise ConvergenceError("singular Jacobian", last_iterate=(mu, sigma)) from None
-        if abs(step[0]) <= 2.0 * np.spacing(abs(mu)) and abs(step[1]) <= 2.0 * np.spacing(sigma):
-            return mu, sigma, iteration
         base_ll, size = _loglik(x, mu, sigma)
         # The margin grows with the size of the log-likelihood's terms: near
         # the optimum a step gains less than their rounding, and rounding
