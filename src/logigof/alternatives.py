@@ -7,17 +7,17 @@ law and a contaminant; ``AlternativeSpec.parse`` reads the text form that
 ``label`` writes.
 
 A Monte Carlo chunk draws all its samples in one
-``AlternativeSpec.sample(..., reps=k)`` call.  Draws that take one Philox
-word each are computed from the words of all substreams at once
-(``logistic_core.philox_words``): logistic and uniform samples, and a
-mixture's picks and logistic base.  Every other draw keeps numpy's own
+``AlternativeSpec.sample(..., reps=k)`` call.  Logistic and uniform samples,
+one Philox word per value, are computed from the words of all substreams at
+once (``logistic_core.philox_words``).  Every other draw keeps numpy's own
 transforms: one Philox and one Generator serve the whole chunk, and before
-each replication the Philox is set to the state that ``Philox(key=[s, r])``
-has at the draw's first word, fresh for the other kinds and past the picks
-and the base for a mixture's contaminant.  Where numpy has an ``out=``
-sampler the row is filled in place, and the step that turns those values
-into the law's (a ratio, an exp, a factor) runs once per block.  Either way
-replication r sees exactly the stream of substream (s, r).
+each replication the Philox is re-keyed to the fresh state of
+``Philox(key=[s, r])``.  A mixture row then takes its picks and its logistic
+base from the first 2n raw words, and its contaminant's draw continues on
+the same Generator.  Where numpy has an ``out=`` sampler the row is filled
+in place, and the step that turns those values into the law's (a ratio, an
+exp, a factor) runs once per block.  Either way replication r sees exactly
+the stream of substream (s, r).
 
 Only ``AlternativeSpec.pdf``, ``mean``, ``std`` and ``breaks`` use scipy:
 they resolve the kind's ``scipy.stats`` law, importing scipy.stats on first
@@ -31,7 +31,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -138,15 +138,13 @@ _KINDS = {
 _NAMES = {alias: kind for kind, spec in _KINDS.items() for alias in (kind, *spec.aliases.split())}
 
 
-def _philox_state(seed: int, substream: int, counter: int = 0,
-                  buffer: Sequence[int] = (0, 0, 0, 0), buffer_pos: int = 4) -> dict:
-    """The state of ``Philox(key=[seed, substream])`` once it has made
-    ``counter`` blocks, the last one ``buffer``, and handed out
-    ``buffer_pos`` of its words; fresh by default.  Built from plain ints,
-    it is set about twice as fast as the arrays that ``state`` returns."""
+def _philox_state(seed: int, substream: int) -> dict:
+    """The fresh state of ``Philox(key=[seed, substream])``.  Built from
+    plain ints, it is set about twice as fast as the arrays that ``state``
+    returns."""
     return {"bit_generator": "Philox",
-            "state": {"counter": [counter, 0, 0, 0], "key": [seed, substream]},
-            "buffer": buffer, "buffer_pos": buffer_pos, "has_uint32": 0, "uinteger": 0}
+            "state": {"counter": [0, 0, 0, 0], "key": [seed, substream]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 @functools.lru_cache(maxsize=64)
@@ -205,15 +203,14 @@ class AlternativeSpec:
         kind's ``_KINDS`` draw on that substream's fresh Generator, or for a
         mixture its picks (``random``), its logistic base and its
         contaminant's draw, one Generator call each.  Mixtures with p = 0
-        are logistic and with p = 1 their contaminant.  Draws that take one
-        Philox word each are computed for all rows at once from
-        ``philox_words``, in row blocks of at most ``_kernels._PAIR_BUDGET``
-        words: logistic and uniform samples, and a mixture's picks (words
-        0 .. n-1) and logistic base (words n .. 2n-1).  The other kinds, and
-        a mixture's contaminant, are drawn with numpy's own transforms from
-        one Generator, set before each row to the state of that row's
-        Philox at the draw's first word: fresh, or at word 2n for the
-        contaminant.
+        are logistic and with p = 1 their contaminant.  Logistic and uniform
+        samples are computed for all rows at once from ``philox_words``.
+        The other kinds are drawn with numpy's own transforms from one
+        Generator, re-keyed fresh to each row's substream; a mixture row
+        takes its picks (words 0 .. n-1) and logistic base (words n .. 2n-1)
+        as raw words of that Generator, and its contaminant's draw continues
+        on it at word 2n.  Logistic, uniform and mixture rows are drawn in
+        row blocks of at most ``_kernels._PAIR_BUDGET`` words.
         """
         if n < 1:
             raise DomainError("sample size must be at least 1")
@@ -240,42 +237,33 @@ class AlternativeSpec:
         rows, n = out.shape
         if self.kind == "logistic":
             fill_logistic(out, philox_words(seed, first, rows, n), *self.params)
-        elif self.kind == "uniform":
+            return
+        if self.kind == "uniform":
             lo, hi = self.params
             out[:] = lo + (hi - lo) * random_doubles(philox_words(seed, first, rows, n))
-        elif self.kind == "mixture":
-            # The picks and the base fill ceil(2n / 4) Philox blocks; the
-            # contaminant starts at word 2n, inside the last one when 2n is
-            # not a multiple of 4.
-            blocks = -(-n // 2)
-            words = philox_words(seed, first, rows, 4 * blocks)
-            fill_logistic(out, words[:, n:2 * n])
-            picks = random_doubles(words[:, :n]) < self.p
-            drawn = np.empty((rows, n))
-            state = _philox_state(seed, first, blocks, buffer_pos=2 * n - 4 * (blocks - 1))
-            self.contaminant._fill_from(drawn, gen, state, words[:, -4:].tolist())
-            np.copyto(out, drawn, where=picks)
-        else:
-            self._fill_from(out, gen, _philox_state(seed, first))
-
-    def _fill_from(self, out: np.ndarray, gen, state: dict, buffers=None) -> None:
-        """Fill row i of ``out`` with this kind's ``_KINDS`` draw from
-        ``gen`` set to ``state``, its key word moved on by i (and its buffer
-        ``buffers[i]``, when given).  One state dict serves the block; only
-        those entries change from row to row."""
-        kind = _KINDS[self.kind]
-        rows, n = out.shape
-        raw = out if kind.width == 1 else np.empty((rows, kind.width * n))
+            return
+        mixture = self.kind == "mixture"
+        spec = self.contaminant if mixture else self
+        kind = _KINDS[spec.kind]
+        fill, params, bitgen = kind.fill, spec.params, gen.bit_generator
+        raw = out if kind.width == 1 and not mixture else np.empty((rows, kind.width * n))
+        words = np.empty((rows, 2 * n), dtype=np.uint64) if mixture else None
+        state = _philox_state(seed, first)
         key = state["state"]["key"]
-        first, bitgen, fill, params = key[1], gen.bit_generator, kind.fill, self.params
         for i, row in enumerate(raw):
             key[1] = first + i
-            if buffers is not None:
-                state["buffer"] = buffers[i]
             bitgen.state = state
+            if mixture:
+                # The picks (words 0 .. n-1) and the logistic base (words
+                # n .. 2n-1); the contaminant's draw follows at word 2n.
+                words[i] = bitgen.random_raw(2 * n)
             fill(gen, row, *params)
-        if kind.finish is not None:
-            out[:] = kind.finish(raw, *params)
+        drawn = raw if kind.finish is None else kind.finish(raw, *params)
+        if mixture:
+            fill_logistic(out, words[:, n:])
+            np.copyto(out, drawn, where=random_doubles(words[:, :n]) < self.p)
+        elif drawn is not out:
+            out[:] = drawn
 
     # -- density and moments (for the population discrepancy) ---------------
     def pdf(self, x):

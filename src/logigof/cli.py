@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -282,23 +282,9 @@ _CONFIG_KEYS = {
 _REPEATED = ("statistic", "alternative")
 
 
-@dataclass(frozen=True)
-class PowerConfig:
-    """Parsed study description for the ``power`` subcommand."""
-
-    mode: str
-    n_list: tuple
-    reps: int
-    calibration_reps: int
-    seed: int
-    alpha: float
-    method: Method
-    specs: tuple
-    alternatives: tuple
-    contaminant: Optional[AlternativeSpec]
-    p_grid: tuple
-    out: Optional[str]
-    workers: Optional[int]
+# Parsed study description for the ``power`` subcommand: one field per config key.
+PowerConfig = make_dataclass("PowerConfig", [field for field, _, _ in _CONFIG_KEYS.values()],
+                             namespace={"__module__": __name__}, frozen=True)
 
 
 def parse_power_config(path: str) -> PowerConfig:

@@ -277,10 +277,12 @@ atexit.register(_drop_pool)
 @contextlib.contextmanager
 def _chunk_stream(tasks: list, workers: int):
     """An iterator over ``_run_chunk(task)`` for the tasks, in order: in
-    this process for one worker or one task, else on the process's pool of
-    ``min(workers, len(tasks))`` workers, to which every task is submitted
-    at once.  Leaving the block cancels the tasks that have not started; an
-    exception other than ``McError`` shuts the pool down."""
+    this process for one worker or one task, else on the process's pool, to
+    which every task is submitted at once.  A live pool of at least
+    ``min(workers, len(tasks))`` and at most ``workers`` workers is kept;
+    otherwise one of that minimum size replaces it.  Leaving the block
+    cancels the tasks that have not started; an exception other than
+    ``McError`` shuts the pool down."""
     size = min(workers, len(tasks))
     if size <= 1:
         yield map(_run_chunk, tasks)
@@ -291,7 +293,8 @@ def _chunk_stream(tasks: list, workers: int):
 
     with _pool_lock:
         # A pool inherited through fork belongs to the parent: forget it.
-        if _pool is not None and (_pool.pid, _pool.size) != (os.getpid(), size):
+        if _pool is not None and not (_pool.pid == os.getpid()
+                                      and size <= _pool.size <= workers):
             _drop_pool()
         if _pool is None:
             _pool = _Pool(os.getpid(), size,

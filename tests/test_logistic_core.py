@@ -190,17 +190,20 @@ def test_random_doubles_equal_generator_random():
 
 def test_block_sampling_memory_is_bounded():
     # The draws go into the block itself, in row blocks of at most
-    # _kernels._PAIR_BUDGET Philox words.  Measured peak: 1.81 x.nbytes.
-    spec = AlternativeSpec("logistic")
-    spec.sample(20, RngStream(1), reps=16)
-    tracemalloc.start()
-    try:
-        x = spec.sample(20, RngStream(1), reps=4096)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert x.shape == (4096, 20)
-    assert peak < 2.5 * x.nbytes
+    # _kernels._PAIR_BUDGET Philox words.  Measured peak: 1.62 x.nbytes for
+    # logistic and 1.70 for the mixture; without row blocks they read 4.05
+    # and 8.0.
+    for label in ("logistic", "mixture(0.5,cauchy)"):
+        spec = AlternativeSpec.parse(label)
+        spec.sample(20, RngStream(1), reps=16)
+        tracemalloc.start()
+        try:
+            x = spec.sample(20, RngStream(1), reps=4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (4096, 20)
+        assert peak < 2.5 * x.nbytes, label
 
 
 def test_sample_deterministic_and_streams_independent():

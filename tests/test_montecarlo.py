@@ -221,10 +221,11 @@ WORD_SAMPLED = ["uniform", "uniform(-2,5)",
 
 @pytest.mark.parametrize("label", WORD_SAMPLED)
 def test_rows_drawn_from_philox_words_equal_per_row_draws(label):
-    # Uniform samples, and a mixture's picks and base, come from the Philox
-    # words of the whole block; a mixture's contaminant comes from a
-    # Generator set to word 2n, inside a Philox block when n is odd.  The
-    # block sizes span several row blocks at n = 20 and 50.
+    # Uniform samples come from the Philox words of the whole block; a
+    # mixture row takes its picks and base from the first 2n raw words of a
+    # Generator re-keyed to its substream, and its contaminant continues on
+    # it, inside a Philox block when n is odd.  The block sizes span several
+    # row blocks at n = 20 and 50.
     spec = AlternativeSpec.parse(label)
     for n, k in ((20, 900), (21, 40), (22, 40), (23, 40), (50, 400)):
         block = spec.sample(n, RngStream(20260815, 4096), reps=k)
@@ -233,13 +234,16 @@ def test_rows_drawn_from_philox_words_equal_per_row_draws(label):
                 row, per_replication_sample(spec, n, RngStream(20260815, 4096 + i)))
 
 
+# Every _KINDS kind as a contaminant; lognormal(300) takes exp past 709.
 @pytest.mark.parametrize("contaminant", ["cauchy", "lognormal(1)", "gamma(0.5)",
-                                         "chisquare(3)", "normal"])
+                                         "chisquare(3)", "normal", "logistic(1,2)", "laplace",
+                                         "beta(2,2)", "lognormal(300)", "t(2)", "uniform"])
 def test_contaminants_filled_in_place_start_inside_a_philox_block(contaminant):
-    # At odd n the contaminant's first word is the third of a Philox block,
-    # so each row's Generator starts from that block's buffer.
+    # A row's contaminant draw continues on the Generator that gave its 2n
+    # pick and base words; at odd n its first word is the third of a Philox
+    # block, which the Generator holds in its buffer.
     spec = AlternativeSpec("mixture", p=0.4, contaminant=AlternativeSpec.parse(contaminant))
-    for n in (1, 3, 21, 23):
+    for n in (1, 3, 20, 21, 23):
         block = spec.sample(n, RngStream(77, 2**40), reps=60)
         np.testing.assert_array_equal(
             block, [per_replication_sample(spec, n, RngStream(77, 2**40 + i)) for i in range(60)])
@@ -807,6 +811,14 @@ def test_a_call_that_needs_another_size_replaces_the_pool(stand_in_pools):
         simulate_statistics(POOL_SPECS, POOL_N, cfg)
     assert [pool.max_workers for pool in stand_in_pools] == [2, 3, 2]
     assert [pool.shut_down for pool in stand_in_pools] == [True, True, False]
+
+
+def test_a_pool_between_the_chunk_count_and_the_worker_count_is_kept(stand_in_pools):
+    three_chunks = replace(POOL_CFG, reps=3000, workers=3)
+    for cfg in (three_chunks, replace(three_chunks, reps=2000)):
+        simulate_statistics(POOL_SPECS, POOL_N, cfg)
+    assert [pool.max_workers for pool in stand_in_pools] == [3]
+    assert not stand_in_pools[0].shut_down
 
 
 class KernelRejectedSpec:
