@@ -224,6 +224,8 @@ def check_spec(stat_id: str, tuning=None) -> tuple:
         if tuning is not None:
             raise DomainError(f"statistic {stat_id} takes no tuning parameter")
         return stat_id, None
+    if isinstance(tuning, (bool, np.bool_)):
+        raise DomainError(f"tuning for {stat_id} must be a number, got {tuning!r}")
     value = float(stat.default if tuning is None else tuning)
     if not (math.isfinite(value) and value > 0):
         raise DomainError(f"tuning for {stat_id} must be positive and finite")

@@ -175,7 +175,7 @@ class AlternativeSpec:
     def __post_init__(self):
         if self.kind == "mixture":
             if not (isinstance(self.p, (int, float, np.integer, np.floating))
-                    and 0.0 <= self.p <= 1.0):
+                    and not isinstance(self.p, bool) and 0.0 <= self.p <= 1.0):
                 raise DomainError(f"mixing proportion must lie in [0, 1], got {self.p!r}")
             if not isinstance(self.contaminant, AlternativeSpec):
                 raise DomainError(f"a mixture needs an AlternativeSpec contaminant, "
@@ -189,6 +189,7 @@ class AlternativeSpec:
             raise DomainError(f"unknown alternative kind: {self.kind!r}")
         params = tuple(float(v) for v in self.params) or kind.defaults
         if (params is None or len(params) != kind.arity
+                or any(isinstance(v, (bool, np.bool_)) for v in self.params)
                 or not all(math.isfinite(v) for v in params) or not kind.check(*params)):
             raise DomainError(f"bad parameters {tuple(self.params)} for {self.kind}: it takes "
                               f"{kind.rule}{' or none' if kind.defaults else ''}")
@@ -209,8 +210,9 @@ class AlternativeSpec:
         Generator, re-keyed fresh to each row's substream; a mixture row
         takes its picks (words 0 .. n-1) and logistic base (words n .. 2n-1)
         as raw words of that Generator, and its contaminant's draw continues
-        on it at word 2n.  Logistic, uniform and mixture rows are drawn in
-        row blocks of at most ``_kernels._PAIR_BUDGET`` words.
+        on it at word 2n.  Rows are drawn in blocks of at most
+        ``_kernels._PAIR_BUDGET`` values, counting 2n per mixture row and
+        ``width`` n per row of a kind.
         """
         if n < 1:
             raise DomainError("sample size must be at least 1")
@@ -223,9 +225,9 @@ class AlternativeSpec:
         spec = self
         if self.kind == "mixture" and self.p in (0.0, 1.0):
             spec = self.contaminant if self.p else AlternativeSpec("logistic")
-        words = {"logistic": n, "uniform": n, "mixture": 2 * n}.get(spec.kind)
+        words = 2 * n if spec.kind == "mixture" else _KINDS[spec.kind].width * n
         gen = None if spec.kind in ("logistic", "uniform") else stream.generator()
-        step = max(1, _kernels._PAIR_BUDGET // (-(-words // 4) * 4)) if words else k
+        step = max(1, _kernels._PAIR_BUDGET // (-(-words // 4) * 4))
         x = np.empty((k, n))
         for lo in range(0, k, step):
             spec._fill(x[lo:lo + step], stream.seed, stream.substream + lo, gen)

@@ -26,7 +26,7 @@ from ._kernels import STATS, NumericOverflowError
 from .alternatives import AlternativeSpec
 from .estimation import (ConvergenceError, DegenerateSampleError, Method,
                          SampleSizeError, fit, scaled_residuals)
-from .logistic_core import DomainError, uint64_index
+from .logistic_core import DomainError, quantile, uint64_index
 from .montecarlo import McConfig, McError, StatSpec
 
 EXIT_OK = 0
@@ -66,33 +66,31 @@ def bundled_data_path(name: str = "bladder_cancer"):
     return resources.files("logigof").joinpath("data", f"{name}.txt")
 
 
-def resolve_input(path: str) -> str:
-    """Map ``bundled:[name]`` to the packaged dataset file, else pass through.
-
-    Bare ``bundled:`` means the default dataset (bladder_cancer).
-    """
-    if path.startswith("bundled:"):
-        name = path[len("bundled:"):] or "bladder_cancer"
-        return str(bundled_data_path(name))
-    return path
+def _lines(path: str) -> list[tuple[int, str]]:
+    """The (line number, text) pairs of the non-blank lines of ``path``, once
+    ``#`` comments are cut; a file that cannot be read or decoded as UTF-8
+    is an InputError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    return [(lineno, text) for lineno, raw in enumerate(lines, start=1)
+            if (text := raw.split("#", 1)[0].strip())]
 
 
 def load_dataset(path: str, log: bool = False) -> Dataset:
     """Read one number per line; blank lines and ``#`` comments are ignored.
+    ``bundled:[name]`` is the packaged dataset (bare ``bundled:`` is
+    bladder_cancer).
 
     A malformed line aborts with its line number; under ``log=True`` any
     nonpositive value aborts likewise, and the natural log is applied.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    if path.startswith("bundled:"):
+        path = str(bundled_data_path(path[len("bundled:"):] or "bladder_cancer"))
     values = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for lineno, text in _lines(path):
         try:
             value = float(text)
         except ValueError:
@@ -186,7 +184,7 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 
 def cmd_fit(args) -> int:
-    data = load_dataset(resolve_input(args.input), log=args.log)
+    data = load_dataset(args.input, log=args.log)
     result = fit(data.values, method=Method.parse(args.method), unbiased=args.unbiased)
     print(f"source = {data.source}")
     print(f"transform = {data.transform}")
@@ -198,16 +196,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_test(args) -> int:
-    data = load_dataset(resolve_input(args.input), log=args.log)
+    data = load_dataset(args.input, log=args.log)
     method = Method.parse(args.method)
     res = scaled_residuals(data.values, method=method)
     if args.plot_data:
-        n = res.n
-        ordered = np.sort(res.values)
-        grid = (np.arange(1, n + 1)) / (n + 1.0)
-        theo = np.log(grid / (1.0 - grid))
+        theo = quantile(np.arange(1, res.n + 1) / (res.n + 1.0))
         print("theoretical_quantile,ordered_residual")
-        for q, y in zip(theo, ordered):
+        for q, y in zip(theo, np.sort(res.values)):
             print(f"{_fmt(q)},{_fmt(y)}")
         return EXIT_OK
     specs = _stat_specs_from_flags(args)
@@ -291,17 +286,9 @@ def parse_power_config(path: str) -> PowerConfig:
     """Parse the flat ``key = value`` study format (lists comma-separated,
     ``statistic``/``alternative`` repeatable) by the ``_CONFIG_KEYS`` table;
     a bad value names its ``path:line``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     fields = {field: default for field, default, _ in _CONFIG_KEYS.values()}
     seen = set()
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for lineno, text in _lines(path):
         if "=" not in text:
             raise InputError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
         key, _, value = text.partition("=")
@@ -375,35 +362,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_stat_flags(p, stat_help):
+        """The Monte Carlo flags shared by ``test`` and ``calibrate``."""
         p.add_argument("--stat", default="T", help=stat_help)
         for sid, (flag, what) in _TUNING_FLAGS.items():
             default = f"{STATS[sid].default:g}"
             p.add_argument(flag, default=default,
                            help=f"{what} for {sid}, or a comma list (default {default})")
+        p.add_argument("--reps", type=int, default=10000,
+                       help="null replications (default 10000)")
+        p.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
+        p.add_argument("--workers", type=int, default=None,
+                       help="worker processes (default: all cores, or "
+                            f"${montecarlo.WORKERS_ENV_VAR})")
 
-    def add_common_fit_flags(p):
+    def add_data_flags(p):
         p.add_argument("input", help="data file, one number per line "
                                       "(or 'bundled:' for the packaged example)")
         p.add_argument("--log", action="store_true",
                        help="apply a natural-log transform (requires positive data)")
-        p.add_argument("--method", default="moments",
-                       help="estimation method: moments (default) or ml")
 
     p_fit = sub.add_parser("fit", help="estimate location and scale")
-    add_common_fit_flags(p_fit)
+    add_data_flags(p_fit)
     p_fit.add_argument("--unbiased", action="store_true",
                        help="use the n-1 variance divisor for the moment fit")
     p_fit.set_defaults(func=cmd_fit)
 
     p_test = sub.add_parser("test", help="goodness-of-fit test with simulated p-value")
-    add_common_fit_flags(p_test)
+    add_data_flags(p_test)
     add_stat_flags(p_test, f"one statistic of {', '.join(STATS)} (also 'T:4' form)")
-    p_test.add_argument("--reps", type=int, default=10000,
-                        help="null replications for the p-value (default 10000)")
-    p_test.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
-    p_test.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: all cores, or "
-                             f"${montecarlo.WORKERS_ENV_VAR})")
     p_test.add_argument("--plot-data", action="store_true",
                         help="emit probability-plot coordinates as CSV and exit")
     p_test.set_defaults(func=cmd_test)
@@ -414,12 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--n", required=True, help="comma list of sample sizes")
     p_cal.add_argument("--alpha-list", default="0.01,0.05,0.1",
                        help="comma list of significance levels")
-    p_cal.add_argument("--reps", type=int, default=10000)
-    p_cal.add_argument("--seed", type=int, default=1)
-    p_cal.add_argument("--method", default="moments")
-    p_cal.add_argument("--workers", type=int, default=None)
     p_cal.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     p_cal.set_defaults(func=cmd_calibrate)
+
+    for p in (p_fit, p_test, p_cal):
+        p.add_argument("--method", default="moments",
+                       help="estimation method: moments (default) or ml")
 
     p_pow = sub.add_parser("power", help="power study driven by a config file")
     p_pow.add_argument("--config", required=True, help="key = value study description")

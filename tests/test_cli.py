@@ -65,8 +65,23 @@ def test_load_dataset_empty_and_missing(tmp_path):
 def test_bundled_dataset_loads():
     data = load_dataset(str(bundled_data_path()), log=True)
     assert data.n == 128
+    short = load_dataset("bundled:", log=True)
+    np.testing.assert_array_equal(short.values, data.values)
+    assert (short.source, short.transform) == (data.source, data.transform)
     with pytest.raises(InputError):
         bundled_data_path("nope")
+
+
+@pytest.mark.parametrize("argv", [["fit", "{}"],
+                                  ["test", "{}", "--reps", "10", "--workers", "1"],
+                                  ["power", "--config", "{}"]])
+def test_a_file_that_is_not_utf8_is_an_input_error(argv, tmp_path, capsys):
+    # Latin-1 bytes: the 0xe9 of "é" starts no UTF-8 sequence.
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("# r\xe9sum\xe9\n1.0\n2.0\n3.0\n".encode("latin-1"))
+    assert main([a.format(path) for a in argv]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
 
 
 def test_bundled_token_resolves(capsys):

@@ -13,7 +13,7 @@ from logigof.logistic_core import (STANDARD, DomainError, LogisticParams,
                                    RngStream, cdf, expit, fill_logistic,
                                    fisher_info, pdf, philox_words, quantile,
                                    random_doubles, sample, score)
-from logigof.montecarlo import AlternativeSpec
+from logigof.montecarlo import _KINDS, AlternativeSpec
 from logigof.statistics import h_func, kappa
 from oracles import draw_logistic
 
@@ -189,12 +189,15 @@ def test_random_doubles_equal_generator_random():
 
 
 def test_block_sampling_memory_is_bounded():
-    # The draws go into the block itself, in row blocks of at most
-    # _kernels._PAIR_BUDGET Philox words.  Measured peak: 1.62 x.nbytes for
-    # logistic and 1.70 for the mixture; without row blocks they read 4.05
-    # and 8.0.
-    for label in ("logistic", "mixture(0.5,cauchy)"):
-        spec = AlternativeSpec.parse(label)
+    # Every kind is drawn in row blocks of at most _kernels._PAIR_BUDGET
+    # values.  Measured peak, in x.nbytes: 1.62 for logistic, 1.30 for
+    # cauchy, 2.00 for lognormal, 1.20 for chisquare, 1.70 for the mixture
+    # and at most 1.61 for the other kinds; without row blocks logistic read
+    # 4.05, cauchy 4.00, lognormal 6.00, chisquare 2.00 and the mixture 8.0.
+    specs = [AlternativeSpec(kind, rules.defaults or (2.0,) * rules.arity)
+             for kind, rules in _KINDS.items()]
+    for spec in specs + [AlternativeSpec.parse("mixture(0.5,cauchy)")]:
+        label = spec.label()
         spec.sample(20, RngStream(1), reps=16)
         tracemalloc.start()
         try:

@@ -83,7 +83,8 @@ def test_alternative_parse_aliases_and_errors():
     # A mixture needs a proportion in [0, 1] and an AlternativeSpec contaminant.
     cauchy = AlternativeSpec("cauchy")
     for fields in ({}, {"p": 0.5}, {"p": None, "contaminant": cauchy},
-                   {"p": "0.5", "contaminant": cauchy}, {"p": 0.5, "contaminant": "cauchy"}):
+                   {"p": "0.5", "contaminant": cauchy}, {"p": 0.5, "contaminant": "cauchy"},
+                   {"p": True, "contaminant": cauchy}, {"p": False, "contaminant": cauchy}):
         with pytest.raises(DomainError):
             AlternativeSpec("mixture", **fields)
 
@@ -107,7 +108,8 @@ def test_every_kind_follows_the_construction_rule(kind):
     assert AlternativeSpec(kind, good).params == good
     bad = [good + (1.0,)]
     for i in range(rules.arity):
-        bad += [good[:i] + (v,) + good[i + 1:] for v in (math.nan, math.inf, -math.inf)]
+        bad += [good[:i] + (v,) + good[i + 1:]
+                for v in (math.nan, math.inf, -math.inf, True, np.True_)]
     if rules.arity:
         assert not rules.check(*REJECTED[kind])
         bad.append(REJECTED[kind])
@@ -350,6 +352,9 @@ def test_stat_spec_validation():
         StatSpec("T", -1.0)
     with pytest.raises(DomainError):
         StatSpec("KS", 2.0)
+    for sid, tuning in (("T", True), ("R", True), ("R", np.True_)):
+        with pytest.raises(DomainError, match="must be a number"):
+            StatSpec(sid, tuning)
 
 
 def test_stat_spec_rejects_fractional_orders():
