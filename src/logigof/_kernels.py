@@ -166,7 +166,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .estimation import fit_moments_batch
-from .logistic_core import DomainError, expit
+from .logistic_core import DomainError, expit, is_number
 
 # Largest 2 max|Y| for which S and R are finite; beyond it they are +inf.
 _EXP_LIMIT = 700.0
@@ -224,7 +224,7 @@ def check_spec(stat_id: str, tuning=None) -> tuple:
         if tuning is not None:
             raise DomainError(f"statistic {stat_id} takes no tuning parameter")
         return stat_id, None
-    if isinstance(tuning, (bool, np.bool_)):
+    if not (tuning is None or is_number(tuning)):
         raise DomainError(f"tuning for {stat_id} must be a number, got {tuning!r}")
     value = float(stat.default if tuning is None else tuning)
     if not (math.isfinite(value) and value > 0):

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import _kernels
-from .logistic_core import (DomainError, RngStream, fill_logistic,
+from .logistic_core import (DomainError, RngStream, fill_logistic, is_number,
                             philox_words, random_doubles, uint64_index)
 from .logistic_core import pdf as logistic_pdf
 
@@ -162,7 +162,7 @@ class AlternativeSpec:
     """A sampleable alternative distribution, possibly a two-part mixture.
 
     A kind takes either no parameters, meaning its defaults, or all of them,
-    and every parameter must be finite.  Mixtures draw each observation from
+    and every parameter must be a finite ``is_number``.  Mixtures draw each observation from
     the standard logistic base with probability 1 - p and from the
     contaminant with probability p.
     """
@@ -174,8 +174,7 @@ class AlternativeSpec:
 
     def __post_init__(self):
         if self.kind == "mixture":
-            if not (isinstance(self.p, (int, float, np.integer, np.floating))
-                    and not isinstance(self.p, bool) and 0.0 <= self.p <= 1.0):
+            if not (is_number(self.p) and 0.0 <= self.p <= 1.0):
                 raise DomainError(f"mixing proportion must lie in [0, 1], got {self.p!r}")
             if not isinstance(self.contaminant, AlternativeSpec):
                 raise DomainError(f"a mixture needs an AlternativeSpec contaminant, "
@@ -187,9 +186,9 @@ class AlternativeSpec:
         kind = _KINDS.get(self.kind)
         if kind is None:
             raise DomainError(f"unknown alternative kind: {self.kind!r}")
-        params = tuple(float(v) for v in self.params) or kind.defaults
+        params = (tuple(map(float, self.params)) or kind.defaults
+                  if all(map(is_number, self.params)) else None)
         if (params is None or len(params) != kind.arity
-                or any(isinstance(v, (bool, np.bool_)) for v in self.params)
                 or not all(math.isfinite(v) for v in params) or not kind.check(*params)):
             raise DomainError(f"bad parameters {tuple(self.params)} for {self.kind}: it takes "
                               f"{kind.rule}{' or none' if kind.defaults else ''}")

@@ -82,13 +82,15 @@ def _lines(path: str) -> list[tuple[int, str]]:
 def load_dataset(path: str, log: bool = False) -> Dataset:
     """Read one number per line; blank lines and ``#`` comments are ignored.
     ``bundled:[name]`` is the packaged dataset (bare ``bundled:`` is
-    bladder_cancer).
+    bladder_cancer), with source ``bundled:<name>`` in every checkout.
 
     A malformed line aborts with its line number; under ``log=True`` any
     nonpositive value aborts likewise, and the natural log is applied.
     """
+    source = path
     if path.startswith("bundled:"):
-        path = str(bundled_data_path(path[len("bundled:"):] or "bladder_cancer"))
+        name = path[len("bundled:"):] or "bladder_cancer"
+        source, path = f"bundled:{name}", str(bundled_data_path(name))
     values = []
     for lineno, text in _lines(path):
         try:
@@ -106,7 +108,7 @@ def load_dataset(path: str, log: bool = False) -> Dataset:
         values.append(value)
     if not values:
         raise InputError(f"{path}: no data values found")
-    return Dataset(np.asarray(values), path, "log" if log else "none")
+    return Dataset(np.asarray(values), source, "log" if log else "none")
 
 
 # ---------------------------------------------------------------------------

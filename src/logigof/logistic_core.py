@@ -75,6 +75,11 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
+def is_number(value) -> bool:
+    """An int, float or numpy integer or floating scalar; no bool, text or bytes."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def uint64_index(value, name: str) -> int:
     """``value`` as a Python int in [0, 2^64); DomainError for anything else,
     fractional numbers and bools included."""

@@ -1,6 +1,6 @@
 """Test statistics for logistic goodness-of-fit, plus the asymptotic objects
-used to validate them: the process kernel kappa, its derivative helper h,
-the limiting covariance kernel K(s, t), and the consistency discrepancy Delta.
+that validate them: the process kernel kappa, its derivative h, the limit's
+covariance K(s, t) = E[L_s L_t] of the summand L, and the discrepancy Delta.
 
 The primary statistic integrates, against a Gaussian weight exp(-a t^2), the
 squared modulus of an empirical transform that vanishes exactly at the
@@ -14,10 +14,10 @@ the tests and the term that ``delta_alternative`` integrates.
 ``s_stat_quadrature`` (adaptive quadrature) evaluate the defining integrals
 independently of the kernel and serve as oracles for both.
 
-``moment_identities`` and ``covariance_kernel`` integrate on a fixed
-Gauss-Legendre rule and ``delta_alternative`` on fixed double-exponential
-nodes.  Only ``s_stat_quadrature`` imports scipy, when first called, so
-importing this module, or computing any statistic, loads no scipy.
+``moment_identities`` and ``covariance_kernel`` (a matrix for arrays s and
+t) integrate on a fixed Gauss-Legendre rule, ``delta_alternative`` on fixed
+double-exponential nodes.  Only ``s_stat_quadrature`` imports scipy, on
+first call, so importing this module or computing a statistic loads none.
 """
 
 from __future__ import annotations
@@ -208,15 +208,17 @@ def h_func(t, x):
 # expectations under the standard logistic law
 
 
-def _expect(fun) -> float:
-    """E[fun(X)] for X standard logistic, ``fun`` vectorised over x, by
-    16-point Gauss-Legendre on the panels of width 2 that cover (0, 48), taken
-    at +-x so that the kink of |x| at 0 is a panel edge; the mass beyond 48
-    is below 1e-20."""
+def _expect(fun):
+    """E[fun(X)] for X standard logistic, ``fun`` vectorised over x along its
+    last axis: a float for a scalar-valued ``fun``, else an array of its
+    leading shape.  By 16-point Gauss-Legendre on the panels of width 2 that
+    cover (0, 48), taken at +-x so that the kink of |x| at 0 is a panel edge;
+    the mass beyond 48 is below 1e-20."""
     t, w = _kernels._legendre(16)
     x = (np.arange(1.0, 48.0, 2.0)[:, None] + t).ravel()
     w = np.tile(w, 24) * pdf(x)
-    return float(fun(-x) @ w + fun(x) @ w)
+    value = fun(-x) @ w + fun(x) @ w
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def moment_identities() -> tuple[float, float, float, float]:
@@ -233,33 +235,23 @@ def moment_identities() -> tuple[float, float, float, float]:
     return first, second, third, fourth
 
 
-def covariance_kernel(s: float, t: float, method: Method = Method.MOMENTS) -> float:
-    """Covariance K(s, t) of the limiting Gaussian process of the statistic.
-
-    All component expectations are taken under the standard logistic law on
-    a fixed Gauss-Legendre rule; ``method`` selects the influence functions
-    of the estimator whose residuals feed the process.
+def covariance_kernel(s, t, method: Method = Method.MOMENTS):
+    """Covariance K(s, t) = E[L_s(X) L_t(X)], X standard logistic, of the
+    limiting Gaussian process of the statistic.  Its summand L_u(x) =
+    kappa(u, x) + E[h(u, X)] psi1(x) + E[X h(u, X)] psi2(x) linearises the
+    fitted location and scale through ``method``'s influence functions.
+    Expectations are on a fixed Gauss-Legendre rule; scalars s and t give a
+    float, arrays the (len(s), len(t)) matrix from one product on its nodes.
     """
-    e_kk = _expect(lambda x: kappa(s, x) * kappa(t, x))
-    eh_s = _expect(lambda x: h_func(s, x))
-    eh_t = _expect(lambda x: h_func(t, x))
-    exh_s = _expect(lambda x: x * h_func(s, x))
-    exh_t = _expect(lambda x: x * h_func(t, x))
-    e1k_s = _expect(lambda x: psi1(x, method) * kappa(s, x))
-    e1k_t = _expect(lambda x: psi1(x, method) * kappa(t, x))
-    e2k_s = _expect(lambda x: psi2(x, method) * kappa(s, x))
-    e2k_t = _expect(lambda x: psi2(x, method) * kappa(t, x))
-    e11 = _expect(lambda x: psi1(x, method) ** 2)
-    e22 = _expect(lambda x: psi2(x, method) ** 2)
-    e12 = _expect(lambda x: psi1(x, method) * psi2(x, method))
-    return (
-        e_kk
-        + eh_s * e1k_t + eh_t * e1k_s
-        + exh_s * e2k_t + exh_t * e2k_s
-        + e11 * eh_s * eh_t
-        + e22 * exh_s * exh_t
-        + e12 * (eh_s * exh_t + exh_s * eh_t)
-    )
+    def summand(u):
+        u = np.asarray(u, dtype=float).reshape(-1, 1)
+        eh = _expect(lambda x: h_func(u, x))[:, None]
+        exh = _expect(lambda x: x * h_func(u, x))[:, None]
+        return lambda x: kappa(u, x) + eh * psi1(x, method) + exh * psi2(x, method)
+
+    l_s, l_t = summand(s), summand(t)
+    k = _expect(lambda x: l_s(x)[:, None] * l_t(x)[None, :])
+    return float(k[0, 0]) if np.ndim(s) == np.ndim(t) == 0 else k
 
 
 # ---------------------------------------------------------------------------

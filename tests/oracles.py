@@ -1,8 +1,8 @@
 """Reference implementations that the production code is checked against:
 the per-sample damped Newton ML fit, the adaptive-quadrature expectation
-under the standard logistic law, logistic draws by inversion of a
-Generator's uniforms, and the discrepancy Delta by nested adaptive
-quadrature."""
+under the standard logistic law, the mean of T's null limit, logistic draws
+by inversion of a Generator's uniforms, and the discrepancy Delta by nested
+adaptive quadrature."""
 
 import math
 
@@ -11,7 +11,7 @@ import numpy as np
 from logigof.estimation import SQRT3_OVER_PI, ConvergenceError
 from logigof.logistic_core import DomainError, pdf
 from logigof.statistics import (_HERMITE_NODE_COUNTS, QuadratureError,
-                                _hermgauss)
+                                _hermgauss, covariance_kernel)
 
 
 def _loglik(x, mu, sigma):
@@ -71,15 +71,29 @@ def scalar_fit_mle(x, max_iter=100, tol=1e-10):
 
 
 def quad_expect(fun, epsabs=1e-11):
-    """E[fun(X)] for X standard logistic, by adaptive quadrature split at 0."""
+    """E[fun(X)] for X standard logistic, by adaptive quadrature split at 0,
+    for each component of a ``fun`` vectorised over x along its last axis:
+    a float for a scalar-valued ``fun``, else an array of its leading shape."""
     from scipy.integrate import quad
 
-    def integrand(x):
-        return fun(x) * pdf(x)
+    out = np.empty(np.shape(fun(np.zeros(1)))[:-1])
+    for index in np.ndindex(out.shape):
+        def integrand(x):
+            return fun(np.array([x]))[index][0] * pdf(x)
 
-    left = quad(integrand, -np.inf, 0.0, epsabs=epsabs, epsrel=1e-12, limit=400)
-    right = quad(integrand, 0.0, np.inf, epsabs=epsabs, epsrel=1e-12, limit=400)
-    return left[0] + right[0]
+        left = quad(integrand, -np.inf, 0.0, epsabs=epsabs, epsrel=1e-12, limit=400)
+        right = quad(integrand, 0.0, np.inf, epsabs=epsabs, epsrel=1e-12, limit=400)
+        out[index] = left[0] + right[0]
+    return float(out) if out.ndim == 0 else out
+
+
+def limit_mean(method, a=3.0, nodes=60):
+    """E[T_inf] = integral of K(t, t) exp(-a t^2) dt, the mean of the null
+    limit of T, from the diagonal of one ``covariance_kernel`` grid on the
+    Gauss-Hermite nodes t = z / sqrt(a)."""
+    z, w = _hermgauss(nodes)
+    t = z / math.sqrt(a)
+    return float(w @ np.diag(covariance_kernel(t, t, method))) / math.sqrt(a)
 
 
 def draw_logistic(gen, n, mu=0.0, sigma=1.0):

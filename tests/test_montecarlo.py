@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from logigof import montecarlo
+from logigof import _kernels, montecarlo
 from logigof.estimation import Method
 from logigof.logistic_core import DomainError, RngStream
 from logigof.montecarlo import (AlternativeSpec, McConfig, McError, StatSpec,
@@ -109,7 +109,8 @@ def test_every_kind_follows_the_construction_rule(kind):
     bad = [good + (1.0,)]
     for i in range(rules.arity):
         bad += [good[:i] + (v,) + good[i + 1:]
-                for v in (math.nan, math.inf, -math.inf, True, np.True_)]
+                for v in (math.nan, math.inf, -math.inf, True, np.True_,
+                          str(good[i]), str(good[i]).encode())]
     if rules.arity:
         assert not rules.check(*REJECTED[kind])
         bad.append(REJECTED[kind])
@@ -352,9 +353,12 @@ def test_stat_spec_validation():
         StatSpec("T", -1.0)
     with pytest.raises(DomainError):
         StatSpec("KS", 2.0)
-    for sid, tuning in (("T", True), ("R", True), ("R", np.True_)):
+    for sid, tuning in (("T", True), ("R", True), ("R", np.True_),
+                        ("T", "4"), ("T", b"4"), ("R", "1")):
         with pytest.raises(DomainError, match="must be a number"):
             StatSpec(sid, tuning)
+    with pytest.raises(DomainError, match="must be a number"):
+        _kernels.compute_batch(np.zeros((1, 5)), [("T", "3")])
 
 
 def test_stat_spec_rejects_fractional_orders():

@@ -12,13 +12,14 @@ from hypothesis.extra.numpy import arrays
 from logigof import statistics
 from logigof.estimation import Method, ScaledResiduals, fit_moments, scaled_residuals
 from logigof.logistic_core import RngStream, sample
+from logigof.montecarlo import McConfig, StatSpec, simulate_statistics
 from logigof.statistics import (DomainError, NumericOverflowError, WeightSpec,
                                 covariance_kernel, delta_alternative, edf_stats,
                                 gauss_weighted_integral, h_func, kappa,
                                 moment_identities, r_stat, s_stat,
                                 s_stat_quadrature, t_stat_closed,
                                 t_stat_quadrature)
-from oracles import quad_delta, quad_expect
+from oracles import limit_mean, quad_delta, quad_expect
 
 residual_vectors = arrays(
     np.float64, st.integers(4, 16),
@@ -205,6 +206,25 @@ def test_covariance_kernel_matches_the_quadrature_oracle(method, monkeypatch):
         assert value == pytest.approx(covariance_kernel(s, t, method), rel=1e-13, abs=1e-12)
 
 
+# K at four points, recorded from the twelve-expectation expansion that the
+# summand form E[L_s L_t] replaced; K(0, t) is zero by ML in exact arithmetic.
+KERNEL_PINS = {
+    Method.MOMENTS: {(0.5, 1.0): 0.5593267254845641, (3.0, 0.7): 0.047380170136867995,
+                     (6.0, 6.0): 36.33333333342989, (0.0, 1.0): 0.10819914154490641},
+    Method.MAX_LIKELIHOOD: {(0.5, 1.0): 0.29626006068955346,
+                            (3.0, 0.7): 0.03428790541192359,
+                            (6.0, 6.0): 36.33333333324265, (0.0, 1.0): 5.551115123125783e-17},
+}
+
+
+@pytest.mark.parametrize("method", [Method.MOMENTS, Method.MAX_LIKELIHOOD])
+def test_covariance_kernel_matches_its_recorded_values(method):
+    for (s, t), want in KERNEL_PINS[method].items():
+        got = covariance_kernel(s, t, method)
+        assert type(got) is float
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
 def test_covariance_kernel_symmetry_and_positivity():
     for method in (Method.MOMENTS, Method.MAX_LIKELIHOOD):
         k_st = covariance_kernel(0.5, 1.0, method)
@@ -215,6 +235,27 @@ def test_covariance_kernel_symmetry_and_positivity():
         gram = np.array([[covariance_kernel(0.5, 0.5, method), k_st],
                          [k_st, covariance_kernel(1.0, 1.0, method)]])
         assert np.linalg.eigvalsh(gram).min() > -1e-10
+        # A 40x40 grid in one call: the scalar values, symmetric and PSD.
+        t = np.linspace(0.0, 4.0, 40)
+        grid = covariance_kernel(t, t, method)
+        assert grid.shape == (40, 40)
+        scalar = np.array([[covariance_kernel(u, v, method) for v in t] for u in t])
+        assert np.all(np.abs(grid - scalar) <= 1e-13 * np.maximum(1.0, np.abs(scalar)))
+        np.testing.assert_array_equal(grid, grid.T)
+        assert np.linalg.eigvalsh(grid).min() >= -1e-12
+
+
+@pytest.mark.parametrize("method", [Method.MOMENTS, Method.MAX_LIKELIHOOD])
+def test_mean_of_t_approaches_its_null_limit(method):
+    # E[T_inf] = integral of K(t, t) exp(-3 t^2) dt is 0.2568 by moments and
+    # 0.1256 by ML; the engine's mean of T:3 at n = 1000 lies within 4 SE.
+    limit = limit_mean(method)
+    cfg = McConfig(reps=2000, seed=8, workers=2, method=method)
+    values, failures = simulate_statistics([StatSpec("T", 3)], 1000, cfg)
+    t = values[0][~np.isnan(values[0])]
+    se = float(np.std(t, ddof=1)) / math.sqrt(t.size)
+    assert failures == 0
+    assert abs(float(np.mean(t)) - limit) <= 4.0 * se, (float(np.mean(t)), se, limit)
 
 
 # ---------------------------------------------------------------------------
