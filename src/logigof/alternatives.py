@@ -162,9 +162,10 @@ class AlternativeSpec:
     """A sampleable alternative distribution, possibly a two-part mixture.
 
     A kind takes either no parameters, meaning its defaults, or all of them,
-    and every parameter must be a finite ``is_number``.  Mixtures draw each observation from
-    the standard logistic base with probability 1 - p and from the
-    contaminant with probability p.
+    and every parameter must be a finite ``is_number``.  Mixtures draw each
+    observation from the standard logistic base with probability 1 - p and
+    from the contaminant with probability p; with p = 0 or 1 a mixture is
+    the law it draws (``_drawn``) in its samples, density, moments, breaks.
     """
 
     kind: str
@@ -194,6 +195,12 @@ class AlternativeSpec:
                               f"{kind.rule}{' or none' if kind.defaults else ''}")
         object.__setattr__(self, "params", params)
 
+    def _drawn(self) -> "AlternativeSpec":
+        """The spec itself, or the law that a mixture with p = 0 or 1 draws."""
+        if self.kind == "mixture" and self.p in (0.0, 1.0):
+            return self.contaminant if self.p else AlternativeSpec("logistic")
+        return self
+
     # -- sampling ----------------------------------------------------------
     def sample(self, n: int, stream: RngStream, reps: Optional[int] = None) -> np.ndarray:
         """n iid draws, deterministic given the stream.
@@ -202,10 +209,9 @@ class AlternativeSpec:
         ``sample(n, RngStream(stream.seed, stream.substream + i))``: the
         kind's ``_KINDS`` draw on that substream's fresh Generator, or for a
         mixture its picks (``random``), its logistic base and its
-        contaminant's draw, one Generator call each.  Mixtures with p = 0
-        are logistic and with p = 1 their contaminant.  Logistic and uniform
-        samples are computed for all rows at once from ``philox_words``.
-        The other kinds are drawn with numpy's own transforms from one
+        contaminant's draw, one Generator call each (p = 0 or 1 draws the
+        ``_drawn`` law).  Logistic and uniform samples are computed for all
+        rows at once from ``philox_words``.  The other kinds are drawn with numpy's own transforms from one
         Generator, re-keyed fresh to each row's substream; a mixture row
         takes its picks (words 0 .. n-1) and logistic base (words n .. 2n-1)
         as raw words of that Generator, and its contaminant's draw continues
@@ -221,9 +227,7 @@ class AlternativeSpec:
         if stream.substream + k > 2**64:
             raise DomainError(f"{k} replications from substream {stream.substream} "
                               f"pass the last substream index, 2^64 - 1")
-        spec = self
-        if self.kind == "mixture" and self.p in (0.0, 1.0):
-            spec = self.contaminant if self.p else AlternativeSpec("logistic")
+        spec = self._drawn()
         words = 2 * n if spec.kind == "mixture" else _KINDS[spec.kind].width * n
         gen = None if spec.kind in ("logistic", "uniform") else stream.generator()
         step = max(1, _kernels._PAIR_BUDGET // (-(-words // 4) * 4))
@@ -268,31 +272,35 @@ class AlternativeSpec:
 
     # -- density and moments (for the population discrepancy) ---------------
     def pdf(self, x):
-        if self.kind == "mixture":
-            return (1.0 - self.p) * logistic_pdf(x) + self.p * self.contaminant.pdf(x)
-        return _frozen_law(self.kind, self.params).pdf(x)
+        law = self._drawn()
+        if law.kind == "mixture":
+            return (1.0 - law.p) * logistic_pdf(x) + law.p * law.contaminant.pdf(x)
+        return _frozen_law(law.kind, law.params).pdf(x)
 
     def mean(self) -> float:
-        if self.kind == "mixture":
-            return self.p * self.contaminant.mean()
-        return float(_frozen_law(self.kind, self.params).mean())
+        law = self._drawn()
+        if law.kind == "mixture":
+            return law.p * law.contaminant.mean()
+        return float(_frozen_law(law.kind, law.params).mean())
 
     def std(self) -> float:
-        if self.kind == "mixture":
-            m_c = self.contaminant.mean()
-            second = (1.0 - self.p) * (math.pi**2 / 3.0) \
-                + self.p * (self.contaminant.std() ** 2 + m_c**2)
-            return math.sqrt(second - self.mean() ** 2)
-        return float(_frozen_law(self.kind, self.params).std())
+        law = self._drawn()
+        if law.kind == "mixture":
+            m_c = law.contaminant.mean()
+            second = (1.0 - law.p) * (math.pi**2 / 3.0) \
+                + law.p * (law.contaminant.std() ** 2 + m_c**2)
+            return math.sqrt(second - law.mean() ** 2)
+        return float(_frozen_law(law.kind, law.params).std())
 
     def breaks(self) -> tuple:
         """The points where the density is not smooth, in increasing order: the
         finite ends of the support and the kinks; a mixture has its contaminant's."""
-        if self.kind == "mixture":
-            return self.contaminant.breaks()
-        ends = _frozen_law(self.kind, self.params).support()
+        law = self._drawn()
+        if law.kind == "mixture":
+            return law.contaminant.breaks()
+        ends = _frozen_law(law.kind, law.params).support()
         return tuple(sorted({*(float(v) for v in ends if math.isfinite(v)),
-                             *_KINDS[self.kind].kinks}))
+                             *_KINDS[law.kind].kinks}))
 
     # -- text form ---------------------------------------------------------
     def label(self) -> str:

@@ -43,7 +43,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -361,15 +361,7 @@ def simulate_statistics(specs: Sequence[StatSpec], n: int, cfg: McConfig,
     Returns (values, fit_failures) where values has shape (len(specs), reps);
     replications whose fit failed are NaN columns.  Raises DomainError for
     n < 2, before drawing anything, and McError when more than 0.1% of
-    replications are unusable.
-
-    With more than one chunk and more than one worker, the chunks run on
-    the process's worker pool: it is started on the first such call with
-    ``min(workers, chunks)`` processes, kept for the life of the process
-    (never inside a ``multiprocessing`` child), reused by later calls of the
-    same size, and its workers exit when this process goes.  They do not see
-    code patched after the pool started; ``workers=1`` runs every chunk in
-    this process.
+    replications are unusable.  The chunks run as ``_chunk_stream`` says.
     """
     alt = alternative if alternative is not None else AlternativeSpec("logistic")
     return _simulate_each(specs, n, cfg, [alt], lambda _, values, failures: (values, failures))[0]
@@ -379,17 +371,24 @@ def simulate_statistics(specs: Sequence[StatSpec], n: int, cfg: McConfig,
 # calibration
 
 
+def _valid(values: np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
+    """Each statistic's row of ``values`` without the NaN of failed fits, and
+    the count it excludes; lazily, so that one copy of a row is held at once."""
+    return ((vals[~np.isnan(vals)], int(np.isnan(vals).sum())) for vals in values)
+
+
 @dataclass(frozen=True)
 class CriticalValueTable:
-    """Calibrated upper-tail critical values per (statistic, alpha) at one n."""
+    """Calibrated upper-tail critical values at one n.  The table is its
+    rows: one ``McRow`` per (statistic, alpha), keyed by alpha, whose value
+    is the critical value."""
 
-    n: int
-    method: Method
-    entries: dict
     rows: tuple
 
     def get(self, spec: StatSpec, alpha: float) -> float:
-        return self.entries[(spec.key(), alpha)]
+        """The critical value of ``spec`` at ``alpha``; KeyError when the
+        table has none."""
+        return {((r.statistic, r.tuning), r.key): r.value for r in self.rows}[(spec.key(), alpha)]
 
 
 def calibrate(specs: Sequence[StatSpec], n: int, alphas: Sequence[float],
@@ -402,21 +401,18 @@ def calibrate(specs: Sequence[StatSpec], n: int, alphas: Sequence[float],
     between the empirical quantiles at p - h and p + h, clipped to [0, 1],
     with p = 1 - alpha and h = sqrt(p (1 - p) / m) for the m valid values.
     One ``np.quantile`` call per statistic takes all 3 len(alphas) levels;
-    each equals the value of a call at that level alone.  Raises McError
-    when a statistic has no valid value.
+    each equals the value of a call at that level alone.  ``_valid`` drops
+    the failed fits, whose count each row reports, and the table is the
+    rows.  Raises McError when a statistic has no valid value.
     """
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
             raise DomainError(f"significance level must lie in (0,1), got {alpha}")
     values, _ = simulate_statistics(specs, n, cfg)
-    entries = {}
     rows = []
-    for i, spec in enumerate(specs):
-        vals = values[i]
-        valid = vals[~np.isnan(vals)]
-        excluded = int(vals.size - valid.size)
+    for spec, (valid, excluded) in zip(specs, _valid(values)):
         if not valid.size:
-            raise McError(f"statistic {spec.label()} has no valid value in {vals.size} replications")
+            raise McError(f"statistic {spec.label()} has no valid value in {cfg.reps} replications")
         probs = []
         for alpha in alphas:
             p = 1.0 - alpha
@@ -424,9 +420,8 @@ def calibrate(specs: Sequence[StatSpec], n: int, alphas: Sequence[float],
             probs += [p, max(p - half, 0.0), min(p + half, 1.0)]
         levels = np.quantile(valid, probs).reshape(len(alphas), 3)
         for alpha, (q, lo, hi) in zip(alphas, levels.tolist()):
-            entries[(spec.key(), alpha)] = q
             rows.append(McRow(spec.stat_id, spec.tuning, n, alpha, q, (hi - lo) / 2.0, excluded))
-    return CriticalValueTable(n=n, method=cfg.method, entries=entries, rows=tuple(rows))
+    return CriticalValueTable(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +436,14 @@ def power_study(specs: Sequence[StatSpec], alternatives: Sequence[AlternativeSpe
     A replication rejects when its statistic exceeds the calibrated critical
     value.  Infinite statistic values (exp-range overflow under heavy-tailed
     alternatives) exceed every threshold and count as rejections; failed fits
-    are excluded and reported in the row.  The chunks of all alternatives
-    form one stream; the rows equal those of one ``simulate_statistics``
-    call per alternative.
+    are dropped by ``_valid`` and their count reported in the row.  The
+    critical values are the rows of ``critical_table``.  The chunks of all
+    alternatives form one stream; the rows equal those of one
+    ``simulate_statistics`` call per alternative.
     """
     def rows_of(alt, values, _):
         rows = []
-        for i, spec in enumerate(specs):
-            vals = values[i]
-            valid = vals[~np.isnan(vals)]
-            excluded = int(vals.size - valid.size)
+        for spec, (valid, excluded) in zip(specs, _valid(values)):
             cv = critical_table.get(spec, alpha)
             frac = float(np.mean(valid > cv)) if valid.size else math.nan
             se = 100.0 * math.sqrt(max(frac * (1.0 - frac), 0.0) / max(valid.size, 1))
@@ -479,18 +472,15 @@ def local_power_curve(contaminant: AlternativeSpec, p_grid: Sequence[float],
 
 
 def pvalues_simulated(outcomes, n: int, cfg: McConfig) -> list[float]:
-    """Add-one p-values (1 + #{simulated >= observed})/(reps + 1) of outcomes
-    sharing one null run; DomainError, before any draw, for a value not finite."""
+    """Add-one p-values (1 + #{simulated >= observed})/(m + 1) of outcomes
+    sharing one null run, over the m valid values that ``_valid`` keeps of
+    the reps; DomainError, before any draw, for a value not finite."""
     if not all(math.isfinite(o.value) for o in outcomes):
         raise DomainError("observed statistic value must be finite")
     specs = [StatSpec(o.name, o.tuning) for o in outcomes]
     values, _ = simulate_statistics(specs, n, cfg)
-    out = []
-    for i, outcome in enumerate(outcomes):
-        vals = values[i]
-        valid = vals[~np.isnan(vals)]
-        out.append((1.0 + float(np.sum(valid >= outcome.value))) / (valid.size + 1.0))
-    return out
+    return [(1.0 + float(np.sum(valid >= outcome.value))) / (valid.size + 1.0)
+            for outcome, (valid, _) in zip(outcomes, _valid(values))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Reference implementations that the production code is checked against:
 the per-sample damped Newton ML fit, the adaptive-quadrature expectation
-under the standard logistic law, the mean of T's null limit, logistic draws
-by inversion of a Generator's uniforms, and the discrepancy Delta by nested
-adaptive quadrature."""
+under the standard logistic law, the mean, eigenvalues and tail of T's null
+limit, logistic draws by inversion of a Generator's uniforms, and the
+discrepancy Delta by nested adaptive quadrature."""
 
 import math
 
@@ -94,6 +94,42 @@ def limit_mean(method, a=3.0, nodes=60):
     z, w = _hermgauss(nodes)
     t = z / math.sqrt(a)
     return float(w @ np.diag(covariance_kernel(t, t, method))) / math.sqrt(a)
+
+
+def limit_eigenvalues(method, a=3.0, nodes=60):
+    """The eigenvalues, largest first, of the operator with kernel K on
+    L^2(exp(-a t^2) dt), so that T's null limit is sum_j lambda_j chi^2_1:
+    those of diag(sqrt v) K diag(sqrt v) for one ``covariance_kernel`` grid
+    on the Gauss-Hermite nodes t = z / sqrt(a) with weights v = w / sqrt(a)."""
+    z, w = _hermgauss(nodes)
+    t, root = z / math.sqrt(a), np.sqrt(w / math.sqrt(a))
+    gram = root[:, None] * covariance_kernel(t, t, method) * root[None, :]
+    return np.linalg.eigvalsh(gram)[::-1]
+
+
+def imhof_tail(lam, x, tol=1e-9):
+    """P(sum_j lam_j chi^2_1 > x) by Imhof's inversion (Biometrika 1961):
+    1/2 + (1/pi) times the integral over u > 0 of sin(theta(u)) / (u rho(u)),
+    theta(u) = sum_j arctan(lam_j u) / 2 - x u / 2 and
+    rho(u) = prod_j (1 + lam_j^2 u^2)^(1/4).  The part past U adds at most
+    1 / (pi k U^k prod_{j <= 2k} sqrt(lam_j)) over the 2k largest positive
+    lam_j, so ``quad`` stops at the least U where that bound, for some k, is
+    ``tol``, and integrates up to it within ``tol``: an oscillating integrand
+    on the whole half-line exhausts its subdivisions."""
+    from scipy.integrate import quad
+
+    lam = np.asarray(lam, dtype=float)
+    top = np.sort(lam[lam > 0])[::-1]
+    k = np.arange(1, top.size + 1) / 2.0
+    cutoff = float(np.min(np.exp(-(np.log(math.pi * k * tol)
+                                   + np.cumsum(0.5 * np.log(top))) / k)))
+
+    def integrand(u):
+        theta = 0.5 * (np.sum(np.arctan(lam * u)) - x * u)
+        return math.sin(theta) / (u * math.exp(0.25 * np.sum(np.log1p((lam * u) ** 2))))
+
+    value, _ = quad(integrand, 0.0, cutoff, epsabs=tol, epsrel=0.0, limit=2000)
+    return 0.5 + value / math.pi
 
 
 def draw_logistic(gen, n, mu=0.0, sigma=1.0):

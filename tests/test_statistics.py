@@ -12,14 +12,16 @@ from hypothesis.extra.numpy import arrays
 from logigof import statistics
 from logigof.estimation import Method, ScaledResiduals, fit_moments, scaled_residuals
 from logigof.logistic_core import RngStream, sample
-from logigof.montecarlo import McConfig, StatSpec, simulate_statistics
+from logigof.montecarlo import (AlternativeSpec, McConfig, StatSpec, calibrate,
+                                simulate_statistics)
 from logigof.statistics import (DomainError, NumericOverflowError, WeightSpec,
                                 covariance_kernel, delta_alternative, edf_stats,
                                 gauss_weighted_integral, h_func, kappa,
                                 moment_identities, r_stat, s_stat,
                                 s_stat_quadrature, t_stat_closed,
                                 t_stat_quadrature)
-from oracles import limit_mean, quad_delta, quad_expect
+from oracles import (imhof_tail, limit_eigenvalues, limit_mean, quad_delta,
+                     quad_expect)
 
 residual_vectors = arrays(
     np.float64, st.integers(4, 16),
@@ -258,6 +260,20 @@ def test_mean_of_t_approaches_its_null_limit(method):
     assert abs(float(np.mean(t)) - limit) <= 4.0 * se, (float(np.mean(t)), se, limit)
 
 
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("method", [Method.MOMENTS, Method.MAX_LIKELIHOOD])
+def test_critical_value_of_t_approaches_its_null_limit(method):
+    # T_inf is sum_j lambda_j chi^2_1 over the eigenvalues of K, whose sum is
+    # E[T_inf]; its 0.95 quantile, 0.7356 by moments and 0.3522 by ML, lies
+    # within 3 SE of the engine's 5% critical value of T:3 at n = 1000.
+    lam = limit_eigenvalues(method)
+    assert abs(float(np.sum(lam)) - limit_mean(method)) <= 1e-9
+    cfg = McConfig(reps=2000, seed=8, workers=2, method=method)
+    (row,) = calibrate([StatSpec("T", 3)], 1000, [0.05], cfg).rows
+    assert imhof_tail(lam, row.value - 3.0 * row.mc_std_error) >= 0.05
+    assert imhof_tail(lam, row.value + 3.0 * row.mc_std_error) <= 0.05
+
+
 # ---------------------------------------------------------------------------
 # population discrepancy
 
@@ -285,9 +301,38 @@ def test_delta_positive_for_common_alternatives():
 
 def test_delta_rejects_undefined_variance():
     from logigof.montecarlo import AlternativeSpec
-    for label in ("cauchy", "t(2)"):
+    for label in ("cauchy", "t(2)", "mixture(1,cauchy)"):
         with pytest.raises(DomainError):
             delta_alternative(AlternativeSpec.parse(label), WeightSpec(3.0))
+
+
+def test_delta_of_a_mixture_with_p_0_or_1_is_that_of_the_law_it_draws():
+    # mixture(0, c) draws the logistic and mixture(1, c) draws c, whatever
+    # the other part's mean or density.
+    def delta(label):
+        return delta_alternative(AlternativeSpec.parse(label), WeightSpec(3.0))
+
+    assert abs(delta("mixture(0,cauchy)") - delta("logistic")) <= 1e-11
+    assert delta("mixture(1,laplace)") == delta("laplace") == pytest.approx(0.0030777, abs=5e-8)
+
+
+@pytest.mark.parametrize("label", ["t(5)", "gamma(2)", "lognormal(0.5)", "mixture(0.2,laplace)"])
+def test_scaled_t_approaches_delta(label):
+    # T/n tends to Delta with a bias of order 1/n, which the two-n
+    # extrapolation (4 mean(T/800) - mean(T/200)) / 3 removes; it lies within
+    # 4 SE of Delta.  The four laws take four different samplers.
+    alt = AlternativeSpec.parse(label)
+    means, variances = [], []
+    for n, reps in ((200, 2000), (800, 1000)):
+        values, failures = simulate_statistics([StatSpec("T", 3)], n,
+                                               McConfig(reps=reps, seed=3, workers=2), alt)
+        assert failures == 0
+        means.append(float(np.mean(values[0] / n)))
+        variances.append(float(np.var(values[0] / n, ddof=1)) / reps)
+    estimate = (4.0 * means[1] - means[0]) / 3.0
+    se = math.sqrt(16.0 * variances[1] + variances[0]) / 3.0
+    delta = delta_alternative(alt, WeightSpec(3.0))
+    assert abs(estimate - delta) <= 4.0 * se, (estimate, se, delta)
 
 
 @pytest.mark.parametrize("label", ["normal", "laplace", "gamma(2)", "mixture(0.2,laplace)"])
