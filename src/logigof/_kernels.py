@@ -138,8 +138,8 @@ Besides them the kernel keeps O(C n) arrays.
 Overflow.  S and R are +inf on rows with 2 max|Y| > ``_EXP_LIMIT``: their
 exponential terms leave double range, and the statistic then exceeds any
 calibrated threshold.  Their sums are not evaluated on those rows.  T and
-the EDF statistics stay finite on them.  Rows containing NaN give NaN
-for every statistic.
+the EDF statistics stay finite on them.  ``compute_batch`` counts these rows
+and the EDF probabilities it clamps.  Rows with NaN give NaN throughout.
 
 Determinism.  Rows are sorted first, so every statistic is exactly invariant
 under permutations of a sample.  A row's values are bit-identical whatever
@@ -176,9 +176,6 @@ _PAIR_BUDGET = 1 << 14
 # 2 MB L2 cache, so that a block's ~17 numpy calls serve more rows.
 _SR_BUDGET = 4 * _PAIR_BUDGET
 _EDF_EPS = 1e-15
-# Up to this |Y| the logistic CDF lies inside [_EDF_EPS, 1 - _EDF_EPS]; it
-# leaves it at |Y| ~ -log(_EDF_EPS) = 34.54.
-_EDF_SAFE = 34.5
 # Nodes per spectral block, and T's re-anchoring interval (a multiple of it).
 _NODE_BLOCK = 8
 _ANCHOR = 32
@@ -537,19 +534,14 @@ def _r_constant(v: int) -> float:
     return 2.0 * v * math.pi**2 / 3.0 + 2.0 * tail
 
 
-def edf_clamped(y: np.ndarray) -> int:
-    """How many residuals of y have a logistic CDF that the EDF statistics
-    clamp into [eps, 1 - eps].  Only |y| > ``_EDF_SAFE`` can clamp, so only
-    those are mapped through expit."""
-    u = expit(y[np.abs(y) > _EDF_SAFE])
-    return int(np.count_nonzero((u < _EDF_EPS) | (u > 1.0 - _EDF_EPS)))
-
-
-def _edf_values(y) -> dict:
-    """KS, CM, AD and WA of every row, keyed by (stat_id, None); the
-    logistic CDF of each residual is clamped into [eps, 1 - eps]."""
+def _edf_values(y, counts) -> dict:
+    """KS, CM, AD and WA of every row, keyed by (stat_id, None); the logistic
+    CDF of each residual is clamped into [eps, 1 - eps], and counted in ``counts``."""
     n = y.shape[1]
-    u = np.clip(expit(y), _EDF_EPS, 1.0 - _EDF_EPS)
+    u = expit(y)
+    if counts is not None:
+        counts["clamped"] = int(np.count_nonzero((u < _EDF_EPS) | (u > 1.0 - _EDF_EPS)))
+    np.clip(u, _EDF_EPS, 1.0 - _EDF_EPS, out=u)
     j = np.arange(1, n + 1, dtype=float)
     d_plus = np.max(j / n - u, axis=1)
     d_minus = np.max(u - (j - 1.0) / n, axis=1)
@@ -567,13 +559,15 @@ def _edf_values(y) -> dict:
 # the batch kernel
 
 
-def compute_batch(y: np.ndarray, specs) -> np.ndarray:
+def compute_batch(y: np.ndarray, specs, counts: Optional[dict] = None) -> np.ndarray:
     """Evaluate statistics for every row of a (C, n) residual batch.
 
     ``specs`` is a sequence of (stat_id, tuning) pairs, e.g. ("T", 3.0),
     ("R", 1), ("KS", None), each checked by ``check_spec``.  Returns an
     array of shape (len(specs), C).  Rows containing NaN produce NaN for
-    every statistic; S and R are +inf on rows past the exp range.
+    every statistic; S and R are +inf on rows past the exp range.  A dict
+    ``counts``, which no value depends on, receives the count of those rows
+    as "overflow" and of the EDF probabilities clamped as "clamped".
     """
     specs = [check_spec(sid, tuning) for sid, tuning in specs]
     y = np.sort(np.asarray(y, dtype=float), axis=1)
@@ -582,16 +576,18 @@ def compute_batch(y: np.ndarray, specs) -> np.ndarray:
     orders = [v for sid, v in specs if sid == "R"]
     need_s = ("S", None) in specs
     values = {}
+    if counts is not None:
+        counts.update(overflow=0, clamped=0)
     if rates or orders or need_s:
         live = ~np.isnan(y).any(axis=1)
         overflow = 2.0 * _abs_max(y) > _EXP_LIMIT
         m = np.tanh(y / 2.0)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if rates:
-                counts, fast = _t_route(y, rates)
+                nodes, fast = _t_route(y, rates)
                 sums = _routed(len(rates), c, [
                     (fast, lambda rows: _t_spectral(y[rows], m[rows], rates,
-                                                    counts[rows].astype(int))),
+                                                    nodes[rows].astype(int))),
                     (live & ~fast, lambda rows: _pair_sums(y[rows], m[rows], rates))])
                 for a, t in zip(rates, sums):
                     values["T", a] = math.sqrt(math.pi / a) / n * t
@@ -604,9 +600,11 @@ def compute_batch(y: np.ndarray, specs) -> np.ndarray:
                 for v, r, single in zip(orders, sums[need_s:], sums[need_s + len(orders):]):
                     values["R", v] = (4.0 * v * v * math.pi**2 / n) * r \
                         - 4.0 * math.pi**2 * single + n * _r_constant(v)
+                if counts is not None:
+                    counts["overflow"] = int(np.count_nonzero(overflow))
         for (sid, _), value in values.items():
             if STATS[sid].family == "SR":
                 value[overflow] = np.inf
     if any(STATS[sid].family == "EDF" for sid, _ in specs):
-        values.update(_edf_values(y))
+        values.update(_edf_values(y, counts))
     return np.array([values[key] for key in specs]).reshape(len(specs), c)

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import _kernels
-from .logistic_core import (DomainError, RngStream, fill_logistic, is_number,
+from .logistic_core import (DomainError, RngStream, c_exp, fill_logistic, is_number,
                             philox_words, random_doubles, uint64_index)
 from .logistic_core import pdf as logistic_pdf
 
@@ -52,8 +52,9 @@ class _Kind(NamedTuple):
     parameters its bare name means (None when all are required), the range
     rule in words and ``check`` testing it, how numpy's ``Generator`` draws
     it, its law (a function of the ``scipy.stats`` module and the parameters
-    that returns the frozen distribution), and the ``kinks`` inside its
-    support where its density is not smooth.
+    that returns the frozen distribution), the ``kinks`` inside its support
+    where its density is not smooth, and, where that density can be infinite
+    at the upper end hi of the support, ``mirror``: the parameters of hi - X.
 
     A draw is ``fill(gen, row, *params)``, which writes ``width`` values per
     observation into ``row`` in place, then, when ``finish`` is given,
@@ -71,31 +72,9 @@ class _Kind(NamedTuple):
     law: Callable[..., object]
     check: Callable[..., bool] = _positive
     kinks: tuple = ()
+    mirror: Optional[Callable[..., tuple]] = None
     width: int = 1
     finish: Optional[Callable[..., np.ndarray]] = None
-
-
-def _c_exp(x: np.ndarray) -> np.ndarray:
-    """exp by the C library's exp, as numpy's lognormal sampler takes it.
-
-    numpy's float64 exp is its own SIMD kernel, which differs in the last
-    bit for some arguments, so exp is the real part of numpy's complex exp
-    (the C library's cexp), as in ``logistic_core.expit``.  cexp rescales
-    arguments past 709, where its real part may round differently, so those
-    few values come from ``math.exp``, which is the C library's exp too."""
-    with np.errstate(over="ignore"):
-        out = np.exp(x.astype(complex)).real
-    big = x > 709.0
-    if big.any():
-        out[big] = [_exp_or_inf(v) for v in x[big].tolist()]
-    return out
-
-
-def _exp_or_inf(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return math.inf
 
 
 _KINDS = {
@@ -119,7 +98,7 @@ _KINDS = {
     # lognormal(0, s) is exp(0 + s z) and gamma(k, 1) is 1 * standard_gamma(k).
     "lognormal": _Kind("ln", 1, None, "finite log-scale s > 0",
                        lambda gen, row, s: gen.standard_normal(out=row),
-                       lambda st, s: st.lognorm(s), finish=lambda z, s: _c_exp(s * z)),
+                       lambda st, s: st.lognorm(s), finish=lambda z, s: c_exp(s * z)),
     "gamma": _Kind("", 1, None, "finite shape k > 0",
                    lambda gen, row, k: gen.standard_gamma(k, out=row),
                    lambda st, k: st.gamma(k)),
@@ -129,7 +108,7 @@ _KINDS = {
                      lambda lo, hi: lo < hi and math.isfinite(hi - lo)),
     "beta": _Kind("b", 2, None, "finite shapes a, b > 0",
                   lambda gen, row, a, b: np.copyto(row, gen.beta(a, b, row.size)),
-                  lambda st, a, b: st.beta(a, b)),
+                  lambda st, a, b: st.beta(a, b), mirror=lambda a, b: (b, a)),
     # chisquare(df) is 2 * standard_gamma(df / 2).
     "chisquare": _Kind("chisq chi2", 1, None, "finite df > 0",
                        lambda gen, row, df: gen.standard_gamma(df / 2.0, out=row),
@@ -271,11 +250,18 @@ class AlternativeSpec:
             out[:] = drawn
 
     # -- density and moments (for the population discrepancy) ---------------
-    def pdf(self, x):
+    def pdf(self, x, cut: float = 0.0):
+        """The density at cut + x; at the upper end of a support whose kind
+        has a ``mirror``, the mirrored law's at -x, which stays finite where
+        cut + x rounds onto that end."""
         law = self._drawn()
         if law.kind == "mixture":
-            return (1.0 - law.p) * logistic_pdf(x) + law.p * law.contaminant.pdf(x)
-        return _frozen_law(law.kind, law.params).pdf(x)
+            return (1.0 - law.p) * logistic_pdf(np.add(cut, x)) \
+                + law.p * law.contaminant.pdf(x, cut)
+        frozen, mirror = _frozen_law(law.kind, law.params), _KINDS[law.kind].mirror
+        if mirror is not None and cut == frozen.support()[1]:
+            return _frozen_law(law.kind, mirror(*law.params)).pdf(np.negative(x))
+        return frozen.pdf(np.add(cut, x))
 
     def mean(self) -> float:
         law = self._drawn()

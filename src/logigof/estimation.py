@@ -204,19 +204,21 @@ def fit_mle_batch(x: np.ndarray):
     iterations = np.full(mu.size, -1)
     active = np.arange(mu.size)
     with np.errstate(all="ignore"):
+        ll, size = _loglik(x, mu, sigma)  # at each row's iterate, taken from its accepted trial
         for iteration in range(MAX_ITER):
-            f1, f2 = _likelihood_equations(x[active], mu[active, None], sigma[active, None])
-            # 16 n eps: an n-term sum's rounding; |df/dmu| <= n/sigma: f's move over 2 ulps of mu
-            slack = max(TOL, 16 * n * eps) + 2 * n * np.spacing(np.abs(mu[active])) / sigma[active]
-            done = np.maximum(np.abs(f1), np.abs(f2)) <= slack
-            iterations[active[done]] = iteration
-            active, f1, f2 = active[~done], f1[~done], f2[~done]
-            if active.size == 0:
-                break
             xa, m, s = x[active], mu[active], sigma[active]
-            unit, e = np.frexp(s)  # s = unit * 2^e, 0.5 <= unit < 1
             z = (xa - m[:, None]) / s[:, None]
             t = np.tanh(z / 2.0)
+            # The residuals of ``_likelihood_equations``, from the z and tanh of the Jacobian.
+            f1, f2 = -0.5 * np.sum(t, axis=1), np.sum(z * t, axis=1) - n
+            # 16 n eps: an n-term sum's rounding; |df/dmu| <= n/sigma: f's move over 2 ulps of mu
+            slack = max(TOL, 16 * n * eps) + 2 * n * np.spacing(np.abs(m)) / s
+            done = np.maximum(np.abs(f1), np.abs(f2)) <= slack
+            iterations[active[done]] = iteration
+            if done.all():
+                break
+            active, f1, f2, xa, m, s, z, t = (v[~done] for v in (active, f1, f2, xa, m, s, z, t))
+            unit, e = np.frexp(s)  # s = unit * 2^e, 0.5 <= unit < 1
             c = 1.0 - t * t  # sech^2(z/2)
             # 2^e times the Jacobian of (-sum tanh(z/2)/2, sum z*tanh(z/2) - n)
             # in (mu, sigma); d tanh(z/2)/dz = c/2 and dz/dmu = -1/sigma.
@@ -227,14 +229,16 @@ def fit_mle_batch(x: np.ndarray):
             det = j11 * j22 - j12 * j21
             step_mu = np.ldexp((j12 * f2 - j22 * f1) / det, e)
             step_sigma = np.ldexp((j21 * f1 - j11 * f2) / det, e)
-            base_ll, size = _loglik(xa, m, s)
-            floor = base_ll - (1e-13 + 8.0 * eps * size)
+            floor = ll[active] - (1e-13 + 8.0 * eps * size[active])
             pending = np.arange(active.size)
             for halving in range(40):
                 mu_new = m[pending] + 0.5**halving * step_mu[pending]
                 sigma_new = s[pending] + 0.5**halving * step_sigma[pending]
-                ok = (sigma_new > 0) & (_loglik(xa[pending], mu_new, sigma_new)[0] >= floor[pending])
-                mu[active[pending[ok]]], sigma[active[pending[ok]]] = mu_new[ok], sigma_new[ok]
+                ll_new, size_new = _loglik(xa[pending], mu_new, sigma_new)
+                ok = (sigma_new > 0) & (ll_new >= floor[pending])
+                rows = active[pending[ok]]
+                mu[rows], sigma[rows] = mu_new[ok], sigma_new[ok]
+                ll[rows], size[rows] = ll_new[ok], size_new[ok]
                 pending = pending[~ok]
                 if pending.size == 0:
                     break

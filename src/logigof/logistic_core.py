@@ -97,24 +97,29 @@ def _as_finite_array(x, name: str = "x") -> np.ndarray:
     return arr
 
 
-def expit(x):
-    """Logistic sigmoid 1 / (1 + exp(-x)), bit for bit what
-    ``scipy.special.expit`` returns for x >= -709.
-
-    Both evaluate this form with the C library's exp.  numpy's float64 exp
-    is its own SIMD kernel, which differs from the C library's in the last
-    bit for about 2% of arguments, so exp is taken as the real part of
-    numpy's complex exp: that calls the C library's cexp, whose real part
-    at a zero imaginary part is exp(x) exactly up to an argument of 709.
-    Beyond it cexp rescales, and the results, all below 1.3e-308, may
-    differ from scipy's in the last bit.  Below x = -709.78 exp(-x)
-    overflows and the result is 0, as in scipy; from x = 37 on the result
-    is 1, where the true value rounds to it.  NaN stays NaN, and a scalar
-    argument gives a numpy scalar.
-    """
+def c_exp(x) -> np.ndarray:
+    """exp by the C library, as ``scipy.special.expit`` and numpy's lognormal
+    sampler take it (numpy's own SIMD exp differs in the last bit for about
+    2% of arguments): the real part of numpy's complex exp, the C library's
+    cexp, which is exp(x) exactly up to x = 709.  Past it cexp rescales, so
+    those few values come from ``math.exp``, +inf past 709.782712893384, the
+    largest x whose exp is finite.  An array, 0-d for a scalar; NaN stays NaN."""
+    x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
-        e = np.exp(np.negative(x, dtype=complex)).real
-    return 1.0 / (1.0 + e)
+        out = np.asarray(np.exp(x.astype(complex)).real)
+    big = x > 709.0
+    if big.any():
+        out[big] = [math.exp(v) if v <= 709.782712893384 else math.inf for v in x[big].tolist()]
+    return out
+
+
+def expit(x):
+    """Logistic sigmoid 1 / (1 + exp(-x)) by ``c_exp``: bit for bit
+    ``scipy.special.expit``, which takes the same form with the C library's
+    exp.  It is 0 below x = -709.78, where exp(-x) overflows, and 1 from
+    x = 37 on, where the true value rounds to it.  NaN stays NaN, and a
+    scalar argument gives a numpy scalar."""
+    return 1.0 / (1.0 + c_exp(np.negative(x, dtype=float)))
 
 
 def _maybe_scalar(result: np.ndarray, like) -> float | np.ndarray:

@@ -133,19 +133,18 @@ def t_stat_closed(res: ScaledResiduals, w: WeightSpec = WeightSpec()) -> TestOut
 
 def _evaluate(res: ScaledResiduals, specs) -> np.ndarray:
     """Values of ``specs``, (stat_id, tuning) pairs, for one residual vector:
-    the batch kernel on a batch of one.  Raises NumericOverflowError where S
-    or R leave the exp range, which the kernel marks with +inf, and warns
-    with the count of EDF probabilities clamped away from 0 and 1."""
-    values = _kernels.compute_batch(res.values[None, :], specs)[:, 0]
-    if np.isinf(values).any():
+    the batch kernel on a batch of one.  Raises NumericOverflowError where
+    the kernel set S or R to +inf past the exp range, and warns with the
+    count of EDF probabilities that it clamped away from 0 and 1."""
+    counts = {}
+    values = _kernels.compute_batch(res.values[None, :], specs, counts)[:, 0]
+    if counts["overflow"]:
         raise NumericOverflowError(
             f"residual magnitude {np.max(np.abs(res.values)):.3g} exceeds the "
             "exp-safe range of the statistic")
-    if any(sid in _kernels.EDF_IDS for sid, _ in specs):
-        clamped = _kernels.edf_clamped(res.values)
-        if clamped:
-            warnings.warn(f"{clamped} probability value(s) clamped away from 0/1",
-                          RuntimeWarning, stacklevel=3)
+    if counts["clamped"]:
+        warnings.warn(f"{counts['clamped']} probability value(s) clamped away from 0/1",
+                      RuntimeWarning, stacklevel=3)
     return values
 
 
@@ -208,16 +207,22 @@ def h_func(t, x):
 # expectations under the standard logistic law
 
 
-def _expect(fun):
+def _expect(fun, right=None):
     """E[fun(X)] for X standard logistic, ``fun`` vectorised over x along its
     last axis: a float for a scalar-valued ``fun``, else an array of its
-    leading shape.  By 16-point Gauss-Legendre on the panels of width 2 that
-    cover (0, 48), taken at +-x so that the kink of |x| at 0 is a panel edge;
-    the mass beyond 48 is below 1e-20."""
+    leading shape; with ``right``, the Gram matrix E[fun(X)_i right(X)_j] of
+    two functions with one leading axis, (fun sqrt(w)) @ (right sqrt(w))^T
+    per sign, exactly symmetric for right = fun.  By 16-point Gauss-Legendre
+    on the panels of width 2 that cover (0, 48), taken at +-x so that the
+    kink of |x| at 0 is a panel edge; the mass beyond 48 is below 1e-20."""
     t, w = _kernels._legendre(16)
     x = (np.arange(1.0, 48.0, 2.0)[:, None] + t).ravel()
     w = np.tile(w, 24) * pdf(x)
-    value = fun(-x) @ w + fun(x) @ w
+    if right is None:
+        value = fun(-x) @ w + fun(x) @ w
+    else:
+        r = np.sqrt(w)
+        value = (fun(-x) * r) @ (right(-x) * r).T + (fun(x) * r) @ (right(x) * r).T
     return float(value) if np.ndim(value) == 0 else value
 
 
@@ -241,7 +246,8 @@ def covariance_kernel(s, t, method: Method = Method.MOMENTS):
     kappa(u, x) + E[h(u, X)] psi1(x) + E[X h(u, X)] psi2(x) linearises the
     fitted location and scale through ``method``'s influence functions.
     Expectations are on a fixed Gauss-Legendre rule; scalars s and t give a
-    float, arrays the (len(s), len(t)) matrix from one product on its nodes.
+    float, arrays the (len(s), len(t)) matrix, a Gram product of the
+    summands on its nodes that keeps O((len(s) + len(t)) nodes) values.
     """
     def summand(u):
         u = np.asarray(u, dtype=float).reshape(-1, 1)
@@ -249,8 +255,7 @@ def covariance_kernel(s, t, method: Method = Method.MOMENTS):
         exh = _expect(lambda x: x * h_func(u, x))[:, None]
         return lambda x: kappa(u, x) + eh * psi1(x, method) + exh * psi2(x, method)
 
-    l_s, l_t = summand(s), summand(t)
-    k = _expect(lambda x: l_s(x)[:, None] * l_t(x)[None, :])
+    k = _expect(summand(s), summand(t))
     return float(k[0, 0]) if np.ndim(s) == np.ndim(t) == 0 else k
 
 
@@ -259,9 +264,9 @@ def covariance_kernel(s, t, method: Method = Method.MOMENTS):
 
 
 class AlternativeDensity(Protocol):
-    """Anything with a density, finite mean/standard deviation and ``breaks``."""
+    """Anything with a density at cut + x, a finite mean and sd, and ``breaks``."""
 
-    def pdf(self, x): ...
+    def pdf(self, x, cut: float = 0.0): ...
 
     def mean(self) -> float: ...
 
@@ -294,12 +299,9 @@ def delta_alternative(alt: AlternativeDensity, w: WeightSpec = WeightSpec()) -> 
     cuts = alt.breaks() or (mean,)
     a = w.a
     previous = None
-    # A density that is infinite at a node makes the sum NaN, which never
-    # agrees with anything and so ends in QuadratureError.
     with np.errstate(all="ignore"):
         for level in range(1, 9):
-            x, q = _de_nodes(cuts, c, level)
-            q *= alt.pdf(x)
+            x, q = _de_nodes(cuts, c, level, alt.pdf)
             keep = q > 0
             q, y = q[keep], (x[keep] - mean) / c
             total = _kernels._pair_total(y, np.tanh(y / 2.0), a, q)
@@ -310,12 +312,13 @@ def delta_alternative(alt: AlternativeDensity, w: WeightSpec = WeightSpec()) -> 
     raise QuadratureError("double-exponential refinement of the discrepancy did not stabilize")
 
 
-def _de_nodes(cuts, c: float, level: int) -> tuple:
-    """Double-exponential nodes and trapezoid weights (Takahasi & Mori, 1974),
-    step 2^-level in u on [-6, 6], on the line cut at ``cuts`` (increasing):
-    cuts[0] - c e(u) and cuts[-1] + c e(u), e(u) = exp(pi/2 sinh u), on the
-    outer half-lines, lo + (hi - lo) expit(pi sinh u) between cuts, as an
-    offset from the nearer cut so that nodes next to it stay off it.  At
+def _de_nodes(cuts, c: float, level: int, density) -> tuple:
+    """Double-exponential nodes and trapezoid weights (Takahasi & Mori, 1974)
+    times ``density(offset, cut)``, step 2^-level in u on [-6, 6], on the line
+    cut at ``cuts`` (increasing): cuts[0] - c e(u) and cuts[-1] + c e(u),
+    e(u) = exp(pi/2 sinh u), on the outer half-lines, lo + (hi - lo)
+    expit(pi sinh u) between cuts.  Each is an offset from the nearer cut, so
+    a node that rounds onto a cut still takes the density next to it.  At
     u = +-6 they come within 2.5e-138 c of a cut (6e-276 (hi - lo) between
     cuts: gamma(0.1) loses 1e-14 of its mass) and reach 4e137 c, past which
     finite variance leaves mass below 1e-274 and squared distances stay finite."""
@@ -325,11 +328,13 @@ def _de_nodes(cuts, c: float, level: int) -> tuple:
     near, far = expit(math.pi * s), expit(-math.pi * s)
     outer = c * 0.5 * math.pi * np.cosh(u) * e * 2.0**-level
     inner = math.pi * np.cosh(u) * near * far * 2.0**-level
-    nodes, weights = [cuts[0] - c * e, cuts[-1] + c * e], [outer, outer]
+    pieces = [(cuts[0], -c * e, outer), (cuts[-1], c * e, outer)]
+    left = u < 0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        nodes.append(np.where(u < 0, lo + (hi - lo) * near, hi - (hi - lo) * far))
-        weights.append((hi - lo) * inner)
-    return np.concatenate(nodes), np.concatenate(weights)
+        pieces.append((lo, (hi - lo) * near[left], (hi - lo) * inner[left]))
+        pieces.append((hi, -(hi - lo) * far[~left], (hi - lo) * inner[~left]))
+    return (np.concatenate([cut + d for cut, d, _ in pieces]),
+            np.concatenate([wt * density(d, cut) for cut, d, wt in pieces]))
 
 
 # ---------------------------------------------------------------------------

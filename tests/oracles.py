@@ -70,12 +70,15 @@ def scalar_fit_mle(x, max_iter=100, tol=1e-10):
     raise ConvergenceError("no convergence", last_iterate=(mu, sigma))
 
 
-def quad_expect(fun, epsabs=1e-11):
+def quad_expect(fun, right=None, epsabs=1e-11):
     """E[fun(X)] for X standard logistic, by adaptive quadrature split at 0,
     for each component of a ``fun`` vectorised over x along its last axis:
-    a float for a scalar-valued ``fun``, else an array of its leading shape."""
+    a float for a scalar-valued ``fun``, else an array of its leading shape.
+    With ``right``, the matrix E[fun(X)_i right(X)_j], as ``_expect`` takes it."""
     from scipy.integrate import quad
 
+    if right is not None:
+        return quad_expect(lambda x: fun(x)[:, None] * right(x)[None, :], epsabs=epsabs)
     out = np.empty(np.shape(fun(np.zeros(1)))[:-1])
     for index in np.ndindex(out.shape):
         def integrand(x):
@@ -155,8 +158,6 @@ def quad_delta(alt, a=3.0):
     t of |E[(it - tanh(Y/2)) exp(itY)]|^2: the four trigonometric moments by
     one adaptive ``quad_vec`` pass over the effective support for all
     Gauss-Hermite nodes t, refined until two node counts agree to 1e-9."""
-    from scipy.integrate import quad_vec
-
     mean = float(alt.mean())
     std = float(alt.std())
     if not (math.isfinite(mean) and math.isfinite(std) and std > 0):
@@ -167,13 +168,41 @@ def quad_delta(alt, a=3.0):
         return alt.pdf(mean + c * y) * c
 
     lo, hi = _effective_support(q)
+    return _hermite_delta(lambda y: (y, q(y)), lo, hi, a)
+
+
+def quad_delta_beta(p, q, a=3.0):
+    """Delta of beta(p, q) as ``quad_delta`` takes it, with X = sin(phi)^2
+    for phi in (0, pi/2): the density times dX/dphi is
+    2 sin(phi)^(2p - 1) cos(phi)^(2q - 1) / B(p, q), finite at both ends
+    for p, q >= 1/2, where the density itself is infinite below 1."""
+    from scipy.special import beta
+
+    mean = p / (p + q)
+    c = math.sqrt(p * q / ((p + q) ** 2 * (p + q + 1.0))) * math.sqrt(3.0) / math.pi
+
+    def point(phi):
+        s, co = math.sin(phi), math.cos(phi)
+        return (s * s - mean) / c, 2.0 * s ** (2 * p - 1) * co ** (2 * q - 1) / beta(p, q)
+
+    return _hermite_delta(point, 0.0, math.pi / 2.0, a)
+
+
+def _hermite_delta(point, lo, hi, a):
+    """The integral over t of |E[(it - tanh(Y/2)) exp(itY)]|^2 exp(-a t^2),
+    where E is the integral over v in (lo, hi) of g(y) w with (y, w) =
+    ``point(v)``: the four trigonometric moments by one adaptive
+    ``quad_vec`` pass for all Gauss-Hermite nodes t, refined until two node
+    counts agree to 1e-9."""
+    from scipy.integrate import quad_vec
 
     def g_squared(ts):
-        def moment_rows(y):
+        def moment_rows(v):
+            y, w = point(v)
             ty = ts * y
             cos, sin = np.cos(ty), np.sin(ty)
             m = math.tanh(y / 2.0)
-            return q(y) * np.concatenate([cos, sin, m * cos, m * sin])
+            return w * np.concatenate([cos, sin, m * cos, m * sin])
 
         rows, _ = quad_vec(moment_rows, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=2000)
         e_cos, e_sin, e_mcos, e_msin = np.split(rows, 4)

@@ -219,6 +219,42 @@ def test_rows_past_the_exp_range_give_inf_for_s_and_r():
         np.testing.assert_array_equal(got[:, i], compute_batch(y[i:i + 1], SPECS)[:, 0])
 
 
+def _ml_residual_rows(label, rows, n, seed):
+    x = montecarlo.AlternativeSpec.parse(label).sample(n, montecarlo.RngStream(seed), reps=rows)
+    return montecarlo._residuals_for_chunk(x, Method.MAX_LIKELIHOOD)[0]
+
+
+@pytest.mark.parametrize("y, overflows", [
+    pytest.param(lambda: _ml_residual_rows("t(1)", 32, 1000, seed=13), True, id="ml-t1-n1000"),
+    pytest.param(lambda: _ml_residual_rows("cauchy", 32, 200, seed=14), False,
+                 id="ml-cauchy-n200"),
+    pytest.param(lambda: np.array([[0.3, -0.2, 351.0, -351.0, 1.5]]), True, id="crafted-351")])
+def test_counts_equal_a_recount_of_the_returned_values(y, overflows):
+    # ML fits of Cauchy rows leave residuals past the EDF clamp, and at
+    # n = 1000 past the exp range; the crafted row has residuals at +-351,
+    # where 2 max|Y| = 702.
+    y = y()
+    counts = {}
+    got = compute_batch(y, SPECS, counts)
+    np.testing.assert_array_equal(got, compute_batch(y, SPECS))
+    sr = [i for i, (sid, _) in enumerate(SPECS) if sid in ("S", "R")]
+    past = np.isposinf(got[sr])
+    assert (past == past[0]).all()
+    u = expit(y[~np.isnan(y).any(axis=1)])
+    clamped = np.count_nonzero((u < EDF_EPS) | (u > 1.0 - EDF_EPS))
+    assert counts == {"overflow": int(past[0].sum()), "clamped": clamped}
+    assert counts["clamped"] > 0 and (counts["overflow"] > 0) == overflows
+
+
+def test_counts_are_zero_for_families_not_asked_for():
+    y = np.array([[0.3, -0.2, 351.0, -351.0, 1.5]])
+    for specs in ([("T", 3.0)], [("KS", None)], [("S", None)]):
+        counts = {"overflow": 7}
+        compute_batch(y, specs, counts)
+        assert counts == {"overflow": int(specs[0][0] == "S"),
+                          "clamped": 2 * (specs[0][0] == "KS")}
+
+
 # ---------------------------------------------------------------------------
 # the statistic registry
 
@@ -352,6 +388,20 @@ def test_spectral_path_matches_pair_path(kind, n):
             for v in (1, 2, 3):
                 assert got[3 + v, i] == pytest.approx(r_stat_quadrature(row, v), rel=RTOL)
     assert _t_spectral_rows(y).all()
+
+
+@pytest.mark.parametrize("kind", ["logistic", "laplace"])
+def test_pair_path_at_n_10000_matches_quadrature(kind):
+    # Rows past T's node cap sum all n^2 pairs; at n = 10^4 these moment
+    # rows stay within RTOL of the Gauss-Hermite oracle (3.4e-13 at most).
+    from logigof.estimation import FitResult, ScaledResiduals
+    from logigof.statistics import WeightSpec, t_stat_quadrature
+
+    y = _residual_rows(kind, 2, 10_000, seed=7)
+    got = _t_pair_path(y, [("T", 3.0)])[0]
+    for value, row in zip(got, y):
+        res = ScaledResiduals(row, FitResult(0.0, 1.0, Method.MOMENTS))
+        assert value == pytest.approx(t_stat_quadrature(res, WeightSpec(3.0)).value, rel=RTOL)
 
 
 def test_t_products_past_n_2048_carry_the_rotation():

@@ -20,7 +20,7 @@ from logigof.statistics import (DomainError, NumericOverflowError, WeightSpec,
                                 moment_identities, r_stat, s_stat,
                                 s_stat_quadrature, t_stat_closed,
                                 t_stat_quadrature)
-from oracles import (imhof_tail, limit_eigenvalues, limit_mean, quad_delta,
+from oracles import (imhof_tail, limit_eigenvalues, limit_mean, quad_delta, quad_delta_beta,
                      quad_expect)
 
 residual_vectors = arrays(
@@ -248,6 +248,35 @@ def test_covariance_kernel_symmetry_and_positivity():
 
 
 @pytest.mark.parametrize("method", [Method.MOMENTS, Method.MAX_LIKELIHOOD])
+def test_covariance_grid_is_one_gram_product(method, monkeypatch):
+    # A 160x160 grid keeps the summands on the nodes, not their 160*160
+    # elementwise products over 384 nodes per sign (80 MB), and agrees with
+    # those products reduced by _expect; entries that cancel are compared on
+    # the scale of 1.
+    import tracemalloc
+
+    s, t = np.linspace(0.0, 4.0, 160), np.linspace(0.1, 6.0, 160)
+    covariance_kernel(0.5, 1.0, method)
+    tracemalloc.start()
+    try:
+        k = covariance_kernel(s, t, method)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    expect = statistics._expect
+
+    def elementwise(fun, right=None):
+        if right is None:
+            return expect(fun)
+        return expect(lambda x: fun(x)[:, None] * right(x)[None, :])
+
+    monkeypatch.setattr(statistics, "_expect", elementwise)
+    want = covariance_kernel(s, t, method)
+    assert np.all(np.abs(k - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("method", [Method.MOMENTS, Method.MAX_LIKELIHOOD])
 def test_mean_of_t_approaches_its_null_limit(method):
     # E[T_inf] = integral of K(t, t) exp(-3 t^2) dt is 0.2568 by moments and
     # 0.1256 by ML; the engine's mean of T:3 at n = 1000 lies within 4 SE.
@@ -368,6 +397,20 @@ def test_delta_is_affine_invariant(left, right):
     values = [delta_alternative(AlternativeSpec.parse(s), WeightSpec(3.0))
               for s in (left, right)]
     assert values[0] == pytest.approx(values[1], rel=1e-12)
+
+
+def test_delta_at_an_infinite_density_on_an_upper_break():
+    # The beta density is infinite at 1 when q < 1, and the nodes next to 1
+    # round onto it; their density comes from their offset to it.  The
+    # oracle integrates in phi, x = sin(phi)^2, where no density is infinite.
+    # A law and its mirror image have the same Delta.
+    for p, q in ((0.5, 0.5), (2.0, 0.5)):
+        value = delta_alternative(AlternativeSpec("beta", (p, q)), WeightSpec(3.0))
+        assert value == pytest.approx(quad_delta_beta(p, q), rel=1e-9)
+        mirrored = delta_alternative(AlternativeSpec("beta", (q, p)), WeightSpec(3.0))
+        assert value == pytest.approx(mirrored, rel=1e-12)
+    # gamma(0.5) has its infinite density at its lower break, 0.
+    assert delta_alternative(AlternativeSpec("gamma", (0.5,))) == pytest.approx(0.06690, abs=5e-6)
 
 
 def test_delta_memory_is_bounded():
