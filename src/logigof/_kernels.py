@@ -10,7 +10,8 @@ term's d^2/4a^2 overflows while exp(-d^2/4a) underflows to 0, so every
 row would give 0 * inf = NaN.  One entry
 point, ``compute_batch(y, specs)``, evaluates every requested statistic for
 each row of a (C, n) residual batch; the single-sample functions of
-``statistics`` call it with a batch of one.
+``statistics`` check their specs once and call its body,
+``evaluate_checked``, with a batch of one.
 
 Pair path.  On rows past T's node cap, T sums its pair term over all n^2
 ordered pairs, row by row and rate by rate (``_pair_total``), in blocks of
@@ -569,7 +570,12 @@ def compute_batch(y: np.ndarray, specs, counts: Optional[dict] = None) -> np.nda
     ``counts``, which no value depends on, receives the count of those rows
     as "overflow" and of the EDF probabilities clamped as "clamped".
     """
-    specs = [check_spec(sid, tuning) for sid, tuning in specs]
+    return evaluate_checked(y, [check_spec(sid, tuning) for sid, tuning in specs], counts)
+
+
+def evaluate_checked(y: np.ndarray, specs, counts: Optional[dict] = None) -> np.ndarray:
+    """``compute_batch`` on specs that are already as ``check_spec`` returns
+    them, so a caller that checked them once does not check them again."""
     y = np.sort(np.asarray(y, dtype=float), axis=1)
     c, n = y.shape
     rates = [a for sid, a in specs if sid == "T"]

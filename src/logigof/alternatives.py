@@ -9,15 +9,15 @@ law and a contaminant; ``AlternativeSpec.parse`` reads the text form that
 A Monte Carlo chunk draws all its samples in one
 ``AlternativeSpec.sample(..., reps=k)`` call.  Logistic and uniform samples,
 one Philox word per value, are computed from the words of all substreams at
-once (``logistic_core.philox_words``).  Every other draw keeps numpy's own
-transforms: one Philox and one Generator serve the whole chunk, and before
-each replication the Philox is re-keyed to the fresh state of
-``Philox(key=[s, r])``.  A mixture row then takes its picks and its logistic
-base from the first 2n raw words, and its contaminant's draw continues on
-the same Generator.  Where numpy has an ``out=`` sampler the row is filled
-in place, and the step that turns those values into the law's (a ratio, an
-exp, a factor) runs once per block.  Either way replication r sees exactly
-the stream of substream (s, r).
+once (``logistic_core.philox_words``).  Every other draw is made by one
+Philox and Generator for the whole chunk, the Philox re-keyed before each
+replication to the fresh state of ``Philox(key=[s, r])``: a mixture row
+takes its picks and logistic base from the first 2n raw words and its
+contaminant's draw after them, and any other row numpy's own transforms,
+filled in place where numpy has an ``out=`` sampler.  The step that turns
+words or values into the law's (an inversion, a ratio, an exp, a factor)
+runs once per block.  Either way replication r sees exactly the stream of
+substream (s, r).
 
 Only ``AlternativeSpec.pdf``, ``mean``, ``std`` and ``breaks`` use scipy:
 they resolve the kind's ``scipy.stats`` law, importing scipy.stats on first
@@ -58,7 +58,8 @@ class _Kind(NamedTuple):
 
     A draw is ``fill(gen, row, *params)``, which writes ``width`` values per
     observation into ``row`` in place, then, when ``finish`` is given,
-    ``finish(block, *params)`` on the filled rows of a whole block at once.
+    ``finish(block, *params)`` on the filled rows of a whole block at once;
+    a kind drawn one raw word per value fills a block from them by ``words``.
     Each entry makes the same Generator calls, and the same arithmetic on
     their values, as numpy's sampler of that law, so the draws are its draws
     bit for bit.  ``_frozen_law`` alone calls ``law``, importing scipy.stats
@@ -75,6 +76,7 @@ class _Kind(NamedTuple):
     mirror: Optional[Callable[..., tuple]] = None
     width: int = 1
     finish: Optional[Callable[..., np.ndarray]] = None
+    words: Optional[Callable[..., object]] = None
 
 
 _KINDS = {
@@ -82,7 +84,7 @@ _KINDS = {
                       lambda gen, row, mu, sigma: fill_logistic(
                           row, gen.bit_generator.random_raw(row.size), mu, sigma),
                       lambda st, mu, sigma: st.logistic(loc=mu, scale=sigma),
-                      lambda mu, sigma: sigma > 0),
+                      lambda mu, sigma: sigma > 0, words=fill_logistic),
     "normal": _Kind("n gaussian", 0, (), "no parameters",
                     lambda gen, row: gen.standard_normal(out=row), lambda st: st.norm()),
     "t": _Kind("student studentt", 1, None, "finite df > 0",
@@ -105,7 +107,9 @@ _KINDS = {
     "uniform": _Kind("u", 2, (-SQRT3, SQRT3), "finite lo < hi with a finite hi - lo",
                      lambda gen, row, lo, hi: np.copyto(row, gen.uniform(lo, hi, row.size)),
                      lambda st, lo, hi: st.uniform(lo, hi - lo),
-                     lambda lo, hi: lo < hi and math.isfinite(hi - lo)),
+                     lambda lo, hi: lo < hi and math.isfinite(hi - lo),
+                     words=lambda out, w, lo, hi: np.copyto(out, lo + (hi - lo)
+                                                            * random_doubles(w))),
     "beta": _Kind("b", 2, None, "finite shapes a, b > 0",
                   lambda gen, row, a, b: np.copyto(row, gen.beta(a, b, row.size)),
                   lambda st, a, b: st.beta(a, b), mirror=lambda a, b: (b, a)),
@@ -117,13 +121,18 @@ _KINDS = {
 _NAMES = {alias: kind for kind, spec in _KINDS.items() for alias in (kind, *spec.aliases.split())}
 
 
-def _philox_state(seed: int, substream: int) -> dict:
-    """The fresh state of ``Philox(key=[seed, substream])``.  Built from
-    plain ints, it is set about twice as fast as the arrays that ``state``
-    returns."""
-    return {"bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": [seed, substream]},
-            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+def _rekeyed(gen: np.random.Generator, seed: int, first: int, rows: int):
+    """Yield each i < rows once ``gen``'s Philox is in the fresh state of
+    ``Philox(key=[seed, first + i])``, which, built from plain ints, is set
+    about twice as fast as the arrays that ``state`` returns."""
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": [seed, first]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key = state["state"]["key"]
+    for i in range(rows):
+        key[1] = first + i
+        gen.bit_generator.state = state
+        yield i
 
 
 @functools.lru_cache(maxsize=64)
@@ -189,13 +198,13 @@ class AlternativeSpec:
         kind's ``_KINDS`` draw on that substream's fresh Generator, or for a
         mixture its picks (``random``), its logistic base and its
         contaminant's draw, one Generator call each (p = 0 or 1 draws the
-        ``_drawn`` law).  Logistic and uniform samples are computed for all
-        rows at once from ``philox_words``.  The other kinds are drawn with numpy's own transforms from one
-        Generator, re-keyed fresh to each row's substream; a mixture row
-        takes its picks (words 0 .. n-1) and logistic base (words n .. 2n-1)
-        as raw words of that Generator, and its contaminant's draw continues
-        on it at word 2n.  Rows are drawn in blocks of at most
-        ``_kernels._PAIR_BUDGET`` values, counting 2n per mixture row and
+        ``_drawn`` law).  Logistic and uniform rows (kinds with ``words``)
+        come from ``philox_words``, all rows at once.  Every other row is
+        drawn from one Generator re-keyed fresh to its substream: 2n raw
+        words (picks, then logistic base) and then the contaminant's draw
+        for a mixture row, numpy's own transforms for any other.  Words
+        become values a block at a time.  Rows are drawn in blocks of at
+        most ``_kernels._PAIR_BUDGET`` values, counting 2n per mixture row and
         ``width`` n per row of a kind.
         """
         if n < 1:
@@ -207,8 +216,9 @@ class AlternativeSpec:
             raise DomainError(f"{k} replications from substream {stream.substream} "
                               f"pass the last substream index, 2^64 - 1")
         spec = self._drawn()
-        words = 2 * n if spec.kind == "mixture" else _KINDS[spec.kind].width * n
-        gen = None if spec.kind in ("logistic", "uniform") else stream.generator()
+        mixture = spec.kind == "mixture"
+        words = 2 * n if mixture else _KINDS[spec.kind].width * n
+        gen = stream.generator() if mixture or _KINDS[spec.kind].words is None else None
         step = max(1, _kernels._PAIR_BUDGET // (-(-words // 4) * 4))
         x = np.empty((k, n))
         for lo in range(0, k, step):
@@ -219,29 +229,18 @@ class AlternativeSpec:
         """Fill row i of ``out`` from substream ``first + i`` of ``seed``;
         ``gen`` makes the draws that do not come from ``philox_words``."""
         rows, n = out.shape
-        if self.kind == "logistic":
-            fill_logistic(out, philox_words(seed, first, rows, n), *self.params)
-            return
-        if self.kind == "uniform":
-            lo, hi = self.params
-            out[:] = lo + (hi - lo) * random_doubles(philox_words(seed, first, rows, n))
-            return
         mixture = self.kind == "mixture"
         spec = self.contaminant if mixture else self
-        kind = _KINDS[spec.kind]
-        fill, params, bitgen = kind.fill, spec.params, gen.bit_generator
+        kind, params = _KINDS[spec.kind], spec.params
+        if kind.words is not None and not mixture:
+            kind.words(out, philox_words(seed, first, rows, n), *params)
+            return
         raw = out if kind.width == 1 and not mixture else np.empty((rows, kind.width * n))
         words = np.empty((rows, 2 * n), dtype=np.uint64) if mixture else None
-        state = _philox_state(seed, first)
-        key = state["state"]["key"]
-        for i, row in enumerate(raw):
-            key[1] = first + i
-            bitgen.state = state
+        for i in _rekeyed(gen, seed, first, rows):
             if mixture:
-                # The picks (words 0 .. n-1) and the logistic base (words
-                # n .. 2n-1); the contaminant's draw follows at word 2n.
-                words[i] = bitgen.random_raw(2 * n)
-            fill(gen, row, *params)
+                words[i] = gen.bit_generator.random_raw(2 * n)
+            kind.fill(gen, raw[i], *params)
         drawn = raw if kind.finish is None else kind.finish(raw, *params)
         if mixture:
             fill_logistic(out, words[:, n:])

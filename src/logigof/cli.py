@@ -27,7 +27,7 @@ from .alternatives import AlternativeSpec
 from .estimation import (ConvergenceError, DegenerateSampleError, Method,
                          SampleSizeError, fit, scaled_residuals)
 from .logistic_core import DomainError, quantile, uint64_index
-from .montecarlo import McConfig, McError, StatSpec
+from .montecarlo import McConfig, McError, StatSpec, _format_value
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -115,10 +115,6 @@ def load_dataset(path: str, log: bool = False) -> Dataset:
 # shared flag helpers
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
-
-
 def _parse_float_list(text: str, flag: str) -> list[float]:
     if not text.strip():
         raise InputError(f"{flag}: empty list")
@@ -192,8 +188,8 @@ def cmd_fit(args) -> int:
     print(f"transform = {data.transform}")
     print(f"n = {data.n}")
     print(f"method = {result.method.value}")
-    print(f"mu_hat = {_fmt(result.mu_hat)}")
-    print(f"sigma_hat = {_fmt(result.sigma_hat)}")
+    print(f"mu_hat = {_format_value(result.mu_hat)}")
+    print(f"sigma_hat = {_format_value(result.sigma_hat)}")
     return EXIT_OK
 
 
@@ -205,22 +201,20 @@ def cmd_test(args) -> int:
         theo = quantile(np.arange(1, res.n + 1) / (res.n + 1.0))
         print("theoretical_quantile,ordered_residual")
         for q, y in zip(theo, np.sort(res.values)):
-            print(f"{_fmt(q)},{_fmt(y)}")
+            print(f"{_format_value(q)},{_format_value(y)}")
         return EXIT_OK
     specs = _stat_specs_from_flags(args)
     if len(specs) != 1:
         raise InputError(f"--stat: expected one statistic, got {args.stat!r}")
-    spec = specs[0]
-    value = float(statistics._evaluate(res, [spec.key()])[0])
+    (outcome,) = statistics._evaluate(res, [specs[0].key()])
     cfg = McConfig(reps=args.reps, seed=args.seed, workers=args.workers, method=method)
-    outcome = statistics.TestOutcome(spec.stat_id, spec.tuning, value, data.n)
     pvalue = montecarlo.pvalues_simulated([outcome], data.n, cfg)[0]
-    print(f"statistic = {spec.stat_id}")
-    print(f"tuning = {'' if spec.tuning is None else _fmt(spec.tuning)}")
+    print(f"statistic = {outcome.name}")
+    print(f"tuning = {_format_value(outcome.tuning)}")
     print(f"n = {data.n}")
     print(f"method = {method.value}")
-    print(f"value = {_fmt(value)}")
-    print(f"p_value = {_fmt(pvalue)}")
+    print(f"value = {_format_value(outcome.value)}")
+    print(f"p_value = {_format_value(pvalue)}")
     print(f"reps = {args.reps}")
     print(f"seed = {args.seed}")
     return EXIT_OK

@@ -5,12 +5,14 @@ Monte Carlo layer.
 All functions accept scalars or array-likes and are overflow-safe: large
 standardized arguments underflow to zero rather than producing NaN or inf.
 
-Logistic draws are made without a numpy ``Generator``.  ``philox_words``
-runs Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1,
-2, 3", SC'11) in numpy, vectorised over (substream, counter block), so one
-call computes the words of many substreams at once.  For key [seed, r] it
-gives exactly the words of ``np.random.Philox(key=[seed, r]).random_raw()``.
-``fill_logistic`` maps them to uniforms as ``Generator.integers(0, 2**53)``
+Logistic draws invert raw Philox words.  ``philox_words`` runs
+Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC'11) in numpy, vectorised over (substream, counter block), so one
+call gives the words of many substreams: for key [seed, r], exactly those
+of ``np.random.Philox(key=[seed, r]).random_raw()``.  The block sampler of
+``alternatives`` takes them for logistic and uniform rows; ``sample``, one
+row, takes its words from ``RngStream.generator()``.
+``fill_logistic`` maps words to uniforms as ``Generator.integers(0, 2**53)``
 does and inverts those, and ``random_doubles`` maps them as
 ``Generator.random`` does.  Each row therefore equals, bit for bit, the
 per-substream stream.
@@ -254,8 +256,8 @@ def sample(n: int, p: LogisticParams = STANDARD, *,
     """
     if n < 1:
         raise DomainError("sample size must be at least 1")
-    words = philox_words(stream.seed, stream.substream, 1, n)
-    return fill_logistic(np.empty((1, n)), words, p.mu, p.sigma)[0]
+    words = stream.generator().bit_generator.random_raw(n)
+    return fill_logistic(np.empty(n), words, p.mu, p.sigma)
 
 
 def score(x, p: LogisticParams = STANDARD):

@@ -4,8 +4,9 @@ covariance K(s, t) = E[L_s L_t] of the summand L, and the discrepancy Delta.
 
 The primary statistic integrates, against a Gaussian weight exp(-a t^2), the
 squared modulus of an empirical transform that vanishes exactly at the
-logistic law.  ``t_stat_closed``, ``s_stat`` and ``r_stat`` evaluate the
-batch kernel on one sample.  It integrates S and R on fixed Gauss-Legendre
+logistic law.  ``t_stat_closed``, ``s_stat``, ``r_stat`` and ``edf_stats``
+return the outcomes that ``_evaluate`` makes from the batch kernel on one
+sample.  The kernel integrates S and R on fixed Gauss-Legendre
 nodes and T by the trapezoid rule at every n; only samples whose span needs
 more trapezoid nodes than the kernel's cap sum T's pairwise closed form
 (Gaussian integrals evaluated analytically), which is also its oracle in
@@ -26,7 +27,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Optional
 
 import numpy as np
 
@@ -49,13 +50,16 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Gaussian weight rate: omega_a(t) = exp(-a t^2), a > 0."""
+    """Gaussian weight rate: omega_a(t) = exp(-a t^2), for any rate other
+    than None that ``_kernels.check_spec`` accepts for T, stored as the float
+    it casts."""
 
     a: float = 3.0
 
     def __post_init__(self):
-        if not (self.a > 0 and math.isfinite(self.a)):
-            raise DomainError(f"weight rate must be positive and finite, got {self.a}")
+        if self.a is None:
+            raise DomainError("weight rate must be a number, got None")
+        object.__setattr__(self, "a", _kernels.check_spec("T", self.a)[1])
 
 
 @dataclass(frozen=True)
@@ -127,17 +131,18 @@ def t_stat_closed(res: ScaledResiduals, w: WeightSpec = WeightSpec()) -> TestOut
     (Y_j-Y_k)(m_j-m_k)/2a] with m = tanh(Y/2), divided by n.  Agrees with
     ``t_stat_quadrature`` to quadrature accuracy.
     """
-    value = float(_evaluate(res, [("T", w.a)])[0])
-    return TestOutcome(name="T", tuning=w.a, value=value, n=res.n)
+    return _evaluate(res, [("T", w.a)])[0]
 
 
-def _evaluate(res: ScaledResiduals, specs) -> np.ndarray:
-    """Values of ``specs``, (stat_id, tuning) pairs, for one residual vector:
-    the batch kernel on a batch of one.  Raises NumericOverflowError where
-    the kernel set S or R to +inf past the exp range, and warns with the
-    count of EDF probabilities that it clamped away from 0 and 1."""
+def _evaluate(res: ScaledResiduals, specs) -> list[TestOutcome]:
+    """One TestOutcome per (stat_id, tuning) pair of ``specs``, its tuning
+    cast by ``_kernels.check_spec``, from the batch kernel on a batch of
+    one.  Raises NumericOverflowError where the kernel set S or R to +inf
+    past the exp range, and warns with the count of EDF probabilities that
+    it clamped away from 0 and 1."""
     counts = {}
-    values = _kernels.compute_batch(res.values[None, :], specs, counts)[:, 0]
+    specs = [_kernels.check_spec(*spec) for spec in specs]
+    values = _kernels.evaluate_checked(res.values[None, :], specs, counts)[:, 0]
     if counts["overflow"]:
         raise NumericOverflowError(
             f"residual magnitude {np.max(np.abs(res.values)):.3g} exceeds the "
@@ -145,7 +150,8 @@ def _evaluate(res: ScaledResiduals, specs) -> np.ndarray:
     if counts["clamped"]:
         warnings.warn(f"{counts['clamped']} probability value(s) clamped away from 0/1",
                       RuntimeWarning, stacklevel=3)
-    return values
+    return [TestOutcome(sid, tuning, float(value), res.n)
+            for (sid, tuning), value in zip(specs, values)]
 
 
 def _t_transform_sq(y: np.ndarray):
@@ -263,20 +269,11 @@ def covariance_kernel(s, t, method: Method = Method.MOMENTS):
 # consistency discrepancy against a fixed alternative
 
 
-class AlternativeDensity(Protocol):
-    """Anything with a density at cut + x, a finite mean and sd, and ``breaks``."""
-
-    def pdf(self, x, cut: float = 0.0): ...
-
-    def mean(self) -> float: ...
-
-    def std(self) -> float: ...
-
-    def breaks(self) -> tuple: ...
-
-
-def delta_alternative(alt: AlternativeDensity, w: WeightSpec = WeightSpec()) -> float:
-    """Population discrepancy Delta of a fixed alternative distribution.
+def delta_alternative(alt, w: WeightSpec = WeightSpec()) -> float:
+    """Population discrepancy Delta of a fixed alternative distribution
+    ``alt``, such as an ``AlternativeSpec``: its ``pdf(x, cut)``, the density
+    at cut + x, its finite ``mean()`` and ``std()``, and its ``breaks()``,
+    where the density is not smooth, are all it takes of it.
 
     The alternative is affinely standardized to mean 0 and variance pi^2/3
     (the limit of moment-fitted residuals), then
@@ -348,8 +345,7 @@ def s_stat(res: ScaledResiduals) -> TestOutcome:
     The integral is taken by Gauss-Legendre at every n.  Its integrand is
     a square, so it does not cancel where the pairwise closed form does.
     """
-    value = float(_evaluate(res, [("S", None)])[0])
-    return TestOutcome(name="S", tuning=None, value=value, n=res.n)
+    return _evaluate(res, [("S", None)])[0]
 
 
 def s_stat_quadrature(res: ScaledResiduals) -> TestOutcome:
@@ -372,8 +368,7 @@ def r_stat(res: ScaledResiduals, v: int = 1) -> TestOutcome:
     R_v = n int_{-1}^{1} sin^2(pi v t) (M_n(t) - pi t / sin(pi t))^2 dt, the
     weighted distance between the residuals' empirical moment generating
     function M_n(t) = mean_j exp(t Y_j) and the standard logistic one."""
-    value = float(_evaluate(res, [("R", v)])[0])
-    return TestOutcome(name="R", tuning=int(v), value=value, n=res.n)
+    return _evaluate(res, [("R", v)])[0]
 
 
 def edf_stats(res: ScaledResiduals) -> dict[str, TestOutcome]:
@@ -383,6 +378,4 @@ def edf_stats(res: ScaledResiduals) -> dict[str, TestOutcome]:
     0 or 1 to machine precision are clamped to [1e-15, 1 - 1e-15] and a
     warning flags how many were clamped.
     """
-    values = _evaluate(res, [(name, None) for name in _kernels.EDF_IDS])
-    return {name: TestOutcome(name=name, tuning=None, value=float(val), n=res.n)
-            for name, val in zip(_kernels.EDF_IDS, values)}
+    return {o.name: o for o in _evaluate(res, [(name, None) for name in _kernels.EDF_IDS])}

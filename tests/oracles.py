@@ -1,17 +1,18 @@
 """Reference implementations that the production code is checked against:
 the per-sample damped Newton ML fit, the adaptive-quadrature expectation
 under the standard logistic law, the mean, eigenvalues and tail of T's null
-limit, logistic draws by inversion of a Generator's uniforms, and the
-discrepancy Delta by nested adaptive quadrature."""
+limit, the drift of its local limit along contamination paths, logistic
+draws by inversion of a Generator's uniforms, and the discrepancy Delta by
+nested adaptive quadrature."""
 
 import math
 
 import numpy as np
 
-from logigof.estimation import SQRT3_OVER_PI, ConvergenceError
+from logigof.estimation import SQRT3_OVER_PI, ConvergenceError, psi1, psi2
 from logigof.logistic_core import DomainError, pdf
-from logigof.statistics import (_HERMITE_NODE_COUNTS, QuadratureError,
-                                _hermgauss, covariance_kernel)
+from logigof.statistics import (_HERMITE_NODE_COUNTS, QuadratureError, _expect,
+                                _hermgauss, covariance_kernel, h_func, kappa)
 
 
 def _loglik(x, mu, sigma):
@@ -99,37 +100,69 @@ def limit_mean(method, a=3.0, nodes=60):
     return float(w @ np.diag(covariance_kernel(t, t, method))) / math.sqrt(a)
 
 
-def limit_eigenvalues(method, a=3.0, nodes=60):
+def limit_eigenvalues(method, a=3.0, nodes=60, vectors=False):
     """The eigenvalues, largest first, of the operator with kernel K on
     L^2(exp(-a t^2) dt), so that T's null limit is sum_j lambda_j chi^2_1:
     those of diag(sqrt v) K diag(sqrt v) for one ``covariance_kernel`` grid
-    on the Gauss-Hermite nodes t = z / sqrt(a) with weights v = w / sqrt(a)."""
+    on the Gauss-Hermite nodes t = z / sqrt(a) with weights v = w / sqrt(a).
+    With ``vectors``, also the matching orthonormal eigenvectors U, column j
+    for lambda_j."""
     z, w = _hermgauss(nodes)
     t, root = z / math.sqrt(a), np.sqrt(w / math.sqrt(a))
     gram = root[:, None] * covariance_kernel(t, t, method) * root[None, :]
-    return np.linalg.eigvalsh(gram)[::-1]
+    lam, u = np.linalg.eigh(gram)
+    return (lam[::-1], u[:, ::-1]) if vectors else lam[::-1]
 
 
-def imhof_tail(lam, x, tol=1e-9):
-    """P(sum_j lam_j chi^2_1 > x) by Imhof's inversion (Biometrika 1961):
-    1/2 + (1/pi) times the integral over u > 0 of sin(theta(u)) / (u rho(u)),
-    theta(u) = sum_j arctan(lam_j u) / 2 - x u / 2 and
-    rho(u) = prod_j (1 + lam_j^2 u^2)^(1/4).  The part past U adds at most
-    1 / (pi k U^k prod_{j <= 2k} sqrt(lam_j)) over the 2k largest positive
-    lam_j, so ``quad`` stops at the least U where that bound, for some k, is
-    ``tol``, and integrates up to it within ``tol``: an oscillating integrand
-    on the whole half-line exhausts its subdivisions."""
+def local_drift(contaminant, method, a=3.0, nodes=60):
+    """mu(t) = E_C[L_t(X)] on the Gauss-Hermite nodes t = z / sqrt(a) of
+    ``limit_eigenvalues``, with L_t the summand of ``covariance_kernel``:
+    along the mixtures (1 - delta/sqrt(n)) logistic + (delta/sqrt(n)) C,
+    sqrt(n) times the empirical transform tends to Z(t) + delta mu(t).  E_C
+    is scipy ``quad_vec`` over C's density, split at its ``breaks``."""
+    from scipy.integrate import quad_vec
+
+    t = _hermgauss(nodes)[0][:, None] / math.sqrt(a)
+    eh = _expect(lambda x: h_func(t, x))
+    exh = _expect(lambda x: x * h_func(t, x))
+
+    def summand(x):
+        return (kappa(t[:, 0], x) + eh * psi1(x, method) + exh * psi2(x, method)) \
+            * contaminant.pdf(x)
+
+    edges = (-math.inf, *contaminant.breaks(), math.inf)
+    return sum(quad_vec(summand, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=2000)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+def imhof_tail(lam, x, tol=1e-9, nu=None):
+    """P(sum_j lam_j (N_j + c_j)^2 > x), N_j iid standard normal, with the
+    noncentralities nu_j = lam_j c_j^2 (0 when ``nu`` is None), by Imhof's
+    inversion (Biometrika 1961): 1/2 + (1/pi) times the integral over u > 0
+    of sin(theta(u)) / (u rho(u)), with
+    theta(u) = sum_j [arctan(lam_j u) + nu_j u / (1 + lam_j^2 u^2)] / 2 - x u / 2
+    and rho(u) = prod_j (1 + lam_j^2 u^2)^(1/4)
+    exp(nu_j lam_j u^2 / (2 (1 + lam_j^2 u^2))).  Past U, the central part
+    adds at most 1 / (pi k U^k prod_{j <= 2k} sqrt(lam_j)) over the 2k
+    largest positive lam_j, and noncentralities only make rho larger, so
+    ``quad`` stops at the least U where that bound, for some k, is ``tol``,
+    and integrates up to it within ``tol``: an oscillating integrand on the
+    whole half-line exhausts its subdivisions."""
     from scipy.integrate import quad
 
     lam = np.asarray(lam, dtype=float)
+    nu = np.zeros_like(lam) if nu is None else np.asarray(nu, dtype=float)
     top = np.sort(lam[lam > 0])[::-1]
     k = np.arange(1, top.size + 1) / 2.0
     cutoff = float(np.min(np.exp(-(np.log(math.pi * k * tol)
                                    + np.cumsum(0.5 * np.log(top))) / k)))
 
     def integrand(u):
-        theta = 0.5 * (np.sum(np.arctan(lam * u)) - x * u)
-        return math.sin(theta) / (u * math.exp(0.25 * np.sum(np.log1p((lam * u) ** 2))))
+        s = lam * u
+        d = 1.0 + s * s
+        theta = 0.5 * (np.sum(np.arctan(s) + nu * u / d) - x * u)
+        log_rho = np.sum(0.25 * np.log1p(s * s) + 0.5 * nu * s * u / d)
+        return math.sin(theta) / (u * math.exp(log_rho))
 
     value, _ = quad(integrand, 0.0, cutoff, epsabs=tol, epsrel=0.0, limit=2000)
     return 0.5 + value / math.pi

@@ -217,20 +217,21 @@ def test_block_sample_rejects_bad_replication_counts():
             spec.sample(5, last, reps=4)
 
 
-WORD_SAMPLED = ["uniform", "uniform(-2,5)",
+WORD_SAMPLED = ["logistic", "logistic(1,2)", "uniform", "uniform(-2,5)",
                 *(f"mixture({p},{c})" for p in (0.2, 0.5, 0.8)
                   for c in ("cauchy", "t(2)", "normal", "uniform"))]
 
 
 @pytest.mark.parametrize("label", WORD_SAMPLED)
 def test_rows_drawn_from_philox_words_equal_per_row_draws(label):
-    # Uniform samples come from the Philox words of the whole block; a
-    # mixture row takes its picks and base from the first 2n raw words of a
-    # Generator re-keyed to its substream, and its contaminant continues on
-    # it, inside a Philox block when n is odd.  The block sizes span several
-    # row blocks at n = 20 and 50.
+    # Logistic and uniform rows come from the Philox words of the whole
+    # block; a mixture row takes its picks and base from the first 2n raw
+    # words of a Generator re-keyed to its substream, and its contaminant
+    # continues on it, inside a Philox block when n is odd.  The block sizes
+    # span several row blocks at n = 20, 50 and 64.
     spec = AlternativeSpec.parse(label)
-    for n, k in ((20, 900), (21, 40), (22, 40), (23, 40), (50, 400)):
+    for n, k in ((20, 900), (21, 40), (22, 40), (23, 40), (39, 40), (40, 40), (50, 400),
+                 (64, 300)):
         block = spec.sample(n, RngStream(20260815, 4096), reps=k)
         for i, row in enumerate(block):
             np.testing.assert_array_equal(

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -13,15 +14,15 @@ from logigof import statistics
 from logigof.estimation import Method, ScaledResiduals, fit_moments, scaled_residuals
 from logigof.logistic_core import RngStream, sample
 from logigof.montecarlo import (AlternativeSpec, McConfig, StatSpec, calibrate,
-                                simulate_statistics)
+                                local_power_curve, simulate_statistics)
 from logigof.statistics import (DomainError, NumericOverflowError, WeightSpec,
                                 covariance_kernel, delta_alternative, edf_stats,
                                 gauss_weighted_integral, h_func, kappa,
                                 moment_identities, r_stat, s_stat,
                                 s_stat_quadrature, t_stat_closed,
                                 t_stat_quadrature)
-from oracles import (imhof_tail, limit_eigenvalues, limit_mean, quad_delta, quad_delta_beta,
-                     quad_expect)
+from oracles import (imhof_tail, limit_eigenvalues, limit_mean, local_drift, quad_delta,
+                     quad_delta_beta, quad_expect)
 
 residual_vectors = arrays(
     np.float64, st.integers(4, 16),
@@ -50,6 +51,12 @@ def test_weight_spec_validation():
         WeightSpec(-2.0)
     with pytest.raises(DomainError):
         WeightSpec(math.inf)
+    # The rate check is T's tuning check: a rate below 1e-100, a bool or
+    # text is rejected, as in a StatSpec; None, which T's check reads as its
+    # default rate, is no rate either.
+    for bad in (1e-200, True, "3", None):
+        with pytest.raises(DomainError):
+            WeightSpec(bad)
 
 
 def test_t_stat_at_zero_vector_has_closed_value():
@@ -301,6 +308,62 @@ def test_critical_value_of_t_approaches_its_null_limit(method):
     (row,) = calibrate([StatSpec("T", 3)], 1000, [0.05], cfg).rows
     assert imhof_tail(lam, row.value - 3.0 * row.mc_std_error) >= 0.05
     assert imhof_tail(lam, row.value + 3.0 * row.mc_std_error) <= 0.05
+
+
+LOGNORMAL_HALF = AlternativeSpec("lognormal", (0.5,))
+
+
+@functools.lru_cache(maxsize=None)
+def _local_limit(method):
+    """T:3's null eigenvalues lambda_j and the b_j^2, b = U^T (sqrt(v) mu),
+    of its local limit sum_j lambda_j (N_j + delta b_j / sqrt(lambda_j))^2
+    along the mixtures (1 - delta/sqrt(n)) logistic + (delta/sqrt(n))
+    lognormal(0.5); its noncentralities are delta^2 b_j^2."""
+    lam, u = limit_eigenvalues(method, vectors=True)
+    v = statistics._hermgauss(60)[1] / math.sqrt(3.0)
+    b = u.T @ (np.sqrt(v) * local_drift(LOGNORMAL_HALF, method))
+    return lam, b * b
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("method", [Method.MOMENTS, Method.MAX_LIKELIHOOD])
+def test_mean_of_t_along_a_local_mixture_approaches_its_limit(method):
+    # At delta = 3 the local limit's mean, sum(lambda) + 9 int mu^2
+    # exp(-3 t^2) dt, is 0.8695 by moments and 0.4714 by ML; the engine's
+    # mean of T:3 at n = 250 lies within 4 SE.
+    lam, b2 = _local_limit(method)
+    limit = float(np.sum(lam) + 9.0 * np.sum(b2))
+    assert limit == pytest.approx({Method.MOMENTS: 0.8695,
+                                   Method.MAX_LIKELIHOOD: 0.4714}[method], abs=1e-4)
+    mix = AlternativeSpec("mixture", p=3.0 / math.sqrt(250), contaminant=LOGNORMAL_HALF)
+    cfg = McConfig(reps=8000, seed=11, workers=2, method=method)
+    values, failures = simulate_statistics([StatSpec("T", 3)], 250, cfg, mix)
+    t = values[0][~np.isnan(values[0])]
+    se = float(np.std(t, ddof=1)) / math.sqrt(t.size)
+    assert failures == 0
+    assert abs(float(np.mean(t)) - limit) <= 4.0 * se, (float(np.mean(t)), se, limit)
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("method", [Method.MOMENTS, Method.MAX_LIKELIHOOD])
+def test_local_power_of_t_approaches_the_noncentral_tail(method):
+    # The power of T:3 at 5% along p = delta / sqrt(250), delta = 1, 2, 3,
+    # lies within 4 SE of the local limit's tail at the null limit's own 5%
+    # critical value: 9.63%, 24.88% and 49.76% by moments, 10.59%, 28.95%
+    # and 57.20% by ML.  The tails are taken within 1e-7, which moves them
+    # by less than 1e-8 and costs a third of the default 1e-9.
+    lam, b2 = _local_limit(method)
+    cv = {Method.MOMENTS: 0.7355735, Method.MAX_LIKELIHOOD: 0.3521662}[method]
+    assert imhof_tail(lam, cv, 1e-7) == pytest.approx(0.05, abs=1e-6)
+    spec, n, deltas = StatSpec("T", 3), 250, (1.0, 2.0, 3.0)
+    table = calibrate([spec], n, [0.05], McConfig(reps=10000, seed=8, workers=2, method=method))
+    study = McConfig(reps=4000, seed=12, workers=2, method=method)
+    rows = local_power_curve(LOGNORMAL_HALF, [d / math.sqrt(n) for d in deltas], [spec], n,
+                             study, table)
+    for delta, row in zip(deltas, rows):
+        limit = 100.0 * imhof_tail(lam, cv, 1e-7, nu=delta**2 * b2)
+        assert abs(row.value - limit) <= 4.0 * row.mc_std_error, (delta, row.value,
+                                                                  row.mc_std_error, limit)
 
 
 # ---------------------------------------------------------------------------
