@@ -19,10 +19,10 @@ words or values into the law's (an inversion, a ratio, an exp, a factor)
 runs once per block.  Either way replication r sees exactly the stream of
 substream (s, r).
 
-Only ``AlternativeSpec.pdf``, ``mean``, ``std`` and ``breaks`` use scipy:
-they resolve the kind's ``scipy.stats`` law, importing scipy.stats on first
-call.  They serve ``statistics.delta_alternative``; sampling, calibration,
-power studies and p-values never import scipy.
+Only ``AlternativeSpec.parts`` and what is built on it (``pdf``, ``mean``,
+``std``, ``breaks``) use scipy.stats, importing it on first call.  They serve
+``statistics.delta_alternative``; sampling, calibration, power studies and
+p-values never import scipy.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import numpy as np
 from . import _kernels
 from .logistic_core import (DomainError, RngStream, c_exp, fill_logistic, is_number,
                             philox_words, random_doubles, uint64_index)
-from .logistic_core import pdf as logistic_pdf
 
 SQRT3 = math.sqrt(3.0)
 
@@ -52,9 +51,8 @@ class _Kind(NamedTuple):
     parameters its bare name means (None when all are required), the range
     rule in words and ``check`` testing it, how numpy's ``Generator`` draws
     it, its law (a function of the ``scipy.stats`` module and the parameters
-    that returns the frozen distribution), the ``kinks`` inside its support
-    where its density is not smooth, and, where that density can be infinite
-    at the upper end hi of the support, ``mirror``: the parameters of hi - X.
+    that returns the frozen distribution), and the ``kinks`` inside its
+    support where its density is not smooth.
 
     A draw is ``fill(gen, row, *params)``, which writes ``width`` values per
     observation into ``row`` in place, then, when ``finish`` is given,
@@ -73,7 +71,6 @@ class _Kind(NamedTuple):
     law: Callable[..., object]
     check: Callable[..., bool] = _positive
     kinks: tuple = ()
-    mirror: Optional[Callable[..., tuple]] = None
     width: int = 1
     finish: Optional[Callable[..., np.ndarray]] = None
     words: Optional[Callable[..., object]] = None
@@ -112,7 +109,7 @@ _KINDS = {
                                                             * random_doubles(w))),
     "beta": _Kind("b", 2, None, "finite shapes a, b > 0",
                   lambda gen, row, a, b: np.copyto(row, gen.beta(a, b, row.size)),
-                  lambda st, a, b: st.beta(a, b), mirror=lambda a, b: (b, a)),
+                  lambda st, a, b: st.beta(a, b)),
     # chisquare(df) is 2 * standard_gamma(df / 2).
     "chisquare": _Kind("chisq chi2", 1, None, "finite df > 0",
                        lambda gen, row, df: gen.standard_gamma(df / 2.0, out=row),
@@ -138,8 +135,8 @@ def _rekeyed(gen: np.random.Generator, seed: int, first: int, rows: int):
 @functools.lru_cache(maxsize=64)
 def _frozen_law(kind: str, params: tuple):
     """The frozen ``scipy.stats`` law of ``kind`` at ``params``, built once:
-    freezing one costs ~1 ms, and ``delta_alternative`` asks it for the
-    density once per refinement level.  Imports scipy.stats on the first call."""
+    freezing one costs ~1 ms, and every call of ``parts`` asks for it.
+    Imports scipy.stats on the first call."""
     import scipy.stats
 
     return _KINDS[kind].law(scipy.stats, *params)
@@ -153,7 +150,7 @@ class AlternativeSpec:
     and every parameter must be a finite ``is_number``.  Mixtures draw each
     observation from the standard logistic base with probability 1 - p and
     from the contaminant with probability p; with p = 0 or 1 a mixture is
-    the law it draws (``_drawn``) in its samples, density, moments, breaks.
+    the law it draws (``_drawn``) in its samples and its parts.
     """
 
     kind: str
@@ -248,54 +245,49 @@ class AlternativeSpec:
         elif drawn is not out:
             out[:] = drawn
 
-    # -- density and moments (for the population discrepancy) ---------------
-    def pdf(self, x, cut: float = 0.0):
-        """The density at cut + x; at the upper end of a support whose kind
-        has a ``mirror``, the mirrored law's at -x, which stays finite where
-        cut + x rounds onto that end."""
+    # -- parts, density and moments (for the population discrepancy) --------
+    def parts(self) -> list:
+        """(weight, frozen ``scipy.stats`` law, kinks) for each part of the law
+        drawn: the law itself with weight 1, or a mixture's standard logistic
+        base (1 - p) and its contaminant (p)."""
         law = self._drawn()
-        if law.kind == "mixture":
-            return (1.0 - law.p) * logistic_pdf(np.add(cut, x)) \
-                + law.p * law.contaminant.pdf(x, cut)
-        frozen, mirror = _frozen_law(law.kind, law.params), _KINDS[law.kind].mirror
-        if mirror is not None and cut == frozen.support()[1]:
-            return _frozen_law(law.kind, mirror(*law.params)).pdf(np.negative(x))
-        return frozen.pdf(np.add(cut, x))
+        pairs = ([(1.0 - law.p, AlternativeSpec("logistic")), (law.p, law.contaminant)]
+                 if law.kind == "mixture" else [(1.0, law)])
+        return [(w, _frozen_law(s.kind, s.params), _KINDS[s.kind].kinks) for w, s in pairs]
+
+    def pdf(self, x):
+        """The density at x, the weighted sum of the parts'."""
+        return sum(w * law.pdf(x) for w, law, _ in self.parts())
 
     def mean(self) -> float:
-        law = self._drawn()
-        if law.kind == "mixture":
-            return law.p * law.contaminant.mean()
-        return float(_frozen_law(law.kind, law.params).mean())
+        return sum(w * float(law.mean()) for w, law, _ in self.parts())
 
     def std(self) -> float:
-        law = self._drawn()
-        if law.kind == "mixture":
-            m_c = law.contaminant.mean()
-            second = (1.0 - law.p) * (math.pi**2 / 3.0) \
-                + law.p * (law.contaminant.std() ** 2 + m_c**2)
-            return math.sqrt(second - law.mean() ** 2)
-        return float(_frozen_law(law.kind, law.params).std())
+        parts = self.parts()
+        if len(parts) == 1:
+            return float(parts[0][1].std())
+        second = sum(w * float(law.var() + law.mean() ** 2) for w, law, _ in parts)
+        return math.sqrt(second - self.mean() ** 2)
 
     def breaks(self) -> tuple:
         """The points where the density is not smooth, in increasing order: the
-        finite ends of the support and the kinks; a mixture has its contaminant's."""
-        law = self._drawn()
-        if law.kind == "mixture":
-            return law.contaminant.breaks()
-        ends = _frozen_law(law.kind, law.params).support()
-        return tuple(sorted({*(float(v) for v in ends if math.isfinite(v)),
-                             *_KINDS[law.kind].kinks}))
+        finite ends of the supports and the kinks of the parts."""
+        return tuple(sorted({float(v) for _, law, kinks in self.parts()
+                             for v in (*law.support(), *kinks) if math.isfinite(v)}))
 
     # -- text form ---------------------------------------------------------
     def label(self) -> str:
-        """The kind, with its parameters unless they are the defaults;
-        ``parse`` reads it back to an equal spec."""
+        """The kind, with its parameters unless they are the defaults, each
+        number in ``:g`` form unless that rounds it; ``parse`` reads it back
+        to an equal spec."""
+        def number(v):
+            return f"{v:g}" if float(f"{v:g}") == v else repr(v)
+
         if self.kind == "mixture":
-            return f"mixture({self.p:g},{self.contaminant.label()})"
+            return f"mixture({number(self.p)},{self.contaminant.label()})"
         if self.params == _KINDS[self.kind].defaults:
             return self.kind
-        return f"{self.kind}({','.join(f'{v:g}' for v in self.params)})"
+        return f"{self.kind}({','.join(map(number, self.params))})"
 
     @classmethod
     def parse(cls, text: str) -> "AlternativeSpec":

@@ -17,8 +17,9 @@ independently of the kernel and serve as oracles for both.
 
 ``moment_identities`` and ``covariance_kernel`` (a matrix for arrays s and
 t) integrate on a fixed Gauss-Legendre rule, ``delta_alternative`` on fixed
-double-exponential nodes.  Only ``s_stat_quadrature`` imports scipy, on
-first call, so importing this module or computing a statistic loads none.
+double-exponential nodes in u = F(x).  Only ``s_stat_quadrature`` imports
+scipy, on first call, so importing this module or computing a statistic
+loads none.
 """
 
 from __future__ import annotations
@@ -271,9 +272,9 @@ def covariance_kernel(s, t, method: Method = Method.MOMENTS):
 
 def delta_alternative(alt, w: WeightSpec = WeightSpec()) -> float:
     """Population discrepancy Delta of a fixed alternative distribution
-    ``alt``, such as an ``AlternativeSpec``: its ``pdf(x, cut)``, the density
-    at cut + x, its finite ``mean()`` and ``std()``, and its ``breaks()``,
-    where the density is not smooth, are all it takes of it.
+    ``alt``, such as an ``AlternativeSpec``: its finite ``mean()`` and
+    ``std()``, and its ``parts()``, each (weight, law with scipy's ``ppf``,
+    ``isf`` and ``cdf``, kinks), are all it takes of it.
 
     The alternative is affinely standardized to mean 0 and variance pi^2/3
     (the limit of moment-fitted residuals), then
@@ -282,8 +283,8 @@ def delta_alternative(alt, w: WeightSpec = WeightSpec()) -> float:
     statistic value/n converges to Delta, its V-statistic limit
     sqrt(pi/a) E[h(Y, Y')] with h the pair term of ``t_stat_closed``
     (Baringhaus, Ebner & Henze, AISM 2017).  That double expectation is one
-    trapezoid sum q @ H @ q on the nodes of ``_de_nodes``, by the kernel's
-    ``_pair_total``, which takes H in row blocks of at most
+    trapezoid sum q @ H @ q on the nodes of ``_quantile_nodes``, by the
+    kernel's ``_pair_total``, which takes H in row blocks of at most
     ``_kernels._PAIR_BUDGET`` pairs.  Its step is halved
     from 1/2 to 1/256 until two values agree to 1e-11, against
     Delta <= sqrt(pi/a) (1 + 1/2a); QuadratureError if they never do.
@@ -293,14 +294,12 @@ def delta_alternative(alt, w: WeightSpec = WeightSpec()) -> float:
     if not (math.isfinite(mean) and math.isfinite(std) and std > 0):
         raise DomainError("alternative must have a finite mean and positive finite variance")
     c = std * math.sqrt(3.0) / math.pi
-    cuts = alt.breaks() or (mean,)
     a = w.a
     previous = None
     with np.errstate(all="ignore"):
         for level in range(1, 9):
-            x, q = _de_nodes(cuts, c, level, alt.pdf)
-            keep = q > 0
-            q, y = q[keep], (x[keep] - mean) / c
+            x, q = _quantile_nodes(alt.parts(), level)
+            y = (x - mean) / c
             total = _kernels._pair_total(y, np.tanh(y / 2.0), a, q)
             value = math.sqrt(math.pi / a) * float(total)
             if previous is not None and abs(value - previous) <= 1e-11:
@@ -309,29 +308,32 @@ def delta_alternative(alt, w: WeightSpec = WeightSpec()) -> float:
     raise QuadratureError("double-exponential refinement of the discrepancy did not stabilize")
 
 
-def _de_nodes(cuts, c: float, level: int, density) -> tuple:
-    """Double-exponential nodes and trapezoid weights (Takahasi & Mori, 1974)
-    times ``density(offset, cut)``, step 2^-level in u on [-6, 6], on the line
-    cut at ``cuts`` (increasing): cuts[0] - c e(u) and cuts[-1] + c e(u),
-    e(u) = exp(pi/2 sinh u), on the outer half-lines, lo + (hi - lo)
-    expit(pi sinh u) between cuts.  Each is an offset from the nearer cut, so
-    a node that rounds onto a cut still takes the density next to it.  At
-    u = +-6 they come within 2.5e-138 c of a cut (6e-276 (hi - lo) between
-    cuts: gamma(0.1) loses 1e-14 of its mass) and reach 4e137 c, past which
-    finite variance leaves mass below 1e-274 and squared distances stay finite."""
-    u = np.arange(-6 << level, (6 << level) + 1) * 2.0**-level
-    s = np.sinh(u)
-    e = np.exp(0.5 * math.pi * s)
-    near, far = expit(math.pi * s), expit(-math.pi * s)
-    outer = c * 0.5 * math.pi * np.cosh(u) * e * 2.0**-level
-    inner = math.pi * np.cosh(u) * near * far * 2.0**-level
-    pieces = [(cuts[0], -c * e, outer), (cuts[-1], c * e, outer)]
-    left = u < 0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        pieces.append((lo, (hi - lo) * near[left], (hi - lo) * inner[left]))
-        pieces.append((hi, -(hi - lo) * far[~left], (hi - lo) * inner[~left]))
-    return (np.concatenate([cut + d for cut, d, _ in pieces]),
-            np.concatenate([wt * density(d, cut) for cut, d, wt in pieces]))
+def _quantile_nodes(parts, level: int) -> tuple:
+    """Nodes x and weights q of the double-exponential trapezoid rule
+    (Takahasi & Mori, 1974) for E f(X), the sum over ``parts`` of weight
+    times the integral of f(F^-1(u)) over the pieces (lo, hi) of (0, 1) cut
+    at F(kink).  The node at v = k 2^-level, |v| <= 6, lies (hi - lo)
+    expit(-pi sinh|v|) from lo (v < 0) or hi (v >= 0), and its x is ``ppf``
+    of lo or ``isf`` of 1 - hi plus that offset, so none rounds onto an
+    end.  Nodes of weight at most 1e-30 are skipped.  Quantiles never
+    decrease, so a node that an inversion puts past its inner neighbour
+    (scipy's beta ``ppf`` at tiny u) takes that neighbour's value."""
+    v = np.arange((6 << level) + 1) * 2.0**-level
+    share = expit(-math.pi * np.sinh(v))
+    weight = math.pi * np.cosh(v) * share * expit(math.pi * np.sinh(v)) * 2.0**-level
+    xs, qs = [], []
+    for part, law, kinks in parts:
+        ends = [0.0, *map(law.cdf, kinks), 1.0]
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            q = part * (hi - lo) * weight
+            keep = q > 1e-30
+            q, d = q[keep], (hi - lo) * share[keep]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                xs += [np.minimum.accumulate(law.ppf(lo + d[1:])),
+                       np.maximum.accumulate(law.isf(1.0 - hi + d))]
+            qs += [q[1:], q]
+    return np.concatenate(xs), np.concatenate(qs)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from logigof import _kernels, montecarlo
 from logigof.estimation import Method
@@ -87,6 +89,21 @@ def test_alternative_parse_aliases_and_errors():
                    {"p": True, "contaminant": cauchy}, {"p": False, "contaminant": cauchy}):
         with pytest.raises(DomainError):
             AlternativeSpec("mixture", **fields)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(montecarlo._KINDS)),
+       values=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2),
+       p=st.none() | st.floats(0.0, 1.0))
+def test_every_label_parses_back(kind, values, p):
+    # The label is the alternative column of power CSVs: a number that the
+    # short form would round is written in full.
+    params = values[:montecarlo._KINDS[kind].arity]
+    assume(montecarlo._KINDS[kind].check(*params))
+    spec = AlternativeSpec(kind, params)
+    if p is not None:
+        spec = AlternativeSpec("mixture", p=p, contaminant=spec)
+    assert AlternativeSpec.parse(spec.label()) == spec
 
 
 # For each kind with parameters, finite ones that its ``check`` rejects.
@@ -322,6 +339,11 @@ def test_mixture_moments():
     direct = (0.7 * np.exp(-x) / (1 + np.exp(-x))**2
               + 0.3 * np.where(x > 0, x * np.exp(-x), 0.0))
     np.testing.assert_allclose(mix.pdf(x), direct, rtol=1e-10, atol=1e-12)
+    # The density is 0 at +-inf, for a mixture as for its contaminant.
+    ends = [-math.inf, 0.0, math.inf]
+    np.testing.assert_array_equal(AlternativeSpec("laplace").pdf(ends), [0.0, 0.5, 0.0])
+    np.testing.assert_allclose(AlternativeSpec.parse("mixture(0.3,laplace)").pdf(ends),
+                               [0.0, 0.7 * 0.25 + 0.3 * 0.5, 0.0], rtol=1e-15)
 
 
 def test_parametrized_logistic_alternative():

@@ -22,7 +22,7 @@ from logigof.statistics import (DomainError, NumericOverflowError, WeightSpec,
                                 s_stat_quadrature, t_stat_closed,
                                 t_stat_quadrature)
 from oracles import (imhof_tail, limit_eigenvalues, limit_mean, local_drift, quad_delta,
-                     quad_delta_beta, quad_expect)
+                     quad_delta_beta, quad_delta_gamma, quad_expect)
 
 residual_vectors = arrays(
     np.float64, st.integers(4, 16),
@@ -463,9 +463,10 @@ def test_delta_is_affine_invariant(left, right):
 
 
 def test_delta_at_an_infinite_density_on_an_upper_break():
-    # The beta density is infinite at 1 when q < 1, and the nodes next to 1
-    # round onto it; their density comes from their offset to it.  The
-    # oracle integrates in phi, x = sin(phi)^2, where no density is infinite.
+    # The beta density is infinite at 1 when q < 1.  The nodes next to 1
+    # are placed by the law's isf of their offset from u = 1, so none rounds
+    # onto it, and no density is evaluated.  The oracle integrates in phi,
+    # x = sin(phi)^2, where no density is infinite.
     # A law and its mirror image have the same Delta.
     for p, q in ((0.5, 0.5), (2.0, 0.5)):
         value = delta_alternative(AlternativeSpec("beta", (p, q)), WeightSpec(3.0))
@@ -476,10 +477,57 @@ def test_delta_at_an_infinite_density_on_an_upper_break():
     assert delta_alternative(AlternativeSpec("gamma", (0.5,))) == pytest.approx(0.06690, abs=5e-6)
 
 
+def test_delta_nodes_of_tiny_weight_lie_next_to_the_ends_of_the_support():
+    # scipy's beta(0.5, 2) ppf returns 0.5 for u in about (1.7e-16, 4.4e-16);
+    # a node there takes its inner neighbour's value, which is near 0.
+    parts = AlternativeSpec("beta", (0.5, 2.0)).parts()
+    for level in range(1, 9):
+        x, q = statistics._quantile_nodes(parts, level)
+        assert np.all(np.minimum(x[q < 1e-12], 1.0 - x[q < 1e-12]) < 1e-5)
+
+
+@pytest.mark.parametrize("k", [0.02, 0.05, 0.1, 0.5])
+def test_delta_of_gamma_with_a_steep_density_at_zero(k):
+    # gamma(k) puts mass x^k / Gamma(k + 1) below x: at k = 0.02, 45% of it
+    # lies below 4e-18.  The oracle sums the trapezoid rule in log x, where
+    # the density is finite, and takes no inverse CDF.
+    value = delta_alternative(AlternativeSpec("gamma", (k,)), WeightSpec(3.0))
+    assert value == pytest.approx(quad_delta_gamma(k), rel=1e-10)
+
+
+# Delta by the rule that placed its nodes in x and weighted them by the
+# density, cut at the support's ends and kinks, recorded to 17 digits.
+# beta(10,2) fails to stabilize if nodes of weight below 1e-30 are inverted.
+DELTA_RECORDED = {
+    "normal": 0.0014988821170463301,
+    "laplace": 0.0030776678385442255,
+    "uniform": 0.016864383295153145,
+    "t(3)": 0.010766511779691816,
+    "t(5)": 0.00074332115946393633,
+    "gamma(0.1)": 0.12761586038206993,
+    "beta(0.5,0.5)": 0.030417820552454362,
+    "beta(0.5,2)": 0.046956391194604416,
+    "beta(2,10)": 0.016039117657108859,
+    "beta(10,2)": 0.016039117657108845,
+    "lognormal(1)": 0.070409035664764238,
+    "lognormal(3)": 0.16873853566356239,
+    "chisquare(2)": 0.041640791120732164,
+    "mixture(0.2,laplace)": 0.00014186682713903629,
+    "mixture(0.5,t(3))": 0.0026440688865058005,
+}
+
+
+@pytest.mark.parametrize("label", DELTA_RECORDED)
+def test_delta_matches_its_recorded_values(label):
+    recorded = DELTA_RECORDED[label]
+    value = delta_alternative(AlternativeSpec.parse(label), WeightSpec(3.0))
+    assert abs(value - recorded) <= max(1e-10 * abs(recorded), 1e-13), (value, recorded)
+
+
 def test_delta_memory_is_bounded():
     # H is taken in row blocks of at most _kernels._PAIR_BUDGET pairs, so the
     # peak (0.8 MB) stays far below one whole H at the last level that t(3)
-    # needs: up to 3074^2 doubles, 76 MB.
+    # needs: 967^2 doubles, 7.5 MB.
     import tracemalloc
 
     from logigof.montecarlo import AlternativeSpec
