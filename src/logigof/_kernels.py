@@ -72,8 +72,8 @@ Both sums over j of a node block, of f(t_k Y_j) and of m_j f(t_k Y_j), are
 one matrix product per row with the two rows (1, m).  For T those rows are
 (exp(i k0 h Y), m exp(i k0 h Y)), one pair per node block, against the
 powers of z, which are the same for every block.  T stacks the pairs of up
-to ``_node_block(n)`` / 2 node blocks (32 nodes at n <= 2048, all the nodes
-of most moment rows at n = 50) into one left operand, so a row takes one
+to 4 node blocks (32 nodes, all the nodes of most moment rows at n = 50)
+into one left operand, so a row takes one
 (2 nb, n) by (n, B) complex product where it took nb products of (2, n) by
 (n, B).  Most of a small product's time is the call: at n = 50 one (2, n)
 by (n, 8) product takes 0.73 us and one (6, n) by (n, 8) product 1.03 us
@@ -84,15 +84,15 @@ one (2 + s, count) by (count, q) product with the cached weight table
 ceil(0.7 c + 4 c^(1/3) + 4) with c = 2 max|Y| + 2 pi max(v), which bounds
 the rule's error on exp(c t) to 1e-17 of its integral; tables are built on
 first use and cached.  Node counts are rounded up to whole blocks of
-``_NODE_BLOCK`` = 8 nodes (fewer for n > 2048, see ``_node_block``),
-S and R counts then to an even number, and depend only on the row and on
-the tunings of the call.  An even Gauss-Legendre rule pairs each node t
-with -t at the same weight; ``_sr_rule`` mirrors the positive half, so the
-pairing is exact.  S and R therefore form t_k Y_j and exp(t_k Y_j) at the
-positive nodes only, and take exp(-t_k Y_j) as the reciprocal of
-exp(t_k Y_j): per observation and node pair one product, one exponential
-and one reciprocal, where a reciprocal costs less than the exponential
-alone (0.9 against 1.2 ns per value on a 2-vCPU x86-64 host).
+``_NODE_BLOCK`` = 8 nodes at every n, so S and R counts are even, and
+depend only on the row and on the tunings of the call.  An even
+Gauss-Legendre rule pairs each node t with -t at the same weight;
+``_sr_rule`` mirrors the positive half, so the pairing is exact.  S and R
+therefore form t_k Y_j and exp(t_k Y_j) at the positive nodes only, and
+take exp(-t_k Y_j) as the reciprocal of exp(t_k Y_j): per observation and
+node pair one product, one exponential and one reciprocal, where a
+reciprocal costs less than the exponential alone (0.9 against 1.2 ns per
+value on a 2-vCPU x86-64 host).
 Since 2 max|Y| <= ``_EXP_LIMIT`` on every row they see, |t Y| <= 350 and
 neither value leaves the normal range.
 
@@ -122,15 +122,16 @@ Memory.  The pair path takes one row at a time, in blocks of j of at most
 ``_PAIR_BUDGET`` pairs (one j of n pairs when n exceeds the budget), and
 keeps a few temporaries of one block.  Both spectral paths take the rows of
 each node count in blocks (``_count_blocks``).  T's node block of
-``_node_block(n)`` nodes holds at most ``_PAIR_BUDGET`` complex powers, and
-its stacked anchors as many.  S and R's node block of up to
-``_SR_BUDGET`` / n positive nodes holds at most ``_SR_BUDGET`` =
-4 ``_PAIR_BUDGET`` values exp(t Y), 512 KB: a quarter of a 2 MB L2 cache,
-and about 64 rows at n = 50 where ``_PAIR_BUDGET`` held 16, so the ~17
-numpy calls of a block serve 4 times as many rows.  T keeps the smaller
-blocks: the same scale-up made T alone slower on 1024 rows at n = 50
-(median of 15 alternating rounds: 8.2 against 9.5 us per row on logistic
-rows, 8.8 against 9.0 on Cauchy rows).  A block holds one row when n
+``_NODE_BLOCK`` nodes holds at most ``_PAIR_BUDGET`` complex powers, and
+its stacked anchors as many: a row of more than ``_PAIR_BUDGET`` /
+``_NODE_BLOCK`` = 2048 observations is summed over chunks of that many.
+S and R's node block of up to ``_SR_BUDGET`` / n positive nodes holds at
+most ``_SR_BUDGET`` = 4 ``_PAIR_BUDGET`` values exp(t Y), 512 KB: a quarter
+of a 2 MB L2 cache, and about 64 rows at n = 50 where ``_PAIR_BUDGET`` held
+16, so the ~17 numpy calls of a block serve 4 times as many rows.  T keeps
+the smaller blocks: the same scale-up made T alone slower on 1024 rows at
+n = 50 (median of 15 alternating rounds: 8.2 against 9.5 us per row on
+logistic rows, 8.8 against 9.0 on Cauchy rows).  A block holds one row when n
 exceeds its budget.  Those values fill one scratch buffer allocated once
 per call, and a block keeps only O(rows K) node sums.  The rows of a count
 are read block by block, so no (rows, n) copy of a whole group is made.
@@ -148,14 +149,14 @@ the other rows of the batch, and whatever the number of workers.  The pair
 path sums each row on its own, over blocks of j whose lengths depend on n
 only, in a fixed order.  Both spectral paths group rows by node count, so
 no row is evaluated past its own count, and a row's rule, node blocks and
-matrix shapes follow from n and its own count only.  Every batched product is one
-product per row, however many rows a block holds, since BLAS may round a
-product's rows differently when its shape changes (that is why T's node
-blocks are computed whole): for T a (2 nb, n) by (n, B) product of nb
-stacked node blocks, for S and R one (2, n) by (n, nodes) product per node
-block and sign and one (2 + s, count) by (count, q) product of the
-weighted terms, so each row's terms are summed over its own nodes
-alone.
+matrix shapes follow from n and its own count only.  Every batched
+product is one product per row, however many rows a block holds, since BLAS
+may round a product's rows differently when its shape changes (that is why
+T's node blocks are computed whole): for T a (2 nb, n) by (n, B) product of
+nb stacked node blocks per chunk of observations, for S and R one (2, n) by
+(n, nodes) product per node block and sign and one (2 + s, count) by
+(count, q) product of the weighted terms, so each row's terms are summed
+over its own nodes alone.
 """
 
 from __future__ import annotations
@@ -275,14 +276,6 @@ def _pair_sums(y, m, rates) -> np.ndarray:
 # the spectral path
 
 
-def _node_block(n: int) -> int:
-    """Nodes per block for rows of n observations: ``_NODE_BLOCK``, or the
-    largest power of two that keeps one row's block within ``_PAIR_BUDGET``
-    elements.  It depends on n only and divides ``_ANCHOR``."""
-    fit = max(1, _PAIR_BUDGET // n)
-    return min(_NODE_BLOCK, 1 << (fit.bit_length() - 1))
-
-
 def _count_blocks(counts, step):
     """(count, rows) for the rows of each distinct node count of ``counts``,
     in blocks of ``step(count)`` rows.  rows is a slice when every row has
@@ -298,14 +291,13 @@ def _count_blocks(counts, step):
             yield count, slice(r0, r0 + rows) if group is None else group[r0:r0 + rows]
 
 
-def _padded(counts, n):
-    """Node counts rounded up to whole blocks of ``_node_block(n)`` nodes,
-    T's and S/R's alike.  T computes its node blocks whole, so there the
-    extra nodes cost nothing and only refine the rule.  S and R evaluate
-    every node, extra ones included; the rounding bounds how many distinct
-    counts, and so how many row groups, a batch can have."""
-    block = _node_block(n)
-    return np.ceil(counts / block) * block
+def _padded(counts):
+    """Node counts rounded up to whole blocks of ``_NODE_BLOCK`` nodes, T's
+    and S/R's alike, so every count is even.  T computes its node blocks
+    whole, so there the extra nodes cost nothing and only refine the rule.
+    S and R evaluate every node, extra ones included; the rounding bounds
+    how many distinct counts, and so how many row groups, a batch can have."""
+    return np.ceil(counts / _NODE_BLOCK) * _NODE_BLOCK
 
 
 def _t_step(y, rates):
@@ -322,9 +314,8 @@ def _t_route(y, rates):
     nodes.  Nodes reach t_max = sqrt(_DECAY / a_min), past which every
     weight is below exp(-_DECAY).  Rows with NaN have no count and are not
     selected."""
-    n = y.shape[1]
-    counts = _padded(np.ceil(math.sqrt(_DECAY / min(rates)) / _t_step(y, rates)) + 1.0, n)
-    return counts, counts <= max(_ANCHOR, n)
+    counts = _padded(np.ceil(math.sqrt(_DECAY / min(rates)) / _t_step(y, rates)) + 1.0)
+    return counts, counts <= max(_ANCHOR, y.shape[1])
 
 
 def _abs_max(y):
@@ -337,12 +328,11 @@ def _sr_counts(y, orders):
     integrands are sums of exp(s t) with |s| <= c = 2 max|Y|, times
     sin^2(pi v t) for R; ceil(0.7 c' + 4 c'^(1/3) + 4) nodes with
     c' = c + 2 pi max(v) bound the Gauss-Legendre error of exp(c' t) to 1e-17
-    of its integral.  Counts are rounded up to whole node blocks and then to
-    an even number, so that the nodes pair as +-t.  Inside the exp range that
+    of its integral.  Counts are rounded up to whole node blocks, an even
+    number, so that the nodes pair as +-t.  Inside the exp range that
     is at most 544 nodes for orders up to 3, and 984 at order 100."""
     c = 2.0 * _abs_max(y) + 2.0 * math.pi * max(orders, default=0)
-    counts = _padded(np.ceil(0.7 * c + 4.0 * np.cbrt(c) + 4.0), y.shape[1]).astype(int)
-    return counts + counts % 2
+    return _padded(np.ceil(0.7 * c + 4.0 * np.cbrt(c) + 4.0)).astype(int)
 
 
 @functools.lru_cache(maxsize=512)
@@ -399,55 +389,60 @@ def _t_spectral(y, m, rates, counts) -> np.ndarray:
     sum_j (it - m_j) exp(itY_j): the integrand is even, so the trapezoid
     rule on t = 0, h, 2h, ... weights t = 0 by h and every other node by 2h.
     All rates share the node sums.  Rows are taken by node count, in blocks
-    whose node block holds at most ``_PAIR_BUDGET`` values.
+    whose node block holds at most ``_PAIR_BUDGET`` values; a row of more
+    than ``_PAIR_BUDGET`` / B observations is summed over chunks of that
+    many, and the chunks' node sums are added.
 
     exp(i t_k Y_j) comes from a rotation: with z_j = exp(i h Y_j), taken
-    from a cos and a sin, and the powers z^0 .. z^(B-1) of one node block,
-    kept node-major, a block starting at node k0 is exp(i k0 h Y) times the
-    powers.  The rows (exp(i k0 h Y), m exp(i k0 h Y)) of up to B/2 node
-    blocks are stacked, so that all sums over j of those 32 nodes (at
-    B = 8) are one matrix product with the powers, and the stacked rows of
-    a row block take no more room than its powers.  exp(i k0 h Y) is
-    evaluated directly every ``_ANCHOR`` = 32 nodes and rotated by z^B in
-    between, so no node is more than 32 complex products from a direct
-    value, a phase error of ~32 eps.  On logistic rows at n = 50 the weight
-    is below about e^-22 from node 16 on, so the chains past it change no
-    value there."""
+    from a cos and a sin, and the powers z^0 .. z^(B-1) of one node block
+    of B = ``_NODE_BLOCK`` = 8 nodes, kept node-major, a block starting at
+    node k0 is exp(i k0 h Y) times the powers.  The rows
+    (exp(i k0 h Y), m exp(i k0 h Y)) of ``_ANCHOR`` / B = 4 node blocks are
+    stacked, so that all sums over j of those 32 nodes are one matrix
+    product with the powers, and the stacked rows of a row block take no
+    more room than its powers.  exp(i k0 h Y) is evaluated directly at the
+    first block of each product, every ``_ANCHOR`` = 32 nodes, and rotated
+    by z^B in between, so no node is more than 32 complex products from a
+    direct value, a phase error of ~32 eps.  On logistic rows at n = 50 the
+    weight is below about e^-22 from node 16 on, so the chains past it
+    change no value there."""
     c, n = y.shape
-    block = _node_block(n)
+    block = _NODE_BLOCK
+    stack = _ANCHOR // block                         # node blocks per product
+    width = min(n, _PAIR_BUDGET // block)            # observations per chunk
     step = _t_step(y, rates)
     a = np.array(rates)
     scale = 2.0 * np.sqrt(a / math.pi)[:, None]
-    stack = max(1, block // 2)                       # node blocks per product
-    powers = np.empty(max(_PAIR_BUDGET, block * n), dtype=complex)
+    powers = np.empty(_PAIR_BUDGET, dtype=complex)
     out = np.empty((len(a), c))
     rows_per_block = max(1, _PAIR_BUDGET // (block * n))
     for count, sel in _count_blocks(counts, lambda count: rows_per_block):
-        yr, mr, h = y[sel], m[sel], step[sel, None]
-        rows = len(yr)
-        p = powers[:yr.size * block].reshape(block, rows, n)
-        z = _cis(h * yr, np.empty(yr.shape, dtype=complex))
-        p[0] = 1.0
-        for j in range(1, block):
-            np.multiply(p[j - 1], z, out=p[j])
-        z *= p[-1]                                    # z^B
-        nb = count // block
-        w = np.empty((rows, stack, 2, n), dtype=complex)
+        h = step[sel, None]
+        rows, nb = len(h), count // block
         sums = np.empty((rows, nb, 2, block), dtype=complex)
-        for b0 in range(0, nb, stack):
-            k = min(stack, nb - b0)
-            for b in range(k):
-                lo = (b0 + b) * block
-                if lo == 0:
-                    w[:, b, 0] = 1.0
-                elif lo % _ANCHOR:
-                    # at b = 0, w[:, -1] is the previous (full) product's last anchor
-                    np.multiply(w[:, b - 1, 0], z, out=w[:, b, 0])
+        for j0 in range(0, n, width):
+            yr, mr = y[sel, j0:j0 + width], m[sel, j0:j0 + width]
+            p = powers[:yr.size * block].reshape(block, *yr.shape)
+            z = _cis(h * yr, np.empty(yr.shape, dtype=complex))
+            p[0] = 1.0
+            for j in range(1, block):
+                np.multiply(p[j - 1], z, out=p[j])
+            z *= p[-1]                                # z^B
+            w = np.empty((rows, stack, 2, yr.shape[1]), dtype=complex)
+            part = sums if j0 == 0 else np.empty_like(sums)
+            for b0 in range(0, nb, stack):
+                k = min(stack, nb - b0)
+                if b0:
+                    _cis((h * (b0 * block)) * yr, w[:, 0, 0])
                 else:
-                    _cis((h * lo) * yr, w[:, b, 0])
-            np.multiply(w[:, :k, 0], mr[:, None], out=w[:, :k, 1])
-            np.matmul(w[:, :k].reshape(rows, 2 * k, n), p.transpose(1, 2, 0),
-                      out=sums[:, b0:b0 + k].reshape(rows, 2 * k, block))
+                    w[:, 0, 0] = 1.0
+                for b in range(1, k):
+                    np.multiply(w[:, b - 1, 0], z, out=w[:, b, 0])
+                np.multiply(w[:, :k, 0], mr[:, None], out=w[:, :k, 1])
+                np.matmul(w[:, :k].reshape(rows, 2 * k, -1), p.transpose(1, 2, 0),
+                          out=part[:, b0:b0 + k].reshape(rows, 2 * k, block))
+            if j0:
+                sums += part
         e, m_e = sums[:, :, 0], sums[:, :, 1]
         t = h * np.arange(count)
         tb = t.reshape(e.shape)
@@ -585,7 +580,7 @@ def evaluate_checked(y: np.ndarray, specs, counts: Optional[dict] = None) -> np.
     if counts is not None:
         counts.update(overflow=0, clamped=0)
     if rates or orders or need_s:
-        live = ~np.isnan(y).any(axis=1)
+        live = ~np.isnan(y[:, -1])                  # np.sort puts NaN last
         overflow = 2.0 * _abs_max(y) > _EXP_LIMIT
         m = np.tanh(y / 2.0)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -7,17 +7,15 @@ law and a contaminant; ``AlternativeSpec.parse`` reads the text form that
 ``label`` writes.
 
 A Monte Carlo chunk draws all its samples in one
-``AlternativeSpec.sample(..., reps=k)`` call.  Logistic and uniform samples,
-one Philox word per value, are computed from the words of all substreams at
-once (``logistic_core.philox_words``).  Every other draw is made by one
-Philox and Generator for the whole chunk, the Philox re-keyed before each
-replication to the fresh state of ``Philox(key=[s, r])``: a mixture row
-takes its picks and logistic base from the first 2n raw words and its
-contaminant's draw after them, and any other row numpy's own transforms,
-filled in place where numpy has an ``out=`` sampler.  The step that turns
-words or values into the law's (an inversion, a ratio, an exp, a factor)
-runs once per block.  Either way replication r sees exactly the stream of
-substream (s, r).
+``AlternativeSpec.sample(..., reps=k)`` call, on one Philox and Generator
+for the whole chunk, the Philox re-keyed before each replication to the
+fresh state of ``Philox(key=[s, r])``, so replication r sees exactly the
+stream of substream (s, r).  A logistic or uniform row takes n raw words,
+a mixture row takes its picks and logistic base from the first 2n raw
+words and its contaminant's draw after them, and any other row takes
+numpy's own transforms, filled in place where numpy has an ``out=``
+sampler.  The step that turns words or values into the law's (an
+inversion, a ratio, an exp, a factor) runs once per block.
 
 Only ``AlternativeSpec.parts`` and what is built on it (``pdf``, ``mean``,
 ``std``, ``breaks``) use scipy.stats, importing it on first call.  They serve
@@ -37,7 +35,7 @@ import numpy as np
 
 from . import _kernels
 from .logistic_core import (DomainError, RngStream, c_exp, fill_logistic, is_number,
-                            philox_words, random_doubles, uint64_index)
+                            random_doubles, uint64_index)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -56,8 +54,10 @@ class _Kind(NamedTuple):
 
     A draw is ``fill(gen, row, *params)``, which writes ``width`` values per
     observation into ``row`` in place, then, when ``finish`` is given,
-    ``finish(block, *params)`` on the filled rows of a whole block at once;
-    a kind drawn one raw word per value fills a block from them by ``words``.
+    ``finish(block, *params)`` on the filled rows of a whole block at once.
+    A kind drawn one raw word per value has no ``fill``: each row takes n
+    raw words, and ``words(block, words, *params)`` fills the block from
+    them.
     Each entry makes the same Generator calls, and the same arithmetic on
     their values, as numpy's sampler of that law, so the draws are its draws
     bit for bit.  ``_frozen_law`` alone calls ``law``, importing scipy.stats
@@ -67,7 +67,7 @@ class _Kind(NamedTuple):
     arity: int
     defaults: Optional[tuple]
     rule: str
-    fill: Callable[..., object]
+    fill: Optional[Callable[..., object]]
     law: Callable[..., object]
     check: Callable[..., bool] = _positive
     kinks: tuple = ()
@@ -77,9 +77,7 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    "logistic": _Kind("l", 2, (0.0, 1.0), "finite mu and sigma > 0",
-                      lambda gen, row, mu, sigma: fill_logistic(
-                          row, gen.bit_generator.random_raw(row.size), mu, sigma),
+    "logistic": _Kind("l", 2, (0.0, 1.0), "finite mu and sigma > 0", None,
                       lambda st, mu, sigma: st.logistic(loc=mu, scale=sigma),
                       lambda mu, sigma: sigma > 0, words=fill_logistic),
     "normal": _Kind("n gaussian", 0, (), "no parameters",
@@ -102,8 +100,7 @@ _KINDS = {
                    lambda gen, row, k: gen.standard_gamma(k, out=row),
                    lambda st, k: st.gamma(k)),
     "uniform": _Kind("u", 2, (-SQRT3, SQRT3), "finite lo < hi with a finite hi - lo",
-                     lambda gen, row, lo, hi: np.copyto(row, gen.uniform(lo, hi, row.size)),
-                     lambda st, lo, hi: st.uniform(lo, hi - lo),
+                     None, lambda st, lo, hi: st.uniform(lo, hi - lo),
                      lambda lo, hi: lo < hi and math.isfinite(hi - lo),
                      words=lambda out, w, lo, hi: np.copyto(out, lo + (hi - lo)
                                                             * random_doubles(w))),
@@ -195,11 +192,10 @@ class AlternativeSpec:
         kind's ``_KINDS`` draw on that substream's fresh Generator, or for a
         mixture its picks (``random``), its logistic base and its
         contaminant's draw, one Generator call each (p = 0 or 1 draws the
-        ``_drawn`` law).  Logistic and uniform rows (kinds with ``words``)
-        come from ``philox_words``, all rows at once.  Every other row is
-        drawn from one Generator re-keyed fresh to its substream: 2n raw
-        words (picks, then logistic base) and then the contaminant's draw
-        for a mixture row, numpy's own transforms for any other.  Words
+        ``_drawn`` law).  Every row is drawn from one Generator re-keyed
+        fresh to its substream: 2n raw words (picks, then logistic base) and
+        then the contaminant's draw for a mixture row, n raw words for a
+        logistic or uniform row, numpy's own transforms for any other.  Words
         become values a block at a time.  Rows are drawn in blocks of at
         most ``_kernels._PAIR_BUDGET`` values, counting 2n per mixture row and
         ``width`` n per row of a kind.
@@ -213,9 +209,8 @@ class AlternativeSpec:
             raise DomainError(f"{k} replications from substream {stream.substream} "
                               f"pass the last substream index, 2^64 - 1")
         spec = self._drawn()
-        mixture = spec.kind == "mixture"
-        words = 2 * n if mixture else _KINDS[spec.kind].width * n
-        gen = stream.generator() if mixture or _KINDS[spec.kind].words is None else None
+        words = 2 * n if spec.kind == "mixture" else _KINDS[spec.kind].width * n
+        gen = stream.generator()
         step = max(1, _kernels._PAIR_BUDGET // (-(-words // 4) * 4))
         x = np.empty((k, n))
         for lo in range(0, k, step):
@@ -223,24 +218,27 @@ class AlternativeSpec:
         return x if reps is not None else x[0]
 
     def _fill(self, out: np.ndarray, seed: int, first: int, gen) -> None:
-        """Fill row i of ``out`` from substream ``first + i`` of ``seed``;
-        ``gen`` makes the draws that do not come from ``philox_words``."""
+        """Fill row i of ``out`` from substream ``first + i`` of ``seed``,
+        drawn by ``gen`` re-keyed to it."""
         rows, n = out.shape
         mixture = self.kind == "mixture"
         spec = self.contaminant if mixture else self
         kind, params = _KINDS[spec.kind], spec.params
-        if kind.words is not None and not mixture:
-            kind.words(out, philox_words(seed, first, rows, n), *params)
-            return
         raw = out if kind.width == 1 and not mixture else np.empty((rows, kind.width * n))
-        words = np.empty((rows, 2 * n), dtype=np.uint64) if mixture else None
+        # A mixture's picks and logistic base come first, then a word kind's draw.
+        head = 2 * n if mixture else 0
+        take = head + (0 if kind.words is None else n)
+        words = np.empty((rows, take), dtype=np.uint64)
         for i in _rekeyed(gen, seed, first, rows):
-            if mixture:
-                words[i] = gen.bit_generator.random_raw(2 * n)
-            kind.fill(gen, raw[i], *params)
+            if take:
+                words[i] = gen.bit_generator.random_raw(take)
+            if kind.words is None:
+                kind.fill(gen, raw[i], *params)
+        if kind.words is not None:
+            kind.words(raw, words[:, head:], *params)
         drawn = raw if kind.finish is None else kind.finish(raw, *params)
         if mixture:
-            fill_logistic(out, words[:, n:])
+            fill_logistic(out, words[:, n:head])
             np.copyto(out, drawn, where=random_doubles(words[:, :n]) < self.p)
         elif drawn is not out:
             out[:] = drawn

@@ -5,16 +5,13 @@ Monte Carlo layer.
 All functions accept scalars or array-likes and are overflow-safe: large
 standardized arguments underflow to zero rather than producing NaN or inf.
 
-Logistic draws invert raw Philox words.  ``philox_words`` runs
-Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-3", SC'11) in numpy, vectorised over (substream, counter block), so one
-call gives the words of many substreams: for key [seed, r], exactly those
-of ``np.random.Philox(key=[seed, r]).random_raw()``.  The block sampler of
-``alternatives`` takes them for logistic and uniform rows; ``sample``, one
-row, takes its words from ``RngStream.generator()``.
-``fill_logistic`` maps words to uniforms as ``Generator.integers(0, 2**53)``
-does and inverts those, and ``random_doubles`` maps them as
-``Generator.random`` does.  Each row therefore equals, bit for bit, the
+Logistic draws invert raw Philox words, which every caller takes from
+``RngStream.generator()``: ``sample`` from one substream's, and the block
+sampler of ``alternatives`` from one Generator re-keyed to each row's
+substream in turn.  ``fill_logistic`` maps words to uniforms as
+``Generator.integers(0, 2**53)`` does and inverts those, and
+``random_doubles`` maps them as ``Generator.random`` does, so a block of
+words becomes values in one call and each row equals, bit for bit, the
 per-substream stream.
 """
 
@@ -159,64 +156,7 @@ def quantile(u, p: LogisticParams = STANDARD):
     return _maybe_scalar(out, u)
 
 
-# Philox4x64-10: the round multipliers and the Weyl increments of the key.
-_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
-_PHILOX_M1 = np.uint64(0xCA5A826395121157)
-_PHILOX_W0 = 0x9E3779B97F4A7C15
-_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
-
-
-def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products m * x.  The high
-    word is built from 32-bit halves: with t = (m_lo x_lo) >> 32,
-    u = m_hi x_lo + t and v = m_lo x_hi + (u & (2^32 - 1)), it is
-    m_hi x_hi + (u >> 32) + (v >> 32).  u and v are at most
-    (2^32 - 1)^2 + 2^32 - 1 < 2^64, and the last sum is the exact high word,
-    so no partial sum wraps.  The temporaries are updated in place: 15 array
-    operations in all."""
-    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    u = m_lo * x_lo
-    u >>= _SHIFT32                                   # t
-    x_lo *= m_hi
-    u += x_lo                                        # u = m_hi x_lo + t
-    v = m_lo * x_hi
-    v += np.bitwise_and(u, _LOW32, out=x_lo)
-    v >>= _SHIFT32
-    u >>= _SHIFT32
-    x_hi *= m_hi
-    x_hi += u
-    x_hi += v
-    return x_hi, m * x
-
-
-def philox_words(seed: int, first: int, rows: int, n: int) -> np.ndarray:
-    """(rows, n) uint64 array whose row i holds the first n words of
-    ``np.random.Philox(key=[seed, first + i]).random_raw()``.
-
-    numpy increments the counter before it encrypts a block, so the stream's
-    blocks are counters 1, 2, ...; each gives four words in order.  The
-    caller keeps ``first + rows`` at most 2^64.  Every constant that meets
-    an array is a uint64 scalar, so no operand is ever promoted to float64.
-    """
-    blocks = -(-n // 4)
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (rows, blocks))
-    c1 = c2 = c3 = np.zeros((rows, blocks), dtype=np.uint64)
-    # The first key word is the same for every row; it is bumped as a Python
-    # int, because adding np.uint64 scalars warns when the sum wraps.
-    k0 = seed
-    k1 = np.uint64(first) + np.arange(rows, dtype=np.uint64)[:, None]
-    for i in range(10):
-        if i:
-            k0 = (k0 + _PHILOX_W0) % 2**64
-            k1 = k1 + _PHILOX_W1
-        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack((c0, c1, c2, c3), axis=-1).reshape(rows, 4 * blocks)[:, :n]
 
 
 def random_doubles(words: np.ndarray) -> np.ndarray:
@@ -229,7 +169,6 @@ def fill_logistic(out: np.ndarray, words: np.ndarray, mu: float = 0.0,
                   sigma: float = 1.0) -> np.ndarray:
     """Fill ``out`` with draws of L(mu, sigma) by inversion of the raw Philox
     words ``words`` of the same shape, one word each, and return ``out``.
-    With the words of ``philox_words``, row i is its substream's draw.
 
     The uniforms are ``Generator.integers(0, 2**53)``, which for this bound
     is the raw word shifted right by 11 bits, centred in their bins: strictly

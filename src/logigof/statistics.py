@@ -312,18 +312,21 @@ def _quantile_nodes(parts, level: int) -> tuple:
     """Nodes x and weights q of the double-exponential trapezoid rule
     (Takahasi & Mori, 1974) for E f(X), the sum over ``parts`` of weight
     times the integral of f(F^-1(u)) over the pieces (lo, hi) of (0, 1) cut
-    at F(kink).  The node at v = k 2^-level, |v| <= 6, lies (hi - lo)
-    expit(-pi sinh|v|) from lo (v < 0) or hi (v >= 0), and its x is ``ppf``
-    of lo or ``isf`` of 1 - hi plus that offset, so none rounds onto an
-    end.  Nodes of weight at most 1e-30 are skipped.  Quantiles never
-    decrease, so a node that an inversion puts past its inner neighbour
-    (scipy's beta ``ppf`` at tiny u) takes that neighbour's value."""
+    at F(kink) and at F(mean).  Nodes crowd at the ends of a piece, and a
+    U-shaped law such as beta(0.01, 0.01) has its quantile function jump
+    from near 0 to near 1 at F(mean), the middle of (0, 1).  The node at
+    v = k 2^-level, |v| <= 6, lies (hi - lo) expit(-pi sinh|v|) from lo
+    (v < 0) or hi (v >= 0), and its x is ``ppf`` of lo or ``isf`` of 1 - hi
+    plus that offset, so none rounds onto an end.  Nodes of weight at most
+    1e-30 are skipped.  Quantiles never decrease, so a node that an
+    inversion puts past its inner neighbour (scipy's beta ``ppf`` at tiny u)
+    takes that neighbour's value."""
     v = np.arange((6 << level) + 1) * 2.0**-level
     share = expit(-math.pi * np.sinh(v))
     weight = math.pi * np.cosh(v) * share * expit(math.pi * np.sinh(v)) * 2.0**-level
     xs, qs = [], []
     for part, law, kinks in parts:
-        ends = [0.0, *map(law.cdf, kinks), 1.0]
+        ends = sorted({0.0, *map(law.cdf, (*kinks, law.mean())), 1.0})
         for lo, hi in zip(ends[:-1], ends[1:]):
             q = part * (hi - lo) * weight
             keep = q > 1e-30

@@ -6,6 +6,7 @@ draws by inversion of a Generator's uniforms, and the discrepancy Delta by
 nested adaptive quadrature or, for gamma laws, by the trapezoid rule in
 log x."""
 
+import functools
 import math
 
 import numpy as np
@@ -203,24 +204,29 @@ def quad_delta(alt, a=3.0):
         return alt.pdf(mean + c * y) * c
 
     lo, hi = _effective_support(q)
-    return _hermite_delta(lambda y: (y, q(y)), lo, hi, a)
+    return _hermite_delta([(lambda y: (y, q(y)), lo, hi)], a)
 
 
 def quad_delta_beta(p, q, a=3.0):
-    """Delta of beta(p, q) as ``quad_delta`` takes it, with X = sin(phi)^2
-    for phi in (0, pi/2): the density times dX/dphi is
-    2 sin(phi)^(2p - 1) cos(phi)^(2q - 1) / B(p, q), finite at both ends
-    for p, q >= 1/2, where the density itself is infinite below 1."""
+    """Delta of beta(p, q) as ``quad_delta`` takes it, in two halves where
+    the integrand is finite at every shape, though the density is infinite
+    at 0 for p < 1 and at 1 for q < 1: X <= 1/2 in t = X^p, where the
+    density times dX/dt is (1 - X)^(q - 1) / (p B(p, q)), and X > 1/2 in its
+    mirror s = (1 - X)^q."""
     from scipy.special import beta
 
     mean = p / (p + q)
     c = math.sqrt(p * q / ((p + q) ** 2 * (p + q + 1.0))) * math.sqrt(3.0) / math.pi
 
-    def point(phi):
-        s, co = math.sin(phi), math.cos(phi)
-        return (s * s - mean) / c, 2.0 * s ** (2 * p - 1) * co ** (2 * q - 1) / beta(p, q)
+    def lower(t):
+        x = t ** (1.0 / p)
+        return (x - mean) / c, (1.0 - x) ** (q - 1.0) / (p * beta(p, q))
 
-    return _hermite_delta(point, 0.0, math.pi / 2.0, a)
+    def upper(s):
+        x = 1.0 - s ** (1.0 / q)
+        return (x - mean) / c, x ** (p - 1.0) / (q * beta(p, q))
+
+    return _hermite_delta([(lower, 0.0, 0.5 ** p), (upper, 0.0, 0.5 ** q)], a)
 
 
 def quad_delta_gamma(k, a=3.0):
@@ -247,23 +253,25 @@ def quad_delta_gamma(k, a=3.0):
     raise QuadratureError("trapezoid refinement in log x did not stabilize")
 
 
-def _hermite_delta(point, lo, hi, a):
+def _hermite_delta(pieces, a):
     """The integral over t of |E[(it - tanh(Y/2)) exp(itY)]|^2 exp(-a t^2),
-    where E is the integral over v in (lo, hi) of g(y) w with (y, w) =
-    ``point(v)``: the four trigonometric moments by one adaptive
-    ``quad_vec`` pass for all Gauss-Hermite nodes t, refined until two node
-    counts agree to 1e-9."""
+    where E is the sum over the (point, lo, hi) of ``pieces`` of the
+    integral over v in (lo, hi) of g(y) w with (y, w) = ``point(v)``: the
+    four trigonometric moments by one adaptive ``quad_vec`` pass per piece
+    for all Gauss-Hermite nodes t, refined until two node counts agree to
+    1e-9."""
     from scipy.integrate import quad_vec
 
     def g_squared(ts):
-        def moment_rows(v):
+        def moment_rows(point, v):
             y, w = point(v)
             ty = ts * y
             cos, sin = np.cos(ty), np.sin(ty)
             m = math.tanh(y / 2.0)
             return w * np.concatenate([cos, sin, m * cos, m * sin])
 
-        rows, _ = quad_vec(moment_rows, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=2000)
+        rows = sum(quad_vec(functools.partial(moment_rows, point), lo, hi, epsabs=1e-13,
+                            epsrel=1e-11, limit=2000)[0] for point, lo, hi in pieces)
         e_cos, e_sin, e_mcos, e_msin = np.split(rows, 4)
         re = -(ts * e_sin + e_mcos)
         im = ts * e_cos - e_msin

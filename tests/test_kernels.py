@@ -321,6 +321,25 @@ def test_memory_on_engine_chunks(rows, n):
     assert peak < 7 * y.nbytes + 52 * _PAIR_BUDGET
 
 
+def test_t_memory_past_n_2048_is_bounded():
+    # T sums a row of 10^5 observations over chunks of 2048, so beside the
+    # sorted row and its tanh (0.8 MB each) it keeps blocks of at most
+    # _PAIR_BUDGET values: 2.6 MB at the peak, where node blocks over all
+    # 10^5 observations at once take 8.1 MB.
+    tracemalloc = pytest.importorskip("tracemalloc")
+
+    y = _residual_rows("logistic", 1, 100_000, seed=42)
+    assert _t_spectral_rows(y).all()
+    compute_batch(y, [("T", 3.0)])
+    tracemalloc.start()
+    try:
+        value = compute_batch(y, [("T", 3.0)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value).all() and peak < 4e6
+
+
 def test_large_sample_matches_quadrature_oracles():
     from logigof.estimation import scaled_residuals
     from logigof.logistic_core import RngStream, sample
@@ -404,17 +423,17 @@ def test_pair_path_at_n_10000_matches_quadrature(kind):
         assert value == pytest.approx(t_stat_quadrature(res, WeightSpec(3.0)).value, rel=RTOL)
 
 
-def test_t_products_past_n_2048_carry_the_rotation():
-    # Past n = 2048 a node block has fewer than 8 nodes and one product
-    # stacks fewer than 32 nodes, so the anchor of a product's first block
-    # is rotated from the last block of the product before it.
+def test_t_past_n_2048_adds_the_node_sums_of_its_chunks():
+    # Past _PAIR_BUDGET / _NODE_BLOCK = 2048 observations T sums a row's node
+    # sums over chunks of 2048 observations.  The rows have 32, 40 and 48
+    # nodes, so each chunk takes more than one product, each from its own
+    # anchor, and the rows form more than one node-count group.
     n = 4096
-    y = np.concatenate([_residual_rows("logistic", 2, n, seed=63),
-                        _residual_rows("laplace", 1, n, seed=63)])
-    block = _kernels._node_block(n)
+    y = np.concatenate([_residual_rows("logistic", 1, n, seed=63),
+                        _residual_rows("t3", 2, n, seed=63)])
     counts, fast = _kernels._t_route(np.sort(y, axis=1), [a for sid, a in TSR if sid == "T"])
-    assert block * max(1, block // 2) < _kernels._ANCHOR and fast.all()
-    assert (counts > block * max(1, block // 2)).all()
+    assert n > _kernels._PAIR_BUDGET // _kernels._NODE_BLOCK and fast.all()
+    assert len(np.unique(counts)) > 1 and counts.max() > _kernels._ANCHOR
     got = compute_batch(y, TSR[:3])
     np.testing.assert_allclose(got, _t_pair_path(y), rtol=RTOL, atol=0)
     for i in range(y.shape[0]):
@@ -607,7 +626,7 @@ def test_t_rows_with_mixed_node_counts_are_independent_of_the_batch(rows, n):
     counts, fast = _kernels._t_route(np.sort(y, axis=1), rates)
     assert fast[:-2].all() and not fast[-2:].any()
     sizes = np.unique(counts[fast], return_counts=True)[1]
-    block_rows = _kernels._PAIR_BUDGET // (_kernels._node_block(n) * n)
+    block_rows = _kernels._PAIR_BUDGET // (_kernels._NODE_BLOCK * n)
     assert len(sizes) > 1 and sizes.max() > block_rows
     whole = compute_batch(y, SPECS)
     for i in range(y.shape[0]):
@@ -756,9 +775,9 @@ def test_rows_in_blocks_of_the_s_and_r_budget_are_independent_of_the_batch(n):
 
 
 def test_s_and_r_past_the_node_block_budget():
-    # Past n = 8192 a node block is one node, so node counts may be odd; the
-    # S/R rule rounds them up to even, and above _PAIR_BUDGET observations
-    # one row's block holds more than the budget.
+    # Node counts are whole blocks of _NODE_BLOCK nodes at every n, so the
+    # S/R rule is even, and above _PAIR_BUDGET observations one row's block
+    # holds more than the budget.
     n = _kernels._PAIR_BUDGET + 116
     y = _logistic_rows(3, n, seed=91)
     for orders in ((), (1,), (1, 2)):

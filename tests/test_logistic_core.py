@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from logigof.logistic_core import (STANDARD, DomainError, LogisticParams,
                                    RngStream, cdf, expit, fill_logistic,
-                                   fisher_info, pdf, philox_words, quantile,
+                                   fisher_info, pdf, quantile,
                                    random_doubles, sample, score)
 from logigof.montecarlo import _KINDS, AlternativeSpec
 from logigof.statistics import h_func, kappa
@@ -149,24 +149,18 @@ def test_rng_stream_rejects_fractional_values():
 NEAR_TOP = 2**64 - 8
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**32 - 1, 2**63])
-@pytest.mark.parametrize("first", [0, NEAR_TOP, 2**32 - 4])
-def test_philox_words_equal_numpy_philox(seed, first):
-    # Row i is the raw stream of numpy's Philox keyed [seed, first + i], up to
-    # the last substream index 2^64 - 1; n covers partial last counter blocks.
-    for n in (1, 2, 3, 4, 5, 20, 50):
-        words = philox_words(seed, first, 8, n)
-        assert words.shape == (8, n) and words.dtype == np.uint64
-        for i in range(8):
-            key = np.array([seed, first + i], dtype=np.uint64)
-            np.testing.assert_array_equal(words[i], np.random.Philox(key=key).random_raw(n))
+def substream_words(seed, first, rows, n):
+    """(rows, n) uint64 array whose row i holds the first n raw words of
+    numpy's Philox keyed [seed, first + i]."""
+    return np.array([np.random.Philox(key=np.array([seed, first + i], dtype=np.uint64))
+                     .random_raw(n) for i in range(rows)], dtype=np.uint64)
 
 
 @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (0.5, 2.0)])
 def test_fill_logistic_equals_one_generator_per_substream(mu, sigma):
     for seed, first in ((20260815, 0), (7, NEAR_TOP)):
         for n in (1, 3, 21, 50):
-            got = fill_logistic(np.empty((8, n)), philox_words(seed, first, 8, n), mu, sigma)
+            got = fill_logistic(np.empty((8, n)), substream_words(seed, first, 8, n), mu, sigma)
             for i in range(8):
                 gen = np.random.Generator(np.random.Philox(
                     key=np.array([seed, first + i], dtype=np.uint64)))
@@ -176,7 +170,7 @@ def test_fill_logistic_equals_one_generator_per_substream(mu, sigma):
 def test_random_doubles_equal_generator_random():
     for seed, first in ((20260815, 0), (7, NEAR_TOP)):
         for n in (1, 3, 21, 50):
-            got = random_doubles(philox_words(seed, first, 8, n))
+            got = random_doubles(substream_words(seed, first, 8, n))
             for i in range(8):
                 gen = np.random.Generator(np.random.Philox(
                     key=np.array([seed, first + i], dtype=np.uint64)))
@@ -185,9 +179,9 @@ def test_random_doubles_equal_generator_random():
 
 def test_block_sampling_memory_is_bounded():
     # Every kind is drawn in row blocks of at most _kernels._PAIR_BUDGET
-    # values.  Measured peak, in x.nbytes: 1.62 for logistic, 1.30 for
+    # values.  Measured peak, in x.nbytes: 1.60 for logistic, 1.30 for
     # cauchy, 2.00 for lognormal, 1.20 for chisquare, 1.70 for the mixture
-    # and at most 1.61 for the other kinds; without row blocks logistic read
+    # and at most 1.60 for the other kinds; without row blocks logistic read
     # 4.05, cauchy 4.00, lognormal 6.00, chisquare 2.00 and the mixture 8.0.
     specs = [AlternativeSpec(kind, rules.defaults or (2.0,) * rules.arity)
              for kind, rules in _KINDS.items()]

@@ -240,19 +240,25 @@ WORD_SAMPLED = ["logistic", "logistic(1,2)", "uniform", "uniform(-2,5)",
 
 
 @pytest.mark.parametrize("label", WORD_SAMPLED)
-def test_rows_drawn_from_philox_words_equal_per_row_draws(label):
-    # Logistic and uniform rows come from the Philox words of the whole
-    # block; a mixture row takes its picks and base from the first 2n raw
-    # words of a Generator re-keyed to its substream, and its contaminant
-    # continues on it, inside a Philox block when n is odd.  The block sizes
-    # span several row blocks at n = 20, 50 and 64.
+def test_rows_drawn_from_rekeyed_philox_equal_per_row_draws(label):
+    # Every row is drawn from one Generator re-keyed to its substream: a
+    # logistic or uniform row takes n raw words, and a mixture row its picks
+    # and base from the first 2n, its contaminant continuing on it, inside a
+    # Philox block when n is odd.  The block sizes span several row blocks
+    # at n = 20, 50 and 64.  Logistic and uniform rows are also drawn at
+    # the edges of both key words, up to the last substream index 2^64 - 1,
+    # where n = 1 ... 5 covers partial Philox blocks.
     spec = AlternativeSpec.parse(label)
-    for n, k in ((20, 900), (21, 40), (22, 40), (23, 40), (39, 40), (40, 40), (50, 400),
-                 (64, 300)):
-        block = spec.sample(n, RngStream(20260815, 4096), reps=k)
+    cases = [(20260815, 4096, n, k) for n, k in ((20, 900), (21, 40), (22, 40), (23, 40),
+                                                 (39, 40), (40, 40), (50, 400), (64, 300))]
+    if spec.kind != "mixture":
+        cases += [(seed, first, n, 8) for seed in (0, 1, 2**64 - 1, 2**32 - 1, 2**63)
+                  for first in (0, 2**64 - 8, 2**32 - 4) for n in (1, 2, 3, 4, 5)]
+    for seed, first, n, k in cases:
+        block = spec.sample(n, RngStream(seed, first), reps=k)
         for i, row in enumerate(block):
             np.testing.assert_array_equal(
-                row, per_replication_sample(spec, n, RngStream(20260815, 4096 + i)))
+                row, per_replication_sample(spec, n, RngStream(seed, first + i)))
 
 
 # Every _KINDS kind as a contaminant; lognormal(300) takes exp past 709.

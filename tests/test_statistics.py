@@ -465,8 +465,8 @@ def test_delta_is_affine_invariant(left, right):
 def test_delta_at_an_infinite_density_on_an_upper_break():
     # The beta density is infinite at 1 when q < 1.  The nodes next to 1
     # are placed by the law's isf of their offset from u = 1, so none rounds
-    # onto it, and no density is evaluated.  The oracle integrates in phi,
-    # x = sin(phi)^2, where no density is infinite.
+    # onto it, and no density is evaluated.  The oracle integrates in
+    # t = x^p and s = (1 - x)^q, where no integrand is infinite.
     # A law and its mirror image have the same Delta.
     for p, q in ((0.5, 0.5), (2.0, 0.5)):
         value = delta_alternative(AlternativeSpec("beta", (p, q)), WeightSpec(3.0))
@@ -479,11 +479,22 @@ def test_delta_at_an_infinite_density_on_an_upper_break():
 
 def test_delta_nodes_of_tiny_weight_lie_next_to_the_ends_of_the_support():
     # scipy's beta(0.5, 2) ppf returns 0.5 for u in about (1.7e-16, 4.4e-16);
-    # a node there takes its inner neighbour's value, which is near 0.
+    # a node there takes its inner neighbour's value, which is near 0.  The
+    # other nodes of tiny weight lie next to 1 or to the cut at the mean, 0.2.
     parts = AlternativeSpec("beta", (0.5, 2.0)).parts()
     for level in range(1, 9):
         x, q = statistics._quantile_nodes(parts, level)
-        assert np.all(np.minimum(x[q < 1e-12], 1.0 - x[q < 1e-12]) < 1e-5)
+        ends = np.array([0.0, 0.2, 1.0])
+        assert np.all(np.abs(x[q < 1e-12, None] - ends).min(axis=1) < 1e-5)
+
+
+@pytest.mark.parametrize("shape", [0.01, 0.02])
+def test_delta_of_a_u_shaped_beta(shape):
+    # beta(0.01, 0.01) puts a quarter of its mass within 1e-30 of 0 and a
+    # quarter within 1e-30 of 1, so its quantile function nearly jumps from
+    # 0 to 1 at u = 1/2, F of the mean, where the rule cuts (0, 1).
+    value = delta_alternative(AlternativeSpec("beta", (shape, shape)), WeightSpec(3.0))
+    assert value == pytest.approx(quad_delta_beta(shape, shape), rel=1e-10)
 
 
 @pytest.mark.parametrize("k", [0.02, 0.05, 0.1, 0.5])
@@ -527,7 +538,8 @@ def test_delta_matches_its_recorded_values(label):
 def test_delta_memory_is_bounded():
     # H is taken in row blocks of at most _kernels._PAIR_BUDGET pairs, so the
     # peak (0.8 MB) stays far below one whole H at the last level that t(3)
-    # needs: 967^2 doubles, 7.5 MB.
+    # needs, 1926^2 doubles, 29.7 MB, and below the 7.5 MB of its 967 nodes
+    # without the cut at the mean.
     import tracemalloc
 
     from logigof.montecarlo import AlternativeSpec
@@ -539,7 +551,7 @@ def test_delta_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 revision, side by side in one process.
 
     python3 tools/kernel_rounds.py [--base REV] [--rounds 15] [--repeats 5]
-                                   [--shapes 4096x20,1024x50,1x2048]
+                                   [--shapes 4096x20,1024x50,1x2048,1x10000]
 
 Run from the root of a source checkout.  ``src/logigof/_kernels.py`` of the
 working tree is imported as usual, and the file of the same name at REV
@@ -12,7 +12,7 @@ tree's ``logistic_core``.  Native thread pools are capped at one thread.
 Each case is one ``compute_batch`` call on moment residuals of numpy draws
 (seed 5): all eleven statistics of the Monte Carlo engine, then T, S+R and
 the EDF statistics alone, on the engine's chunk shapes 4096x20 and 1024x50
-and on one row of 2048 by default, or on the ROWSxN shapes that
+and on single rows of 2048 and 10000 by default, or on the ROWSxN shapes that
 ``--shapes`` lists.  Each shape is drawn from the logistic and the Cauchy
 law, a single row from the logistic and the Laplace law.  In every round
 each side takes the best of ``--repeats`` timings of each case, and the
@@ -53,7 +53,7 @@ FAMILIES = {
     "S+R": (("S", None), ("R", 1), ("R", 2), ("R", 3)),
     "EDF": (("KS", None), ("CM", None), ("AD", None), ("WA", None)),
 }
-SHAPES = "4096x20,1024x50,1x2048"
+SHAPES = "4096x20,1024x50,1x2048,1x10000"
 
 
 def load_base(rev: str) -> types.ModuleType:
