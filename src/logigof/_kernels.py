@@ -125,6 +125,9 @@ each node count in blocks (``_count_blocks``).  T's node block of
 ``_NODE_BLOCK`` nodes holds at most ``_PAIR_BUDGET`` complex powers, and
 its stacked anchors as many: a row of more than ``_PAIR_BUDGET`` /
 ``_NODE_BLOCK`` = 2048 observations is summed over chunks of that many.
+Both buffers are kept per thread between calls (``_t_scratch``): freed,
+glibc handed them back, and T alone on one row at n = 2048 faulted 129
+pages in again per call and took twice its time (2-vCPU x86-64 host).
 S and R's node block of up to ``_SR_BUDGET`` / n positive nodes holds at
 most ``_SR_BUDGET`` = 4 ``_PAIR_BUDGET`` values exp(t Y), 512 KB: a quarter
 of a 2 MB L2 cache, and about 64 rows at n = 50 where ``_PAIR_BUDGET`` held
@@ -163,6 +166,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -183,6 +187,8 @@ _NODE_BLOCK = 8
 _ANCHOR = 32
 # The spectral rules leave out what is damped by exp(-_DECAY) ~ 1e-17.
 _DECAY = 39.0
+# Each thread's scratch buffers, kept between calls.
+_scratch = threading.local()
 
 
 class NumericOverflowError(ArithmeticError):
@@ -277,13 +283,17 @@ def _pair_sums(y, m, rates) -> np.ndarray:
 
 
 def _count_blocks(counts, step):
-    """(count, rows) for the rows of each distinct node count of ``counts``,
-    in blocks of ``step(count)`` rows.  rows is a slice when every row has
-    the same count, else an index array."""
+    """(count, rows) for the rows of each distinct node count of ``counts``
+    (non-negative ints), in ascending order of count, in blocks of
+    ``step(count)`` rows.  rows is a slice when every row has the same count,
+    else an index array.  The distinct counts are the nonzero bins of
+    ``np.bincount``: ``np.unique`` would import numpy.ma (about 2 MB of
+    resident memory) into every process that takes a chunk."""
     if (counts == counts[0]).all():
         groups = [(int(counts[0]), None)]
     else:
-        groups = [(int(k), np.flatnonzero(counts == k)) for k in np.unique(counts)]
+        groups = [(k, np.flatnonzero(counts == k))
+                  for k in np.flatnonzero(np.bincount(counts)).tolist()]
     for count, group in groups:
         size = len(counts) if group is None else group.size
         rows = step(count)
@@ -383,6 +393,15 @@ def _cis(theta, out):
     return out
 
 
+def _t_scratch():
+    """This thread's T scratch, kept between calls: ``_PAIR_BUDGET`` complex
+    powers of a node block and as many stacked anchor values."""
+    scratch = getattr(_scratch, "t", None)
+    if scratch is None:
+        scratch = _scratch.t = np.empty((2, _PAIR_BUDGET), dtype=complex)
+    return scratch
+
+
 def _t_spectral(y, m, rates, counts) -> np.ndarray:
     """T pair sums of each rate, (len(rates), C), from
     n int |g(t)|^2 exp(-a t^2) dt, where n g(t) = G(t) =
@@ -413,7 +432,7 @@ def _t_spectral(y, m, rates, counts) -> np.ndarray:
     step = _t_step(y, rates)
     a = np.array(rates)
     scale = 2.0 * np.sqrt(a / math.pi)[:, None]
-    powers = np.empty(_PAIR_BUDGET, dtype=complex)
+    powers, anchors = _t_scratch()
     out = np.empty((len(a), c))
     rows_per_block = max(1, _PAIR_BUDGET // (block * n))
     for count, sel in _count_blocks(counts, lambda count: rows_per_block):
@@ -428,7 +447,7 @@ def _t_spectral(y, m, rates, counts) -> np.ndarray:
             for j in range(1, block):
                 np.multiply(p[j - 1], z, out=p[j])
             z *= p[-1]                                # z^B
-            w = np.empty((rows, stack, 2, yr.shape[1]), dtype=complex)
+            w = anchors[:2 * stack * yr.size].reshape(rows, stack, 2, yr.shape[1])
             part = sums if j0 == 0 else np.empty_like(sums)
             for b0 in range(0, nb, stack):
                 k = min(stack, nb - b0)

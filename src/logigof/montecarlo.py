@@ -377,6 +377,24 @@ def _valid(values: np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
     return ((vals[~np.isnan(vals)], int(np.isnan(vals).sum())) for vals in values)
 
 
+def _quantiles(values: np.ndarray, probs: Sequence[float]) -> np.ndarray:
+    """``np.quantile(values, probs)`` by its default linear rule (Hyndman &
+    Fan 1996, type 7), bit for bit, from one sorted copy of ``values``: at
+    h = (m - 1) p, between the order statistics a and b at floor(h) and the
+    next (both the largest when h >= m - 1), a + (b - a) t with
+    t = h - floor(h), or b - (b - a)(1 - t) where t >= 0.5.  Only a tie
+    of 0.0 with -0.0 may come out with the other sign."""
+    v = np.sort(values)
+    last = v.size - 1
+    h = last * np.asarray(probs, dtype=float)
+    lo = np.floor(h)
+    t = h - lo
+    a = v[np.minimum(lo, last).astype(np.intp)]
+    b = v[np.minimum(lo + 1, last).astype(np.intp)]
+    d = b - a
+    return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
+
+
 @dataclass(frozen=True)
 class CriticalValueTable:
     """Calibrated upper-tail critical values at one n.  The table is its
@@ -400,10 +418,12 @@ def calibrate(specs: Sequence[StatSpec], n: int, alphas: Sequence[float],
     affine invariance.  Each quantile's standard error is half the distance
     between the empirical quantiles at p - h and p + h, clipped to [0, 1],
     with p = 1 - alpha and h = sqrt(p (1 - p) / m) for the m valid values.
-    One ``np.quantile`` call per statistic takes all 3 len(alphas) levels;
-    each equals the value of a call at that level alone.  ``_valid`` drops
-    the failed fits, whose count each row reports, and the table is the
-    rows.  Raises McError when a statistic has no valid value.
+    All 3 len(alphas) levels of a statistic come from one sorted copy of
+    its valid values by ``np.quantile``'s linear rule (``_quantiles``), bit
+    for bit, without its ``np.unique`` step, which imports numpy.ma (about
+    2 MB) into the process.  ``_valid`` drops the failed fits, whose count
+    each row reports, and the table is the rows.  Raises McError when a
+    statistic has no valid value.
     """
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
@@ -418,7 +438,7 @@ def calibrate(specs: Sequence[StatSpec], n: int, alphas: Sequence[float],
             p = 1.0 - alpha
             half = math.sqrt(p * (1.0 - p) / valid.size)
             probs += [p, max(p - half, 0.0), min(p + half, 1.0)]
-        levels = np.quantile(valid, probs).reshape(len(alphas), 3)
+        levels = _quantiles(valid, probs).reshape(len(alphas), 3)
         for alpha, (q, lo, hi) in zip(alphas, levels.tolist()):
             rows.append(McRow(spec.stat_id, spec.tuning, n, alpha, q, (hi - lo) / 2.0, excluded))
     return CriticalValueTable(tuple(rows))

@@ -274,7 +274,7 @@ def delta_alternative(alt, w: WeightSpec = WeightSpec()) -> float:
     """Population discrepancy Delta of a fixed alternative distribution
     ``alt``, such as an ``AlternativeSpec``: its finite ``mean()`` and
     ``std()``, and its ``parts()``, each (weight, law with scipy's ``ppf``,
-    ``isf`` and ``cdf``, kinks), are all it takes of it.
+    ``isf``, ``cdf``, ``pdf`` and ``support``, kinks), are all it takes of it.
 
     The alternative is affinely standardized to mean 0 and variance pi^2/3
     (the limit of moment-fitted residuals), then
@@ -308,13 +308,20 @@ def delta_alternative(alt, w: WeightSpec = WeightSpec()) -> float:
     raise QuadratureError("double-exponential refinement of the discrepancy did not stabilize")
 
 
+def _u_shaped(law) -> bool:
+    """Whether the density of ``law`` is infinite at both ends of a finite
+    support, as beta(p, q)'s is for p, q < 1."""
+    return all(math.isfinite(end) and math.isinf(law.pdf(end)) for end in law.support())
+
+
 def _quantile_nodes(parts, level: int) -> tuple:
     """Nodes x and weights q of the double-exponential trapezoid rule
     (Takahasi & Mori, 1974) for E f(X), the sum over ``parts`` of weight
     times the integral of f(F^-1(u)) over the pieces (lo, hi) of (0, 1) cut
-    at F(kink) and at F(mean).  Nodes crowd at the ends of a piece, and a
-    U-shaped law such as beta(0.01, 0.01) has its quantile function jump
-    from near 0 to near 1 at F(mean), the middle of (0, 1).  The node at
+    at F(kink), and at F(mean) for a ``_u_shaped`` law.  Nodes crowd at the
+    ends of a piece, and a U-shaped law such as beta(0.01, 0.01) has its
+    quantile function jump from near 0 to near 1 at F(mean), the middle of
+    (0, 1); the cut costs other laws twice the nodes.  The node at
     v = k 2^-level, |v| <= 6, lies (hi - lo) expit(-pi sinh|v|) from lo
     (v < 0) or hi (v >= 0), and its x is ``ppf`` of lo or ``isf`` of 1 - hi
     plus that offset, so none rounds onto an end.  Nodes of weight at most
@@ -326,7 +333,8 @@ def _quantile_nodes(parts, level: int) -> tuple:
     weight = math.pi * np.cosh(v) * share * expit(math.pi * np.sinh(v)) * 2.0**-level
     xs, qs = [], []
     for part, law, kinks in parts:
-        ends = sorted({0.0, *map(law.cdf, (*kinks, law.mean())), 1.0})
+        cuts = (*kinks, law.mean()) if _u_shaped(law) else kinks
+        ends = sorted({0.0, *map(law.cdf, cuts), 1.0})
         for lo, hi in zip(ends[:-1], ends[1:]):
             q = part * (hi - lo) * weight
             keep = q > 1e-30

@@ -549,10 +549,19 @@ def test_cli_paths_import_no_scipy(tmp_path):
 import contextlib, io, json, sys
 import logigof
 import logigof.cli as c
-# scipy, and the process-pool machinery that only a parallel call needs
+from logigof import _kernels
+# scipy, numpy.ma (which np.unique and np.quantile import), and the
+# process-pool machinery that only a parallel call needs
 unwanted = lambda: sorted(m for m in sys.modules
                           if m.split(".")[0] in ("scipy", "multiprocessing")
-                          or m == "concurrent.futures.process")
+                          or m in ("concurrent.futures.process", "numpy.ma"))
+# Note whether a command's chunk had rows of mixed node counts.
+count_blocks, mixed = _kernels._count_blocks, set()
+def recorded(counts, step):
+    if (counts != counts[0]).any():
+        mixed.add(name)
+    return count_blocks(counts, step)
+_kernels._count_blocks = recorded
 c.build_parser()
 seen = {{"import": unwanted()}}
 runs = {{
@@ -566,10 +575,11 @@ for name, args in runs.items():
     with contextlib.redirect_stdout(io.StringIO()):
         assert c.main(args) == 0, name
     seen[name] = unwanted()
-print(json.dumps(seen))
+print(json.dumps([seen, sorted(mixed)]))
 """
-    seen = json.loads(run_fresh(code).strip().splitlines()[-1])
+    seen, mixed = json.loads(run_fresh(code).strip().splitlines()[-1])
     assert seen == {name: [] for name in ("import", "fit", "test", "calibrate", "power")}
+    assert "calibrate" in mixed
 
 
 def test_expectations_under_the_logistic_law_import_no_scipy():

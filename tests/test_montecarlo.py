@@ -591,6 +591,19 @@ def test_calibrate_quantiles_equal_one_call_per_level(monkeypatch, reps):
     assert clipped == (reps == 7)
 
 
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False) | st.sampled_from([0.0, 1.0, 2.0]),
+                       min_size=1, max_size=60),
+       probs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+def test_quantiles_equal_numpy_linear_rule(values, probs):
+    # Ties, infinities (whose differences are NaN) and p = 0 or 1 included;
+    # a tie of 0.0 with -0.0 may take either sign, so there is no -0.0.
+    values = np.array(values) + 0.0
+    with np.errstate(all="ignore"):
+        got, want = montecarlo._quantiles(values, probs), np.quantile(values, probs)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_calibrate_rejects_bad_alpha():
     cfg = McConfig(reps=100, seed=1, workers=1)
     with pytest.raises(DomainError):
@@ -960,6 +973,29 @@ def test_warm_workers_do_not_fault_their_chunks_in_again(n):
             initializer=montecarlo._exit_with_parent, initargs=(os.getpid(),)) as pool:
         faults = pool.submit(_faults_per_chunk, task, 5).result(timeout=120)
     assert max(faults[2:]) < 50, faults
+
+
+def test_a_worker_groups_rows_of_mixed_node_counts_without_numpy_ma():
+    # np.unique would import numpy.ma, about 2 MB, into every worker.
+    make_task = ("montecarlo._ChunkTask(1, 0, 4096, 12, (('T', 3.0), ('S', None), ('R', 1)), "
+                 "AlternativeSpec('logistic'), Method.MOMENTS)")
+    code = f"""
+import concurrent.futures
+from logigof import montecarlo
+from logigof.estimation import Method
+from logigof.montecarlo import AlternativeSpec
+with concurrent.futures.ProcessPoolExecutor(1) as pool:
+    pool.submit(montecarlo._run_chunk, {make_task}).result()
+    print(pool.submit(eval, "'numpy.ma' in __import__('sys').modules").result())
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=fresh_env(), timeout=120)
+    assert proc.returncode == 0 and proc.stdout.split() == ["False"], proc.stderr
+    # S and R take that chunk's rows in groups of several node counts.
+    task = eval(make_task)
+    x = task.alternative.sample(task.n, RngStream(task.seed, 0), reps=task.rep_hi)
+    y = np.sort(montecarlo._residuals_for_chunk(x, task.method)[0], axis=1)
+    assert len(set(_kernels._sr_counts(y, [1]).tolist())) > 1
 
 
 def _simulate_in_child(queue):

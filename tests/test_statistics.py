@@ -480,11 +480,12 @@ def test_delta_at_an_infinite_density_on_an_upper_break():
 def test_delta_nodes_of_tiny_weight_lie_next_to_the_ends_of_the_support():
     # scipy's beta(0.5, 2) ppf returns 0.5 for u in about (1.7e-16, 4.4e-16);
     # a node there takes its inner neighbour's value, which is near 0.  The
-    # other nodes of tiny weight lie next to 1 or to the cut at the mean, 0.2.
+    # other nodes of tiny weight lie next to 1: only a law whose density is
+    # infinite at both ends is cut at its mean.
     parts = AlternativeSpec("beta", (0.5, 2.0)).parts()
     for level in range(1, 9):
         x, q = statistics._quantile_nodes(parts, level)
-        ends = np.array([0.0, 0.2, 1.0])
+        ends = np.array([0.0, 1.0])
         assert np.all(np.abs(x[q < 1e-12, None] - ends).min(axis=1) < 1e-5)
 
 
@@ -495,6 +496,18 @@ def test_delta_of_a_u_shaped_beta(shape):
     # 0 to 1 at u = 1/2, F of the mean, where the rule cuts (0, 1).
     value = delta_alternative(AlternativeSpec("beta", (shape, shape)), WeightSpec(3.0))
     assert value == pytest.approx(quad_delta_beta(shape, shape), rel=1e-10)
+
+
+def test_delta_cuts_only_a_u_shaped_law_at_its_mean():
+    # The cut doubles a law's nodes: without it t(3) stops at 967 at level 7.
+    from logigof.montecarlo import AlternativeSpec
+    for label, cut in (("t(3)", False), ("gamma(0.1)", False), ("beta(0.5,2)", False),
+                       ("uniform", False), ("beta(1,1)", False),
+                       ("beta(0.5,0.5)", True), ("beta(0.01,0.01)", True)):
+        (_, law, _), = AlternativeSpec.parse(label).parts()
+        assert statistics._u_shaped(law) is cut, label
+    x, _ = statistics._quantile_nodes(AlternativeSpec("t", (3,)).parts(), 7)
+    assert x.size == 967
 
 
 @pytest.mark.parametrize("k", [0.02, 0.05, 0.1, 0.5])

@@ -13,6 +13,11 @@ CPU time of this process and of the reaped workers, and the idle share
 spent waiting.  The last line of output is the median of each as one JSON
 object.
 
+Before the first run every tree is compiled to bytecode in its
+``__pycache__`` directories (``compileall``), so no run compiles a module,
+in this process or in a worker, and trees compare alike even where
+``PYTHONDONTWRITEBYTECODE`` keeps the runs from writing bytecode.
+
 With ``--base-src`` each repeat runs both trees, the base first in even
 repeats and ``--src`` first in odd ones, and each line names its tree.  The
 last line then also holds the base tree's medians under ``base`` and the
@@ -23,6 +28,7 @@ median over the repeats of the wall ratio ``--src`` / base as
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import statistics
@@ -80,6 +86,9 @@ def main(argv=None) -> int:
         parser.error("--workers and --repeats must be at least 1")
     config = os.path.abspath(args.config)
     trees = {"src": args.src, **({"base": args.base_src} if args.base_src else {})}
+    for tree in trees.values():
+        if not compileall.compile_dir(tree, quiet=1):
+            sys.exit(f"power_idle: cannot compile {tree}")
     runs = {name: [] for name in trees}
     for repeat in range(args.repeats):
         # "base" sorts before "src": the base runs first in even repeats.
