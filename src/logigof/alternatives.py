@@ -18,7 +18,7 @@ sampler.  The step that turns words or values into the law's (an
 inversion, a ratio, an exp, a factor) runs once per block.
 
 Only ``AlternativeSpec.parts`` and what is built on it (``pdf``, ``mean``,
-``std``, ``breaks``) use scipy.stats, importing it on first call.  They serve
+``std``) use scipy.stats, importing it on first call.  They serve
 ``statistics.delta_alternative``; sampling, calibration, power studies and
 p-values never import scipy.
 """
@@ -266,12 +266,6 @@ class AlternativeSpec:
             return float(parts[0][1].std())
         second = sum(w * float(law.var() + law.mean() ** 2) for w, law, _ in parts)
         return math.sqrt(second - self.mean() ** 2)
-
-    def breaks(self) -> tuple:
-        """The points where the density is not smooth, in increasing order: the
-        finite ends of the supports and the kinks of the parts."""
-        return tuple(sorted({float(v) for _, law, kinks in self.parts()
-                             for v in (*law.support(), *kinks) if math.isfinite(v)}))
 
     # -- text form ---------------------------------------------------------
     def label(self) -> str:

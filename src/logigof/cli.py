@@ -69,9 +69,9 @@ def bundled_data_path(name: str = "bladder_cancer"):
 def _lines(path: str) -> list[tuple[int, str]]:
     """The (line number, text) pairs of the non-blank lines of ``path``, once
     ``#`` comments are cut; a file that cannot be read or decoded as UTF-8
-    is an InputError."""
+    (a leading byte-order mark is dropped) is an InputError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc

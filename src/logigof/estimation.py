@@ -153,20 +153,6 @@ def _loglik(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
     return terms - n_log_sigma, np.abs(n_log_sigma) - terms
 
 
-def _likelihood_equations(x: np.ndarray, mu, sigma) -> np.ndarray:
-    """Residuals of the two likelihood equations at (mu, sigma).
-
-    With z_j = (x_j - mu)/sigma these are sum(1/(1+exp(z_j))) - n/2 = 0 and
-    sum(z_j * tanh(z_j/2)) - n = 0, i.e. the stationarity of the
-    log-likelihood in mu and sigma.  The first is evaluated in the equal form
-    -sum(tanh(z_j/2))/2, since 1/(1+exp(z)) = (1 - tanh(z/2))/2; it has no
-    cancellation against n/2.  On (R, n) rows with (R, 1) parameters: (2, R).
-    """
-    z = (x - mu) / sigma
-    t = np.tanh(z / 2.0)
-    return np.array([-0.5 * np.sum(t, axis=-1), np.sum(z * t, axis=-1) - x.shape[-1]])
-
-
 def fit_mle(data) -> FitResult:
     """Maximum-likelihood fit of one sample: ``fit_mle_batch`` on a batch of
     one.  Non-convergence raises ConvergenceError carrying the last iterate."""
@@ -209,7 +195,8 @@ def fit_mle_batch(x: np.ndarray):
             xa, m, s = x[active], mu[active], sigma[active]
             z = (xa - m[:, None]) / s[:, None]
             t = np.tanh(z / 2.0)
-            # The residuals of ``_likelihood_equations``, from the z and tanh of the Jacobian.
+            # The likelihood equations' residuals: sum 1/(1 + e^z) - n/2 as -sum(tanh(z/2))/2,
+            # free of cancellation, and sum z tanh(z/2) - n.
             f1, f2 = -0.5 * np.sum(t, axis=1), np.sum(z * t, axis=1) - n
             # 16 n eps: an n-term sum's rounding; |df/dmu| <= n/sigma: f's move over 2 ulps of mu
             slack = max(TOL, 16 * n * eps) + 2 * n * np.spacing(np.abs(m)) / s

@@ -48,8 +48,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-# _KINDS, the table of alternative kinds, stays readable as montecarlo._KINDS.
-from .alternatives import _KINDS, AlternativeSpec  # noqa: F401
+from .alternatives import AlternativeSpec
 from .estimation import Method, fit_mle_batch
 from .logistic_core import DomainError, RngStream, uint64_index
 

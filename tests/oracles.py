@@ -27,10 +27,18 @@ def _loglik(x, mu, sigma):
     return float(terms - n_log_sigma), float(abs(n_log_sigma) - terms)
 
 
-def _equations(x, mu, sigma):
+def likelihood_equations(x, mu, sigma):
+    """Residuals of the two likelihood equations at (mu, sigma).
+
+    With z_j = (x_j - mu)/sigma these are sum(1/(1+exp(z_j))) - n/2 = 0 and
+    sum(z_j * tanh(z_j/2)) - n = 0, i.e. the stationarity of the
+    log-likelihood in mu and sigma.  The first is evaluated in the equal form
+    -sum(tanh(z_j/2))/2, since 1/(1+exp(z)) = (1 - tanh(z/2))/2; it has no
+    cancellation against n/2.  On (R, n) rows with (R, 1) parameters: (2, R).
+    """
     z = (x - mu) / sigma
     t = np.tanh(z / 2.0)
-    return np.array([-0.5 * float(np.sum(t)), float(np.sum(z * t)) - x.size])
+    return np.array([-0.5 * np.sum(t, axis=-1), np.sum(z * t, axis=-1) - x.shape[-1]])
 
 
 def scalar_fit_mle(x, max_iter=100, tol=1e-10):
@@ -43,7 +51,7 @@ def scalar_fit_mle(x, max_iter=100, tol=1e-10):
     n = x.size
     tol = max(tol, 16 * n * np.finfo(float).eps)
     for iteration in range(max_iter):
-        f = _equations(x, mu, sigma)
+        f = likelihood_equations(x, mu, sigma)
         if np.max(np.abs(f)) <= tol + 2 * n * np.spacing(abs(mu)) / sigma:
             return mu, sigma, iteration
         z = (x - mu) / sigma
@@ -122,7 +130,8 @@ def local_drift(contaminant, method, a=3.0, nodes=60):
     ``limit_eigenvalues``, with L_t the summand of ``covariance_kernel``:
     along the mixtures (1 - delta/sqrt(n)) logistic + (delta/sqrt(n)) C,
     sqrt(n) times the empirical transform tends to Z(t) + delta mu(t).  E_C
-    is scipy ``quad_vec`` over C's density, split at its ``breaks``."""
+    is scipy ``quad_vec`` over C's density, split at the finite ends of each
+    part's support and at its kinks."""
     from scipy.integrate import quad_vec
 
     t = _hermgauss(nodes)[0][:, None] / math.sqrt(a)
@@ -133,7 +142,9 @@ def local_drift(contaminant, method, a=3.0, nodes=60):
         return (kappa(t[:, 0], x) + eh * psi1(x, method) + exh * psi2(x, method)) \
             * contaminant.pdf(x)
 
-    edges = (-math.inf, *contaminant.breaks(), math.inf)
+    breaks = {float(v) for _, law, kinks in contaminant.parts()
+              for v in (*law.support(), *kinks) if math.isfinite(v)}
+    edges = (-math.inf, *sorted(breaks), math.inf)
     return sum(quad_vec(summand, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=2000)[0]
                for lo, hi in zip(edges[:-1], edges[1:]))
 

@@ -1,17 +1,20 @@
+import ast
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import logigof
 from logigof import montecarlo, statistics
-from logigof.cli import (EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, Dataset,
-                         InputError, bundled_data_path, load_dataset, main,
-                         parse_power_config)
+from logigof.cli import (EXIT_DEGENERATE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
+                         Dataset, InputError, bundled_data_path, load_dataset,
+                         main, parse_power_config)
 from logigof.montecarlo import AlternativeSpec
 from proc_helpers import fresh_env, live_processes
 
@@ -82,6 +85,23 @@ def test_a_file_that_is_not_utf8_is_an_input_error(argv, tmp_path, capsys):
     assert main([a.format(path) for a in argv]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, text", [
+    pytest.param(["fit", "{}"], "1.5\n2.25\n-3\n0.5\n", id="data-file"),
+    pytest.param(["power", "--config", "{}", "--workers", "1"],
+                 "mode = power\nn = 20\nreps = 50\nstatistic = KS\nalternative = cauchy\n",
+                 id="power-config")])
+def test_a_byte_order_mark_is_read_past(argv, text, tmp_path, capsys):
+    # A UTF-8 file may start with a byte-order mark, U+FEFF, which is no part
+    # of its first value or key.
+    path = tmp_path / "input.txt"
+    outputs = []
+    for mark in (b"", "\ufeff".encode()):
+        path.write_bytes(mark + text.encode())
+        assert main([a.format(path) for a in argv]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out and outputs[0] == outputs[1]
 
 
 def test_bundled_token_resolves(capsys):
@@ -205,6 +225,44 @@ def test_workers_env_var_non_positive_is_usage_error(tmp_path, capsys, monkeypat
     assert main(["test", path, "--stat", "KS", "--reps", "10"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "LOGIGOF_WORKERS must be a positive integer" in err and repr(value) in err
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    pytest.param(["fit", "{}"], "1.0\ninf\n2.0\n", "{}:2: non-finite value: 'inf'", id="inf"),
+    pytest.param(["fit", "{}"], "1.0\n1e400\n2.0\n", "{}:2: non-finite value: '1e400'",
+                 id="1e400"),
+    pytest.param(["calibrate", "--stat", "KS", "--n", "20", "--alpha-list", "", "--workers", "1"],
+                 "", "--alpha-list: empty list", id="empty-alpha-list"),
+    pytest.param(["test", "{}", "--stat", "T,KS", "--reps", "10", "--workers", "1"],
+                 "\n".join(map(str, range(1, 25))), "--stat: expected one statistic, got 'T,KS'",
+                 id="two-statistics"),
+    pytest.param(["power", "--config", "{}", "--workers", "1"],
+                 "n = 20\nreps =\nstatistic = KS\nalternative = cauchy\n",
+                 "{}:2: empty value for 'reps'", id="empty-config-value"),
+    pytest.param(["power", "--config", "{}", "--workers", "1"],
+                 "n = 20\nstatistic = KS\nalternative = cauchy\np = 0.5\n",
+                 "{}: key 'p' is not used in mode 'power'", id="p-in-power-mode")])
+def test_bad_input_exits_2_with_one_line_naming_it(argv, text, message, tmp_path, capsys):
+    path = write(tmp_path, "input.txt", text)
+    assert main([a.format(path) for a in argv]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message.format(path)}\n")
+
+
+@pytest.mark.parametrize("seed, magnitude", [(1, 481), (2, 479), (3, 481)])
+def test_an_outlier_past_the_exp_range_is_a_numeric_failure(seed, magnitude, tmp_path, capsys,
+                                                             monkeypatch):
+    # A value at 3000 among 499 standard logistic draws: its ML residual, about
+    # 480, passes the 350 up to which S exponentiates, before any replication.
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("the engine was called")
+
+    monkeypatch.setattr(montecarlo, "pvalues_simulated", no_simulation)
+    x = np.r_[np.random.default_rng(seed).logistic(size=499), 3000.0]
+    path = write(tmp_path, "outlier.txt", "\n".join(map(repr, x.tolist())))
+    assert main(["test", path, "--method", "ml", "--stat", "S", "--reps", "10",
+                 "--workers", "1"]) == EXIT_NUMERIC
+    assert capsys.readouterr() == ("", f"error: numeric failure: residual magnitude {magnitude} "
+                                       "exceeds the exp-safe range of the statistic\n")
 
 
 def test_test_same_seed_identical_output(tmp_path, capsys):
@@ -606,6 +664,40 @@ print(repr(float(t5.pdf(0.5))), repr(t5.mean()), repr(t5.std()))
     assert float(kernel) == statistics.covariance_kernel(0.5, 1.0)
     t5 = AlternativeSpec.parse("t(5)")
     assert [float(v) for v in law.split()] == [t5.pdf(0.5), t5.mean(), t5.std()]
+
+
+# The definitions that no module of the package refers to, each with the
+# reason it stays in the package.
+UNREFERENCED = {
+    "score": "logistic_core's estimator theory (README), the reference that "
+             "psi_ML and criterion 9 are checked against",
+    "fisher_info": "the information of that theory, which weights psi_ML's scores",
+}
+
+
+def test_every_definition_in_the_package_is_referred_to_in_the_package():
+    # Top-level functions and classes, and methods other than dunders, that no
+    # Name, Attribute or import in src/logigof/ names (an import in
+    # __init__.py, the public interface, is one) serve only the tests.
+    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(Path(logigof.__file__).parent.glob("*.py"))]
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = set()
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (*functions, ast.ClassDef)):
+            defined.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            defined.update(item.name for item in node.body if isinstance(item, functions)
+                           and not (item.name.startswith("__") and item.name.endswith("__")))
+    referenced = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+        elif isinstance(node, ast.alias):
+            referenced.add(node.name)
+    assert sorted(defined - referenced - set(UNREFERENCED)) == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from logigof import _kernels, estimation
 from logigof.cli import bundled_data_path, load_dataset
 from logigof.estimation import (ConvergenceError, DegenerateSampleError,
-                                Method, SampleSizeError,
-                                _likelihood_equations, fit, fit_mle,
+                                FitResult, Method, SampleSizeError,
+                                ScaledResiduals, fit, fit_mle,
                                 fit_mle_batch, fit_moments, fit_moments_batch,
                                 psi1, psi2, scaled_residuals)
 from logigof.logistic_core import (STANDARD, DomainError, RngStream,
                                    fisher_info, pdf, sample, score)
 from logigof.montecarlo import AlternativeSpec, _residuals_for_chunk
-from oracles import scalar_fit_mle
+from oracles import likelihood_equations, scalar_fit_mle
 
 SQRT3_OVER_PI = math.sqrt(3.0) / math.pi
 
@@ -75,7 +75,7 @@ def test_mle_satisfies_likelihood_equations():
         n = 10 + 40 * seed
         x = sample(max(n, 10), LogisticParams_like(seed), stream=RngStream(60 + seed))
         result = fit_mle(x)
-        eq = _likelihood_equations(x, result.mu_hat, result.sigma_hat)
+        eq = likelihood_equations(x, result.mu_hat, result.sigma_hat)
         assert np.all(np.abs(eq) < 1e-8), (seed, eq)
         assert result.method is Method.MAX_LIKELIHOOD
 
@@ -105,7 +105,7 @@ def test_mle_affine_equivariance():
 def test_mle_handles_extreme_outlier():
     x = np.concatenate([sample(30, stream=RngStream(21)), [1.0e4]])
     result = fit_mle(x)
-    eq = _likelihood_equations(x, result.mu_hat, result.sigma_hat)
+    eq = likelihood_equations(x, result.mu_hat, result.sigma_hat)
     assert np.all(np.abs(eq) < 1e-6)
 
 
@@ -176,6 +176,15 @@ def test_psi_functions_track_estimator_fluctuations():
                                                        abs=6.0 / n**0.75)
 
 
+@pytest.mark.parametrize("values, error, message", [
+    ([1.0], SampleSizeError, "residual vector must hold at least 2 values"),
+    ([1.0, math.inf], DomainError, "residuals must be finite")])
+def test_scaled_residuals_need_two_finite_values(values, error, message):
+    with pytest.raises(error) as caught:
+        ScaledResiduals(values, FitResult(0.0, 1.0, Method.MOMENTS))
+    assert str(caught.value) == message
+
+
 def test_unknown_method_and_unbiased_ml_are_domain_errors():
     with pytest.raises(DomainError):
         Method.parse("banana")
@@ -244,7 +253,7 @@ def test_no_failed_fit_on_logistic_rows_at_large_n():
         x = _rows("logistic", n, 2048, 8)
         mu, sigma, iterations, converged = fit_mle_batch(x)
         assert converged.all() and iterations.max() <= 10
-        assert np.abs(_likelihood_equations(x, mu[:, None], sigma[:, None])).max() <= 1e-10
+        assert np.abs(likelihood_equations(x, mu[:, None], sigma[:, None])).max() <= 1e-10
 
 
 def test_ml_fit_converges_at_n_of_a_million():
@@ -254,7 +263,7 @@ def test_ml_fit_converges_at_n_of_a_million():
     fitted = fit_mle(x)
     mu, sigma = fitted.mu_hat, fitted.sigma_hat
     bound = max(estimation.TOL, 16e6 * np.finfo(float).eps) + 2e6 * np.spacing(abs(mu)) / sigma
-    assert np.abs(_likelihood_equations(x, mu, sigma)).max() <= bound
+    assert np.abs(likelihood_equations(x, mu, sigma)).max() <= bound
 
 
 @pytest.mark.parametrize("n", [20, 50])
@@ -263,7 +272,7 @@ def test_batch_fits_solve_the_likelihood_equations(law, n):
     x = _rows(law, n, 1024, 5)
     mu, sigma, _, converged = fit_mle_batch(x)
     assert converged.all()
-    eq = _likelihood_equations(x, mu[:, None], sigma[:, None])
+    eq = likelihood_equations(x, mu[:, None], sigma[:, None])
     assert eq.shape == (2, 1024)
     assert np.abs(eq).max() <= 1e-10
 

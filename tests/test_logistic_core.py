@@ -13,7 +13,8 @@ from logigof.logistic_core import (STANDARD, DomainError, LogisticParams,
                                    RngStream, cdf, expit, fill_logistic,
                                    fisher_info, pdf, quantile,
                                    random_doubles, sample, score)
-from logigof.montecarlo import _KINDS, AlternativeSpec
+from logigof.alternatives import _KINDS
+from logigof.montecarlo import AlternativeSpec
 from logigof.statistics import h_func, kappa
 from oracles import draw_logistic
 
@@ -218,6 +219,11 @@ def test_sample_distribution_matches_cdf():
     x = sample(50_000, stream=RngStream(99))
     stat = scipy.stats.kstest(x, lambda v: cdf(v)).statistic
     assert stat < 0.01
+
+
+def test_pdf_rejects_non_finite_points():
+    with pytest.raises(DomainError, match="^x must be finite$"):
+        pdf(np.inf)
 
 
 def test_sample_rejects_bad_size():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from logigof import _kernels, montecarlo
+from logigof import _kernels, alternatives, montecarlo
 from logigof.estimation import Method
 from logigof.logistic_core import DomainError, RngStream
 from logigof.montecarlo import (AlternativeSpec, McConfig, McError, StatSpec,
@@ -92,14 +92,14 @@ def test_alternative_parse_aliases_and_errors():
 
 
 @settings(max_examples=300, deadline=None)
-@given(kind=st.sampled_from(sorted(montecarlo._KINDS)),
+@given(kind=st.sampled_from(sorted(alternatives._KINDS)),
        values=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2),
        p=st.none() | st.floats(0.0, 1.0))
 def test_every_label_parses_back(kind, values, p):
     # The label is the alternative column of power CSVs: a number that the
     # short form would round is written in full.
-    params = values[:montecarlo._KINDS[kind].arity]
-    assume(montecarlo._KINDS[kind].check(*params))
+    params = values[:alternatives._KINDS[kind].arity]
+    assume(alternatives._KINDS[kind].check(*params))
     spec = AlternativeSpec(kind, params)
     if p is not None:
         spec = AlternativeSpec("mixture", p=p, contaminant=spec)
@@ -111,9 +111,9 @@ REJECTED = {"logistic": (0.0, -1.0), "t": (-1.0,), "lognormal": (0.0,), "gamma":
             "uniform": (2.0, 1.0), "beta": (1.0, 0.0), "chisquare": (-2.0,)}
 
 
-@pytest.mark.parametrize("kind", montecarlo._KINDS)
+@pytest.mark.parametrize("kind", alternatives._KINDS)
 def test_every_kind_follows_the_construction_rule(kind):
-    rules = montecarlo._KINDS[kind]
+    rules = alternatives._KINDS[kind]
     if rules.defaults is not None:
         assert AlternativeSpec(kind) == AlternativeSpec.parse(kind)
         assert AlternativeSpec(kind).params == rules.defaults
@@ -180,7 +180,7 @@ PUBLIC_DRAWS = {
 
 
 def test_the_public_draws_cover_every_kind():
-    assert set(PUBLIC_DRAWS) == set(montecarlo._KINDS)
+    assert set(PUBLIC_DRAWS) == set(alternatives._KINDS)
 
 
 def per_replication_sample(spec, n, stream):
@@ -215,6 +215,19 @@ def test_block_sample_equals_single_replication_draws(label):
         np.testing.assert_array_equal(block, [spec.sample(n, s) for s in streams])
         np.testing.assert_array_equal(block, [per_replication_sample(spec, n, s)
                                               for s in streams])
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: AlternativeSpec("bogus"), "unknown alternative kind: 'bogus'",
+                 id="unknown-kind"),
+    pytest.param(lambda: AlternativeSpec("logistic").sample(0, RngStream(1)),
+                 "sample size must be at least 1", id="empty-sample"),
+    pytest.param(lambda: AlternativeSpec.parse("t(2"), "cannot parse alternative: 't(2'",
+                 id="unclosed-parenthesis")])
+def test_alternative_spec_rejections_name_their_cause(make, message):
+    with pytest.raises(DomainError) as caught:
+        make()
+    assert str(caught.value) == message
 
 
 def test_block_sample_rejects_bad_replication_counts():

@@ -379,6 +379,11 @@ def test_delta_zero_at_logistic():
         <= 1e-10
 
 
+def test_a_non_finite_outcome_is_an_overflow():
+    with pytest.raises(NumericOverflowError, match="^statistic T is not finite$"):
+        statistics.TestOutcome("T", 3.0, math.inf, 10)
+
+
 def test_delta_normal_matches_golden_value():
     from logigof.montecarlo import AlternativeSpec
     value = delta_alternative(AlternativeSpec("normal"), WeightSpec(3.0))
