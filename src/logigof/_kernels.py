@@ -7,11 +7,10 @@ R's order stops at 100: its Gauss-Legendre rule grows with the order (984
 nodes at 100) and takes O(count^2) to build.  T's rate starts at 1e-100: T
 grows like a^(-3/2), about 1e150 there, and below about 1e-153 the pair
 term's d^2/4a^2 overflows while exp(-d^2/4a) underflows to 0, so every
-row would give 0 * inf = NaN.  One entry
-point, ``compute_batch(y, specs)``, evaluates every requested statistic for
-each row of a (C, n) residual batch; the single-sample functions of
-``statistics`` check their specs once and call its body,
-``evaluate_checked``, with a batch of one.
+row would give 0 * inf = NaN.  One entry point, ``compute_batch(y, specs)``,
+evaluates every requested statistic for each row of a (C, n) residual
+batch; the single-sample functions of ``statistics`` call it with a batch
+of one.
 
 Pair path.  On rows past T's node cap, T sums its pair term over all n^2
 ordered pairs, row by row and rate by rate (``_pair_total``), in blocks of
@@ -584,12 +583,7 @@ def compute_batch(y: np.ndarray, specs, counts: Optional[dict] = None) -> np.nda
     ``counts``, which no value depends on, receives the count of those rows
     as "overflow" and of the EDF probabilities clamped as "clamped".
     """
-    return evaluate_checked(y, [check_spec(sid, tuning) for sid, tuning in specs], counts)
-
-
-def evaluate_checked(y: np.ndarray, specs, counts: Optional[dict] = None) -> np.ndarray:
-    """``compute_batch`` on specs that are already as ``check_spec`` returns
-    them, so a caller that checked them once does not check them again."""
+    specs = [check_spec(sid, tuning) for sid, tuning in specs]
     y = np.sort(np.asarray(y, dtype=float), axis=1)
     c, n = y.shape
     rates = [a for sid, a in specs if sid == "T"]

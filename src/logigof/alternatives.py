@@ -211,7 +211,7 @@ class AlternativeSpec:
         spec = self._drawn()
         words = 2 * n if spec.kind == "mixture" else _KINDS[spec.kind].width * n
         gen = stream.generator()
-        step = max(1, _kernels._PAIR_BUDGET // (-(-words // 4) * 4))
+        step = max(1, _kernels._PAIR_BUDGET // words)
         x = np.empty((k, n))
         for lo in range(0, k, step):
             spec._fill(x[lo:lo + step], stream.seed, stream.substream + lo, gen)

@@ -15,11 +15,12 @@ chunk raises shuts it down.  A power study is one call: the chunks of all
 its alternatives are submitted at once and consumed in order, and each
 alternative is reduced to its rows before the next is put together.  Each
 worker raises glibc's mmap and trim thresholds when it starts, so that its
-chunks reuse their heap pages instead of faulting them in again.  A process
-forked from one that holds a pool starts its own.  Inside a
-``multiprocessing`` child the pool is shut down after each call, as a kept
-pool would stop the child from exiting.  Each worker exits within about a
-second once the process that started the pool is gone, however it ended.
+chunks reuse their heap pages instead of faulting them in again.  The pool
+lives as long as the process that started it, whatever kind of process that
+is: a forked child forgets its parent's pool and lock and starts its own,
+and the process shuts its pool down as it exits, ahead of the join of its
+``multiprocessing`` children.  Each worker exits within about a second once
+the process that started the pool is gone, however it ended.
 Calls from several threads take turns on the one pool.  Workers are started
 by the default ``multiprocessing`` start method and take their copy of the
 code when the pool starts, so code patched after that is not seen by them:
@@ -33,7 +34,6 @@ The alternatives and their chunked draw live in ``logigof.alternatives``;
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import csv
 import io
@@ -194,7 +194,6 @@ def _run_chunk(task: _ChunkTask) -> tuple[int, np.ndarray, int]:
 
 
 class _Pool(NamedTuple):
-    pid: int
     size: int
     executor: object
 
@@ -261,16 +260,22 @@ def _exit_with_parent(owner: int) -> None:
 
 
 def _drop_pool() -> None:
-    """Forget the process's pool; shut it down if this process started it."""
+    """Shut this process's pool down and forget it; also its exit finalizer."""
     global _pool
     pool, _pool = _pool, None
-    if pool is not None and pool.pid == os.getpid():
+    if pool is not None:
         pool.executor.shutdown(cancel_futures=True)
 
 
-# Let go of the pool before the interpreter tears its modules down: an
-# executor collected after that reports an error from its weakref callback.
-atexit.register(_drop_pool)
+def _forget_pool() -> None:
+    """In a forked child: the pool and the lock, perhaps held by a thread
+    that the child does not have, are the parent's.  Leave them to it."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @contextlib.contextmanager
@@ -287,18 +292,21 @@ def _chunk_stream(tasks: list, workers: int):
         yield map(_run_chunk, tasks)
         return
     global _pool
-    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.util import Finalize
 
     with _pool_lock:
-        # A pool inherited through fork belongs to the parent: forget it.
-        if _pool is not None and not (_pool.pid == os.getpid()
-                                      and size <= _pool.size <= workers):
+        if _pool is not None and not size <= _pool.size <= workers:
             _drop_pool()
         if _pool is None:
-            _pool = _Pool(os.getpid(), size,
-                          ProcessPoolExecutor(size, initializer=_exit_with_parent,
-                                              initargs=(os.getpid(),)))
+            _pool = _Pool(size, ProcessPoolExecutor(size, initializer=_exit_with_parent,
+                                                    initargs=(os.getpid(),)))
+            # multiprocessing's exit handler runs this in the main process
+            # and in its children alike, before it joins the children (the
+            # workers among them) or closes its queues (priority 10), and
+            # before modules are torn down.  It is tied to no object, so
+            # collecting a replaced executor does not shut this pool down.
+            Finalize(None, _drop_pool, exitpriority=100)
         # A generator of its own, so that closing it drops the executor's
         # result iterator, which cancels the tasks still queued.
         results = (result for result in _pool.executor.map(_run_chunk, tasks))
@@ -311,10 +319,6 @@ def _chunk_stream(tasks: list, workers: int):
             raise
         finally:
             results.close()
-            # A multiprocessing child joins its live children on exit, so a
-            # pool kept there would hang it.
-            if multiprocessing.parent_process() is not None:
-                _drop_pool()
 
 
 def _simulate_each(specs: Sequence[StatSpec], n: int, cfg: McConfig,

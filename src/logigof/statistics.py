@@ -143,7 +143,7 @@ def _evaluate(res: ScaledResiduals, specs) -> list[TestOutcome]:
     it clamped away from 0 and 1."""
     counts = {}
     specs = [_kernels.check_spec(*spec) for spec in specs]
-    values = _kernels.evaluate_checked(res.values[None, :], specs, counts)[:, 0]
+    values = _kernels.compute_batch(res.values[None, :], specs, counts)[:, 0]
     if counts["overflow"]:
         raise NumericOverflowError(
             f"residual magnitude {np.max(np.abs(res.values)):.3g} exceeds the "

@@ -1035,6 +1035,69 @@ def test_a_multiprocessing_child_runs_a_parallel_call_and_exits(fresh_pool, star
     np.testing.assert_array_equal(got, expected)
 
 
+def _result_of_child(start_method, target):
+    """What ``target(queue)`` puts on the queue in a child of ``start_method``,
+    which must then exit 0.  Every wait is bounded: a child that hangs is
+    killed and fails the test."""
+    ctx = multiprocessing.get_context(start_method)
+    queue = ctx.Queue()
+    child = ctx.Process(target=target, args=(queue,))
+    child.start()
+    try:
+        got = queue.get(timeout=120)
+        child.join(timeout=30)
+        assert not child.is_alive(), "the child did not exit"
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    return got
+
+
+def test_a_child_forked_while_the_pool_lock_is_held_runs_on_a_pool_of_its_own(fresh_pool):
+    # A streaming call holds the lock until its chunks are in.  A child
+    # forked meanwhile gets the lock held, by a thread it does not have.
+    serial, _ = simulate_statistics(POOL_SPECS, POOL_N, replace(POOL_CFG, workers=1))
+    simulate_statistics(POOL_SPECS, POOL_N, POOL_CFG)          # this process holds a pool
+    with montecarlo._pool_lock:
+        got = _result_of_child("fork", _simulate_in_child)
+    np.testing.assert_array_equal(got, serial)
+
+
+def _count_pool_starts_in_child(queue):
+    with pytest.MonkeyPatch.context() as patch:
+        starts = count_pool_starts(patch)
+        values = [simulate_statistics(POOL_SPECS, POOL_N, POOL_CFG)[0] for _ in range(2)]
+    queue.put((len(starts), values))
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_a_multiprocessing_child_keeps_its_pool_between_calls(fresh_pool, start_method):
+    starts, values = _result_of_child(start_method, _count_pool_starts_in_child)
+    serial, _ = simulate_statistics(POOL_SPECS, POOL_N, replace(POOL_CFG, workers=1))
+    assert starts == 1
+    for got in values:
+        np.testing.assert_array_equal(got, serial)
+
+
+def test_calls_from_two_threads_take_turns_on_one_pool(fresh_pool, monkeypatch):
+    starts = count_pool_starts(monkeypatch)
+    alternatives = [AlternativeSpec.parse(label) for label in ("logistic", "cauchy")]
+    both_running = threading.Barrier(2, timeout=60)
+
+    def call(alt):
+        both_running.wait()
+        return simulate_statistics(POOL_SPECS, POOL_N, POOL_CFG, alt)[0]
+
+    with concurrent.futures.ThreadPoolExecutor(2) as threads:
+        got = list(threads.map(call, alternatives))
+    assert len(starts) == 1
+    for values, alt in zip(got, alternatives):
+        serial, _ = simulate_statistics(POOL_SPECS, POOL_N, replace(POOL_CFG, workers=1), alt)
+        np.testing.assert_array_equal(values, serial)
+
+
 def test_a_process_that_holds_a_pool_exits_quietly():
     # Kept alive from sys, the module outlives concurrent.futures when the
     # interpreter tears its modules down, as it does under a test runner.
